@@ -7,11 +7,12 @@
 //   2. A backend report: every compiled-in kernel backend
 //      (scalar / avx2 / avx2fma) timed on the three matmul shapes at paper
 //      sizes (state dims 16–64, Geant2-scale row counts), the gather /
-//      scatter / segment_sum / scale_rows family, and the fused-vs-composed
-//      GRU step — written to BENCH_kernels.json in the bench cache. Under
-//      RN_BENCH_ENFORCE the report is also a gate: the avx2 backend must be
-//      ≥1.5x scalar on the nn matmul at paper shapes and must produce
-//      bitwise-identical results.
+//      scatter / segment_sum / scale_rows family, the sigmoid / tanh gate
+//      kernels, and the fused-vs-composed GRU step — written to
+//      BENCH_kernels.json in the bench cache. Under RN_BENCH_ENFORCE the
+//      report is also a gate: the avx2 backend must be ≥1.5x scalar on the
+//      nn matmul at paper shapes and must produce bitwise-identical
+//      results.
 //   3. The google-benchmark tables (skipped at RN_BENCH_SCALE=smoke, where
 //      only the guard + report run so CI stays seconds-scale).
 //
@@ -291,6 +292,8 @@ int run_backend_report() {
   const kern::Backend saved_backend = kern::active_backend();
   const bool fused_saved = rn::ag::fused_gru_enabled();
   int violations = 0;
+  // Every avx2 result memcmp-equal to scalar (matmuls and gate ops).
+  bool bitwise = true;
 
   // Geant2-scale row count (every path-hop row of a merged batch) over the
   // paper's state-dim range; smoke shrinks rows, not shapes.
@@ -337,6 +340,7 @@ int run_backend_report() {
                       "at %dx%dx%d\n",
                       shape.m, shape.k, shape.n);
           ++violations;
+          bitwise = false;
         }
       }
     }
@@ -433,6 +437,53 @@ int run_backend_report() {
                 row.gb_per_s[2]);
   }
 
+  // Gate nonlinearities over the same element count, on pre-activations in
+  // the range the GRU gates see. Each rep refills the buffer untimed, so
+  // every timing applies the kernel to the same inputs.
+  Tensor gate_src = random_tensor(idx_rows, idx_cols, 33);
+  for (int i = 0; i < gate_src.size(); ++i) {
+    gate_src[static_cast<std::size_t>(i)] *= 6.0f;
+  }
+  const auto gate_n = static_cast<std::size_t>(gate_src.size());
+  auto time_gate = [&](void (*fn)(float*, std::size_t)) {
+    std::vector<double> times;
+    for (int rep = 0; rep < 5; ++rep) {
+      std::memcpy(dst.data(), gate_src.data(), gate_n * sizeof(float));
+      rn::obs::Stopwatch watch;
+      fn(dst.data(), gate_n);
+      times.push_back(watch.elapsed_s());
+    }
+    std::sort(times.begin(), times.end());
+    return bytes / 1e9 / times[times.size() / 2];
+  };
+  IndexRow gate_rows[] = {{"sigmoid"}, {"tanh"}};
+  std::vector<float> gate_ref[2];
+  for (int bi = 0; bi < 3; ++bi) {
+    if (!kern::backend_available(kBackends[bi])) continue;
+    const kern::Ops& ops = kern::ops(kBackends[bi]);
+    void (*const fns[2])(float*, std::size_t) = {ops.sigmoid_inplace,
+                                                 ops.tanh_inplace};
+    for (int g = 0; g < 2; ++g) {
+      gate_rows[g].gb_per_s[bi] = time_gate(fns[g]);
+      std::vector<float> out(gate_src.data(), gate_src.data() + gate_n);
+      fns[g](out.data(), gate_n);
+      if (kBackends[bi] == kern::Backend::kScalar) {
+        gate_ref[g] = std::move(out);
+      } else if (std::memcmp(out.data(), gate_ref[g].data(),
+                             gate_n * sizeof(float)) != 0) {
+        std::printf("WARNING: %s %s diverges bitwise from scalar\n",
+                    kern::backend_name(kBackends[bi]), gate_rows[g].name);
+        ++violations;
+        bitwise = false;
+      }
+    }
+  }
+  for (const IndexRow& row : gate_rows) {
+    std::printf("  %-16s scalar %6.2f / avx2 %6.2f / avx2fma %6.2f GB/s\n",
+                row.name, row.gb_per_s[0], row.gb_per_s[1],
+                row.gb_per_s[2]);
+  }
+
   kern::set_kernel_backend(saved_backend);
 
   // --- BENCH_kernels.json -------------------------------------------------
@@ -466,19 +517,25 @@ int run_backend_report() {
         out << "}";
       }
       out << "]";
-      out << ",\"index_ops\":{";
-      bool first = true;
-      for (const IndexRow& row : index_rows) {
-        for (int bi = 0; bi < 3; ++bi) {
-          if (row.gb_per_s[bi] < 0.0) continue;
-          if (!first) out << ',';
-          first = false;
-          out << "\"" << kern::backend_name(kBackends[bi]) << "_"
-              << row.name << "_gb_per_s\":"
-              << rn::obs::json_number(row.gb_per_s[bi]);
+      out << ",\"bitwise_identical\":" << (bitwise ? "true" : "false");
+      // {backend}_{op}_gb_per_s for every available backend.
+      auto write_rows = [&](const char* section, const auto& rows) {
+        out << ",\"" << section << "\":{";
+        bool first = true;
+        for (const IndexRow& row : rows) {
+          for (int bi = 0; bi < 3; ++bi) {
+            if (row.gb_per_s[bi] < 0.0) continue;
+            if (!first) out << ',';
+            first = false;
+            out << "\"" << kern::backend_name(kBackends[bi]) << "_"
+                << row.name << "_gb_per_s\":"
+                << rn::obs::json_number(row.gb_per_s[bi]);
+          }
         }
-      }
-      out << "}";
+        out << "}";
+      };
+      write_rows("index_ops", index_rows);
+      write_rows("gate_ops", gate_rows);
       out << ",\"gru_step\":{\"rows\":" << rows
           << ",\"composed_s\":" << rn::obs::json_number(composed_s)
           << ",\"fused_s\":" << rn::obs::json_number(fused_s)

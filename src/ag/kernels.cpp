@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -246,6 +247,58 @@ void scalar_gru_blend(const float* z, const float* h, const float* hc,
   }
 }
 
+// --- Scalar gate nonlinearities (the recipe in kernels.h) -----------------
+//
+// Each line mirrors one intrinsic of the avx2 twin; the explicit ternaries
+// reproduce _mm256_min_ps/_mm256_max_ps, which return the second operand
+// when either is NaN (std::min/std::max would not).
+
+float pow2i(int k) {
+  return std::bit_cast<float>(static_cast<std::uint32_t>(k + 127) << 23);
+}
+
+float gate_exp(float x) {
+  x = gate::kExpHi < x ? gate::kExpHi : x;
+  x = gate::kExpLo > x ? gate::kExpLo : x;
+  const float fn = std::floor(x * gate::kLog2e + 0.5f);
+  float r = x - fn * gate::kExpC1;
+  r = r - fn * gate::kExpC2;
+  float p = gate::kExpP[0];
+  for (int i = 1; i < 6; ++i) p = p * r + gate::kExpP[i];
+  const float y = p * (r * r) + r + 1.0f;
+  // Only a NaN gets past the clamp, and converting a NaN to int is
+  // undefined behaviour, so it scales by 2⁰ instead; y is already that NaN
+  // either way.
+  const int n = fn == fn ? static_cast<int>(fn) : 0;
+  const int n1 = n >> 1;
+  return (y * pow2i(n1)) * pow2i(n - n1);
+}
+
+void scalar_sigmoid_inplace(float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = 1.0f / (1.0f + gate_exp(-x[i]));
+  }
+}
+
+void scalar_tanh_inplace(float* x, std::size_t n) {
+  constexpr std::uint32_t kSign = 0x80000000u;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(x[i]);
+    const float a = std::bit_cast<float>(bits & ~kSign);
+    float t;
+    if (a < gate::kTanhSmall) {
+      const float s = a * a;
+      float q = gate::kTanhQ[0];
+      for (int k = 1; k < 5; ++k) q = q * s + gate::kTanhQ[k];
+      t = q * s * a + a;
+    } else {
+      t = 1.0f - 2.0f / (gate_exp(a + a) + 1.0f);
+    }
+    x[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(t) |
+                                (bits & kSign));
+  }
+}
+
 constexpr Ops kScalarOps = {
     "scalar",
     scalar_matmul_block,
@@ -263,6 +316,8 @@ constexpr Ops kScalarOps = {
     scalar_add_bias_rows,
     scalar_colsum_add,
     scalar_gru_blend,
+    scalar_sigmoid_inplace,
+    scalar_tanh_inplace,
 };
 
 bool cpu_has_avx2() {
@@ -375,14 +430,6 @@ Backend set_kernel_backend(Backend backend) {
       active_backend_slot().exchange(backend, std::memory_order_relaxed);
   active_table().store(table, std::memory_order_relaxed);
   return prev;
-}
-
-void sigmoid_inplace(float* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = 1.0f / (1.0f + std::exp(-x[i]));
-}
-
-void tanh_inplace(float* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
 }
 
 }  // namespace kern

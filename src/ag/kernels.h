@@ -2,8 +2,9 @@
 // runtime-dispatched backend table.
 //
 // Backends:
-//   scalar  — the reference implementation: exactly the pre-SIMD loops, the
-//             bitwise anchor every other backend is tested against.
+//   scalar  — the reference implementation: exactly the pre-SIMD loops plus
+//             the gate-nonlinearity recipe below, the bitwise anchor every
+//             other backend is tested against.
 //   avx2    — 8-wide AVX2 using separate multiply and add instructions in
 //             the same per-element accumulation order (and the same
 //             zero-entry skips) as the scalar loops, so results are bitwise
@@ -86,7 +87,49 @@ struct Ops {
   // (1−z, (1−z)·h, z·hc, sum) so the fused GRU matches the composed ops.
   void (*gru_blend)(const float* z, const float* h, const float* hc,
                     float* out, std::size_t n);
+  // x = 1/(1+exp(−x)) and x = tanh(x), elementwise — the GRU gate
+  // nonlinearities, computed by the shared recipe below.
+  void (*sigmoid_inplace)(float* x, std::size_t n);
+  void (*tanh_inplace)(float* x, std::size_t n);
 };
+
+// Gate nonlinearities. Both backends evaluate one recipe built only from
+// IEEE add/sub/mul/div, floor, min/max and exponent-bit construction, in
+// the same operation order and never fused, so scalar and avx2 agree
+// bitwise on every input (libm's expf/tanhf differ between libm builds and
+// have no vector twin, so they cannot keep that contract):
+//
+//   exp(x):  clamp x to [kExpLo, kExpHi] as min(hi, x) then max(lo, x)
+//            (the _mm256_min_ps/_mm256_max_ps operand order, so a NaN
+//            passes through); n = floor(x·log2e + ½); r = (x − n·C1) − n·C2
+//            (Cody–Waite); p = ((P0·r + P1)·r + … + P5)·r² + r + 1; the
+//            result is (p·2^⌊n/2⌋)·2^(n−⌊n/2⌋), both factors built from
+//            exponent bits. The split scale keeps every factor a normal
+//            float, so results overflow to +inf above ~88.72 and underflow
+//            gradually (subnormals, then 0) below ~−87.3.
+//   sigmoid: 1/(1 + exp(−x)).
+//   tanh:    on a = |x|: a < 0.625 → (((Q0·s + Q1)·s + … + Q4)·s)·a + a
+//            with s = a², else 1 − 2/(exp(a + a) + 1); the sign bit of x
+//            is then copied onto the result.
+//
+// Accuracy against a double reference: tanh within 2 ULP on every finite
+// float; sigmoid within 2 ULP for x ≥ −80 and within 1e-7 absolute
+// everywhere. NaN in → NaN out; sigmoid(+inf) = 1, sigmoid(−inf) = 0,
+// tanh(±inf) = ±1, tanh(±0) = ±0.
+namespace gate {
+inline constexpr float kExpHi = 89.0f;
+inline constexpr float kExpLo = -104.0f;
+inline constexpr float kLog2e = 1.44269504088896341f;
+inline constexpr float kExpC1 = 0.693359375f;
+inline constexpr float kExpC2 = -2.12194440e-4f;
+inline constexpr float kExpP[6] = {1.9875691500e-4f, 1.3981999507e-3f,
+                                   8.3334519073e-3f, 4.1665795894e-2f,
+                                   1.6666665459e-1f, 5.0000001201e-1f};
+inline constexpr float kTanhSmall = 0.625f;
+inline constexpr float kTanhQ[5] = {-5.70498872745e-3f, 2.06390887954e-2f,
+                                    -5.37397155531e-2f, 1.33314422036e-1f,
+                                    -3.33332819422e-1f};
+}  // namespace gate
 
 // The active backend's table (resolves RN_KERNELS on first call).
 const Ops& active();
@@ -102,11 +145,5 @@ const char* backend_name(Backend backend);
 // Switches the active backend; returns the previous one. Fails fast when
 // the requested backend is unavailable.
 Backend set_kernel_backend(Backend backend);
-
-// Elementwise transcendental helpers shared by every backend (libm calls —
-// the bitwise contract pins them to std::exp / std::tanh, so there is no
-// vectorized variant).
-void sigmoid_inplace(float* x, std::size_t n);
-void tanh_inplace(float* x, std::size_t n);
 
 }  // namespace rn::ag::kern

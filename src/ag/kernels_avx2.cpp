@@ -385,6 +385,87 @@ void avx2_gru_blend(const float* z, const float* h, const float* hc,
   }
 }
 
+// --- Gate nonlinearities (the recipe in kernels.h) ------------------------
+//
+// Operation for operation the scalar twin in kernels.cpp. The ragged tail
+// runs the same vector code through a masked load/store, so every element
+// takes the identical instruction sequence wherever it sits in the buffer.
+
+inline __m256 pow2i8(__m256i k) {
+  return _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_add_epi32(k, _mm256_set1_epi32(127)), 23));
+}
+
+inline __m256 gate_exp8(__m256 x) {
+  x = _mm256_min_ps(_mm256_set1_ps(gate::kExpHi), x);
+  x = _mm256_max_ps(_mm256_set1_ps(gate::kExpLo), x);
+  const __m256 fn = _mm256_floor_ps(_mm256_add_ps(
+      _mm256_mul_ps(x, _mm256_set1_ps(gate::kLog2e)), _mm256_set1_ps(0.5f)));
+  __m256 r = _mm256_sub_ps(x, _mm256_mul_ps(fn, _mm256_set1_ps(gate::kExpC1)));
+  r = _mm256_sub_ps(r, _mm256_mul_ps(fn, _mm256_set1_ps(gate::kExpC2)));
+  __m256 p = _mm256_set1_ps(gate::kExpP[0]);
+  for (int i = 1; i < 6; ++i) {
+    p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(gate::kExpP[i]));
+  }
+  const __m256 y = _mm256_add_ps(
+      _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+      _mm256_set1_ps(1.0f));
+  const __m256i n = _mm256_cvttps_epi32(fn);
+  const __m256i n1 = _mm256_srai_epi32(n, 1);
+  return _mm256_mul_ps(_mm256_mul_ps(y, pow2i8(n1)),
+                       pow2i8(_mm256_sub_epi32(n, n1)));
+}
+
+inline __m256 sign_mask8() {
+  return _mm256_castsi256_ps(
+      _mm256_set1_epi32(static_cast<int>(0x80000000u)));
+}
+
+inline __m256 gate_sigmoid8(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  return _mm256_div_ps(
+      one, _mm256_add_ps(one, gate_exp8(_mm256_xor_ps(x, sign_mask8()))));
+}
+
+inline __m256 gate_tanh8(__m256 x) {
+  const __m256 sign = _mm256_and_ps(x, sign_mask8());
+  const __m256 a = _mm256_andnot_ps(sign_mask8(), x);
+  const __m256 s = _mm256_mul_ps(a, a);
+  __m256 q = _mm256_set1_ps(gate::kTanhQ[0]);
+  for (int k = 1; k < 5; ++k) {
+    q = _mm256_add_ps(_mm256_mul_ps(q, s), _mm256_set1_ps(gate::kTanhQ[k]));
+  }
+  const __m256 small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(q, s), a), a);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 big = _mm256_sub_ps(
+      one, _mm256_div_ps(_mm256_set1_ps(2.0f),
+                         _mm256_add_ps(gate_exp8(_mm256_add_ps(a, a)), one)));
+  const __m256 is_small =
+      _mm256_cmp_ps(a, _mm256_set1_ps(gate::kTanhSmall), _CMP_LT_OQ);
+  return _mm256_or_ps(_mm256_blendv_ps(big, small, is_small), sign);
+}
+
+template <__m256 (*Fn)(__m256)>
+void apply_inplace(float* x, std::size_t n) {
+  const std::size_t n8 = n & ~std::size_t{7};
+  std::size_t i = 0;
+  for (; i < n8; i += 8) _mm256_storeu_ps(x + i, Fn(_mm256_loadu_ps(x + i)));
+  if (i < n) {
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n - i)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    _mm256_maskstore_ps(x + i, mask, Fn(_mm256_maskload_ps(x + i, mask)));
+  }
+}
+
+void avx2_sigmoid_inplace(float* x, std::size_t n) {
+  apply_inplace<gate_sigmoid8>(x, n);
+}
+
+void avx2_tanh_inplace(float* x, std::size_t n) {
+  apply_inplace<gate_tanh8>(x, n);
+}
+
 constexpr Ops kAvx2Ops = {
     "avx2",
     avx2_matmul_block,
@@ -402,9 +483,12 @@ constexpr Ops kAvx2Ops = {
     avx2_add_bias_rows,
     avx2_colsum_add,
     avx2_gru_blend,
+    avx2_sigmoid_inplace,
+    avx2_tanh_inplace,
 };
 
-// Only the matmuls diverge; everything per-element reuses the avx2 kernels.
+// Only the matmuls diverge; everything per-element (the gate nonlinearities
+// included) reuses the avx2 kernels.
 constexpr Ops kAvx2FmaOps = {
     "avx2fma",
     fma_matmul_block,
@@ -422,6 +506,8 @@ constexpr Ops kAvx2FmaOps = {
     avx2_add_bias_rows,
     avx2_colsum_add,
     avx2_gru_blend,
+    avx2_sigmoid_inplace,
+    avx2_tanh_inplace,
 };
 
 }  // namespace

@@ -208,10 +208,8 @@ ValueId Tape::sigmoid(ValueId a) {
   n.op = Op::kSigmoid;
   n.a = a;
   n.value = node(a).value;
-  for (int i = 0; i < n.value.size(); ++i) {
-    auto idx = static_cast<std::size_t>(i);
-    n.value[idx] = 1.0f / (1.0f + std::exp(-n.value[idx]));
-  }
+  kern::active().sigmoid_inplace(n.value.data(),
+                                 static_cast<std::size_t>(n.value.size()));
   n.needs_grad = any_needs_grad(a);
   return push(std::move(n));
 }
@@ -221,10 +219,8 @@ ValueId Tape::tanh(ValueId a) {
   n.op = Op::kTanh;
   n.a = a;
   n.value = node(a).value;
-  for (int i = 0; i < n.value.size(); ++i) {
-    auto idx = static_cast<std::size_t>(i);
-    n.value[idx] = std::tanh(n.value[idx]);
-  }
+  kern::active().tanh_inplace(n.value.data(),
+                              static_cast<std::size_t>(n.value.size()));
   n.needs_grad = any_needs_grad(a);
   return push(std::move(n));
 }
@@ -450,13 +446,13 @@ ValueId Tape::gru_step_impl(ValueId a, ValueId b, const GruWeights& w,
   };
 
   A.z = gate(h, *w.wz, *w.uz, *w.bz);
-  kern::sigmoid_inplace(A.z.data(), count);
+  K.sigmoid_inplace(A.z.data(), count);
   A.r = gate(h, *w.wr, *w.ur, *w.br);
-  kern::sigmoid_inplace(A.r.data(), count);
+  K.sigmoid_inplace(A.r.data(), count);
   Tensor rh = A.r;
   K.mul_inplace(rh.data(), h.data(), count);
   A.hc = gate(rh, *w.wh, *w.uh, *w.bh);
-  kern::tanh_inplace(A.hc.data(), count);
+  K.tanh_inplace(A.hc.data(), count);
 
   n.value = Tensor(rows, cols);
   K.gru_blend(A.z.data(), h.data(), A.hc.data(), n.value.data(), count);

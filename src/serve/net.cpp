@@ -328,17 +328,17 @@ void NetServer::start() {
     obs::EventSink::global().emit(ev);
   }
   if (policy_ != nullptr) policy_->start();
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
 std::string NetServer::address() const { return format_address(addr_); }
 
-void NetServer::accept_loop() {
+void NetServer::accept_loop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed by stop()
+      return;  // listener shut down by stop()
     }
     set_nodelay(fd, addr_);
     set_recv_timeout(fd, cfg_.read_timeout_s);
@@ -586,14 +586,15 @@ void NetServer::stop() {
   }
   cv_.notify_all();
   if (policy_ != nullptr) policy_->stop();
+  // shutdown() wakes the blocked accept() without releasing the fd; it is
+  // closed only after the accept thread has exited, so that thread never
+  // sees the descriptor number reused by another open().
+  if (listen_fd_ >= 0) (void)::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // Closing makes the blocking accept() return; shutdown first covers
-    // platforms where close alone does not wake it.
-    (void)::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::unique_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(mu_);

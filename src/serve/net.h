@@ -131,7 +131,9 @@ class NetServer {
     std::thread thread;
   };
 
-  void accept_loop();
+  // Runs on accept_thread_ over a copy of the listening fd taken at start;
+  // it never touches listen_fd_, which stop() owns.
+  void accept_loop(int listen_fd);
   void serve_connection(Connection* conn);
   // Dispatches one decoded frame; returns false when the connection must
   // close (malformed traffic).

@@ -1,8 +1,12 @@
 // Kernel-backend contract tests: the avx2 table must be bitwise identical
 // to scalar on every op — including remainder tails at odd shapes, signed
-// zeros, and the zero-entry skip that avoids Inf*0 NaNs — and the dispatch
-// seams must fail safe.
+// zeros, the zero-entry skip that avoids Inf*0 NaNs, and the gate
+// nonlinearities on a sweep of float bit patterns — the gate recipe must
+// meet its accuracy bounds, and the dispatch seams must fail safe.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -227,6 +231,138 @@ TEST_F(KernelsAvx2Test, ElementwiseOpsBitwiseEqualAtRaggedSizes) {
     scalar.gru_blend(z.data(), y0.data(), hc.data(), out_s.data(), n);
     avx2.gru_blend(z.data(), y0.data(), hc.data(), out_v.data(), n);
     EXPECT_TRUE(bitwise_equal(out_s, out_v)) << "gru_blend n=" << n;
+  }
+}
+
+// --- Gate nonlinearities ------------------------------------------------------
+
+// Every 4093rd float bit pattern (4093 is prime, so the sweep walks every
+// exponent and mantissa region, NaN payloads included) plus the values the
+// recipe special-cases: signed zeros, infinities, NaNs of both signs,
+// subnormals, the tanh branch point and the exp clamp edges.
+std::vector<float> gate_inputs() {
+  std::vector<float> v;
+  for (std::uint64_t bits = 0; bits < (1ULL << 32); bits += 4093) {
+    v.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  for (const float x :
+       {0.0f, -0.0f, inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(), denorm, -denorm,
+        std::numeric_limits<float>::min() / 2.0f, 0.625f, -0.625f,
+        std::nextafter(0.625f, 0.0f), 88.72f, -88.72f, 89.0f, -104.0f,
+        std::numeric_limits<float>::max(),
+        -std::numeric_limits<float>::max()}) {
+    v.push_back(x);
+  }
+  return v;
+}
+
+// Applies `fn` to `in` in consecutive chunks of 1, 2, …, 17 elements, so
+// every vector remainder length is exercised.
+std::vector<float> apply_ragged(void (*fn)(float*, std::size_t),
+                                const std::vector<float>& in) {
+  std::vector<float> out = in;
+  std::size_t i = 0;
+  for (std::size_t len = 1; i < out.size(); len = len % 17 + 1) {
+    const std::size_t n = std::min(len, out.size() - i);
+    fn(out.data() + i, n);
+    i += n;
+  }
+  return out;
+}
+
+// Distance in representable floats (adjacent floats are 1 apart; +0 and -0
+// coincide).
+std::int64_t ulp_distance(float a, float b) {
+  auto ordered = [](float f) -> std::int64_t {
+    const auto bits = std::bit_cast<std::int32_t>(f);
+    return bits < 0 ? -static_cast<std::int64_t>(bits & 0x7fffffff) : bits;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+std::vector<kern::Backend> bitwise_backends() {
+  std::vector<kern::Backend> out{kern::Backend::kScalar};
+  if (kern::backend_available(kern::Backend::kAvx2)) {
+    out.push_back(kern::Backend::kAvx2);
+  }
+  return out;
+}
+
+TEST_F(KernelsAvx2Test, GateNonlinearitiesBitwiseEqualOnBitPatternSweep) {
+  const kern::Ops& scalar = kern::ops(kern::Backend::kScalar);
+  const kern::Ops& avx2 = kern::ops(kern::Backend::kAvx2);
+  const std::vector<float> in = gate_inputs();
+  EXPECT_TRUE(bitwise_equal(apply_ragged(scalar.sigmoid_inplace, in),
+                            apply_ragged(avx2.sigmoid_inplace, in)));
+  EXPECT_TRUE(bitwise_equal(apply_ragged(scalar.tanh_inplace, in),
+                            apply_ragged(avx2.tanh_inplace, in)));
+  // The avx2fma table shares the avx2 entries, so it is bitwise too.
+  if (kern::backend_available(kern::Backend::kAvx2Fma)) {
+    const kern::Ops& fma = kern::ops(kern::Backend::kAvx2Fma);
+    EXPECT_EQ(fma.sigmoid_inplace, avx2.sigmoid_inplace);
+    EXPECT_EQ(fma.tanh_inplace, avx2.tanh_inplace);
+  }
+}
+
+TEST(KernelsGateTest, AccuracyAgainstDoubleReference) {
+  const std::vector<float> in = gate_inputs();
+  for (const kern::Backend backend : bitwise_backends()) {
+    const kern::Ops& ops = kern::ops(backend);
+    const std::vector<float> sig = apply_ragged(ops.sigmoid_inplace, in);
+    const std::vector<float> th = apply_ragged(ops.tanh_inplace, in);
+    std::int64_t tanh_ulp = 0, sig_ulp = 0;
+    double sig_abs = 0.0;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const double x = in[i];
+      if (std::isnan(x)) continue;
+      tanh_ulp = std::max(
+          tanh_ulp, ulp_distance(th[i], static_cast<float>(std::tanh(x))));
+      const double sig_ref = 1.0 / (1.0 + std::exp(-x));
+      if (x >= -80.0) {
+        sig_ulp = std::max(
+            sig_ulp, ulp_distance(sig[i], static_cast<float>(sig_ref)));
+      }
+      sig_abs = std::max(sig_abs, std::abs(sig[i] - sig_ref));
+    }
+    const char* name = kern::backend_name(backend);
+    EXPECT_LE(tanh_ulp, 2) << name;
+    EXPECT_LE(sig_ulp, 2) << name;
+    EXPECT_LE(sig_abs, 1e-7) << name;
+  }
+}
+
+TEST(KernelsGateTest, SpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const kern::Backend backend : bitwise_backends()) {
+    const kern::Ops& ops = kern::ops(backend);
+    const char* name = kern::backend_name(backend);
+    std::vector<float> sig = {nan, -nan, inf, -inf, 0.0f, -0.0f};
+    std::vector<float> th = sig;
+    ops.sigmoid_inplace(sig.data(), sig.size());
+    ops.tanh_inplace(th.data(), th.size());
+    EXPECT_TRUE(std::isnan(sig[0]) && std::isnan(sig[1])) << name;
+    EXPECT_EQ(sig[2], 1.0f) << name;
+    EXPECT_EQ(sig[3], 0.0f) << name;
+    EXPECT_EQ(sig[4], 0.5f) << name;
+    EXPECT_EQ(sig[5], 0.5f) << name;
+    EXPECT_TRUE(std::isnan(th[0]) && std::isnan(th[1])) << name;
+    EXPECT_EQ(th[2], 1.0f) << name;
+    EXPECT_EQ(th[3], -1.0f) << name;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(th[4]), 0x00000000u) << name;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(th[5]), 0x80000000u) << name;
+    // Odd symmetry holds bit for bit: the recipe works on |x|.
+    std::vector<float> pos = {0.1f, 0.625f, 3.0f, 1e-30f};
+    std::vector<float> neg = {-0.1f, -0.625f, -3.0f, -1e-30f};
+    ops.tanh_inplace(pos.data(), pos.size());
+    ops.tanh_inplace(neg.data(), neg.size());
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      EXPECT_EQ(neg[i], -pos[i]) << name;
+    }
   }
 }
 

@@ -1,11 +1,13 @@
 #include "core/routenet.h"
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "ag/arena.h"
+#include "ag/kernels.h"
 #include "ag/nn.h"
 #include "gradcheck.h"
 #include "topology/generators.h"
@@ -346,6 +348,42 @@ TEST(RouteNet, FusedGruPredictionBitwiseMatchesComposed) {
       EXPECT_EQ(fused.delay_s[i], composed.delay_s[i]) << "path " << i;
       EXPECT_EQ(fused.jitter_s[i], composed.jitter_s[i]) << "path " << i;
     }
+  }
+}
+
+TEST(RouteNet, PredictMergedBitwiseEqualAcrossKernelBackends) {
+  // The kernel-table contract at model level: a whole Geant2 forward —
+  // matmuls, index ops and the GRU gate nonlinearities — must give the same
+  // bits under the scalar and avx2 backends. Two widths: the default
+  // 16-wide states (full vectors) and 13 (every row ends in a ragged tail).
+  if (!ag::kern::backend_available(ag::kern::Backend::kAvx2)) {
+    GTEST_SKIP() << "avx2 backend not available on this build/CPU";
+  }
+  auto geant2 = std::make_shared<const topo::Topology>(topo::geant2());
+  const dataset::Sample s = make_sample(geant2, 71);
+  const std::vector<const dataset::Sample*> ptrs{&s};
+  for (const int dim : {16, 13}) {
+    RouteNetConfig cfg;
+    cfg.link_state_dim = dim;
+    cfg.path_state_dim = dim;
+    const RouteNet model(cfg);
+    const ag::kern::Backend saved =
+        ag::kern::set_kernel_backend(ag::kern::Backend::kScalar);
+    const std::vector<RouteNet::Prediction> scalar = model.predict_merged(ptrs);
+    ag::kern::set_kernel_backend(ag::kern::Backend::kAvx2);
+    const std::vector<RouteNet::Prediction> avx2 = model.predict_merged(ptrs);
+    ag::kern::set_kernel_backend(saved);
+    ASSERT_EQ(scalar.size(), 1u);
+    ASSERT_EQ(avx2.size(), 1u);
+    const auto bytes_equal = [](const std::vector<double>& a,
+                                const std::vector<double>& b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    EXPECT_TRUE(bytes_equal(scalar[0].delay_s, avx2[0].delay_s))
+        << "dim " << dim;
+    EXPECT_TRUE(bytes_equal(scalar[0].jitter_s, avx2[0].jitter_s))
+        << "dim " << dim;
   }
 }
 

@@ -107,6 +107,12 @@ struct RoutingCase {
   int k;
 };
 
+// Without this gtest prints the raw object bytes (pointer + padding), so the
+// discovered ctest names would change from build to build.
+void PrintTo(const RoutingCase& c, std::ostream* os) {
+  *os << c.name << " k=" << c.k;
+}
+
 class RoutingSweep : public ::testing::TestWithParam<RoutingCase> {
  protected:
   topo::Topology make_topology() const {
