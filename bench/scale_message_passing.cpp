@@ -2,9 +2,10 @@
 // larger topologies of variable size (up to 50 nodes)", which only matters
 // if message passing scales with graph size.
 //
-// google-benchmark: full RouteNet forward pass (inference) across topology
-// sizes and message-passing iteration counts; plus the packet simulator's
-// event throughput as the cost yardstick.
+// google-benchmark: full RouteNet forward pass (inference, on a
+// forward-only tape) across topology sizes and message-passing iteration
+// counts; a recording training step; plus the packet simulator's event
+// throughput as the cost yardstick.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -43,7 +44,7 @@ void BM_ForwardByTopologySize(benchmark::State& state) {
   const core::GraphBatch batch =
       core::GraphBatch::from_sample(sample, model.normalizer(), false);
   for (auto _ : state) {
-    ag::Tape tape;
+    ag::Tape tape(ag::TapeMode::kForwardOnly);
     benchmark::DoNotOptimize(model.forward(tape, batch));
   }
   state.counters["paths"] = static_cast<double>(batch.num_paths);
@@ -60,7 +61,7 @@ void BM_ForwardByIterations(benchmark::State& state) {
   const core::GraphBatch batch =
       core::GraphBatch::from_sample(sample, model.normalizer(), false);
   for (auto _ : state) {
-    ag::Tape tape;
+    ag::Tape tape(ag::TapeMode::kForwardOnly);
     benchmark::DoNotOptimize(model.forward(tape, batch));
   }
 }

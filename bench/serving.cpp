@@ -1,7 +1,7 @@
 // Serving bench: closed-loop load against the in-process InferenceServer at
 // micro-batch caps 1, 8, and 32 with a fixed worker count, reporting
-// throughput and p50/p99 request latency per cap. Coalescing amortizes the
-// per-forward tape overhead, so cap 32 must beat cap 1 — BENCH_serving.json
+// throughput and p50/p99 request latency per cap. Coalescing amortizes
+// per-forward fixed costs, so cap 32 must beat cap 1 — BENCH_serving.json
 // records the sweep (plus the registry's serve.* counters) so the serving
 // trajectory is tracked across PRs.
 //
@@ -9,10 +9,11 @@
 //
 // The workload is many small independent queries (a ring-8 scenario with a
 // compact model) — the regime serving batches for: per-forward fixed costs
-// (tape construction, per-op dispatch and small-tensor allocation) dominate,
-// and coalescing spreads them over the whole batch. Weights are untrained:
-// inference cost per request is identical either way, and this bench only
-// measures the serving path.
+// (GraphBatch assembly, one forward-only tape node and kernel dispatch per
+// op, arena round trips for small tensors) dominate, and coalescing spreads
+// them over the whole batch. Weights are untrained: inference cost per
+// request is identical either way, and this bench only measures the
+// serving path.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>

@@ -41,18 +41,15 @@ Dense::Dense(int in_dim, int out_dim, Activation act, Rng& rng,
 }
 
 ValueId Dense::apply(Tape& tape, ValueId x) const {
-  ValueId y = tape.add_bias(tape.matmul(x, tape.param(w_)), tape.param(b_));
-  switch (act_) {
-    case Activation::kNone:
-      return y;
-    case Activation::kRelu:
-      return tape.relu(y);
-    case Activation::kSigmoid:
-      return tape.sigmoid(y);
-    case Activation::kTanh:
-      return tape.tanh(y);
-  }
-  return y;
+  const ValueId xw = tape.matmul(x, tape.param(w_));
+  const ValueId y = tape.add_bias(xw, tape.param(b_));
+  tape.release(xw);
+  if (act_ == Activation::kNone) return y;
+  const ValueId out = act_ == Activation::kRelu      ? tape.relu(y)
+                      : act_ == Activation::kSigmoid ? tape.sigmoid(y)
+                                                     : tape.tanh(y);
+  tape.release(y);
+  return out;
 }
 
 std::vector<Parameter*> Dense::params() { return {&w_, &b_}; }
@@ -88,14 +85,13 @@ ValueId GruCell::step(Tape& tape, ValueId x, ValueId h) const {
 }
 
 ValueId GruCell::step_gathered(Tape& tape, ValueId x_src,
-                               std::vector<int> x_idx, ValueId h_src,
-                               std::vector<int> h_idx) const {
+                               const std::vector<int>& x_idx, ValueId h_src,
+                               const std::vector<int>& h_idx) const {
   if (fused_gru_enabled()) {
-    return tape.gru_step_gathered(x_src, std::move(x_idx), h_src,
-                                  std::move(h_idx), weights());
+    return tape.gru_step_gathered(x_src, x_idx, h_src, h_idx, weights());
   }
-  const ValueId x = tape.gather_rows(x_src, std::move(x_idx));
-  const ValueId h = tape.gather_rows(h_src, std::move(h_idx));
+  const ValueId x = tape.gather_rows(x_src, x_idx);
+  const ValueId h = tape.gather_rows(h_src, h_idx);
   return step(tape, x, h);
 }
 
@@ -130,7 +126,11 @@ Mlp::Mlp(const std::vector<int>& dims, Rng& rng, const std::string& name,
 
 ValueId Mlp::apply(Tape& tape, ValueId x) const {
   ValueId y = x;
-  for (const Dense& layer : layers_) y = layer.apply(tape, y);
+  for (const Dense& layer : layers_) {
+    const ValueId next = layer.apply(tape, y);
+    if (y != x) tape.release(y);
+    y = next;
+  }
   return y;
 }
 

@@ -18,6 +18,7 @@ class Dense {
   Dense(int in_dim, int out_dim, Activation act, Rng& rng,
         const std::string& name);
 
+  // Releases its intermediate product and pre-activation; x stays live.
   ValueId apply(Tape& tape, ValueId x) const;
 
   int in_dim() const { return w_.value.rows(); }
@@ -51,9 +52,11 @@ class GruCell {
   // step() with both inputs gathered from row-state tensors:
   // x = x_src[x_idx], h = h_src[h_idx]. The fused path folds the gathers
   // into the gru_step node; the composed path records explicit
-  // gather_rows ops. RouteNet's per-hop path update.
-  ValueId step_gathered(Tape& tape, ValueId x_src, std::vector<int> x_idx,
-                        ValueId h_src, std::vector<int> h_idx) const;
+  // gather_rows ops. RouteNet's per-hop path update. The indices are
+  // borrowed for the call.
+  ValueId step_gathered(Tape& tape, ValueId x_src,
+                        const std::vector<int>& x_idx, ValueId h_src,
+                        const std::vector<int>& h_idx) const;
 
   // The cell's nine parameters as fused-op references.
   GruWeights weights() const;
@@ -82,6 +85,8 @@ class Mlp {
   Mlp(const std::vector<int>& dims, Rng& rng, const std::string& name,
       Activation output_act = Activation::kNone);
 
+  // Releases every hidden activation once the next layer has read it; x
+  // and the returned output stay live.
   ValueId apply(Tape& tape, ValueId x) const;
 
   int in_dim() const;

@@ -35,6 +35,12 @@ const Tape::Node& Tape::node(ValueId id) const {
   return nodes_[static_cast<std::size_t>(id)];
 }
 
+const Tensor& Tape::input(ValueId id) const {
+  const Node& n = node(id);
+  RN_CHECK(!n.released, "read of a released tape value");
+  return n.value;
+}
+
 bool Tape::any_needs_grad(ValueId a, ValueId b) const {
   if (a != kInvalidValue && node(a).needs_grad) return true;
   if (b != kInvalidValue && node(b).needs_grad) return true;
@@ -75,14 +81,14 @@ ValueId Tape::matmul(ValueId a, ValueId b) {
   n.op = Op::kMatmul;
   n.a = a;
   n.b = b;
-  n.value = ag::matmul(node(a).value, node(b).value);
+  n.value = ag::matmul(input(a), input(b));
   n.needs_grad = any_needs_grad(a, b);
   return push(std::move(n));
 }
 
 ValueId Tape::add(ValueId a, ValueId b) {
-  const Tensor& av = node(a).value;
-  const Tensor& bv = node(b).value;
+  const Tensor& av = input(a);
+  const Tensor& bv = input(b);
   RN_CHECK(av.same_shape(bv), "add shape mismatch");
   Node n;
   n.op = Op::kAdd;
@@ -95,8 +101,8 @@ ValueId Tape::add(ValueId a, ValueId b) {
 }
 
 ValueId Tape::sub(ValueId a, ValueId b) {
-  const Tensor& av = node(a).value;
-  const Tensor& bv = node(b).value;
+  const Tensor& av = input(a);
+  const Tensor& bv = input(b);
   RN_CHECK(av.same_shape(bv), "sub shape mismatch");
   Node n;
   n.op = Op::kSub;
@@ -109,8 +115,8 @@ ValueId Tape::sub(ValueId a, ValueId b) {
 }
 
 ValueId Tape::mul(ValueId a, ValueId b) {
-  const Tensor& av = node(a).value;
-  const Tensor& bv = node(b).value;
+  const Tensor& av = input(a);
+  const Tensor& bv = input(b);
   RN_CHECK(av.same_shape(bv), "mul shape mismatch");
   Node n;
   n.op = Op::kMul;
@@ -124,8 +130,8 @@ ValueId Tape::mul(ValueId a, ValueId b) {
 }
 
 ValueId Tape::add_bias(ValueId m, ValueId bias) {
-  const Tensor& mv = node(m).value;
-  const Tensor& bv = node(bias).value;
+  const Tensor& mv = input(m);
+  const Tensor& bv = input(bias);
   RN_CHECK(bv.rows() == 1 && bv.cols() == mv.cols(),
            "add_bias expects a 1×C bias matching the matrix columns");
   Node n;
@@ -144,14 +150,14 @@ ValueId Tape::scale(ValueId a, float s) {
   n.op = Op::kScale;
   n.a = a;
   n.scalar = s;
-  n.value = node(a).value;
+  n.value = input(a);
   n.value.scale(s);
   n.needs_grad = any_needs_grad(a);
   return push(std::move(n));
 }
 
-ValueId Tape::scale_rows(ValueId a, std::vector<float> factors) {
-  const Tensor& av = node(a).value;
+ValueId Tape::scale_rows(ValueId a, const std::vector<float>& factors) {
+  const Tensor& av = input(a);
   RN_CHECK(static_cast<int>(factors.size()) == av.rows(),
            "scale_rows: one factor per row");
   Node n;
@@ -160,14 +166,14 @@ ValueId Tape::scale_rows(ValueId a, std::vector<float> factors) {
   n.value = av;
   kern::active().scale_rows(n.value.data(), factors.data(), av.rows(),
                             av.cols());
-  n.row_factors = std::move(factors);
+  if (recording()) n.row_factors = factors;
   n.needs_grad = any_needs_grad(a);
   return push(std::move(n));
 }
 
 ValueId Tape::dropout(ValueId a, float rate, Rng& rng) {
   RN_CHECK(rate >= 0.0f && rate < 1.0f, "dropout rate must be in [0,1)");
-  const Tensor& av = node(a).value;
+  const Tensor& av = input(a);
   Node n;
   n.op = Op::kDropout;
   n.a = a;
@@ -192,7 +198,7 @@ ValueId Tape::one_minus(ValueId a) {
   Node n;
   n.op = Op::kOneMinus;
   n.a = a;
-  n.value = node(a).value;
+  n.value = input(a);
   for (int i = 0; i < n.value.size(); ++i) {
     auto idx = static_cast<std::size_t>(i);
     n.value[idx] = 1.0f - n.value[idx];
@@ -207,7 +213,7 @@ ValueId Tape::sigmoid(ValueId a) {
   Node n;
   n.op = Op::kSigmoid;
   n.a = a;
-  n.value = node(a).value;
+  n.value = input(a);
   kern::active().sigmoid_inplace(n.value.data(),
                                  static_cast<std::size_t>(n.value.size()));
   n.needs_grad = any_needs_grad(a);
@@ -218,7 +224,7 @@ ValueId Tape::tanh(ValueId a) {
   Node n;
   n.op = Op::kTanh;
   n.a = a;
-  n.value = node(a).value;
+  n.value = input(a);
   kern::active().tanh_inplace(n.value.data(),
                               static_cast<std::size_t>(n.value.size()));
   n.needs_grad = any_needs_grad(a);
@@ -229,7 +235,7 @@ ValueId Tape::relu(ValueId a) {
   Node n;
   n.op = Op::kRelu;
   n.a = a;
-  n.value = node(a).value;
+  n.value = input(a);
   for (int i = 0; i < n.value.size(); ++i) {
     auto idx = static_cast<std::size_t>(i);
     if (n.value[idx] < 0.0f) n.value[idx] = 0.0f;
@@ -241,8 +247,8 @@ ValueId Tape::relu(ValueId a) {
 // --- Shape ops --------------------------------------------------------------------
 
 ValueId Tape::concat_cols(ValueId a, ValueId b) {
-  const Tensor& av = node(a).value;
-  const Tensor& bv = node(b).value;
+  const Tensor& av = input(a);
+  const Tensor& bv = input(b);
   RN_CHECK(av.rows() == bv.rows(), "concat_cols row mismatch");
   Node n;
   n.op = Op::kConcatCols;
@@ -263,14 +269,14 @@ ValueId Tape::concat_cols(ValueId a, ValueId b) {
 
 ValueId Tape::concat_rows(const std::vector<ValueId>& xs) {
   RN_CHECK(!xs.empty(), "concat_rows of no blocks");
-  const int cols = node(xs.front()).value.cols();
+  const int cols = input(xs.front()).cols();
   int rows = 0;
   bool needs = false;
   for (ValueId x : xs) {
-    const Node& nx = node(x);
-    RN_CHECK(nx.value.cols() == cols, "concat_rows column mismatch");
-    rows += nx.value.rows();
-    needs = needs || nx.needs_grad;
+    const Tensor& xv = input(x);
+    RN_CHECK(xv.cols() == cols, "concat_rows column mismatch");
+    rows += xv.rows();
+    needs = needs || node(x).needs_grad;
   }
   Node n;
   n.op = Op::kConcatRows;
@@ -278,7 +284,7 @@ ValueId Tape::concat_rows(const std::vector<ValueId>& xs) {
   n.value = Tensor(rows, cols);
   int r0 = 0;
   for (ValueId x : xs) {
-    const Tensor& xv = node(x).value;
+    const Tensor& xv = input(x);
     for (int r = 0; r < xv.rows(); ++r) {
       float* out = n.value.row(r0 + r);
       const float* in = xv.row(r);
@@ -291,7 +297,7 @@ ValueId Tape::concat_rows(const std::vector<ValueId>& xs) {
 }
 
 ValueId Tape::slice_cols(ValueId a, int c0, int c1) {
-  const Tensor& av = node(a).value;
+  const Tensor& av = input(a);
   RN_CHECK(0 <= c0 && c0 < c1 && c1 <= av.cols(), "slice_cols bounds");
   Node n;
   n.op = Op::kSliceCols;
@@ -310,8 +316,8 @@ ValueId Tape::slice_cols(ValueId a, int c0, int c1) {
 
 // --- Graph-indexing ops --------------------------------------------------------------
 
-ValueId Tape::gather_rows(ValueId a, std::vector<int> idx) {
-  const Tensor& av = node(a).value;
+ValueId Tape::gather_rows(ValueId a, const std::vector<int>& idx) {
+  const Tensor& av = input(a);
   for (int i : idx) {
     RN_CHECK(i >= 0 && i < av.rows(), "gather_rows index out of range");
   }
@@ -322,14 +328,15 @@ ValueId Tape::gather_rows(ValueId a, std::vector<int> idx) {
   kern::active().gather_rows(av.data(), idx.data(),
                              static_cast<int>(idx.size()), av.cols(),
                              n.value.data());
-  n.idx = std::move(idx);
+  if (recording()) n.idx = idx;
   n.needs_grad = any_needs_grad(a);
   return push(std::move(n));
 }
 
-ValueId Tape::scatter_rows(ValueId base, std::vector<int> idx, ValueId rows) {
-  const Tensor& bv = node(base).value;
-  const Tensor& rv = node(rows).value;
+ValueId Tape::scatter_rows(ValueId base, const std::vector<int>& idx,
+                          ValueId rows) {
+  const Tensor& bv = input(base);
+  const Tensor& rv = input(rows);
   RN_CHECK(rv.rows() == static_cast<int>(idx.size()),
            "scatter_rows: idx size must match rows count");
   RN_CHECK(rv.cols() == bv.cols(), "scatter_rows column mismatch");
@@ -348,13 +355,14 @@ ValueId Tape::scatter_rows(ValueId base, std::vector<int> idx, ValueId rows) {
   kern::active().scatter_rows(n.value.data(), idx.data(),
                               static_cast<int>(idx.size()), bv.cols(),
                               rv.data());
-  n.idx = std::move(idx);
+  if (recording()) n.idx = idx;
   n.needs_grad = any_needs_grad(base, rows);
   return push(std::move(n));
 }
 
-ValueId Tape::segment_sum(ValueId a, std::vector<int> seg, int num_segments) {
-  const Tensor& av = node(a).value;
+ValueId Tape::segment_sum(ValueId a, const std::vector<int>& seg,
+                          int num_segments) {
+  const Tensor& av = input(a);
   RN_CHECK(static_cast<int>(seg.size()) == av.rows(),
            "segment_sum: one segment id per row");
   for (int s : seg) {
@@ -368,7 +376,7 @@ ValueId Tape::segment_sum(ValueId a, std::vector<int> seg, int num_segments) {
   kern::active().indexed_row_add(n.value.data(), seg.data(),
                                  static_cast<int>(seg.size()), av.cols(),
                                  av.data());
-  n.idx = std::move(seg);
+  if (recording()) n.idx = seg;
   n.needs_grad = any_needs_grad(a);
   return push(std::move(n));
 }
@@ -376,23 +384,24 @@ ValueId Tape::segment_sum(ValueId a, std::vector<int> seg, int num_segments) {
 // --- Fused ops ---------------------------------------------------------------------------
 
 ValueId Tape::gru_step(ValueId x, ValueId h, const GruWeights& w) {
-  return gru_step_impl(x, h, w, {}, {});
+  static const std::vector<int> kNoGather;
+  return gru_step_impl(x, h, w, kNoGather, kNoGather);
 }
 
-ValueId Tape::gru_step_gathered(ValueId x_src, std::vector<int> x_idx,
-                                ValueId h_src, std::vector<int> h_idx,
+ValueId Tape::gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
+                                ValueId h_src, const std::vector<int>& h_idx,
                                 const GruWeights& w) {
   RN_CHECK(x_idx.size() == h_idx.size(),
            "gru_step_gathered: one x row per h row");
-  const Tensor& xs = node(x_src).value;
-  const Tensor& hs = node(h_src).value;
+  const Tensor& xs = input(x_src);
+  const Tensor& hs = input(h_src);
   for (int i : x_idx) {
     RN_CHECK(i >= 0 && i < xs.rows(), "gru_step x index out of range");
   }
   for (int i : h_idx) {
     RN_CHECK(i >= 0 && i < hs.rows(), "gru_step h index out of range");
   }
-  return gru_step_impl(x_src, h_src, w, std::move(x_idx), std::move(h_idx));
+  return gru_step_impl(x_src, h_src, w, x_idx, h_idx);
 }
 
 // The forward replicates the composed GruCell::step arithmetic exactly:
@@ -401,36 +410,28 @@ ValueId Tape::gru_step_gathered(ValueId x_src, std::vector<int> x_idx,
 // separate tape nodes performed, so the fused value is bitwise identical.
 // The two matmuls per gate stay separate (summing the second result into
 // the first, not accumulating into one buffer) because that is the rounding
-// order the composed kAdd node produced.
+// order the composed kAdd node produced. Both modes run this same code; a
+// recording tape then moves the activations into the node's GruAux, a
+// forward-only tape lets them return to the arena.
 ValueId Tape::gru_step_impl(ValueId a, ValueId b, const GruWeights& w,
-                            std::vector<int> x_idx, std::vector<int> h_idx) {
+                            const std::vector<int>& x_idx,
+                            const std::vector<int>& h_idx) {
   RN_CHECK(w.wz && w.uz && w.bz && w.wr && w.ur && w.br && w.wh && w.uh &&
                w.bh,
            "gru_step: incomplete GruWeights");
   const kern::Ops& K = kern::active();
-  Node n;
-  n.op = Op::kGruStep;
-  n.a = a;
-  n.b = b;
-  n.gru = std::make_unique<GruAux>();
-  GruAux& A = *n.gru;
-  A.w = w;
-  if (!x_idx.empty()) {
-    const Tensor& src = node(a).value;
-    A.xg = Tensor(static_cast<int>(x_idx.size()), src.cols());
-    K.gather_rows(src.data(), x_idx.data(), static_cast<int>(x_idx.size()),
-                  src.cols(), A.xg.data());
-    A.x_idx = std::move(x_idx);
-  }
-  if (!h_idx.empty()) {
-    const Tensor& src = node(b).value;
-    A.hg = Tensor(static_cast<int>(h_idx.size()), src.cols());
-    K.gather_rows(src.data(), h_idx.data(), static_cast<int>(h_idx.size()),
-                  src.cols(), A.hg.data());
-    A.h_idx = std::move(h_idx);
-  }
-  const Tensor& x = A.x_idx.empty() ? node(a).value : A.xg;
-  const Tensor& h = A.h_idx.empty() ? node(b).value : A.hg;
+  auto gather = [&](ValueId src_id, const std::vector<int>& idx) {
+    if (idx.empty()) return Tensor();
+    const Tensor& src = input(src_id);
+    Tensor out(static_cast<int>(idx.size()), src.cols());
+    K.gather_rows(src.data(), idx.data(), static_cast<int>(idx.size()),
+                  src.cols(), out.data());
+    return out;
+  };
+  Tensor xg = gather(a, x_idx);
+  Tensor hg = gather(b, h_idx);
+  const Tensor& x = x_idx.empty() ? input(a) : xg;
+  const Tensor& h = h_idx.empty() ? input(b) : hg;
   RN_CHECK(x.rows() == h.rows(), "gru_step row mismatch");
   RN_CHECK(x.cols() == w.wz->value.rows() && h.cols() == w.uz->value.rows(),
            "gru_step input dims do not match weights");
@@ -445,19 +446,35 @@ ValueId Tape::gru_step_impl(ValueId a, ValueId b, const GruWeights& w,
     return pre;
   };
 
-  A.z = gate(h, *w.wz, *w.uz, *w.bz);
-  K.sigmoid_inplace(A.z.data(), count);
-  A.r = gate(h, *w.wr, *w.ur, *w.br);
-  K.sigmoid_inplace(A.r.data(), count);
-  Tensor rh = A.r;
+  Tensor z = gate(h, *w.wz, *w.uz, *w.bz);
+  K.sigmoid_inplace(z.data(), count);
+  Tensor r = gate(h, *w.wr, *w.ur, *w.br);
+  K.sigmoid_inplace(r.data(), count);
+  Tensor rh = r;
   K.mul_inplace(rh.data(), h.data(), count);
-  A.hc = gate(rh, *w.wh, *w.uh, *w.bh);
-  K.tanh_inplace(A.hc.data(), count);
+  Tensor hc = gate(rh, *w.wh, *w.uh, *w.bh);
+  K.tanh_inplace(hc.data(), count);
 
+  Node n;
+  n.op = Op::kGruStep;
+  n.a = a;
+  n.b = b;
   n.value = Tensor(rows, cols);
-  K.gru_blend(A.z.data(), h.data(), A.hc.data(), n.value.data(), count);
+  K.gru_blend(z.data(), h.data(), hc.data(), n.value.data(), count);
+  if (recording()) {
+    n.gru = std::make_unique<GruAux>();
+    GruAux& A = *n.gru;
+    A.w = w;
+    A.x_idx = x_idx;
+    A.h_idx = h_idx;
+    A.xg = std::move(xg);
+    A.hg = std::move(hg);
+    A.z = std::move(z);
+    A.r = std::move(r);
+    A.hc = std::move(hc);
+  }
   // Parameters are always trainable, so the node unconditionally carries
-  // gradient (inference tapes simply never call backward()).
+  // gradient (forward-only tapes simply never run backward()).
   n.needs_grad = true;
   return push(std::move(n));
 }
@@ -465,7 +482,7 @@ ValueId Tape::gru_step_impl(ValueId a, ValueId b, const GruWeights& w,
 // --- Reductions & losses ----------------------------------------------------------------
 
 ValueId Tape::reduce_sum(ValueId a) {
-  const Tensor& av = node(a).value;
+  const Tensor& av = input(a);
   Node n;
   n.op = Op::kReduceSum;
   n.a = a;
@@ -477,7 +494,7 @@ ValueId Tape::reduce_sum(ValueId a) {
 }
 
 ValueId Tape::reduce_mean(ValueId a) {
-  const Tensor& av = node(a).value;
+  const Tensor& av = input(a);
   RN_CHECK(av.size() > 0, "reduce_mean of empty tensor");
   Node n;
   n.op = Op::kReduceMean;
@@ -490,7 +507,7 @@ ValueId Tape::reduce_mean(ValueId a) {
 }
 
 ValueId Tape::mse(ValueId pred, const Tensor& target) {
-  const Tensor& pv = node(pred).value;
+  const Tensor& pv = input(pred);
   RN_CHECK(pv.same_shape(target), "mse shape mismatch");
   RN_CHECK(pv.size() > 0, "mse of empty tensor");
   Node n;
@@ -509,7 +526,7 @@ ValueId Tape::mse(ValueId pred, const Tensor& target) {
 }
 
 ValueId Tape::mae(ValueId pred, const Tensor& target) {
-  const Tensor& pv = node(pred).value;
+  const Tensor& pv = input(pred);
   RN_CHECK(pv.same_shape(target), "mae shape mismatch");
   RN_CHECK(pv.size() > 0, "mae of empty tensor");
   Node n;
@@ -527,7 +544,7 @@ ValueId Tape::mae(ValueId pred, const Tensor& target) {
 }
 
 ValueId Tape::huber(ValueId pred, const Tensor& target, float delta) {
-  const Tensor& pv = node(pred).value;
+  const Tensor& pv = input(pred);
   RN_CHECK(pv.same_shape(target), "huber shape mismatch");
   RN_CHECK(pv.size() > 0, "huber of empty tensor");
   RN_CHECK(delta > 0.0f, "huber delta must be positive");
@@ -549,7 +566,14 @@ ValueId Tape::huber(ValueId pred, const Tensor& target, float delta) {
 
 // --- Execution --------------------------------------------------------------------------
 
-const Tensor& Tape::value(ValueId id) const { return node(id).value; }
+const Tensor& Tape::value(ValueId id) const { return input(id); }
+
+void Tape::release(ValueId id) {
+  Node& n = node(id);
+  RN_CHECK(!n.released, "tape value released twice");
+  n.released = true;
+  if (!recording()) n.value = Tensor();
+}
 
 const Tensor& Tape::grad(ValueId id) const {
   const Node& n = node(id);
@@ -557,6 +581,7 @@ const Tensor& Tape::grad(ValueId id) const {
 }
 
 void Tape::backward(ValueId root) {
+  RN_CHECK(recording(), "backward() on a forward-only tape");
   obs::TraceSpan span("ag.backward");
   Node& r = node(root);
   RN_CHECK(r.value.rows() == 1 && r.value.cols() == 1,

@@ -10,6 +10,19 @@
 // graph-indexing ops (gather_rows / scatter_rows / segment_sum) that express
 // "read the links on a path", "write updated path states back", and
 // "aggregate per-hop messages into links".
+//
+// A tape is built in one of two modes, fixed at construction. A recording
+// tape (the default) keeps everything backward() reads: gate activations,
+// index vectors, row factors. A forward-only tape runs the same kern::Ops
+// entries in the same order, so its values are bitwise equal, but keeps
+// none of that state and borrows its indices from the caller. Callers that
+// never call backward() (inference) use forward-only; backward() on such a
+// tape fails.
+//
+// release(id) declares a value dead. A forward-only tape returns its
+// buffer to the arena at once; a recording tape keeps it for backward() and
+// only marks it. In both modes any later read of a released value fails, so
+// training enforces the same release discipline inference relies on.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +69,11 @@ struct GruWeights {
   Parameter* bh = nullptr;
 };
 
+enum class TapeMode : std::uint8_t { kRecord, kForwardOnly };
+
 class Tape {
  public:
-  Tape() = default;
+  explicit Tape(TapeMode mode = TapeMode::kRecord) : mode_(mode) {}
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
@@ -82,7 +97,7 @@ class Tape {
 
   // Per-row scaling: out[r] = a[r] * factors[r]. Used to turn segment sums
   // into segment means (divide each link's aggregate by its message count).
-  ValueId scale_rows(ValueId a, std::vector<float> factors);
+  ValueId scale_rows(ValueId a, const std::vector<float>& factors);
 
   // Inverted dropout: zeroes each element with probability `rate` and
   // scales survivors by 1/(1−rate) so expectations match inference (where
@@ -100,18 +115,22 @@ class Tape {
   ValueId slice_cols(ValueId a, int c0, int c1);      // columns [c0, c1)
 
   // --- Graph-indexing ops ---------------------------------------------------
+  // Index vectors are borrowed for the call; only a recording tape copies
+  // them (backward() needs them).
 
   // out[i] = a[idx[i]]; duplicate indices allowed (gradient accumulates).
-  ValueId gather_rows(ValueId a, std::vector<int> idx);
+  ValueId gather_rows(ValueId a, const std::vector<int>& idx);
 
   // out = base with out[idx[i]] = rows[i]. Indices must be unique: each row
   // of the result has exactly one source, which keeps the backward pass a
   // disjoint split of the incoming gradient.
-  ValueId scatter_rows(ValueId base, std::vector<int> idx, ValueId rows);
+  ValueId scatter_rows(ValueId base, const std::vector<int>& idx,
+                       ValueId rows);
 
   // out has num_segments rows; out[seg[i]] += a[i]. RouteNet's link-message
   // aggregator.
-  ValueId segment_sum(ValueId a, std::vector<int> seg, int num_segments);
+  ValueId segment_sum(ValueId a, const std::vector<int>& seg,
+                      int num_segments);
 
   // --- Fused ops -------------------------------------------------------------
 
@@ -120,17 +139,17 @@ class Tape {
   // in GruCell::step with a single node whose forward replicates the
   // composed per-element arithmetic order exactly (bitwise-identical
   // values) while materializing only the three saved activations the
-  // backward needs. Gradients accumulate directly into the GruWeights
-  // parameters, so backward() must run before any optimizer step mutates
-  // them (the standard training order).
+  // backward needs (none on a forward-only tape). Gradients accumulate
+  // directly into the GruWeights parameters, so backward() must run before
+  // any optimizer step mutates them (the standard training order).
   ValueId gru_step(ValueId x, ValueId h, const GruWeights& w);
 
   // gru_step with both inputs gathered inside the node:
   // x = x_src[x_idx], h = h_src[h_idx]. Fuses the two gather_rows nodes of
   // the message-passing path update; the backward scatters dx/dh back into
   // the source states' gradients (ascending-index accumulation).
-  ValueId gru_step_gathered(ValueId x_src, std::vector<int> x_idx,
-                            ValueId h_src, std::vector<int> h_idx,
+  ValueId gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
+                            ValueId h_src, const std::vector<int>& h_idx,
                             const GruWeights& w);
 
   // --- Reductions & losses ---------------------------------------------------
@@ -147,10 +166,19 @@ class Tape {
   ValueId huber(ValueId pred, const Tensor& target, float delta);
 
   // --- Execution -------------------------------------------------------------
+  // Fails for a released value.
   const Tensor& value(ValueId id) const;
+
+  // Declares id dead: no op and no value() call may read it afterwards.
+  // Frees the buffer on a forward-only tape; only marks it on a recording
+  // tape, whose backward() still reads it. Releasing twice fails.
+  void release(ValueId id);
+
+  bool recording() const { return mode_ == TapeMode::kRecord; }
 
   // Accumulates d(root)/d(param) into each touched Parameter's .grad and
   // stores per-node gradients (readable via grad()). root must be 1×1.
+  // Fails on a forward-only tape.
   void backward(ValueId root);
 
   // Gradient of the last backward() w.r.t. an intermediate value. Zero tensor
@@ -188,20 +216,24 @@ class Tape {
     Tensor value;
     Tensor grad;       // allocated lazily in backward()
     bool needs_grad = false;
+    bool released = false;
     Parameter* parameter = nullptr;  // kParam only
-    std::vector<int> idx;            // gather/scatter/segment indices
-    std::vector<float> row_factors;  // kScaleRows only
+    std::vector<int> idx;            // gather/scatter/segment (recording)
+    std::vector<float> row_factors;  // kScaleRows only (recording)
     int aux0 = 0, aux1 = 0;          // slice bounds / segment count
     float scalar = 0.0f;             // kScale factor / kHuber delta
     Tensor aux_tensor;               // loss target / dropout mask
-    std::unique_ptr<GruAux> gru;     // kGruStep only
+    std::unique_ptr<GruAux> gru;     // kGruStep on a recording tape only
   };
 
   ValueId push(Node node);
   ValueId gru_step_impl(ValueId a, ValueId b, const GruWeights& w,
-                        std::vector<int> x_idx, std::vector<int> h_idx);
+                        const std::vector<int>& x_idx,
+                        const std::vector<int>& h_idx);
   Node& node(ValueId id);
   const Node& node(ValueId id) const;
+  // An op operand's value; fails if it was released.
+  const Tensor& input(ValueId id) const;
   bool any_needs_grad(ValueId a, ValueId b = kInvalidValue) const;
   Tensor& grad_buffer(ValueId id);  // allocates zeros on first touch
 
@@ -210,6 +242,7 @@ class Tape {
   // Deque, not vector: value()/grad() hand out references that must survive
   // subsequent op recordings (deque never relocates existing elements).
   std::deque<Node> nodes_;
+  TapeMode mode_;
 };
 
 }  // namespace rn::ag

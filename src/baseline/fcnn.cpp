@@ -96,7 +96,7 @@ void FcnnBaseline::fit(const std::vector<dataset::Sample>& train) {
 
 std::vector<double> FcnnBaseline::predict_delay(
     const dataset::Sample& sample) const {
-  ag::Tape tape;
+  ag::Tape tape(ag::TapeMode::kForwardOnly);
   const ag::ValueId pred = mlp_.apply(tape, tape.constant(encode(sample)));
   const ag::Tensor& y = tape.value(pred);
   std::vector<double> out(static_cast<std::size_t>(num_pairs_));

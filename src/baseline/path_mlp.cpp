@@ -134,7 +134,7 @@ std::vector<double> PathMlpBaseline::predict_delay(
   for (int idx = 0; idx < pairs; ++idx) {
     fill_features(sample, loads, idx, x.row(idx));
   }
-  ag::Tape tape;
+  ag::Tape tape(ag::TapeMode::kForwardOnly);
   const ag::ValueId pred = mlp_.apply(tape, tape.constant(x));
   const ag::Tensor& y = tape.value(pred);
   std::vector<double> out(static_cast<std::size_t>(pairs));

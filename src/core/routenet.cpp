@@ -98,7 +98,9 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
       if (paths.empty()) continue;
       const ag::ValueId h_next =
           path_cell_.step_gathered(tape, h_links, links, h_paths, paths);
-      h_paths = tape.scatter_rows(h_paths, paths, h_next);
+      const ag::ValueId scattered = tape.scatter_rows(h_paths, paths, h_next);
+      tape.release(h_paths);
+      h_paths = scattered;
       // The post-hop path state is the message this hop sends to its link.
       messages.push_back(h_next);
     }
@@ -107,12 +109,19 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
     // Link update: combine the messages that crossed each link, GRU step.
     RN_CHECK(!messages.empty(), "batch has no path traversals");
     const ag::ValueId stacked = tape.concat_rows(messages);
+    for (ag::ValueId m : messages) tape.release(m);
     ag::ValueId aggregated =
         tape.segment_sum(stacked, message_links, batch.num_links);
+    tape.release(stacked);
     if (config_.aggregation == Aggregation::kMean) {
-      aggregated = tape.scale_rows(aggregated, inv_count);
+      const ag::ValueId mean = tape.scale_rows(aggregated, inv_count);
+      tape.release(aggregated);
+      aggregated = mean;
     }
-    h_links = link_cell_.step(tape, aggregated, h_links);
+    const ag::ValueId next_links = link_cell_.step(tape, aggregated, h_links);
+    tape.release(aggregated);
+    tape.release(h_links);
+    h_links = next_links;
     link_phase_s += phase.elapsed_s();
   }
   h_path_phase.record(path_phase_s);
@@ -130,22 +139,7 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
 }
 
 RouteNet::Prediction RouteNet::predict(const dataset::Sample& sample) const {
-  const GraphBatch batch =
-      GraphBatch::from_sample(sample, norm_, /*with_targets=*/false);
-  ag::Tape tape;
-  const Output out = forward(tape, batch);
-  const ag::Tensor& delay = tape.value(out.delay);
-  const ag::Tensor& jitter = tape.value(out.jitter);
-  Prediction pred;
-  pred.delay_s.resize(static_cast<std::size_t>(batch.num_paths));
-  pred.jitter_s.resize(static_cast<std::size_t>(batch.num_paths));
-  for (int i = 0; i < batch.num_paths; ++i) {
-    pred.delay_s[static_cast<std::size_t>(i)] =
-        norm_.denormalize_delay(delay.at(i, 0));
-    pred.jitter_s[static_cast<std::size_t>(i)] =
-        norm_.denormalize_jitter(jitter.at(i, 0));
-  }
-  return pred;
+  return std::move(predict_merged({&sample}).front());
 }
 
 std::vector<RouteNet::Prediction> RouteNet::predict_batch(
@@ -171,7 +165,7 @@ std::vector<RouteNet::Prediction> RouteNet::predict_merged(
   RN_CHECK(!samples.empty(), "predict_merged needs at least one sample");
   const GraphBatch batch =
       GraphBatch::from_samples(samples, norm_, /*with_targets=*/false);
-  ag::Tape tape;
+  ag::Tape tape(ag::TapeMode::kForwardOnly);
   const Output fwd = forward(tape, batch);
   const ag::Tensor& delay = tape.value(fwd.delay);
   const ag::Tensor& jitter = tape.value(fwd.jitter);

@@ -57,7 +57,9 @@ class RouteNet {
     ag::ValueId jitter = ag::kInvalidValue;  // P×1, normalized log space
   };
 
-  // Records the full message-passing computation on the tape. When
+  // Records the full message-passing computation on the tape, releasing
+  // each intermediate state as soon as nothing later reads it, so a
+  // forward-only tape holds about one iteration's working set. When
   // `dropout_rng` is non-null and config().dropout > 0, readout dropout is
   // active (training mode); inference callers pass nothing.
   Output forward(ag::Tape& tape, const GraphBatch& batch,
@@ -68,19 +70,19 @@ class RouteNet {
     std::vector<double> jitter_s;  // per pair index, seconds
   };
 
-  // Inference on one scenario (denormalized).
+  // Inference on one scenario (denormalized): predict_merged of one sample.
   Prediction predict(const dataset::Sample& sample) const;
 
   // Batched inference: merges up to `batch_size` samples per forward pass
   // (disjoint graphs, so results are identical to per-sample predict but
-  // amortize the tape overhead). Returns one Prediction per input sample.
+  // amortize per-forward overhead). Returns one Prediction per input sample.
   std::vector<Prediction> predict_batch(
       const std::vector<dataset::Sample>& samples, int batch_size = 8) const;
 
   // One merged forward pass over the given samples (no chunking — the caller
   // owns batch sizing), scattered back to one Prediction per sample. This is
   // the kernel predict_batch chunks over and the serving micro-batcher calls
-  // directly on coalesced requests.
+  // directly on coalesced requests. Runs on a forward-only tape.
   std::vector<Prediction> predict_merged(
       const std::vector<const dataset::Sample*>& samples) const;
 

@@ -265,25 +265,50 @@ PredictRequest decode_predict_request(std::string_view payload) {
   }
   const int n_pairs = topology->num_pairs();
   routing::RoutingScheme scheme(n_nodes);
+  // Every path must be a loop-free walk from its pair's source to its
+  // destination (routing::validate_routing's rules), so a malformed route
+  // is an error frame for its sender, not a fault in a shared micro-batch.
+  // visited_by[n] == idx marks node n as already on pair idx's path.
+  std::vector<int> visited_by(static_cast<std::size_t>(n_nodes), -1);
   for (int idx = 0; idx < n_pairs; ++idx) {
+    const auto [src, dst] = topo::pair_from_index(idx, n_nodes);
+    const auto bad_path = [src = src, dst = dst](const std::string& why) {
+      return ProtocolError("path for pair (" + std::to_string(src) + ", " +
+                           std::to_string(dst) + ") " + why);
+    };
     const auto len = c.pod<std::uint16_t>("path length");
+    if (len == 0) throw bad_path("is empty");
     // A loop-free path visits each node at most once.
     if (len > static_cast<std::uint16_t>(n_nodes)) {
-      throw ProtocolError("path " + std::to_string(idx) + " length " +
-                          std::to_string(len) + " exceeds node count " +
-                          std::to_string(n_nodes));
+      throw bad_path("length " + std::to_string(len) +
+                     " exceeds node count " + std::to_string(n_nodes));
     }
     c.require(static_cast<std::size_t>(len) * 4, "path link ids");
     routing::Path p(len);
+    topo::NodeId at = src;
+    visited_by[static_cast<std::size_t>(at)] = idx;
     for (auto& id : p) {
       id = c.pod<std::int32_t>("path link id");
       if (id < 0 || id >= n_links) {
-        throw ProtocolError("path " + std::to_string(idx) + " link id " +
-                            std::to_string(id) + " outside [0, " +
-                            std::to_string(n_links) + ")");
+        throw bad_path("link id " + std::to_string(id) + " outside [0, " +
+                       std::to_string(n_links) + ")");
       }
+      const topo::Link& link = topology->link(id);
+      if (link.src != at) {
+        throw bad_path("is discontinuous: link " + std::to_string(id) +
+                       " leaves node " + std::to_string(link.src) +
+                       ", not node " + std::to_string(at));
+      }
+      at = link.dst;
+      if (visited_by[static_cast<std::size_t>(at)] == idx) {
+        throw bad_path("loops back to node " + std::to_string(at));
+      }
+      visited_by[static_cast<std::size_t>(at)] = idx;
     }
-    const auto [src, dst] = topo::pair_from_index(idx, n_nodes);
+    if (at != dst) {
+      throw bad_path("ends at node " + std::to_string(at) +
+                     ", not at its destination");
+    }
     scheme.set_path(src, dst, std::move(p));
   }
   traffic::TrafficMatrix tm(n_nodes);

@@ -225,7 +225,9 @@ std::string encode_predict_request(const std::string& model,
 std::string encode_predict_request(const std::string& model,
                                    const dataset::Sample& sample,
                                    const TraceContext& trace);
-// Accepts both forms; has_trace reports which arrived.
+// Accepts both forms; has_trace reports which arrived. Rejects any path
+// that is empty, discontinuous, loops, or misses its destination, naming
+// the pair.
 PredictRequest decode_predict_request(std::string_view payload);
 
 // Legacy (no attribution) form.

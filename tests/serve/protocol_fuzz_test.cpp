@@ -7,7 +7,9 @@
 // corruption must throw (the CRC trailer covers type ‖ payload; the
 // envelope fields are each independently validated), and forged payloads
 // with absurd counts — name lengths, node/link counts, path lengths, pair
-// counts — must be rejected before anything is allocated. Runs under
+// counts — must be rejected before anything is allocated. Routes that
+// are empty, discontinuous, looping or miss their destination are rejected
+// too, with the offending pair named. Runs under
 // -DRN_SANITIZE=address so an over-read would crash loudly.
 #include "serve/protocol.h"
 
@@ -16,6 +18,8 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -374,6 +378,47 @@ TEST(ProtocolFuzz, AbsurdPathLengthAndLinkIdsThrow) {
   // Link id outside the declared link table.
   EXPECT_THROW(decode_predict_request(with_paths(1, 1)), ProtocolError);
   EXPECT_THROW(decode_predict_request(with_paths(1, -1)), ProtocolError);
+}
+
+// A ring-4 request whose path for pair (0, 2) is replaced by `hops`, each
+// hop given as its (src, dst) link. Every other pair keeps a valid route.
+std::string ring4_request_with_path_0_2(
+    const std::vector<std::pair<int, int>>& hops) {
+  dataset::Sample sample = make_sample(4, 5);
+  const topo::Topology& t = *sample.topology;
+  routing::Path path;
+  for (const auto& [a, b] : hops) {
+    for (topo::LinkId id = 0; id < t.num_links(); ++id) {
+      if (t.link(id).src == a && t.link(id).dst == b) path.push_back(id);
+    }
+  }
+  EXPECT_EQ(path.size(), hops.size()) << "ring-4 lacks a requested link";
+  sample.routing.set_path(0, 2, std::move(path));
+  return encode_predict_request("m", sample);
+}
+
+void expect_rejects_pair_0_2(const std::string& payload, const char* why) {
+  try {
+    decode_predict_request(payload);
+    ADD_FAILURE() << why << " path decoded OK";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("pair (0, 2)"), std::string::npos)
+        << why << ": error does not name the pair: " << e.what();
+  }
+}
+
+TEST(ProtocolFuzz, InvalidRoutesThrowNamingThePair) {
+  // The untouched route decodes; each broken variant must not.
+  EXPECT_NO_THROW(decode_predict_request(
+      ring4_request_with_path_0_2({{0, 1}, {1, 2}})));
+  expect_rejects_pair_0_2(ring4_request_with_path_0_2({}), "empty");
+  expect_rejects_pair_0_2(ring4_request_with_path_0_2({{0, 1}, {3, 2}}),
+                          "discontinuous");
+  expect_rejects_pair_0_2(
+      ring4_request_with_path_0_2({{0, 1}, {1, 0}, {0, 3}, {3, 2}}),
+      "looping");
+  expect_rejects_pair_0_2(ring4_request_with_path_0_2({{0, 3}}),
+                          "wrong-terminus");
 }
 
 TEST(ProtocolFuzz, HostileTrafficRatesThrow) {
