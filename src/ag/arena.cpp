@@ -63,11 +63,9 @@ struct ArenaCore {
   std::mutex mu;
   std::vector<float*> free_lists[kNumClasses];
 
-  ~ArenaCore() {
-    for (auto& list : free_lists) {
-      for (float* p : list) delete[] p;
-    }
-  }
+  // Frees the free lists through trim() so a dying thread's pool leaves
+  // the process-wide bytes_held gauge, too.
+  ~ArenaCore() { trim(); }
 
   float* acquire(int cls) {
     {

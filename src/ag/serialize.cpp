@@ -1,190 +1,79 @@
 #include "ag/serialize.h"
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
 
 namespace rn::ag {
 
 namespace {
 
-constexpr char kMagicV1[] = "RNCKPT1\n";
-constexpr char kMagicV2[] = "RNCKPT2\n";
+using util::put_pod;
+
+constexpr std::string_view kMagicV1("RNCKPT1\n", 8);
+constexpr std::string_view kMagicV2("RNCKPT2\n", 8);
 constexpr std::size_t kMagicLen = 8;
 
 // Per-field sanity caps. Real checkpoints stay far below these; a reader
 // hitting them is looking at corruption and must fail before allocating.
 constexpr std::uint32_t kMaxNameLen = 4096;
 constexpr std::uint32_t kMaxRngStateLen = 1 << 20;
-// Element cap used only when the stream size cannot be determined.
-constexpr std::uint64_t kMaxElemsUnsized = 1ull << 26;
 
 std::string shape_str(int rows, int cols) {
   return std::to_string(rows) + "x" + std::to_string(cols);
 }
 
-// Bytes left on the stream, or -1 when the stream is not seekable.
-std::streamoff remaining_bytes(std::istream& in) {
-  const std::istream::pos_type pos = in.tellg();
-  if (pos == std::istream::pos_type(-1)) return -1;
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(pos);
-  if (end == std::istream::pos_type(-1)) return -1;
-  return end - pos;
-}
-
-// Reads one RNCKPT1-style parameter block (count + named tensors) with
-// bounds validation against the remaining stream size, so corrupt headers
-// fail cleanly instead of triggering huge allocations.
-std::vector<std::pair<std::string, Tensor>> read_parameter_block(
-    std::istream& in) {
-  std::uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  RN_CHECK(in.good(), "truncated checkpoint: missing parameter count");
-  std::vector<std::pair<std::string, Tensor>> loaded;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    RN_CHECK(in.good(), "truncated checkpoint: missing parameter name");
-    RN_CHECK(name_len > 0 && name_len <= kMaxNameLen,
-             "corrupt checkpoint: parameter name length " +
-                 std::to_string(name_len));
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    std::int32_t rows = 0, cols = 0;
-    in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-    in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-    RN_CHECK(in.good() && rows >= 0 && cols >= 0,
-             "corrupt checkpoint entry for parameter '" + name + "'");
-    const std::uint64_t elems =
-        static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols);
-    const std::streamoff left = remaining_bytes(in);
-    if (left >= 0) {
-      RN_CHECK(elems * sizeof(float) <= static_cast<std::uint64_t>(left),
-               "corrupt checkpoint: parameter '" + name + "' claims shape " +
-                   shape_str(rows, cols) + " but only " +
-                   std::to_string(left) + " bytes remain");
-    } else {
-      RN_CHECK(elems <= kMaxElemsUnsized,
-               "corrupt checkpoint: parameter '" + name +
-                   "' claims absurd shape " + shape_str(rows, cols));
-    }
-    Tensor t(rows, cols);
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(sizeof(float)) * t.size());
-    RN_CHECK(in.good(), "truncated checkpoint payload for parameter '" +
-                            name + "'");
-    loaded.emplace_back(std::move(name), std::move(t));
-  }
-  return loaded;
-}
-
-// --- RNCKPT2 byte-level helpers ------------------------------------------
-
-template <typename T>
-void put_pod(std::string& buf, const T& v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void put_bytes(std::string& buf, const std::string& s) {
-  const auto len = static_cast<std::uint32_t>(s.size());
-  put_pod(buf, len);
-  buf.append(s);
-}
-
 void put_tensor(std::string& buf, const Tensor& t) {
-  const std::int32_t rows = t.rows();
-  const std::int32_t cols = t.cols();
-  put_pod(buf, rows);
-  put_pod(buf, cols);
+  put_pod(buf, static_cast<std::int32_t>(t.rows()));
+  put_pod(buf, static_cast<std::int32_t>(t.cols()));
   buf.append(reinterpret_cast<const char*>(t.data()),
              sizeof(float) * static_cast<std::size_t>(t.size()));
 }
 
-// Cursor over an in-memory payload. Every read is bounds-checked against
-// the payload size, so the parser can never over-read or over-allocate no
-// matter what the (already CRC-validated, but defensively distrusted)
-// fields claim.
-class ByteReader {
- public:
-  ByteReader(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  T get_pod() {
-    require(sizeof(T), "fixed-width field");
-    T v;
-    std::memcpy(&v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
+// The claimed shape is checked against the bytes left before the tensor
+// is allocated, so an absurd header cannot drive a huge allocation.
+Tensor get_tensor(util::Reader& r, const std::string& name) {
+  const auto rows = r.pod<std::int32_t>("tensor rows");
+  const auto cols = r.pod<std::int32_t>("tensor cols");
+  if (rows < 0 || cols < 0) {
+    r.fail("tensor '" + name + "' has negative shape " +
+           shape_str(rows, cols));
   }
-
-  std::string get_bytes(std::uint32_t max_len, const char* what) {
-    const auto len = get_pod<std::uint32_t>();
-    RN_CHECK(len <= max_len, std::string("corrupt checkpoint: ") + what +
-                                 " length " + std::to_string(len) +
-                                 " exceeds cap " + std::to_string(max_len));
-    require(len, what);
-    std::string s(data_ + pos_, len);
-    pos_ += len;
-    return s;
+  const std::uint64_t n = static_cast<std::uint64_t>(rows) *
+                          static_cast<std::uint64_t>(cols) * sizeof(float);
+  if (n > r.remaining()) {
+    r.fail("tensor '" + name + "' claims shape " + shape_str(rows, cols) +
+           " past the end of the data");
   }
-
-  Tensor get_tensor(const std::string& name) {
-    const auto rows = get_pod<std::int32_t>();
-    const auto cols = get_pod<std::int32_t>();
-    RN_CHECK(rows >= 0 && cols >= 0,
-             "corrupt checkpoint: tensor '" + name + "' has negative shape " +
-                 shape_str(rows, cols));
-    const std::uint64_t bytes = static_cast<std::uint64_t>(rows) *
-                                static_cast<std::uint64_t>(cols) *
-                                sizeof(float);
-    RN_CHECK(bytes <= size_ - pos_,
-             "corrupt checkpoint: tensor '" + name + "' claims shape " +
-                 shape_str(rows, cols) + " past the end of the payload");
-    Tensor t(rows, cols);
-    std::memcpy(t.data(), data_ + pos_, static_cast<std::size_t>(bytes));
-    pos_ += static_cast<std::size_t>(bytes);
-    return t;
-  }
-
-  void require(std::uint64_t n, const char* what) {
-    RN_CHECK(n <= size_ - pos_,
-             std::string("truncated checkpoint payload reading ") + what);
-  }
-
-  bool done() const { return pos_ == size_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+  Tensor t(rows, cols);
+  if (n != 0) std::memcpy(t.data(), r.bytes(n, "tensor data").data(), n);
+  return t;
+}
 
 void put_named_tensors(
     std::string& buf,
     const std::vector<std::pair<std::string, Tensor>>& named) {
   put_pod(buf, static_cast<std::uint32_t>(named.size()));
   for (const auto& [name, t] : named) {
-    put_bytes(buf, name);
+    util::put_str(buf, name);
     put_tensor(buf, t);
   }
 }
 
-std::vector<std::pair<std::string, Tensor>> get_named_tensors(ByteReader& r) {
-  const auto count = r.get_pod<std::uint32_t>();
+std::vector<std::pair<std::string, Tensor>> get_named_tensors(
+    util::Reader& r) {
+  const auto count = r.pod<std::uint32_t>("tensor count");
   std::vector<std::pair<std::string, Tensor>> named;
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name = r.get_bytes(kMaxNameLen, "tensor name");
-    Tensor t = r.get_tensor(name);
+    std::string name = r.str(kMaxNameLen, "tensor name");
+    if (name.empty()) r.fail("empty tensor name");
+    Tensor t = get_tensor(r, name);
     named.emplace_back(std::move(name), std::move(t));
   }
   return named;
@@ -192,74 +81,29 @@ std::vector<std::pair<std::string, Tensor>> get_named_tensors(ByteReader& r) {
 
 }  // namespace
 
-std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t crc) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = crc ^ 0xffffffffu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
-}
-
-void atomic_write_file(const std::string& path, const std::string& bytes) {
-  // Same directory as the target so the rename cannot cross filesystems.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    RN_CHECK(out.good(), "cannot open temporary file for writing: " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      RN_CHECK(false, "write failure on temporary file: " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    RN_CHECK(false, "cannot rename " + tmp + " -> " + path + ": " +
-                        ec.message());
+void put_parameters(std::string& out, const std::vector<Parameter*>& params) {
+  out.append(kMagicV1);
+  put_pod(out, static_cast<std::uint32_t>(params.size()));
+  for (const Parameter* p : params) {
+    RN_CHECK(p != nullptr, "null parameter in put_parameters");
+    util::put_str(out, p->name);
+    put_tensor(out, p->value);
   }
 }
 
 void save_parameters(std::ostream& out,
                      const std::vector<Parameter*>& params) {
-  out.write(kMagicV1, kMagicLen);
-  const auto count = static_cast<std::uint32_t>(params.size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const Parameter* p : params) {
-    RN_CHECK(p != nullptr, "null parameter in save_parameters");
-    const auto name_len = static_cast<std::uint32_t>(p->name.size());
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(p->name.data(), name_len);
-    const std::int32_t rows = p->value.rows();
-    const std::int32_t cols = p->value.cols();
-    out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    out.write(reinterpret_cast<const char*>(p->value.data()),
-              static_cast<std::streamsize>(sizeof(float)) * p->value.size());
-  }
+  std::string bytes;
+  put_parameters(bytes, params);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   RN_CHECK(out.good(), "write failure while saving parameters");
 }
 
 void save_parameters(const std::string& path,
                      const std::vector<Parameter*>& params) {
-  std::ostringstream out(std::ios::binary);
-  save_parameters(out, params);
-  atomic_write_file(path, out.str());
+  std::string bytes;
+  put_parameters(bytes, params);
+  util::atomic_write_file(path, bytes);
 }
 
 void apply_named_tensors(
@@ -285,22 +129,28 @@ void apply_named_tensors(
   }
 }
 
+void load_parameters(util::Reader& in,
+                     const std::vector<Parameter*>& params) {
+  if (in.bytes(kMagicLen, "checkpoint magic") != kMagicV1) {
+    in.fail("bad checkpoint magic");
+  }
+  apply_named_tensors(get_named_tensors(in), params, "checkpoint");
+}
+
 void load_parameters(std::istream& in,
                      const std::vector<Parameter*>& params) {
-  char magic[kMagicLen];
-  in.read(magic, kMagicLen);
-  RN_CHECK(in.good() && std::string(magic, kMagicLen) == kMagicV1,
-           "bad checkpoint magic");
-  const std::vector<std::pair<std::string, Tensor>> loaded =
-      read_parameter_block(in);
-  apply_named_tensors(loaded, params, "checkpoint");
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  util::Reader r(bytes, "checkpoint");
+  load_parameters(r, params);
 }
 
 void load_parameters(const std::string& path,
                      const std::vector<Parameter*>& params) {
-  std::ifstream in(path, std::ios::binary);
-  RN_CHECK(in.good(), "cannot open checkpoint for reading: " + path);
-  load_parameters(in, params);
+  const std::string bytes = util::read_file(path, "checkpoint");
+  util::Reader r(bytes, path);
+  load_parameters(r, params);
+  r.expect_done("parameter block");
 }
 
 std::string train_checkpoint_bytes(const TrainCheckpoint& ckpt) {
@@ -317,7 +167,7 @@ std::string train_checkpoint_bytes(const TrainCheckpoint& ckpt) {
     for (std::size_t i = 0; i < ckpt.adam_m.size(); ++i) {
       RN_CHECK(ckpt.adam_m[i].first == ckpt.adam_v[i].first,
                "optimizer moment lists disagree on parameter order");
-      put_bytes(payload, ckpt.adam_m[i].first);
+      util::put_str(payload, ckpt.adam_m[i].first);
       put_tensor(payload, ckpt.adam_m[i].second);
       put_tensor(payload, ckpt.adam_v[i].second);
     }
@@ -325,8 +175,8 @@ std::string train_checkpoint_bytes(const TrainCheckpoint& ckpt) {
 
   put_pod(payload, static_cast<std::uint32_t>(ckpt.rng_streams.size()));
   for (const auto& [name, state] : ckpt.rng_streams) {
-    put_bytes(payload, name);
-    put_bytes(payload, state);
+    util::put_str(payload, name);
+    util::put_str(payload, state);
   }
 
   put_pod(payload, static_cast<std::uint8_t>(ckpt.has_cursor ? 1 : 0));
@@ -348,111 +198,101 @@ std::string train_checkpoint_bytes(const TrainCheckpoint& ckpt) {
   std::string bytes;
   bytes.reserve(kMagicLen + sizeof(std::uint64_t) + payload.size() +
                 sizeof(std::uint32_t));
-  bytes.append(kMagicV2, kMagicLen);
+  bytes.append(kMagicV2);
   put_pod(bytes, static_cast<std::uint64_t>(payload.size()));
   bytes.append(payload);
-  put_pod(bytes, crc32(payload.data(), payload.size()));
+  put_pod(bytes, util::crc32(payload.data(), payload.size()));
   return bytes;
 }
 
 TrainCheckpoint parse_train_checkpoint(const std::string& bytes) {
-  constexpr std::size_t kHeader = kMagicLen + sizeof(std::uint64_t);
-  constexpr std::size_t kTrailer = sizeof(std::uint32_t);
-  RN_CHECK(bytes.size() >= kHeader + kTrailer,
-           "truncated checkpoint: " + std::to_string(bytes.size()) +
-               " bytes is smaller than the fixed header");
-  const std::string magic = bytes.substr(0, kMagicLen);
+  util::Reader in(bytes, "checkpoint");
+  TrainCheckpoint ckpt;
+  const std::string_view magic = in.bytes(kMagicLen, "checkpoint magic");
   if (magic == kMagicV1) {
     // Bare RNCKPT1 parameter block: params only, no CRC to validate.
-    std::istringstream in(bytes.substr(kMagicLen), std::ios::binary);
-    TrainCheckpoint ckpt;
-    ckpt.params = read_parameter_block(in);
+    ckpt.params = get_named_tensors(in);
+    in.expect_done("parameter block");
     return ckpt;
   }
-  RN_CHECK(magic == kMagicV2, "bad checkpoint magic");
-  std::uint64_t payload_len = 0;
-  std::memcpy(&payload_len, bytes.data() + kMagicLen, sizeof(payload_len));
-  RN_CHECK(payload_len == bytes.size() - kHeader - kTrailer,
-           "corrupt checkpoint: payload length " +
-               std::to_string(payload_len) + " does not match file size " +
-               std::to_string(bytes.size()));
-  const char* payload = bytes.data() + kHeader;
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, payload + payload_len, sizeof(stored_crc));
-  const std::uint32_t actual_crc =
-      crc32(payload, static_cast<std::size_t>(payload_len));
-  RN_CHECK(actual_crc == stored_crc,
-           "checkpoint CRC mismatch: stored " + std::to_string(stored_crc) +
-               ", computed " + std::to_string(actual_crc));
+  if (magic != kMagicV2) in.fail("bad checkpoint magic");
+  const auto payload_len = in.pod<std::uint64_t>("payload length");
+  if (in.remaining() < sizeof(std::uint32_t) ||
+      payload_len != in.remaining() - sizeof(std::uint32_t)) {
+    in.fail("payload length " + std::to_string(payload_len) +
+            " does not match file size " + std::to_string(bytes.size()));
+  }
+  const std::string_view payload =
+      in.bytes(static_cast<std::size_t>(payload_len), "payload");
+  const auto stored_crc = in.pod<std::uint32_t>("payload crc");
+  const std::uint32_t actual_crc = util::crc32(payload.data(), payload.size());
+  if (actual_crc != stored_crc) {
+    in.fail("CRC mismatch: stored " + std::to_string(stored_crc) +
+            ", computed " + std::to_string(actual_crc));
+  }
 
-  ByteReader r(payload, static_cast<std::size_t>(payload_len));
-  TrainCheckpoint ckpt;
+  util::Reader r(payload, "checkpoint");
   ckpt.params = get_named_tensors(r);
 
-  if (r.get_pod<std::uint8_t>() != 0) {
+  if (r.pod<std::uint8_t>("optimizer flag") != 0) {
     ckpt.has_optimizer = true;
-    ckpt.adam_step = r.get_pod<std::int64_t>();
-    ckpt.lr = r.get_pod<float>();
-    const auto count = r.get_pod<std::uint32_t>();
+    ckpt.adam_step = r.pod<std::int64_t>("adam step");
+    ckpt.lr = r.pod<float>("learning rate");
+    const auto count = r.pod<std::uint32_t>("optimizer moment count");
     for (std::uint32_t i = 0; i < count; ++i) {
-      std::string name = r.get_bytes(kMaxNameLen, "optimizer moment name");
-      Tensor m = r.get_tensor(name);
-      Tensor v = r.get_tensor(name);
+      std::string name = r.str(kMaxNameLen, "optimizer moment name");
+      Tensor m = get_tensor(r, name);
+      Tensor v = get_tensor(r, name);
       ckpt.adam_m.emplace_back(name, std::move(m));
       ckpt.adam_v.emplace_back(std::move(name), std::move(v));
     }
   }
 
-  const auto rng_count = r.get_pod<std::uint32_t>();
+  const auto rng_count = r.pod<std::uint32_t>("rng stream count");
   for (std::uint32_t i = 0; i < rng_count; ++i) {
-    std::string name = r.get_bytes(kMaxNameLen, "rng stream name");
-    std::string state = r.get_bytes(kMaxRngStateLen, "rng stream state");
+    std::string name = r.str(kMaxNameLen, "rng stream name");
+    std::string state = r.str(kMaxRngStateLen, "rng stream state");
     ckpt.rng_streams.emplace_back(std::move(name), std::move(state));
   }
 
-  if (r.get_pod<std::uint8_t>() != 0) {
+  if (r.pod<std::uint8_t>("cursor flag") != 0) {
     ckpt.has_cursor = true;
-    ckpt.epoch = r.get_pod<std::int32_t>();
-    ckpt.next_index = r.get_pod<std::int64_t>();
-    ckpt.total_batches = r.get_pod<std::uint64_t>();
-    ckpt.best_eval_mre = r.get_pod<double>();
-    ckpt.best_epoch = r.get_pod<std::int32_t>();
-    ckpt.epochs_since_best = r.get_pod<std::int32_t>();
-    ckpt.epoch_loss_sum = r.get_pod<double>();
-    ckpt.epoch_batches = r.get_pod<std::int32_t>();
-    ckpt.epoch_samples = r.get_pod<std::uint64_t>();
-    const auto order_len = r.get_pod<std::uint32_t>();
-    r.require(static_cast<std::uint64_t>(order_len) * sizeof(std::int32_t),
+    ckpt.epoch = r.pod<std::int32_t>("epoch");
+    ckpt.next_index = r.pod<std::int64_t>("next index");
+    ckpt.total_batches = r.pod<std::uint64_t>("total batches");
+    ckpt.best_eval_mre = r.pod<double>("best eval mre");
+    ckpt.best_epoch = r.pod<std::int32_t>("best epoch");
+    ckpt.epochs_since_best = r.pod<std::int32_t>("epochs since best");
+    ckpt.epoch_loss_sum = r.pod<double>("epoch loss sum");
+    ckpt.epoch_batches = r.pod<std::int32_t>("epoch batches");
+    ckpt.epoch_samples = r.pod<std::uint64_t>("epoch samples");
+    const auto order_len = r.pod<std::uint32_t>("epoch order length");
+    r.require(static_cast<std::size_t>(order_len) * sizeof(std::int32_t),
               "epoch sample order");
     ckpt.order.resize(order_len);
     for (std::uint32_t i = 0; i < order_len; ++i) {
-      ckpt.order[i] = r.get_pod<std::int32_t>();
+      ckpt.order[i] = r.pod<std::int32_t>("epoch sample order");
     }
-    RN_CHECK(ckpt.next_index >= 0 &&
-                 ckpt.next_index <=
-                     static_cast<std::int64_t>(ckpt.order.size()),
-             "corrupt checkpoint: cursor index " +
-                 std::to_string(ckpt.next_index) + " outside the epoch's " +
-                 std::to_string(ckpt.order.size()) + "-sample order");
+    if (ckpt.next_index < 0 ||
+        ckpt.next_index > static_cast<std::int64_t>(ckpt.order.size())) {
+      r.fail("cursor index " + std::to_string(ckpt.next_index) +
+             " outside the epoch's " + std::to_string(ckpt.order.size()) +
+             "-sample order");
+    }
   }
-  RN_CHECK(r.done(), "corrupt checkpoint: trailing bytes after the cursor");
+  r.expect_done("the cursor");
   return ckpt;
 }
 
 std::size_t save_train_checkpoint(const std::string& path,
                                   const TrainCheckpoint& ckpt) {
   const std::string bytes = train_checkpoint_bytes(ckpt);
-  atomic_write_file(path, bytes);
+  util::atomic_write_file(path, bytes);
   return bytes.size();
 }
 
 TrainCheckpoint load_train_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  RN_CHECK(in.good(), "cannot open checkpoint for reading: " + path);
-  std::ostringstream buf(std::ios::binary);
-  buf << in.rdbuf();
-  RN_CHECK(!in.bad(), "read failure on checkpoint: " + path);
-  return parse_train_checkpoint(buf.str());
+  return parse_train_checkpoint(util::read_file(path, "checkpoint"));
 }
 
 std::string checkpoint_file_name(const std::string& base, std::uint64_t seq) {

@@ -4,8 +4,8 @@
 //
 //  * "RNCKPT1\n" — a bare parameter block: uint32 count, then per parameter
 //    uint32 name_len, name bytes, int32 rows, int32 cols, float payload.
-//    Stream overloads let callers embed a parameter block inside a larger
-//    model file (config header + parameters).
+//    Model files embed one after their config header (put_parameters /
+//    load_parameters on a util::Reader).
 //  * "RNCKPT2\n" — a full training-state checkpoint: the parameter block
 //    plus optimizer state (Adam first/second moments and step count), named
 //    RNG engine states, and a trainer cursor (epoch, batch offset, best-eval
@@ -25,17 +25,30 @@
 #include <vector>
 
 #include "ag/tape.h"
+#include "util/bytes.h"
 
 namespace rn::ag {
 
+// crc32 and atomic_write_file live in the shared byte codec; re-exported
+// here because checkpoint callers have always reached them as ag::.
+using util::atomic_write_file;
+using util::crc32;
+
+// Appends an RNCKPT1 parameter block (magic included) to `out`.
+void put_parameters(std::string& out, const std::vector<Parameter*>& params);
 void save_parameters(std::ostream& out,
                      const std::vector<Parameter*>& params);
 void save_parameters(const std::string& path,
                      const std::vector<Parameter*>& params);
 
 // Loads by name into the given parameters; shapes must match exactly.
-// Throws if a parameter is missing from the stream, naming the parameter
-// and (on shape mismatch) both shapes.
+// Throws if a parameter is missing from the block, naming the parameter
+// and (on shape mismatch) both shapes. The Reader overload parses one
+// RNCKPT1 block at the reader's position (model files embed one); the
+// stream overload reads the rest of the stream into memory and parses it
+// the same way.
+void load_parameters(util::Reader& in,
+                     const std::vector<Parameter*>& params);
 void load_parameters(std::istream& in,
                      const std::vector<Parameter*>& params);
 void load_parameters(const std::string& path,
@@ -47,16 +60,6 @@ void load_parameters(const std::string& path,
 void apply_named_tensors(
     const std::vector<std::pair<std::string, Tensor>>& named,
     const std::vector<Parameter*>& params, const std::string& context);
-
-// CRC32 (IEEE 802.3 / zlib polynomial) of `len` bytes, optionally chained
-// from a previous call's result.
-std::uint32_t crc32(const void* data, std::size_t len,
-                    std::uint32_t crc = 0);
-
-// Writes `bytes` to `path` via a same-directory temporary file and an
-// atomic rename, so concurrent readers (and crashes) never observe a
-// partially written file.
-void atomic_write_file(const std::string& path, const std::string& bytes);
 
 // Everything needed to stop a training run at an arbitrary batch and later
 // continue it to a bitwise-identical final model.

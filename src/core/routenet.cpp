@@ -1,12 +1,13 @@
 #include "core/routenet.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
+#include <cmath>
+#include <string_view>
 
 #include "ag/serialize.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
+#include "util/bytes.h"
 
 namespace rn::core {
 
@@ -209,79 +210,105 @@ namespace {
 // v1 lacked the aggregation / log_space ablation fields (defaults: sum
 // aggregation, log-space targets); v2 added them; v3 adds the readout
 // dropout rate. All load.
-constexpr char kModelMagicV1[] = "RNMODEL1";
-constexpr char kModelMagicV2[] = "RNMODEL2";
-constexpr char kModelMagicV3[] = "RNMODEL3";
-constexpr std::size_t kModelMagicLen = 8;
+constexpr std::string_view kModelMagicV1("RNMODEL1", 8);
+constexpr std::string_view kModelMagicV2("RNMODEL2", 8);
+constexpr std::string_view kModelMagicV3("RNMODEL3", 8);
+
+int read_count(util::Reader& in, const char* what, std::int32_t max) {
+  const auto v = in.pod<std::int32_t>(what);
+  if (v < 1 || v > max) {
+    in.fail(std::string(what) + " " + std::to_string(v) + " outside [1, " +
+            std::to_string(max) + "]");
+  }
+  return v;
+}
+
+double read_finite(util::Reader& in, const char* what) {
+  const auto v = in.pod<double>(what);
+  if (!std::isfinite(v)) in.fail(std::string(what) + " is not finite");
+  return v;
+}
+
 }  // namespace
 
 void RouteNet::save(const std::string& path) const {
   // Serialize to memory, then write atomically (temp file + rename) so a
   // crash mid-save — e.g. during the trainer's best-model checkpoint —
   // never leaves a torn file behind.
-  std::ostringstream out(std::ios::binary);
-  out.write(kModelMagicV3, kModelMagicLen);
-  auto write_pod = [&out](const auto& v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  write_pod(config_.link_state_dim);
-  write_pod(config_.path_state_dim);
-  write_pod(config_.iterations);
-  write_pod(config_.readout_hidden);
-  write_pod(config_.aggregation);
-  write_pod(config_.dropout);
-  write_pod(config_.seed);
-  write_pod(norm_.capacity_scale);
-  write_pod(norm_.traffic_scale);
-  const std::uint8_t log_space = norm_.log_space ? 1 : 0;
-  write_pod(log_space);
-  write_pod(norm_.log_delay_mean);
-  write_pod(norm_.log_delay_std);
-  write_pod(norm_.log_jitter_mean);
-  write_pod(norm_.log_jitter_std);
-  ag::save_parameters(out, const_cast<RouteNet*>(this)->params());
-  RN_CHECK(out.good(), "serialization failure for model file: " + path);
-  ag::atomic_write_file(path, out.str());
+  using util::put_pod;
+  std::string out(kModelMagicV3);
+  put_pod(out, config_.link_state_dim);
+  put_pod(out, config_.path_state_dim);
+  put_pod(out, config_.iterations);
+  put_pod(out, config_.readout_hidden);
+  put_pod(out, config_.aggregation);
+  put_pod(out, config_.dropout);
+  put_pod(out, config_.seed);
+  put_pod(out, norm_.capacity_scale);
+  put_pod(out, norm_.traffic_scale);
+  put_pod(out, static_cast<std::uint8_t>(norm_.log_space ? 1 : 0));
+  put_pod(out, norm_.log_delay_mean);
+  put_pod(out, norm_.log_delay_std);
+  put_pod(out, norm_.log_jitter_mean);
+  put_pod(out, norm_.log_jitter_std);
+  ag::put_parameters(out, const_cast<RouteNet*>(this)->params());
+  util::atomic_write_file(path, out);
 }
 
 RouteNet RouteNet::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  RN_CHECK(in.good(), "cannot open model file for reading: " + path);
-  char magic_raw[kModelMagicLen];
-  in.read(magic_raw, kModelMagicLen);
-  const std::string magic(magic_raw, kModelMagicLen);
-  RN_CHECK(in.good() && (magic == kModelMagicV1 || magic == kModelMagicV2 ||
-                         magic == kModelMagicV3),
-           "bad model magic in " + path);
+  // The whole file goes through one bounds-checked reader; every header
+  // field is range-checked before the model is constructed.
+  const std::string bytes = util::read_file(path, "model file");
+  util::Reader in(bytes, path);
+  const std::string_view magic = in.bytes(kModelMagicV1.size(), "model magic");
+  if (magic != kModelMagicV1 && magic != kModelMagicV2 &&
+      magic != kModelMagicV3) {
+    in.fail("bad model magic");
+  }
   const bool v2 = magic != kModelMagicV1;
   const bool v3 = magic == kModelMagicV3;
-  auto read_pod = [&in](auto& v) {
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    RN_CHECK(in.good(), "truncated model file");
-  };
   RouteNetConfig config;
-  read_pod(config.link_state_dim);
-  read_pod(config.path_state_dim);
-  read_pod(config.iterations);
-  read_pod(config.readout_hidden);
-  if (v2) read_pod(config.aggregation);
-  if (v3) read_pod(config.dropout);
-  read_pod(config.seed);
-  dataset::Normalizer norm;
-  read_pod(norm.capacity_scale);
-  read_pod(norm.traffic_scale);
+  config.link_state_dim = read_count(in, "link state dim", kMaxModelStateDim);
+  config.path_state_dim = read_count(in, "path state dim", kMaxModelStateDim);
+  config.iterations = read_count(in, "iterations", kMaxModelIterations);
+  config.readout_hidden =
+      read_count(in, "readout hidden width", kMaxModelReadoutHidden);
   if (v2) {
-    std::uint8_t log_space = 1;
-    read_pod(log_space);
+    const auto agg = in.pod<std::int32_t>("aggregation");
+    if (agg != static_cast<std::int32_t>(Aggregation::kSum) &&
+        agg != static_cast<std::int32_t>(Aggregation::kMean)) {
+      in.fail("unknown aggregation " + std::to_string(agg));
+    }
+    config.aggregation = static_cast<Aggregation>(agg);
+  }
+  if (v3) {
+    config.dropout = in.pod<float>("dropout");
+    // Written negated so NaN fails too.
+    if (!(config.dropout >= 0.0f && config.dropout < 1.0f)) {
+      in.fail("dropout " + std::to_string(config.dropout) +
+              " outside [0, 1)");
+    }
+  }
+  config.seed = in.pod<std::uint64_t>("weight-init seed");
+  dataset::Normalizer norm;
+  norm.capacity_scale = read_finite(in, "capacity scale");
+  norm.traffic_scale = read_finite(in, "traffic scale");
+  if (norm.capacity_scale <= 0.0 || norm.traffic_scale <= 0.0) {
+    in.fail("capacity and traffic scales must be positive");
+  }
+  if (v2) {
+    const auto log_space = in.pod<std::uint8_t>("log-space flag");
+    if (log_space > 1) in.fail("log-space flag out of {0, 1}");
     norm.log_space = log_space != 0;
   }
-  read_pod(norm.log_delay_mean);
-  read_pod(norm.log_delay_std);
-  read_pod(norm.log_jitter_mean);
-  read_pod(norm.log_jitter_std);
+  norm.log_delay_mean = read_finite(in, "delay mean");
+  norm.log_delay_std = read_finite(in, "delay std");
+  norm.log_jitter_mean = read_finite(in, "jitter mean");
+  norm.log_jitter_std = read_finite(in, "jitter std");
   RouteNet model(config);
   model.set_normalizer(norm);
   ag::load_parameters(in, model.params());
+  in.expect_done("model parameters");
   return model;
 }
 

@@ -48,6 +48,15 @@ struct RouteNetConfig {
   std::uint64_t seed = 42;  // weight-init seed
 };
 
+// Ceilings RouteNet::load enforces on a model file's header, checked before
+// anything is allocated. Generous versus anything trained here (the
+// paper's RouteNet uses 32-wide states, a 256-wide readout and T = 8),
+// tight enough that a flipped high byte fails instead of sizing a
+// multi-GB model or an endless forward.
+inline constexpr int kMaxModelStateDim = 1024;
+inline constexpr int kMaxModelReadoutHidden = 4096;
+inline constexpr int kMaxModelIterations = 1024;
+
 class RouteNet {
  public:
   explicit RouteNet(const RouteNetConfig& config);
@@ -96,6 +105,10 @@ class RouteNet {
   std::vector<ag::Parameter*> params();
 
   // Model file = config + normalizer header, then the parameter block.
+  // load range-checks every header field (dims and iterations against the
+  // ceilings above, a known aggregation, dropout in [0, 1), finite
+  // normalizer constants with positive input scales) and throws
+  // std::runtime_error naming the field on any violation or truncation.
   void save(const std::string& path) const;
   static RouteNet load(const std::string& path);
 

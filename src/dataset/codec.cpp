@@ -18,49 +18,10 @@ bool finite_nonneg(double x) { return std::isfinite(x) && x >= 0.0; }
 
 }  // namespace
 
-void ByteReader::fail(const std::string& msg) const {
-  throw std::runtime_error(context_ + ": " + msg);
-}
-
-void ByteReader::require(std::size_t n, const char* what) const {
-  if (n > remaining()) {
-    fail("truncated reading " + std::string(what) + " (need " +
-         std::to_string(n) + " bytes, have " + std::to_string(remaining()) +
-         ")");
-  }
-}
-
-std::string ByteReader::str(std::size_t max_len, const char* what) {
-  const auto len = pod<std::uint32_t>(what);
-  if (len > max_len) {
-    fail(std::string(what) + " length " + std::to_string(len) +
-         " exceeds cap " + std::to_string(max_len));
-  }
-  require(len, what);
-  std::string s(data_.substr(pos_, len));
-  pos_ += len;
-  return s;
-}
-
-std::string_view ByteReader::bytes(std::size_t n, const char* what) {
-  require(n, what);
-  std::string_view v = data_.substr(pos_, n);
-  pos_ += n;
-  return v;
-}
-
-void ByteReader::expect_done(const char* what) const {
-  if (remaining() != 0) {
-    fail(std::to_string(remaining()) + " trailing bytes after " +
-         std::string(what));
-  }
-}
-
 void encode_sample(std::string& out, const Sample& s) {
   RN_CHECK(s.topology != nullptr, "cannot encode a sample with no topology");
   const topo::Topology& t = *s.topology;
-  put_pod(out, static_cast<std::uint32_t>(t.name().size()));
-  out.append(t.name());
+  util::put_str(out, t.name());
   put_pod(out, static_cast<std::int32_t>(t.num_nodes()));
   put_pod(out, static_cast<std::int32_t>(t.num_links()));
   for (const topo::Link& l : t.links()) {
@@ -85,7 +46,7 @@ void encode_sample(std::string& out, const Sample& s) {
   put_pod(out, s.max_link_utilization);
 }
 
-Sample decode_sample(ByteReader& in) {
+Sample decode_sample(util::Reader& in) {
   const std::string name = in.str(kMaxNameLen, "topology name");
   const auto num_nodes = in.pod<std::int32_t>("node count");
   const auto num_links = in.pod<std::int32_t>("link count");
@@ -168,7 +129,7 @@ Sample decode_sample(ByteReader& in) {
 
 std::vector<Sample> parse_dataset_bytes(std::string_view bytes,
                                         const std::string& context) {
-  ByteReader in(bytes, context);
+  util::Reader in(bytes, context);
   const std::string_view magic = in.bytes(kDatasetMagicLen, "dataset magic");
   if (magic != std::string_view(kDatasetMagic, kDatasetMagicLen)) {
     in.fail("bad dataset magic");

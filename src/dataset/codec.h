@@ -11,22 +11,21 @@
 //   num_pairs × { f64 delay_s, f64 jitter_s, u8 valid }
 //   f64 max_link_utilization
 //
-// The decoder ports the Cursor discipline from serve/protocol.cpp: every
-// read is preceded by a length check that names the field, every declared
-// count is validated against the bytes actually remaining BEFORE anything
-// is allocated, and every id/value is range-checked. A truncated,
+// The decoder reads through the shared util::Reader (util/bytes.h): every
+// read is bounds-checked and names its field, every declared count is
+// validated against the bytes actually remaining BEFORE anything is
+// allocated, and every id/value is range-checked. A truncated,
 // bit-flipped, or adversarial file throws std::runtime_error; it never
 // over-allocates or reads past the buffer.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "dataset/dataset.h"
+#include "util/bytes.h"
 
 namespace rn::dataset {
 
@@ -38,57 +37,14 @@ inline constexpr std::size_t kDatasetMagicLen = 8;
 // u32 name_len + i32 nodes + i32 links + f64 max_util.
 inline constexpr std::size_t kMinSampleBytes = 4 + 4 + 4 + 8;
 
-// Appends one POD value to a byte string (host-endian, same convention as
-// RNCKPT2 and the legacy dataset writer).
-template <typename T>
-void put_pod(std::string& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>, "POD only");
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-// Bounds-checked forward reader over an in-memory byte image.
-class ByteReader {
- public:
-  ByteReader(std::string_view data, std::string context)
-      : data_(data), context_(std::move(context)) {}
-
-  template <typename T>
-  T pod(const char* what) {
-    static_assert(std::is_trivially_copyable_v<T>, "POD only");
-    require(sizeof(T), what);
-    T v{};
-    std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  // u32-length-prefixed string, capped to keep a flipped length byte from
-  // allocating gigabytes.
-  std::string str(std::size_t max_len, const char* what);
-
-  // Raw view of the next n bytes (validated), advancing the cursor.
-  std::string_view bytes(std::size_t n, const char* what);
-
-  void require(std::size_t n, const char* what) const;
-  void expect_done(const char* what) const;
-  std::size_t remaining() const { return data_.size() - pos_; }
-  std::size_t pos() const { return pos_; }
-  const std::string& context() const { return context_; }
-
-  [[noreturn]] void fail(const std::string& msg) const;
-
- private:
-  std::string_view data_;
-  std::string context_;
-  std::size_t pos_ = 0;
-};
+using util::put_pod;
 
 // Appends the canonical record for one sample to `out`.
 void encode_sample(std::string& out, const Sample& s);
 
 // Decodes one record from the reader's current position. Throws
 // std::runtime_error on any structural problem.
-Sample decode_sample(ByteReader& in);
+Sample decode_sample(util::Reader& in);
 
 // Parses a complete legacy RNDATA1 dataset image (magic + u32 count +
 // records). Exposed separately from load_dataset so fuzz tests can hammer

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <sstream>
 
-#include "ag/serialize.h"
 #include "dataset/codec.h"
 #include "dataset/stream.h"
 #include "obs/event.h"
@@ -246,17 +243,11 @@ void save_dataset(const std::string& path,
   put_pod(out, static_cast<std::uint32_t>(samples.size()));
   for (const Sample& s : samples) encode_sample(out, s);
   // Temp + rename: a crash mid-write never leaves a torn dataset behind.
-  ag::atomic_write_file(path, out);
+  util::atomic_write_file(path, out);
 }
 
 std::vector<Sample> load_dataset(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  RN_CHECK(in.good(), "cannot open dataset for reading: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  RN_CHECK(!in.bad(), "read failure on dataset: " + path);
-  const std::string bytes = std::move(buf).str();
-  return parse_dataset_bytes(bytes, path);
+  return parse_dataset_bytes(util::read_file(path, "dataset"), path);
 }
 
 }  // namespace rn::dataset

@@ -20,8 +20,9 @@
 //
 // The index lives AFTER the payload so a writer can stream records without
 // knowing their sizes up front; readers locate it from payload_len. Files
-// are written to a temp name and atomically renamed (ag::atomic_write
-// discipline), so a crashed generator never leaves a half-valid shard.
+// are written to a temp name and atomically renamed (the same discipline as
+// util::atomic_write_file), so a crashed generator never leaves a
+// half-valid shard.
 //
 // Because every sample is a pure function of (seed, index), N shards
 // generated by N independent processes and merged are bitwise identical to

@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace rn::serve {
@@ -57,14 +58,6 @@ NetMetrics& metrics() {
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-std::uint32_t load_le32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
 }
 
 enum class ReadResult { kOk, kEof, kTruncated, kTimeout };
@@ -157,7 +150,10 @@ bool read_frame(int fd, wire::Frame& out, std::uint64_t* bytes_read) {
     default:
       throw wire::ProtocolError("connection closed mid-trailer");
   }
-  wire::verify_frame_crc(fh.type, payload, load_le32(trailer));
+  wire::verify_frame_crc(
+      fh.type, payload,
+      util::Reader(std::string_view(trailer, sizeof(trailer)))
+          .pod<std::uint32_t>("frame crc"));
   out.type = fh.type;
   out.payload = std::move(payload);
   return true;

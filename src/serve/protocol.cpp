@@ -1,73 +1,20 @@
 #include "serve/protocol.h"
 
 #include <cmath>
-#include <cstring>
 
-#include "ag/serialize.h"  // crc32
 #include "topology/topology.h"
+#include "util/bytes.h"
 
 namespace rn::serve::wire {
 
 namespace {
 
-// Bounds-checked cursor over one payload: every read states what it is
-// reading, and a read past the remaining bytes throws before touching
-// memory. This is the RNCKPT2 reader discipline on a string_view.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
+using util::put_pod;
 
-  template <typename T>
-  T pod(const char* what) {
-    require(sizeof(T), what);
-    T v{};
-    std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  // u16 length prefix + bytes, capped at max_len.
-  std::string str(std::size_t max_len, const char* what) {
-    const auto len = pod<std::uint16_t>(what);
-    if (len > max_len) {
-      throw ProtocolError(std::string(what) + " length " +
-                          std::to_string(len) + " exceeds cap " +
-                          std::to_string(max_len));
-    }
-    require(len, what);
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-
-  void require(std::size_t n, const char* what) {
-    if (n > data_.size() - pos_) {
-      throw ProtocolError(std::string("truncated payload reading ") + what +
-                          " (need " + std::to_string(n) + " bytes, have " +
-                          std::to_string(data_.size() - pos_) + ")");
-    }
-  }
-
-  void expect_done(const char* what) {
-    if (pos_ != data_.size()) {
-      throw ProtocolError(std::string(what) + " payload has " +
-                          std::to_string(data_.size() - pos_) +
-                          " trailing bytes");
-    }
-  }
-
-  // Bytes not yet consumed — how version-tolerant decoders detect an
-  // optional trailing block.
-  std::size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-template <typename T>
-void put_pod(std::string& buf, const T& v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
+// Every RNP/1 decoder reads through the shared bounds-checked codec; its
+// errors surface as ProtocolError so the server answers with an error frame.
+util::Reader reader(std::string_view data) {
+  return util::Reader(data, {}, &util::error_as<ProtocolError>);
 }
 
 void put_str(std::string& buf, std::string_view s, std::size_t max_len,
@@ -77,18 +24,16 @@ void put_str(std::string& buf, std::string_view s, std::size_t max_len,
                         std::to_string(s.size()) + " exceeds cap " +
                         std::to_string(max_len));
   }
-  put_pod(buf, static_cast<std::uint16_t>(s.size()));
-  buf.append(s);
+  util::put_str<std::uint16_t>(buf, s);
 }
 
 std::uint32_t frame_crc(FrameType type, std::string_view payload) {
   // CRC covers the type byte too, so a flipped type cannot masquerade as a
-  // different (structurally valid) message.
-  std::string covered;
-  covered.reserve(1 + payload.size());
-  covered.push_back(static_cast<char>(type));
-  covered.append(payload);
-  return ag::crc32(covered.data(), covered.size());
+  // different (structurally valid) message. Chained, so the payload is
+  // never copied.
+  const auto type_byte = static_cast<std::uint8_t>(type);
+  return util::crc32(payload.data(), payload.size(),
+                     util::crc32(&type_byte, 1));
 }
 
 bool known_type(std::uint8_t t) {
@@ -122,16 +67,18 @@ std::string encode_frame(FrameType type, std::string_view payload) {
 }
 
 FrameHeader parse_frame_header(const char* bytes) {
-  if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0) {
+  util::Reader in = reader(std::string_view(bytes, kHeaderLen));
+  if (in.bytes(sizeof(kMagic), "magic") !=
+      std::string_view(kMagic, sizeof(kMagic))) {
     throw ProtocolError("bad magic (expected \"RNP1\")");
   }
-  const auto raw_type = static_cast<std::uint8_t>(bytes[4]);
+  const auto raw_type = in.pod<std::uint8_t>("frame type");
   if (!known_type(raw_type)) {
     throw ProtocolError("unknown frame type " + std::to_string(raw_type));
   }
   FrameHeader h;
   h.type = static_cast<FrameType>(raw_type);
-  std::memcpy(&h.payload_len, bytes + 5, sizeof(h.payload_len));
+  h.payload_len = in.pod<std::uint32_t>("payload length");
   if (h.payload_len > kMaxPayload) {
     throw ProtocolError("declared payload of " +
                         std::to_string(h.payload_len) + " bytes exceeds the " +
@@ -158,12 +105,11 @@ Frame parse_frame(std::string_view bytes) {
                         " does not match declared payload of " +
                         std::to_string(h.payload_len) + " bytes");
   }
+  util::Reader in = reader(bytes.substr(kHeaderLen));
   Frame f;
   f.type = h.type;
-  f.payload = std::string(bytes.substr(kHeaderLen, h.payload_len));
-  std::uint32_t crc = 0;
-  std::memcpy(&crc, bytes.data() + kHeaderLen + h.payload_len, sizeof(crc));
-  verify_frame_crc(f.type, f.payload, crc);
+  f.payload = std::string(in.bytes(h.payload_len, "payload"));
+  verify_frame_crc(f.type, f.payload, in.pod<std::uint32_t>("frame crc"));
   return f;
 }
 
@@ -223,10 +169,11 @@ std::string encode_predict_request(const std::string& model,
 }
 
 PredictRequest decode_predict_request(std::string_view payload) {
-  Cursor c(payload);
-  std::string model = c.str(kMaxNameLen, "model name");
+  util::Reader c = reader(payload);
+  std::string model = c.str<std::uint16_t>(kMaxNameLen, "model name");
   if (model.empty()) throw ProtocolError("model name is empty");
-  const std::string topo_name = c.str(kMaxNameLen, "topology name");
+  const std::string topo_name =
+      c.str<std::uint16_t>(kMaxNameLen, "topology name");
   const auto n_nodes = c.pod<std::int32_t>("node count");
   if (n_nodes < 2 || n_nodes > kMaxNodes) {
     throw ProtocolError("node count " + std::to_string(n_nodes) +
@@ -383,7 +330,7 @@ std::string encode_predict_response(const core::RouteNet::Prediction& pred,
 PredictResponse decode_predict_response_full(std::string_view payload) {
   constexpr std::uint32_t kMaxPairs =
       static_cast<std::uint32_t>(kMaxNodes) * (kMaxNodes - 1);
-  Cursor c(payload);
+  util::Reader c = reader(payload);
   const auto n_pairs = c.pod<std::uint32_t>("pair count");
   if (n_pairs > kMaxPairs) {
     throw ProtocolError("pair count " + std::to_string(n_pairs) +
@@ -429,7 +376,7 @@ std::string encode_error(ErrorCode code, std::string_view message) {
 }
 
 ErrorFrame decode_error(std::string_view payload) {
-  Cursor c(payload);
+  util::Reader c = reader(payload);
   ErrorFrame e;
   const auto raw = c.pod<std::uint16_t>("error code");
   if (raw < static_cast<std::uint16_t>(ErrorCode::kMalformed) ||
@@ -437,7 +384,7 @@ ErrorFrame decode_error(std::string_view payload) {
     throw ProtocolError("unknown error code " + std::to_string(raw));
   }
   e.code = static_cast<ErrorCode>(raw);
-  e.message = c.str(kMaxErrorMsgLen, "error message");
+  e.message = c.str<std::uint16_t>(kMaxErrorMsgLen, "error message");
   c.expect_done("error");
   return e;
 }
@@ -451,8 +398,8 @@ std::string encode_reload_request(const std::string& model) {
 }
 
 std::string decode_reload_request(std::string_view payload) {
-  Cursor c(payload);
-  const std::string model = c.str(kMaxNameLen, "model name");
+  util::Reader c = reader(payload);
+  const std::string model = c.str<std::uint16_t>(kMaxNameLen, "model name");
   if (model.empty()) throw ProtocolError("model name is empty");
   c.expect_done("reload request");
   return model;
@@ -467,9 +414,9 @@ std::string encode_reload_response(const std::string& model,
 }
 
 ReloadResponse decode_reload_response(std::string_view payload) {
-  Cursor c(payload);
+  util::Reader c = reader(payload);
   ReloadResponse r;
-  r.model = c.str(kMaxNameLen, "model name");
+  r.model = c.str<std::uint16_t>(kMaxNameLen, "model name");
   r.version = c.pod<std::uint64_t>("version");
   c.expect_done("reload response");
   return r;
@@ -504,7 +451,7 @@ std::uint32_t stats_count(const Vec& v, const char* what) {
   return static_cast<std::uint32_t>(v.size());
 }
 
-std::uint32_t read_stats_count(Cursor& c, const char* what) {
+std::uint32_t read_stats_count(util::Reader& c, const char* what) {
   const auto n = c.pod<std::uint32_t>(what);
   if (n > kMaxStatsEntries) {
     throw ProtocolError(std::string(what) + " " + std::to_string(n) +
@@ -570,7 +517,7 @@ std::string encode_stats_response(const StatsSnapshot& snap) {
 }
 
 StatsSnapshot decode_stats_response(std::string_view payload) {
-  Cursor c(payload);
+  util::Reader c = reader(payload);
   StatsSnapshot snap;
   snap.server_time_s = c.pod<double>("server time");
   snap.trace_dropped = c.pod<std::uint64_t>("trace dropped");
@@ -579,7 +526,7 @@ StatsSnapshot decode_stats_response(std::string_view payload) {
   snap.counters.reserve(n_counters);
   for (std::uint32_t i = 0; i < n_counters; ++i) {
     StatsSnapshot::CounterEntry e;
-    e.name = c.str(kMaxNameLen, "counter name");
+    e.name = c.str<std::uint16_t>(kMaxNameLen, "counter name");
     e.value = c.pod<std::uint64_t>("counter value");
     snap.counters.push_back(std::move(e));
   }
@@ -587,7 +534,7 @@ StatsSnapshot decode_stats_response(std::string_view payload) {
   snap.gauges.reserve(n_gauges);
   for (std::uint32_t i = 0; i < n_gauges; ++i) {
     StatsSnapshot::GaugeEntry e;
-    e.name = c.str(kMaxNameLen, "gauge name");
+    e.name = c.str<std::uint16_t>(kMaxNameLen, "gauge name");
     e.value = c.pod<double>("gauge value");
     snap.gauges.push_back(std::move(e));
   }
@@ -595,7 +542,7 @@ StatsSnapshot decode_stats_response(std::string_view payload) {
   snap.histograms.reserve(n_hists);
   for (std::uint32_t i = 0; i < n_hists; ++i) {
     StatsSnapshot::HistogramEntry e;
-    e.name = c.str(kMaxNameLen, "histogram name");
+    e.name = c.str<std::uint16_t>(kMaxNameLen, "histogram name");
     e.count = c.pod<std::uint64_t>("histogram count");
     e.mean = c.pod<double>("histogram mean");
     e.p50 = c.pod<double>("histogram p50");
@@ -608,7 +555,7 @@ StatsSnapshot decode_stats_response(std::string_view payload) {
   snap.windows.reserve(n_windows);
   for (std::uint32_t i = 0; i < n_windows; ++i) {
     StatsSnapshot::WindowEntry e;
-    e.name = c.str(kMaxNameLen, "window name");
+    e.name = c.str<std::uint16_t>(kMaxNameLen, "window name");
     e.window_s = c.pod<double>("window span");
     e.count = c.pod<std::uint64_t>("window count");
     e.p50 = c.pod<double>("window p50");
@@ -637,7 +584,7 @@ StatsSnapshot decode_stats_response(std::string_view payload) {
   snap.models.reserve(n_models);
   for (std::uint32_t i = 0; i < n_models; ++i) {
     StatsSnapshot::ModelEntry e;
-    e.name = c.str(kMaxNameLen, "model name");
+    e.name = c.str<std::uint16_t>(kMaxNameLen, "model name");
     e.version = c.pod<std::uint64_t>("model version");
     e.parameters = c.pod<std::uint64_t>("model parameters");
     snap.models.push_back(std::move(e));

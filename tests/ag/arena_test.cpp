@@ -1,7 +1,8 @@
 // Workspace-arena contract tests: warm loops allocate nothing fresh,
 // pooled (dirty) memory is re-zeroed by the zero ctor, trim drops the
-// free lists, disabled mode still behaves, and buffers may be freed from
-// threads other than the one that allocated them (tsan-labelled).
+// free lists (so does a thread's exit), disabled mode still behaves, and
+// buffers may be freed from threads other than the one that allocated them
+// (tsan-labelled).
 #include <thread>
 #include <utility>
 #include <vector>
@@ -85,6 +86,21 @@ TEST_F(ArenaTest, TrimReleasesFreeListedBytes) {
   EXPECT_GT(held_before, 0u);
   rn::ag::arena_trim();
   EXPECT_LT(rn::ag::arena_stats().bytes_held, held_before);
+}
+
+// A thread's pool dies with the thread; the buffers on its free lists must
+// leave the process-wide bytes_held gauge with it, as trim() does.
+TEST_F(ArenaTest, ThreadExitReleasesItsFreeListedBytes) {
+  const std::uint64_t held_before = rn::ag::arena_stats().bytes_held;
+  std::thread warm([held_before] {
+    for (int cols : {8, 100, 300, 1000}) {
+      Tensor t(4, cols);
+      (void)t;
+    }  // each size class returns to this thread's free lists
+    EXPECT_GT(rn::ag::arena_stats().bytes_held, held_before);
+  });
+  warm.join();
+  EXPECT_EQ(rn::ag::arena_stats().bytes_held, held_before);
 }
 
 TEST_F(ArenaTest, DisabledModeAllocatesFreshEveryTime) {

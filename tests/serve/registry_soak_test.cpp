@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -144,6 +146,19 @@ TEST(ModelRegistry, LoadsAndHotReloadsFromFile) {
   // New weights land on disk; reload() swaps them in as version 2.
   b.save(path);
   EXPECT_EQ(registry.reload("m"), 2u);
+  EXPECT_EQ(registry.acquire("m")->version(), 2u);
+  EXPECT_TRUE(bitwise_equal(
+      registry.acquire("m")->server().submit(request).get(), expect_b));
+
+  // A corrupt file on disk (RNMODEL3 with a NaN dropout rate at byte 28):
+  // reload throws, the version does not move, and version 2 keeps serving.
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    f.seekp(28);
+    f.write(reinterpret_cast<const char*>(&nan), sizeof(nan));
+  }
+  EXPECT_THROW(registry.reload("m"), std::runtime_error);
   EXPECT_EQ(registry.acquire("m")->version(), 2u);
   EXPECT_TRUE(bitwise_equal(
       registry.acquire("m")->server().submit(request).get(), expect_b));
