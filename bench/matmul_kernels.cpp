@@ -5,14 +5,15 @@
 //      may be >10% slower than its naive counterpart (median of 5; WARNING
 //      always, exit 1 under RN_BENCH_ENFORCE).
 //   2. A backend report: every compiled-in kernel backend
-//      (scalar / avx2 / avx2fma) timed on the three matmul shapes at paper
-//      sizes (state dims 16–64, Geant2-scale row counts), the gather /
-//      scatter / segment_sum / scale_rows family, the sigmoid / tanh gate
-//      kernels, and the fused-vs-composed GRU step — written to
+//      (scalar / avx2) timed on the three matmul shapes at paper sizes
+//      (state dims 16–64, Geant2-scale row counts), the gather / scatter /
+//      segment_sum / scale_rows family, the sigmoid / tanh gate kernels,
+//      and the fused GRU step against its composed reference — written to
 //      BENCH_kernels.json in the bench cache. Under RN_BENCH_ENFORCE the
 //      report is also a gate: the avx2 backend must be ≥1.5x scalar on the
 //      nn matmul at paper shapes and must produce bitwise-identical
-//      results.
+//      results, and the fused GRU step must match the composed one
+//      bitwise.
 //   3. The google-benchmark tables (skipped at RN_BENCH_SCALE=smoke, where
 //      only the guard + report run so CI stays seconds-scale).
 //
@@ -254,20 +255,21 @@ const char* scale_name() {
 
 bool smoke_scale() { return std::strcmp(scale_name(), "smoke") == 0; }
 
+constexpr int kNumBackends = 2;
+constexpr kern::Backend kBackends[kNumBackends] = {kern::Backend::kScalar,
+                                                   kern::Backend::kAvx2};
+
 // Per-(backend, shape) matmul GFLOP/s at one thread, plus the index-op
 // family and the fused GRU step. All timings single-threaded so the numbers
 // isolate the kernel, not the chunking.
 struct ShapeReport {
   int m, k, n;
-  // [backend] -> gflops, in kernel Backend enum order; -1 = unavailable.
-  double nn[3] = {-1, -1, -1};
-  double tn[3] = {-1, -1, -1};
-  double nt[3] = {-1, -1, -1};
+  // [backend] -> gflops, in kBackends order; -1 = unavailable.
+  double nn[kNumBackends] = {-1, -1};
+  double tn[kNumBackends] = {-1, -1};
+  double nt[kNumBackends] = {-1, -1};
   double nn_speedup = -1;  // paired avx2/scalar median, -1 = no avx2
 };
-
-constexpr kern::Backend kBackends[] = {
-    kern::Backend::kScalar, kern::Backend::kAvx2, kern::Backend::kAvx2Fma};
 
 bool tensors_bitwise_equal(const Tensor& a, const Tensor& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
@@ -275,14 +277,17 @@ bool tensors_bitwise_equal(const Tensor& a, const Tensor& b) {
                      static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
 }
 
-// One GRU step on a fresh tape, fused or composed. Returns the new-hidden
-// value so the two variants can also be compared bitwise.
+// One GRU step on a fresh tape: the cell's fused op, or the composed
+// reference chain. Returns the new-hidden value so the two can also be
+// compared bitwise.
 Tensor gru_once(const rn::ag::GruCell& cell, const Tensor& x, const Tensor& h,
                 bool fused) {
-  rn::ag::set_fused_gru(fused);
   rn::ag::Tape tape;
+  const rn::ag::ValueId xv = tape.constant(x);
+  const rn::ag::ValueId hv = tape.constant(h);
   const rn::ag::ValueId out =
-      cell.step(tape, tape.constant(x), tape.constant(h));
+      fused ? cell.step(tape, xv, hv)
+            : rn::ag::composed_gru_step(tape, xv, hv, cell.weights());
   return tape.value(out);
 }
 
@@ -290,7 +295,6 @@ int run_backend_report() {
   const bool enforce = std::getenv("RN_BENCH_ENFORCE") != nullptr;
   rn::par::set_global_threads(1);
   const kern::Backend saved_backend = kern::active_backend();
-  const bool fused_saved = rn::ag::fused_gru_enabled();
   int violations = 0;
   // Every avx2 result memcmp-equal to scalar (matmuls and gate ops).
   bool bitwise = true;
@@ -312,7 +316,7 @@ int run_backend_report() {
     const double gflop =
         2.0 * shape.m * shape.k * shape.n / 1e9;
     Tensor ref_nn, ref_tn, ref_nt;
-    for (int bi = 0; bi < 3; ++bi) {
+    for (int bi = 0; bi < kNumBackends; ++bi) {
       if (!kern::backend_available(kBackends[bi])) continue;
       kern::set_kernel_backend(kBackends[bi]);
       shape.nn[bi] =
@@ -326,13 +330,12 @@ int run_backend_report() {
                   shape.m, shape.k, shape.n,
                   kern::backend_name(kBackends[bi]), shape.nn[bi],
                   shape.tn[bi], shape.nt[bi]);
-      // Bitwise contract: scalar and avx2 must agree exactly; avx2fma is
-      // the documented divergent opt-in and is not checked.
+      // Bitwise contract: scalar and avx2 must agree exactly.
       if (kBackends[bi] == kern::Backend::kScalar) {
         ref_nn = rn::ag::matmul(a, b);
         ref_tn = rn::ag::matmul_tn(at, b);
         ref_nt = rn::ag::matmul_nt(a, bt);
-      } else if (kBackends[bi] == kern::Backend::kAvx2) {
+      } else {
         if (!tensors_bitwise_equal(ref_nn, rn::ag::matmul(a, b)) ||
             !tensors_bitwise_equal(ref_tn, rn::ag::matmul_tn(at, b)) ||
             !tensors_bitwise_equal(ref_nt, rn::ag::matmul_nt(a, bt))) {
@@ -385,7 +388,6 @@ int run_backend_report() {
   std::printf("  gru  fused/composed speedup: %.2fx (bitwise %s)\n",
               gru_speedup, gru_bitwise ? "identical" : "DIVERGENT");
   if (!gru_bitwise) ++violations;
-  rn::ag::set_fused_gru(fused_saved);
 
   // Index-op family: bytes moved per second at the 64-wide state, strided
   // access pattern of a merged Geant2 batch.
@@ -405,12 +407,12 @@ int run_backend_report() {
       2.0 * idx_rows * idx_cols * sizeof(float);  // read + write
   struct IndexRow {
     const char* name;
-    double gb_per_s[3] = {-1, -1, -1};
+    double gb_per_s[kNumBackends] = {-1, -1};
   };
   IndexRow index_rows[] = {{"gather_rows"}, {"indexed_row_add"},
                            {"scale_rows"}};
   Tensor dst(idx_rows, idx_cols);
-  for (int bi = 0; bi < 3; ++bi) {
+  for (int bi = 0; bi < kNumBackends; ++bi) {
     if (!kern::backend_available(kBackends[bi])) continue;
     const kern::Ops& ops = kern::ops(kBackends[bi]);
     index_rows[0].gb_per_s[bi] =
@@ -432,9 +434,8 @@ int run_backend_report() {
         });
   }
   for (const IndexRow& row : index_rows) {
-    std::printf("  %-16s scalar %6.2f / avx2 %6.2f / avx2fma %6.2f GB/s\n",
-                row.name, row.gb_per_s[0], row.gb_per_s[1],
-                row.gb_per_s[2]);
+    std::printf("  %-16s scalar %6.2f / avx2 %6.2f GB/s\n", row.name,
+                row.gb_per_s[0], row.gb_per_s[1]);
   }
 
   // Gate nonlinearities over the same element count, on pre-activations in
@@ -458,7 +459,7 @@ int run_backend_report() {
   };
   IndexRow gate_rows[] = {{"sigmoid"}, {"tanh"}};
   std::vector<float> gate_ref[2];
-  for (int bi = 0; bi < 3; ++bi) {
+  for (int bi = 0; bi < kNumBackends; ++bi) {
     if (!kern::backend_available(kBackends[bi])) continue;
     const kern::Ops& ops = kern::ops(kBackends[bi]);
     void (*const fns[2])(float*, std::size_t) = {ops.sigmoid_inplace,
@@ -479,9 +480,8 @@ int run_backend_report() {
     }
   }
   for (const IndexRow& row : gate_rows) {
-    std::printf("  %-16s scalar %6.2f / avx2 %6.2f / avx2fma %6.2f GB/s\n",
-                row.name, row.gb_per_s[0], row.gb_per_s[1],
-                row.gb_per_s[2]);
+    std::printf("  %-16s scalar %6.2f / avx2 %6.2f GB/s\n", row.name,
+                row.gb_per_s[0], row.gb_per_s[1]);
   }
 
   kern::set_kernel_backend(saved_backend);
@@ -501,7 +501,7 @@ int run_backend_report() {
         if (s > 0) out << ',';
         out << "{\"m\":" << shape.m << ",\"k\":" << shape.k
             << ",\"n\":" << shape.n;
-        for (int bi = 0; bi < 3; ++bi) {
+        for (int bi = 0; bi < kNumBackends; ++bi) {
           if (shape.nn[bi] < 0.0) continue;
           const char* name = kern::backend_name(kBackends[bi]);
           out << ",\"" << name << "_nn_gflops\":"
@@ -523,7 +523,7 @@ int run_backend_report() {
         out << ",\"" << section << "\":{";
         bool first = true;
         for (const IndexRow& row : rows) {
-          for (int bi = 0; bi < 3; ++bi) {
+          for (int bi = 0; bi < kNumBackends; ++bi) {
             if (row.gb_per_s[bi] < 0.0) continue;
             if (!first) out << ',';
             first = false;

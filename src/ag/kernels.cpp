@@ -38,10 +38,9 @@ void set_matmul_nt_tile_threshold(long long b_elems) {
 namespace kern {
 
 #if defined(RN_HAVE_AVX2_TU)
-// Defined in kernels_avx2.cpp (compiled with -mavx2 -mfma); only safe to
-// call after a runtime AVX2 check.
+// Defined in kernels_avx2.cpp (compiled with -mavx2); only safe to call
+// after a runtime AVX2 check.
 const Ops* avx2_ops();
-const Ops* avx2fma_ops();
 #endif
 
 namespace {
@@ -328,14 +327,6 @@ bool cpu_has_avx2() {
 #endif
 }
 
-bool cpu_has_fma() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
 const Ops* table_for(Backend backend) {
   switch (backend) {
     case Backend::kScalar:
@@ -343,12 +334,6 @@ const Ops* table_for(Backend backend) {
     case Backend::kAvx2:
 #if defined(RN_HAVE_AVX2_TU)
       return cpu_has_avx2() ? avx2_ops() : nullptr;
-#else
-      return nullptr;
-#endif
-    case Backend::kAvx2Fma:
-#if defined(RN_HAVE_AVX2_TU)
-      return (cpu_has_avx2() && cpu_has_fma()) ? avx2fma_ops() : nullptr;
 #else
       return nullptr;
 #endif
@@ -370,25 +355,21 @@ Backend backend_from_env() {
              "(CPU lacks AVX2 or the binary was built without it)");
     return Backend::kAvx2;
   }
-  if (want == "avx2fma" || want == "fma") {
-    RN_CHECK(backend_available(Backend::kAvx2Fma),
-             "RN_KERNELS=avx2fma but the avx2fma backend is unavailable "
-             "(CPU lacks AVX2/FMA or the binary was built without it)");
-    return Backend::kAvx2Fma;
-  }
-  RN_CHECK(false, "RN_KERNELS must be scalar, avx2, avx2fma, or auto (got '" +
-                      want + "')");
+  RN_CHECK(false,
+           "RN_KERNELS must be scalar, avx2, or auto (got '" + want + "')");
   return Backend::kScalar;
 }
 
+// The one record of the active backend: its table. RN_KERNELS is parsed
+// once, on first use; the backend is derived from the table, so a reader
+// can never see a backend and a table that disagree.
 std::atomic<const Ops*>& active_table() {
   static std::atomic<const Ops*> table{table_for(backend_from_env())};
   return table;
 }
 
-std::atomic<Backend>& active_backend_slot() {
-  static std::atomic<Backend> backend{backend_from_env()};
-  return backend;
+Backend backend_of(const Ops* table) {
+  return table == &kScalarOps ? Backend::kScalar : Backend::kAvx2;
 }
 
 }  // namespace
@@ -396,7 +377,7 @@ std::atomic<Backend>& active_backend_slot() {
 const Ops& active() { return *active_table().load(std::memory_order_relaxed); }
 
 Backend active_backend() {
-  return active_backend_slot().load(std::memory_order_relaxed);
+  return backend_of(active_table().load(std::memory_order_relaxed));
 }
 
 bool backend_available(Backend backend) {
@@ -409,8 +390,6 @@ const char* backend_name(Backend backend) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kAvx2Fma:
-      return "avx2fma";
   }
   return "?";
 }
@@ -426,10 +405,8 @@ Backend set_kernel_backend(Backend backend) {
   const Ops* table = table_for(backend);
   RN_CHECK(table != nullptr, std::string("kernel backend unavailable: ") +
                                  backend_name(backend));
-  const Backend prev =
-      active_backend_slot().exchange(backend, std::memory_order_relaxed);
-  active_table().store(table, std::memory_order_relaxed);
-  return prev;
+  return backend_of(
+      active_table().exchange(table, std::memory_order_relaxed));
 }
 
 }  // namespace kern

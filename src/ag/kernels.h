@@ -9,17 +9,12 @@
 //             the same per-element accumulation order (and the same
 //             zero-entry skips) as the scalar loops, so results are bitwise
 //             identical to scalar. The default wherever the CPU supports it.
-//   avx2fma — AVX2 + FMA with reassociated reductions (matmul_nt runs an
-//             8-lane partial-sum dot product). Fastest, but fused rounding
-//             and reassociation make results diverge from scalar by a few
-//             ULPs — an explicit opt-in that trades the bitwise-determinism
-//             contract for speed. Never selected automatically.
 //
-// Selection: RN_KERNELS=scalar|avx2|avx2fma (or `auto`/unset for the best
-// bitwise-safe backend the CPU supports), read once at first kernel use;
-// `set_kernel_backend` is the programmatic/test seam. A backend compiled
-// out of the binary or unsupported by the CPU fails fast with a clear
-// message rather than silently falling back.
+// Selection: RN_KERNELS=scalar|avx2 (or `auto`/unset for avx2 where the
+// CPU supports it, scalar otherwise), read once at first kernel use; any
+// other value fails fast. `set_kernel_backend` is the programmatic/test
+// seam. A backend compiled out of the binary or unsupported by the CPU
+// fails fast with a clear message rather than silently falling back.
 //
 // Every function operates on row-major float buffers. The matmul block
 // kernels compute C-row ranges [r0, r1) and are driven by the parallel
@@ -32,7 +27,7 @@
 
 namespace rn::ag::kern {
 
-enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx2Fma = 2 };
+enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 // C-row tile: one parallel chunk's working set of output rows — also the
 // grain multiple of the row-range chunking in tensor.cpp, so a chunk never

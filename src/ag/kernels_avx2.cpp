@@ -1,20 +1,15 @@
-// AVX2 / AVX2+FMA backends. This TU is the only one compiled with
-// -mavx2 -mfma (plus -ffp-contract=off so the compiler cannot fuse the
-// separate mul/add sequences behind our back); kernels.cpp only calls
-// avx2_ops()/avx2fma_ops() after a runtime CPU check.
+// AVX2 backend. This TU is the only one compiled with -mavx2 (plus
+// -ffp-contract=off so the compiler cannot fuse the separate mul/add
+// sequences behind our back); kernels.cpp only calls avx2_ops() after a
+// runtime AVX2 check.
 //
-// Bitwise contract (avx2 table): every kernel performs the exact same
-// per-element arithmetic sequence as the scalar reference — same ascending
+// Bitwise contract: every kernel performs the exact same per-element
+// arithmetic sequence as the scalar reference — same ascending
 // accumulation order, separate _mm256_mul_ps + _mm256_add_ps (never fused),
 // and the same `av == 0.0f` skip in the matmul row loops. Vectorizing over
 // the output column axis is safe because each output element's operation
 // chain is untouched; only independent elements are packed into one vector.
 // Remainder columns run the scalar loop verbatim.
-//
-// The avx2fma table swaps the three matmul kernels for fused-multiply-add
-// variants (matmul_nt additionally runs an 8-lane partial-sum reduction).
-// Those reassociate/fuse rounding and so diverge from scalar by a few ULPs —
-// which is why that table is opt-in only (RN_KERNELS=avx2fma).
 #include <immintrin.h>
 
 #include <algorithm>
@@ -129,102 +124,7 @@ void avx2_matmul_nt_block(const float* a, const float* b, float* c, int r0,
   }
 }
 
-// --- avx2fma: fused, reassociated matmuls (divergent, opt-in) -------------
-
-// Register-blocked like the avx2 pair, but with fused multiply-adds.
-template <int Tiles>
-inline void fma_accum_col_tile(const float* acol, std::size_t astride,
-                               const float* b, float* crow, int j, int k,
-                               int n) {
-  __m256 acc[Tiles];
-  for (int t = 0; t < Tiles; ++t) {
-    acc[t] = _mm256_loadu_ps(crow + j + 8 * t);
-  }
-  for (int p = 0; p < k; ++p) {
-    const float av = acol[static_cast<std::size_t>(p) * astride];
-    if (av == 0.0f) continue;
-    const float* brow = b + static_cast<std::size_t>(p) * n + j;
-    const __m256 av8 = _mm256_set1_ps(av);
-    for (int t = 0; t < Tiles; ++t) {
-      acc[t] = _mm256_fmadd_ps(av8, _mm256_loadu_ps(brow + 8 * t), acc[t]);
-    }
-  }
-  for (int t = 0; t < Tiles; ++t) {
-    _mm256_storeu_ps(crow + j + 8 * t, acc[t]);
-  }
-}
-
-inline void fma_matmul_row(const float* acol, std::size_t astride,
-                           const float* b, float* crow, int k, int n) {
-  int j = 0;
-  for (; j + 32 <= n; j += 32) {
-    fma_accum_col_tile<4>(acol, astride, b, crow, j, k, n);
-  }
-  for (; j + 8 <= n; j += 8) {
-    fma_accum_col_tile<1>(acol, astride, b, crow, j, k, n);
-  }
-  for (; j < n; ++j) {
-    float acc = crow[j];
-    for (int p = 0; p < k; ++p) {
-      const float av = acol[static_cast<std::size_t>(p) * astride];
-      if (av == 0.0f) continue;
-      acc += av * b[static_cast<std::size_t>(p) * n + j];
-    }
-    crow[j] = acc;
-  }
-}
-
-void fma_matmul_block(const float* a, const float* b, float* c, int r0,
-                      int r1, int k, int n) {
-  for (int i = r0; i < r1; ++i) {
-    fma_matmul_row(a + static_cast<std::size_t>(i) * k, 1, b,
-                   c + static_cast<std::size_t>(i) * n, k, n);
-  }
-}
-
-void fma_matmul_tn_block(const float* a, const float* b, float* c, int r0,
-                         int r1, int m, int k, int n) {
-  for (int i = r0; i < r1; ++i) {
-    fma_matmul_row(a + i, static_cast<std::size_t>(m), b,
-                   c + static_cast<std::size_t>(i) * n, k, n);
-  }
-}
-
-float hsum8(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_add_ss(lo, _mm_movehdup_ps(lo));
-  return _mm_cvtss_f32(lo);
-}
-
-// B rows are contiguous over p here, so each c[i][j] runs an 8-lane
-// partial-sum dot product (fmadd) and reduces at the end — the fastest
-// shape for this kernel, and the clearest example of why avx2fma is
-// bitwise-divergent.
-void fma_matmul_nt_block(const float* a, const float* b, float* c, int r0,
-                         int r1, int k, int n) {
-  const int k8 = k & ~7;
-  for (int i = r0; i < r1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b + static_cast<std::size_t>(j) * k;
-      __m256 acc8 = _mm256_setzero_ps();
-      int p = 0;
-      for (; p < k8; p += 8) {
-        acc8 = _mm256_fmadd_ps(_mm256_loadu_ps(arow + p),
-                               _mm256_loadu_ps(brow + p), acc8);
-      }
-      float acc = hsum8(acc8);
-      for (; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] += acc;
-    }
-  }
-}
-
-// --- Row-indexing / elementwise kernels (bitwise-safe, shared) ------------
+// --- Row-indexing / elementwise kernels (bitwise-safe) ---------------------
 
 void avx2_gather_rows(const float* src, const int* idx, int nrows, int cols,
                       float* dst) {
@@ -487,32 +387,8 @@ constexpr Ops kAvx2Ops = {
     avx2_tanh_inplace,
 };
 
-// Only the matmuls diverge; everything per-element (the gate nonlinearities
-// included) reuses the avx2 kernels.
-constexpr Ops kAvx2FmaOps = {
-    "avx2fma",
-    fma_matmul_block,
-    fma_matmul_tn_block,
-    fma_matmul_nt_block,
-    avx2_gather_rows,
-    avx2_scatter_rows,
-    avx2_indexed_row_add,
-    avx2_gathered_row_add,
-    avx2_scale_rows,
-    avx2_add_scaled_rows,
-    avx2_axpy,
-    avx2_mul_inplace,
-    avx2_madd,
-    avx2_add_bias_rows,
-    avx2_colsum_add,
-    avx2_gru_blend,
-    avx2_sigmoid_inplace,
-    avx2_tanh_inplace,
-};
-
 }  // namespace
 
 const Ops* avx2_ops() { return &kAvx2Ops; }
-const Ops* avx2fma_ops() { return &kAvx2FmaOps; }
 
 }  // namespace rn::ag::kern

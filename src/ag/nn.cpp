@@ -1,34 +1,8 @@
 #include "ag/nn.h"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "ag/init.h"
 
 namespace rn::ag {
-
-namespace {
-
-bool read_fused_gru_env() {
-  const char* env = std::getenv("RN_FUSED_GRU");
-  return env == nullptr || env[0] == '\0' ||
-         !(env[0] == '0' && env[1] == '\0');
-}
-
-std::atomic<bool>& fused_gru_flag() {
-  static std::atomic<bool> enabled{read_fused_gru_env()};
-  return enabled;
-}
-
-}  // namespace
-
-bool fused_gru_enabled() {
-  return fused_gru_flag().load(std::memory_order_relaxed);
-}
-
-void set_fused_gru(bool enabled) {
-  fused_gru_flag().store(enabled, std::memory_order_relaxed);
-}
 
 Dense::Dense(int in_dim, int out_dim, Activation act, Rng& rng,
              const std::string& name)
@@ -69,30 +43,13 @@ GruCell::GruCell(int input_dim, int hidden_dim, Rng& rng,
 }
 
 ValueId GruCell::step(Tape& tape, ValueId x, ValueId h) const {
-  if (fused_gru_enabled()) return tape.gru_step(x, h, weights());
-  const ValueId z = tape.sigmoid(tape.add_bias(
-      tape.add(tape.matmul(x, tape.param(wz_)), tape.matmul(h, tape.param(uz_))),
-      tape.param(bz_)));
-  const ValueId r = tape.sigmoid(tape.add_bias(
-      tape.add(tape.matmul(x, tape.param(wr_)), tape.matmul(h, tape.param(ur_))),
-      tape.param(br_)));
-  const ValueId rh = tape.mul(r, h);
-  const ValueId hc = tape.tanh(tape.add_bias(
-      tape.add(tape.matmul(x, tape.param(wh_)),
-               tape.matmul(rh, tape.param(uh_))),
-      tape.param(bh_)));
-  return tape.add(tape.mul(tape.one_minus(z), h), tape.mul(z, hc));
+  return tape.gru_step(x, h, weights());
 }
 
 ValueId GruCell::step_gathered(Tape& tape, ValueId x_src,
                                const std::vector<int>& x_idx, ValueId h_src,
                                const std::vector<int>& h_idx) const {
-  if (fused_gru_enabled()) {
-    return tape.gru_step_gathered(x_src, x_idx, h_src, h_idx, weights());
-  }
-  const ValueId x = tape.gather_rows(x_src, x_idx);
-  const ValueId h = tape.gather_rows(h_src, h_idx);
-  return step(tape, x, h);
+  return tape.gru_step_gathered(x_src, x_idx, h_src, h_idx, weights());
 }
 
 GruWeights GruCell::weights() const {
@@ -111,6 +68,24 @@ GruWeights GruCell::weights() const {
 
 std::vector<Parameter*> GruCell::params() {
   return {&wz_, &uz_, &bz_, &wr_, &ur_, &br_, &wh_, &uh_, &bh_};
+}
+
+ValueId composed_gru_step(Tape& tape, ValueId x, ValueId h,
+                          const GruWeights& w) {
+  const ValueId z = tape.sigmoid(tape.add_bias(
+      tape.add(tape.matmul(x, tape.param(*w.wz)),
+               tape.matmul(h, tape.param(*w.uz))),
+      tape.param(*w.bz)));
+  const ValueId r = tape.sigmoid(tape.add_bias(
+      tape.add(tape.matmul(x, tape.param(*w.wr)),
+               tape.matmul(h, tape.param(*w.ur))),
+      tape.param(*w.br)));
+  const ValueId rh = tape.mul(r, h);
+  const ValueId hc = tape.tanh(tape.add_bias(
+      tape.add(tape.matmul(x, tape.param(*w.wh)),
+               tape.matmul(rh, tape.param(*w.uh))),
+      tape.param(*w.bh)));
+  return tape.add(tape.mul(tape.one_minus(z), h), tape.mul(z, hc));
 }
 
 Mlp::Mlp(const std::vector<int>& dims, Rng& rng, const std::string& name,

@@ -44,16 +44,14 @@ class GruCell {
  public:
   GruCell(int input_dim, int hidden_dim, Rng& rng, const std::string& name);
 
-  // x: N×input_dim, h: N×hidden_dim → new hidden N×hidden_dim. Records the
-  // single fused gru_step node when fused_gru_enabled(), the composed
-  // ~20-node expression otherwise; both produce bitwise-identical values.
+  // x: N×input_dim, h: N×hidden_dim → new hidden N×hidden_dim. Records one
+  // fused gru_step node, bitwise identical in value to
+  // composed_gru_step().
   ValueId step(Tape& tape, ValueId x, ValueId h) const;
 
   // step() with both inputs gathered from row-state tensors:
-  // x = x_src[x_idx], h = h_src[h_idx]. The fused path folds the gathers
-  // into the gru_step node; the composed path records explicit
-  // gather_rows ops. RouteNet's per-hop path update. The indices are
-  // borrowed for the call.
+  // x = x_src[x_idx], h = h_src[h_idx], folded into one gru_step node.
+  // RouteNet's per-hop path update. The indices are borrowed for the call.
   ValueId step_gathered(Tape& tape, ValueId x_src,
                         const std::vector<int>& x_idx, ValueId h_src,
                         const std::vector<int>& h_idx) const;
@@ -72,10 +70,12 @@ class GruCell {
   mutable Parameter wh_, uh_, bh_;
 };
 
-// Fused GRU is on unless RN_FUSED_GRU=0 (read once at first use); the
-// setter is the programmatic/test seam for A/B-ing fused vs composed.
-bool fused_gru_enabled();
-void set_fused_gru(bool enabled);
+// The GRU step above written as ~20 primitive tape ops (matmul, add_bias,
+// sigmoid, tanh, mul, one_minus, add). The reference the fused gru_step op
+// is tested and benchmarked against, bitwise in the forward pass; no model
+// path calls it.
+ValueId composed_gru_step(Tape& tape, ValueId x, ValueId h,
+                          const GruWeights& w);
 
 // Multi-layer perceptron; hidden layers use ReLU, final layer is linear
 // unless an output activation is requested.

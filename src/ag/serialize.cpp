@@ -6,9 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <istream>
-#include <iterator>
-#include <ostream>
 
 namespace rn::ag {
 
@@ -91,14 +88,6 @@ void put_parameters(std::string& out, const std::vector<Parameter*>& params) {
   }
 }
 
-void save_parameters(std::ostream& out,
-                     const std::vector<Parameter*>& params) {
-  std::string bytes;
-  put_parameters(bytes, params);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  RN_CHECK(out.good(), "write failure while saving parameters");
-}
-
 void save_parameters(const std::string& path,
                      const std::vector<Parameter*>& params) {
   std::string bytes;
@@ -135,14 +124,6 @@ void load_parameters(util::Reader& in,
     in.fail("bad checkpoint magic");
   }
   apply_named_tensors(get_named_tensors(in), params, "checkpoint");
-}
-
-void load_parameters(std::istream& in,
-                     const std::vector<Parameter*>& params) {
-  const std::string bytes{std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()};
-  util::Reader r(bytes, "checkpoint");
-  load_parameters(r, params);
 }
 
 void load_parameters(const std::string& path,

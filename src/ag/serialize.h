@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,20 +35,15 @@ using util::crc32;
 
 // Appends an RNCKPT1 parameter block (magic included) to `out`.
 void put_parameters(std::string& out, const std::vector<Parameter*>& params);
-void save_parameters(std::ostream& out,
-                     const std::vector<Parameter*>& params);
 void save_parameters(const std::string& path,
                      const std::vector<Parameter*>& params);
 
 // Loads by name into the given parameters; shapes must match exactly.
 // Throws if a parameter is missing from the block, naming the parameter
 // and (on shape mismatch) both shapes. The Reader overload parses one
-// RNCKPT1 block at the reader's position (model files embed one); the
-// stream overload reads the rest of the stream into memory and parses it
-// the same way.
+// RNCKPT1 block at the reader's position (model files embed one); the path
+// overload also rejects trailing bytes.
 void load_parameters(util::Reader& in,
-                     const std::vector<Parameter*>& params);
-void load_parameters(std::istream& in,
                      const std::vector<Parameter*>& params);
 void load_parameters(const std::string& path,
                      const std::vector<Parameter*>& params);

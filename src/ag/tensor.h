@@ -113,12 +113,12 @@ class Tensor {
 // Non-autodiff matrix kernels shared by forward and backward passes.
 //
 // The inner loops live in the runtime-dispatched kernel layer
-// (ag/kernels.h, RN_KERNELS=scalar|avx2|avx2fma). All three are
+// (ag/kernels.h, RN_KERNELS=scalar|avx2). The three matmuls below are
 // cache-blocked and run row-ranges of C on the global thread pool once the
 // multiply-add count crosses matmul_parallel_threshold(). Each output row
 // is produced entirely by one chunk with the same inner accumulation order
 // as the serial kernel, so results are bitwise identical at any thread
-// count (and, for the scalar/avx2 backends, across backends).
+// count and across backends.
 
 // C = A B.
 Tensor matmul(const Tensor& a, const Tensor& b);

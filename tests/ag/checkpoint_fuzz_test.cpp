@@ -183,9 +183,9 @@ TEST(CheckpointFuzz, CursorIndexOutsideOrderThrows) {
 std::string valid_v1_bytes() {
   Parameter a("layer.w", Tensor::from_rows({{1.0f, 2.0f}, {3.0f, 4.0f}}));
   Parameter b("layer.b", Tensor::scalar(0.5f));
-  std::ostringstream out(std::ios::binary);
-  save_parameters(out, {&a, &b});
-  return out.str();
+  std::string out;
+  put_parameters(out, {&a, &b});
+  return out;
 }
 
 TEST(CheckpointFuzz, V1EveryTruncationThrows) {
@@ -222,15 +222,15 @@ TEST(CheckpointFuzz, V1AbsurdHeaderFieldsThrow) {
 }
 
 TEST(CheckpointFuzz, V1LoadParametersRejectsAbsurdShapes) {
-  // The streaming loader (model files embed RNCKPT1 blocks) must apply the
-  // same bounds: huge claimed shapes fail against the remaining file size
+  // The Reader loader (model files embed RNCKPT1 blocks) must apply the
+  // same bounds: huge claimed shapes fail against the remaining bytes
   // instead of allocating.
   std::string bytes("RNCKPT1\n");
   put_pod(bytes, static_cast<std::uint32_t>(1));
   put_str(bytes, "p");
   put_pod(bytes, static_cast<std::int32_t>(1 << 24));
   put_pod(bytes, static_cast<std::int32_t>(1 << 24));
-  std::istringstream in(bytes, std::ios::binary);
+  util::Reader in(bytes, "checkpoint");
   Parameter p("p", Tensor::scalar(0.0f));
   EXPECT_THROW(load_parameters(in, {&p}), std::runtime_error);
 }

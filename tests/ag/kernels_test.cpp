@@ -300,12 +300,6 @@ TEST_F(KernelsAvx2Test, GateNonlinearitiesBitwiseEqualOnBitPatternSweep) {
                             apply_ragged(avx2.sigmoid_inplace, in)));
   EXPECT_TRUE(bitwise_equal(apply_ragged(scalar.tanh_inplace, in),
                             apply_ragged(avx2.tanh_inplace, in)));
-  // The avx2fma table shares the avx2 entries, so it is bitwise too.
-  if (kern::backend_available(kern::Backend::kAvx2Fma)) {
-    const kern::Ops& fma = kern::ops(kern::Backend::kAvx2Fma);
-    EXPECT_EQ(fma.sigmoid_inplace, avx2.sigmoid_inplace);
-    EXPECT_EQ(fma.tanh_inplace, avx2.tanh_inplace);
-  }
 }
 
 TEST(KernelsGateTest, AccuracyAgainstDoubleReference) {
@@ -366,26 +360,6 @@ TEST(KernelsGateTest, SpecialValues) {
   }
 }
 
-TEST_F(KernelsAvx2Test, Avx2FmaMatmulIsCloseButNotRequiredBitwise) {
-  if (!kern::backend_available(kern::Backend::kAvx2Fma)) {
-    GTEST_SKIP() << "avx2fma backend not available";
-  }
-  // The opt-in fma table trades the bitwise contract for speed; it must
-  // still agree to float accuracy.
-  const Shape s{17, 31, 33};
-  const auto a = random_data(static_cast<std::size_t>(s.m) * s.k, 19);
-  const auto b = random_data(static_cast<std::size_t>(s.k) * s.n, 20);
-  std::vector<float> cs(static_cast<std::size_t>(s.m) * s.n, 0.0f);
-  std::vector<float> cf = cs;
-  kern::ops(kern::Backend::kScalar)
-      .matmul_block(a.data(), b.data(), cs.data(), 0, s.m, s.k, s.n);
-  kern::ops(kern::Backend::kAvx2Fma)
-      .matmul_block(a.data(), b.data(), cf.data(), 0, s.m, s.k, s.n);
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    EXPECT_NEAR(cs[i], cf[i], 1e-4f * (1.0f + std::abs(cs[i])));
-  }
-}
-
 TEST(KernelsDispatchTest, SetBackendSwitchesActiveTableAndReturnsPrevious) {
   const kern::Backend initial = kern::active_backend();
   const kern::Backend prev = kern::set_kernel_backend(kern::Backend::kScalar);
@@ -400,7 +374,6 @@ TEST(KernelsDispatchTest, ScalarBackendIsAlwaysAvailable) {
   EXPECT_TRUE(kern::backend_available(kern::Backend::kScalar));
   EXPECT_STREQ(kern::backend_name(kern::Backend::kScalar), "scalar");
   EXPECT_STREQ(kern::backend_name(kern::Backend::kAvx2), "avx2");
-  EXPECT_STREQ(kern::backend_name(kern::Backend::kAvx2Fma), "avx2fma");
 }
 
 }  // namespace

@@ -182,16 +182,6 @@ INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationSweep,
                                            Activation::kSigmoid,
                                            Activation::kTanh));
 
-// Restores the process-wide fused-GRU flag no matter how the test exits.
-class FusedGruGuard {
- public:
-  FusedGruGuard() : saved_(fused_gru_enabled()) {}
-  ~FusedGruGuard() { set_fused_gru(saved_); }
-
- private:
-  bool saved_;
-};
-
 Tensor random_tensor(int rows, int cols, unsigned seed) {
   Rng rng(seed);
   Tensor t(rows, cols);
@@ -208,52 +198,59 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                      static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
 }
 
+// The reference for step_gathered: explicit gather_rows ops feeding the
+// composed GRU chain.
+ValueId gathered_reference(Tape& tape, const GruCell& cell, ValueId x_src,
+                           const std::vector<int>& x_idx, ValueId h_src,
+                           const std::vector<int>& h_idx) {
+  return composed_gru_step(tape, tape.gather_rows(x_src, x_idx),
+                           tape.gather_rows(h_src, h_idx), cell.weights());
+}
+
 TEST(FusedGru, ForwardBitwiseIdenticalToComposed) {
-  FusedGruGuard guard;
   Rng rng(30);
   GruCell cell(5, 7, rng, "gru");
   const Tensor x = random_tensor(11, 5, 31);
   const Tensor h = random_tensor(11, 7, 32);
   auto run = [&](bool fused) {
-    set_fused_gru(fused);
     Tape tape;
-    return tape.value(cell.step(tape, tape.constant(x), tape.constant(h)));
+    const ValueId xv = tape.constant(x);
+    const ValueId hv = tape.constant(h);
+    return tape.value(fused ? cell.step(tape, xv, hv)
+                            : composed_gru_step(tape, xv, hv, cell.weights()));
   };
   EXPECT_TRUE(bitwise_equal(run(false), run(true)))
       << "fused gru_step diverges from the composed op chain";
 }
 
 TEST(FusedGru, SingleNodeReplacesComposedChain) {
-  FusedGruGuard guard;
   Rng rng(33);
   GruCell cell(3, 4, rng, "gru");
   const Tensor x = random_tensor(2, 3, 34);
   const Tensor h = random_tensor(2, 4, 35);
-  set_fused_gru(true);
   Tape fused_tape;
   cell.step(fused_tape, fused_tape.constant(x), fused_tape.constant(h));
-  set_fused_gru(false);
   Tape composed_tape;
-  cell.step(composed_tape, composed_tape.constant(x),
-            composed_tape.constant(h));
+  composed_gru_step(composed_tape, composed_tape.constant(x),
+                    composed_tape.constant(h), cell.weights());
   // 2 constants + 1 gru node, vs the ~20-node composed expression.
   EXPECT_EQ(fused_tape.num_nodes(), 3u);
   EXPECT_GT(composed_tape.num_nodes(), 10u);
 }
 
 TEST(FusedGru, ParameterGradientsMatchComposedBackward) {
-  FusedGruGuard guard;
   Rng rng(36);
   GruCell cell(4, 6, rng, "gru");
   const Tensor x = random_tensor(9, 4, 37);
   const Tensor h = random_tensor(9, 6, 38);
   const Tensor target(9, 6, 0.1f);
   auto grads = [&](bool fused) {
-    set_fused_gru(fused);
     for (Parameter* p : cell.params()) p->zero_grad();
     Tape tape;
-    const ValueId out =
-        cell.step(tape, tape.constant(x), tape.constant(h));
+    const ValueId xv = tape.constant(x);
+    const ValueId hv = tape.constant(h);
+    const ValueId out = fused ? cell.step(tape, xv, hv)
+                              : composed_gru_step(tape, xv, hv, cell.weights());
     tape.backward(tape.mse(out, target));
     std::vector<Tensor> out_grads;
     for (Parameter* p : cell.params()) out_grads.push_back(p->grad);
@@ -273,8 +270,6 @@ TEST(FusedGru, ParameterGradientsMatchComposedBackward) {
 }
 
 TEST(FusedGru, GradCheckThroughFusedStep) {
-  FusedGruGuard guard;
-  set_fused_gru(true);
   Rng rng(39);
   GruCell cell(2, 3, rng, "gru");
   const Tensor x = random_tensor(3, 2, 40);
@@ -287,7 +282,6 @@ TEST(FusedGru, GradCheckThroughFusedStep) {
 }
 
 TEST(FusedGru, GatheredStepMatchesGatherThenStepBitwise) {
-  FusedGruGuard guard;
   Rng rng(41);
   GruCell cell(4, 5, rng, "gru");
   const Tensor x_src = random_tensor(6, 4, 42);
@@ -296,10 +290,12 @@ TEST(FusedGru, GatheredStepMatchesGatherThenStepBitwise) {
   const std::vector<int> x_idx = {0, 3, 3, 5, 1, 0, 2, 4};
   const std::vector<int> h_idx = {6, 0, 2, 2, 5, 1, 4, 3};
   auto run = [&](bool fused) {
-    set_fused_gru(fused);
     Tape tape;
-    const ValueId out = cell.step_gathered(
-        tape, tape.constant(x_src), x_idx, tape.constant(h_src), h_idx);
+    const ValueId out =
+        fused ? cell.step_gathered(tape, tape.constant(x_src), x_idx,
+                                   tape.constant(h_src), h_idx)
+              : gathered_reference(tape, cell, tape.constant(x_src), x_idx,
+                                   tape.constant(h_src), h_idx);
     return tape.value(out);
   };
   const Tensor composed = run(false);
@@ -309,8 +305,6 @@ TEST(FusedGru, GatheredStepMatchesGatherThenStepBitwise) {
 }
 
 TEST(FusedGru, GradCheckThroughGatheredFusedStep) {
-  FusedGruGuard guard;
-  set_fused_gru(true);
   Rng rng(44);
   GruCell cell(2, 3, rng, "gru");
   const Tensor x_src = random_tensor(4, 2, 45);
@@ -326,7 +320,6 @@ TEST(FusedGru, GradCheckThroughGatheredFusedStep) {
 }
 
 TEST(FusedGru, GatheredSourceGradientsMatchComposed) {
-  FusedGruGuard guard;
   Rng rng(47);
   GruCell cell(3, 4, rng, "gru");
   Parameter x_src("x_src", random_tensor(5, 3, 48));
@@ -335,12 +328,14 @@ TEST(FusedGru, GatheredSourceGradientsMatchComposed) {
   const std::vector<int> h_idx = {1, 1, 3, 0, 4, 2};
   const Tensor target(6, 4, 0.1f);
   auto source_grads = [&](bool fused) {
-    set_fused_gru(fused);
     x_src.zero_grad();
     h_src.zero_grad();
     Tape tape;
-    const ValueId out = cell.step_gathered(
-        tape, tape.param(x_src), x_idx, tape.param(h_src), h_idx);
+    const ValueId out =
+        fused ? cell.step_gathered(tape, tape.param(x_src), x_idx,
+                                   tape.param(h_src), h_idx)
+              : gathered_reference(tape, cell, tape.param(x_src), x_idx,
+                                   tape.param(h_src), h_idx);
     tape.backward(tape.mse(out, target));
     return std::pair<Tensor, Tensor>(x_src.grad, h_src.grad);
   };

@@ -328,29 +328,6 @@ TEST(RouteNet, RejectsBadConfig) {
   EXPECT_THROW(RouteNet{cfg}, std::runtime_error);
 }
 
-TEST(RouteNet, FusedGruPredictionBitwiseMatchesComposed) {
-  // The fused gru_step must not change model outputs at all — bitwise, not
-  // just numerically — for both aggregation modes.
-  auto topology = std::make_shared<const topo::Topology>(topo::nsfnet());
-  const dataset::Sample s = make_sample(topology, 51);
-  for (const Aggregation agg : {Aggregation::kSum, Aggregation::kMean}) {
-    RouteNetConfig cfg = tiny_config();
-    cfg.aggregation = agg;
-    RouteNet model(cfg);
-    const bool saved = ag::fused_gru_enabled();
-    ag::set_fused_gru(true);
-    const RouteNet::Prediction fused = model.predict(s);
-    ag::set_fused_gru(false);
-    const RouteNet::Prediction composed = model.predict(s);
-    ag::set_fused_gru(saved);
-    ASSERT_EQ(fused.delay_s.size(), composed.delay_s.size());
-    for (std::size_t i = 0; i < fused.delay_s.size(); ++i) {
-      EXPECT_EQ(fused.delay_s[i], composed.delay_s[i]) << "path " << i;
-      EXPECT_EQ(fused.jitter_s[i], composed.jitter_s[i]) << "path " << i;
-    }
-  }
-}
-
 TEST(RouteNet, PredictMergedBitwiseEqualAcrossKernelBackends) {
   // The kernel-table contract at model level: a whole Geant2 forward —
   // matmuls, index ops and the GRU gate nonlinearities — must give the same
