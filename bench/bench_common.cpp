@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "dataset/shard.h"
+#include "dataset/stream.h"
 #include "obs/event.h"
 #include "obs/json.h"
 #include "obs/snapshot.h"
@@ -144,19 +146,37 @@ std::shared_ptr<const topo::Topology> geant2_topology() {
 
 namespace {
 
+// The `count` samples at global indices [first_index, first_index + count)
+// of the corpus (cfg, seed) on `topology`. Read back from the RNDS1 cache
+// at `path` when its header records exactly that request; otherwise
+// generated and written there, replacing any stale cache.
 std::vector<dataset::Sample> load_or_generate(
-    const std::string& path, dataset::DatasetGenerator& gen,
-    std::shared_ptr<const topo::Topology> topology, int count,
-    const char* label) {
-  if (std::filesystem::exists(path)) {
-    std::printf("  [cache] %-18s <- %s\n", label, path.c_str());
-    return dataset::load_dataset(path);
+    const std::string& path, const dataset::GeneratorConfig& cfg,
+    std::uint64_t seed, std::shared_ptr<const topo::Topology> topology,
+    std::uint64_t first_index, std::uint64_t count, const char* label) {
+  dataset::ShardHeader want;
+  want.seed = seed;
+  want.config_fingerprint = dataset::config_fingerprint(cfg, *topology);
+  want.first_index = first_index;
+  if (dataset::is_shard_file(path)) {
+    const dataset::ShardHeader have = dataset::ShardReader(path).header();
+    if (have.seed == want.seed &&
+        have.config_fingerprint == want.config_fingerprint &&
+        have.first_index == want.first_index && have.count == count) {
+      std::printf("  [cache] %-18s <- %s\n", label, path.c_str());
+      return dataset::load_any_dataset(path);
+    }
+    std::printf("  [stale] %-18s    %s\n", label, path.c_str());
   }
-  std::printf("  generating %-3d %s samples...\n", count, label);
+  std::printf("  generating %-3llu %s samples...\n",
+              static_cast<unsigned long long>(count), label);
   std::fflush(stdout);
   std::vector<dataset::Sample> samples =
-      gen.generate_many(std::move(topology), count);
-  dataset::save_dataset(path, samples);
+      dataset::DatasetGenerator(cfg, seed)
+          .generate_range(std::move(topology), first_index, count);
+  dataset::ShardWriter writer(path, want);
+  for (const dataset::Sample& s : samples) writer.add(s);
+  writer.finish();
   return samples;
 }
 
@@ -166,20 +186,26 @@ PaperSetup load_or_train_paper_setup(const ExperimentScale& scale) {
   const std::string dir = cache_dir();
   const std::string tag = "_" + scale.name;
   const std::string model_path = dir + "/routenet" + tag + ".model";
+  const dataset::GeneratorConfig gcfg = paper_generator_config(scale);
+  constexpr std::uint64_t kTrainSeed = 101;
+  constexpr std::uint64_t kEvalSeed = 202;
 
-  dataset::GeneratorConfig gcfg = paper_generator_config(scale);
-  dataset::DatasetGenerator train_gen(gcfg, 101);
-  dataset::DatasetGenerator eval_gen(gcfg, 202);
-
+  // Each seed's corpus is laid out topology after topology, so every cache
+  // file owns a fixed index range and a cache hit never shifts the next.
+  const auto eval_nsfnet = static_cast<std::uint64_t>(scale.eval_nsfnet);
+  const auto eval_syn50 = static_cast<std::uint64_t>(scale.eval_syn50);
   std::printf("== RouteNet paper setup (scale: %s) ==\n", scale.name.c_str());
   PaperSetup setup{
       core::RouteNet(paper_model_config()),
-      load_or_generate(dir + "/eval_nsfnet" + tag + ".ds", eval_gen,
-                       nsfnet_topology(), scale.eval_nsfnet, "eval-NSFNET"),
-      load_or_generate(dir + "/eval_syn50" + tag + ".ds", eval_gen,
-                       syn50_topology(), scale.eval_syn50, "eval-50node"),
-      load_or_generate(dir + "/eval_geant2" + tag + ".ds", eval_gen,
-                       geant2_topology(), scale.eval_geant2, "eval-Geant2"),
+      load_or_generate(dir + "/eval_nsfnet" + tag + ".rnds", gcfg, kEvalSeed,
+                       nsfnet_topology(), 0, eval_nsfnet, "eval-NSFNET"),
+      load_or_generate(dir + "/eval_syn50" + tag + ".rnds", gcfg, kEvalSeed,
+                       syn50_topology(), eval_nsfnet, eval_syn50,
+                       "eval-50node"),
+      load_or_generate(dir + "/eval_geant2" + tag + ".rnds", gcfg, kEvalSeed,
+                       geant2_topology(), eval_nsfnet + eval_syn50,
+                       static_cast<std::uint64_t>(scale.eval_geant2),
+                       "eval-Geant2"),
   };
 
   if (std::filesystem::exists(model_path)) {
@@ -193,13 +219,15 @@ PaperSetup load_or_train_paper_setup(const ExperimentScale& scale) {
     return setup;
   }
 
-  std::vector<dataset::Sample> train =
-      load_or_generate(dir + "/train_nsfnet" + tag + ".ds", train_gen,
-                       nsfnet_topology(), scale.train_nsfnet, "train-NSFNET");
+  const auto train_nsfnet = static_cast<std::uint64_t>(scale.train_nsfnet);
+  std::vector<dataset::Sample> train = load_or_generate(
+      dir + "/train_nsfnet" + tag + ".rnds", gcfg, kTrainSeed,
+      nsfnet_topology(), 0, train_nsfnet, "train-NSFNET");
   {
-    std::vector<dataset::Sample> syn =
-        load_or_generate(dir + "/train_syn50" + tag + ".ds", train_gen,
-                         syn50_topology(), scale.train_syn50, "train-50node");
+    std::vector<dataset::Sample> syn = load_or_generate(
+        dir + "/train_syn50" + tag + ".rnds", gcfg, kTrainSeed,
+        syn50_topology(), train_nsfnet,
+        static_cast<std::uint64_t>(scale.train_syn50), "train-50node");
     for (dataset::Sample& s : syn) train.push_back(std::move(s));
   }
 

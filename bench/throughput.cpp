@@ -1,6 +1,5 @@
 // Throughput bench: dataset-generation samples/s, matmul-kernel GFLOP/s,
-// and training step time at 1, 2, and N worker threads, plus the
-// single-threaded blocked-vs-naive kernel ratio. Writes
+// and training step time at 1, 2, and N worker threads. Writes
 // BENCH_throughput.json so the perf trajectory (and the determinism
 // contract) is tracked across PRs.
 //
@@ -55,57 +54,6 @@ double time_per_call(const Fn& fn, double min_wall_s = 0.15) {
     ++reps;
   } while (watch.elapsed_s() < min_wall_s);
   return watch.elapsed_s() / reps;
-}
-
-// The original pre-blocking kernels, kept verbatim as the single-threaded
-// regression baseline: the blocked kernels must stay within 10% of these.
-Tensor naive_matmul(const Tensor& a, const Tensor& b) {
-  Tensor c(a.rows(), b.cols());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  for (int i = 0; i < m; ++i) {
-    float* crow = c.row(i);
-    const float* arow = a.row(i);
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b.row(p);
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-  return c;
-}
-
-Tensor naive_matmul_tn(const Tensor& a, const Tensor& b) {
-  Tensor c(a.cols(), b.cols());
-  const int m = a.cols(), k = a.rows(), n = b.cols();
-  (void)m;
-  for (int p = 0; p < k; ++p) {
-    const float* arow = a.row(p);
-    const float* brow = b.row(p);
-    for (int i = 0; i < c.rows(); ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c.row(i);
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-  return c;
-}
-
-Tensor naive_matmul_nt(const Tensor& a, const Tensor& b) {
-  Tensor c(a.rows(), b.rows());
-  const int m = a.rows(), k = a.cols(), n = b.rows();
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = c.row(i);
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b.row(j);
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] += acc;
-    }
-  }
-  return c;
 }
 
 struct Series {
@@ -241,19 +189,6 @@ int main(int argc, char** argv) {
     if (std::getenv("RN_BENCH_ENFORCE") == nullptr) mm_violations = 0;
   }
 
-  // Single-thread regression: blocked vs the original unblocked kernels
-  // (ratio > 1 means the blocked kernel is faster).
-  rn::par::set_global_threads(1);
-  const double r_nn = time_per_call([&] { naive_matmul(a, b); }) /
-                      time_per_call([&] { rn::ag::matmul(a, b); });
-  const double r_tn = time_per_call([&] { naive_matmul_tn(at, b); }) /
-                      time_per_call([&] { rn::ag::matmul_tn(at, b); });
-  const double r_nt = time_per_call([&] { naive_matmul_nt(a, bt); }) /
-                      time_per_call([&] { rn::ag::matmul_nt(a, bt); });
-  std::printf("  mm   blocked/naive single-thread speedup: nn %.2fx / "
-              "tn %.2fx / nt %.2fx\n",
-              r_nn, r_tn, r_nt);
-
   // --- Phase 3: training step time -------------------------------------
   rn::par::set_global_threads(sweep.front());
   rn::dataset::DatasetGenerator train_gen(
@@ -288,9 +223,6 @@ int main(int argc, char** argv) {
   reg.gauge("bench.throughput.train_step_speedup").set(train_speedup);
   reg.gauge("bench.throughput.gen_deterministic")
       .set(gen_deterministic ? 1.0 : 0.0);
-  reg.gauge("bench.throughput.single_thread_ratio_nn").set(r_nn);
-  reg.gauge("bench.throughput.single_thread_ratio_tn").set(r_tn);
-  reg.gauge("bench.throughput.single_thread_ratio_nt").set(r_nt);
   reg.gauge("bench.throughput.two_thread_ratio_nn").set(scale_nn);
   reg.gauge("bench.throughput.two_thread_ratio_tn").set(scale_tn);
   reg.gauge("bench.throughput.two_thread_ratio_nt").set(scale_nt);
@@ -310,10 +242,6 @@ int main(int argc, char** argv) {
           << ",\"matmul_gflops\":" << mm.to_json("gflops")
           << ",\"matmul_tn_gflops\":" << mm_tn.to_json("gflops")
           << ",\"matmul_nt_gflops\":" << mm_nt.to_json("gflops")
-          << ",\"single_thread_blocked_over_naive\":{\"nn\":"
-          << rn::obs::json_number(r_nn)
-          << ",\"tn\":" << rn::obs::json_number(r_tn)
-          << ",\"nt\":" << rn::obs::json_number(r_nt) << "}"
           << ",\"two_thread_speedup\":{\"nn\":"
           << rn::obs::json_number(scale_nn)
           << ",\"tn\":" << rn::obs::json_number(scale_tn)

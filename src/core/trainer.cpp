@@ -22,14 +22,16 @@ namespace rn::core {
 
 namespace {
 
-// Set by the SIGINT/SIGTERM handler; polled once per batch so a signal
-// turns into "finish the batch, checkpoint, return" instead of a torn run.
+// Set by the SIGINT/SIGTERM handler; polled once per batch, and only when
+// fit() installed the handler, so a signal turns into "finish the batch,
+// checkpoint, return" instead of a torn run.
 std::atomic<bool> g_stop_requested{false};
 
 void stop_signal_handler(int) { g_stop_requested.store(true); }
 
 // Installs the stop handler for the duration of fit() and restores the
-// previous disposition on exit.
+// previous disposition on exit. The flag is cleared on both ends, so a
+// signal that stopped one fit() never stops the next one in the process.
 class SignalGuard {
  public:
   explicit SignalGuard(bool enable) : enabled_(enable) {
@@ -42,6 +44,7 @@ class SignalGuard {
     if (!enabled_) return;
     std::signal(SIGINT, prev_int_);
     std::signal(SIGTERM, prev_term_);
+    g_stop_requested.store(false);
   }
   SignalGuard(const SignalGuard&) = delete;
   SignalGuard& operator=(const SignalGuard&) = delete;
@@ -581,7 +584,7 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
               0) {
         save_state(epoch, end, loss_sum, batches, samples_seen);
       }
-      if (g_stop_requested.load()) {
+      if (cfg_.handle_signals && g_stop_requested.load()) {
         save_state(epoch, end, loss_sum, batches, samples_seen);
         interrupted = true;
         stop_all = true;

@@ -1,7 +1,7 @@
 // Shared bounds-checked binary codec for dataset Samples.
 //
-// One encoded record is the exact per-sample byte layout the legacy
-// RNDATA1 blob has always used (so old files keep loading bit-for-bit):
+// One encoded record is the per-sample byte layout every RNDS1 shard
+// record uses (shard.h):
 //
 //   u32 name_len + name bytes
 //   i32 num_nodes, i32 num_links
@@ -10,6 +10,11 @@
 //   num_pairs × f64 rate_bps
 //   num_pairs × { f64 delay_s, f64 jitter_s, u8 valid }
 //   f64 max_link_utilization
+//
+// RNDATA1 (read-only): the legacy whole-dataset container — the magic
+// "RNDATA1\n", a u32 sample count, then that many records back to back,
+// with no CRC and no index. Nothing writes it any more; existing files
+// still load through parse_dataset_bytes (via load_any_dataset, stream.h).
 //
 // The decoder reads through the shared util::Reader (util/bytes.h): every
 // read is bounds-checked and names its field, every declared count is
@@ -29,7 +34,7 @@
 
 namespace rn::dataset {
 
-// Legacy whole-dataset container magic (header of *.ds files).
+// Magic of the read-only RNDATA1 container (header of legacy *.ds files).
 inline constexpr char kDatasetMagic[] = "RNDATA1\n";
 inline constexpr std::size_t kDatasetMagicLen = 8;
 
@@ -46,8 +51,8 @@ void encode_sample(std::string& out, const Sample& s);
 // std::runtime_error on any structural problem.
 Sample decode_sample(util::Reader& in);
 
-// Parses a complete legacy RNDATA1 dataset image (magic + u32 count +
-// records). Exposed separately from load_dataset so fuzz tests can hammer
+// Parses a complete RNDATA1 dataset image (magic + u32 count + records).
+// load_any_dataset reads RNDATA1 files through it; fuzz tests hammer
 // in-memory images without touching the filesystem.
 std::vector<Sample> parse_dataset_bytes(std::string_view bytes,
                                         const std::string& context);

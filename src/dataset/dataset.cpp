@@ -6,7 +6,6 @@
 #include <mutex>
 #include <optional>
 
-#include "dataset/codec.h"
 #include "dataset/stream.h"
 #include "obs/event.h"
 #include "obs/metrics.h"
@@ -232,22 +231,6 @@ std::pair<std::vector<Sample>, std::vector<Sample>> split_dataset(
       std::make_move_iterator(samples.begin() + static_cast<std::ptrdiff_t>(cut)),
       std::make_move_iterator(samples.end()));
   return {std::move(first), std::move(second)};
-}
-
-void save_dataset(const std::string& path,
-                  const std::vector<Sample>& samples) {
-  RN_CHECK(samples.size() <= 0xffffffffull,
-           "legacy RNDATA1 container caps at u32 samples; use RNDS1 shards");
-  std::string out;
-  out.append(kDatasetMagic, kDatasetMagicLen);
-  put_pod(out, static_cast<std::uint32_t>(samples.size()));
-  for (const Sample& s : samples) encode_sample(out, s);
-  // Temp + rename: a crash mid-write never leaves a torn dataset behind.
-  util::atomic_write_file(path, out);
-}
-
-std::vector<Sample> load_dataset(const std::string& path) {
-  return parse_dataset_bytes(util::read_file(path, "dataset"), path);
 }
 
 }  // namespace rn::dataset

@@ -112,7 +112,9 @@ bool is_shard_file(const std::string& path) {
 }
 
 std::vector<Sample> load_any_dataset(const std::string& path) {
-  if (!is_shard_file(path)) return load_dataset(path);
+  if (!is_shard_file(path)) {
+    return parse_dataset_bytes(util::read_file(path, "dataset"), path);
+  }
   ShardReader reader(path);
   std::vector<Sample> out;
   out.reserve(static_cast<std::size_t>(reader.size()));

@@ -86,8 +86,9 @@ Normalizer fit_normalizer(SampleSource& source, bool log_space = true);
 // True when the file at `path` starts with the RNDS1 magic.
 bool is_shard_file(const std::string& path);
 
-// Loads either container fully into RAM: RNDS1 shards via a CRC-checked
-// sweep, anything else through the legacy RNDATA1 loader.
+// The one whole-file loader: reads either container fully into RAM —
+// RNDS1 shards via a CRC-checked sweep, anything else as read-only
+// RNDATA1 (codec.h's parse_dataset_bytes).
 std::vector<Sample> load_any_dataset(const std::string& path);
 
 }  // namespace rn::dataset

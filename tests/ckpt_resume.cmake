@@ -32,17 +32,17 @@ function(expect_identical a b what)
 endfunction()
 
 run_step("${RN_CLI}" make-topology --kind ring --nodes 6 --out net.topo)
-run_step("${RN_CLI}" gen-dataset --topology net.topo --count 6
-         --pkts-per-flow 30 --seed 5 --out mini.ds)
+run_step("${RN_CLI}" dataset gen --topology net.topo --count 6
+         --pkts-per-flow 30 --seed 5 --out mini.rnds)
 
 # 6 samples / batch 2 = 3 batches per epoch; 3 epochs = 9 batches total.
 # The crash run checkpoints at batches 2 and 4, then dies cold at batch 5
 # (--max-batches simulates a kill: no checkpoint, no model written).
 foreach(t 1 4)
-  run_step("${RN_CLI}" train --dataset mini.ds --epochs 3 --batch 2 --dim 8
+  run_step("${RN_CLI}" train --dataset mini.rnds --epochs 3 --batch 2 --dim 8
            --iterations 2 --threads ${t} --out ref${t}.model)
 
-  run_step("${RN_CLI}" train --dataset mini.ds --epochs 3 --batch 2 --dim 8
+  run_step("${RN_CLI}" train --dataset mini.rnds --epochs 3 --batch 2 --dim 8
            --iterations 2 --threads ${t} --out crash${t}.model
            --ckpt-state run${t}.ckpt --ckpt-every 2 --max-batches 5)
   if(EXISTS "${WORK_DIR}/crash${t}.model")
@@ -52,7 +52,7 @@ foreach(t 1 4)
     message(FATAL_ERROR "crash run left no run${t}.ckpt.000002 checkpoint")
   endif()
 
-  run_step("${RN_CLI}" train --dataset mini.ds --epochs 3 --batch 2 --dim 8
+  run_step("${RN_CLI}" train --dataset mini.rnds --epochs 3 --batch 2 --dim 8
            --iterations 2 --threads ${t} --out resumed${t}.model
            --ckpt-state run${t}.ckpt --resume run${t}.ckpt
            --metrics-out resume${t}.jsonl)
@@ -78,11 +78,11 @@ expect_identical(ref1.model ref4.model "thread invariance")
 # CRC fallback: corrupt the newest checkpoint of a fresh crash run and
 # resume — the loader must skip it, restart from the older file, and still
 # land on the reference bit pattern.
-run_step("${RN_CLI}" train --dataset mini.ds --epochs 3 --batch 2 --dim 8
+run_step("${RN_CLI}" train --dataset mini.rnds --epochs 3 --batch 2 --dim 8
          --iterations 2 --threads 1 --out crash_c.model
          --ckpt-state run_c.ckpt --ckpt-every 2 --max-batches 5)
 file(APPEND "${WORK_DIR}/run_c.ckpt.000002" "torn-write garbage")
-run_step("${RN_CLI}" train --dataset mini.ds --epochs 3 --batch 2 --dim 8
+run_step("${RN_CLI}" train --dataset mini.rnds --epochs 3 --batch 2 --dim 8
          --iterations 2 --threads 1 --out resumed_c.model
          --ckpt-state run_c.ckpt --resume run_c.ckpt
          --metrics-out resume_c.jsonl)

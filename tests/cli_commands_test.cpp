@@ -10,9 +10,12 @@
 
 #include "commands.h"
 #include "core/routenet.h"
-#include "dataset/dataset.h"
+#include "dataset/shard.h"
+#include "dataset/stream.h"
+#include "legacy_dataset.h"
 #include "topology/text_io.h"
 #include "traffic/text_io.h"
+#include "util/bytes.h"
 
 namespace rn::cli {
 namespace {
@@ -80,24 +83,24 @@ TEST_F(CliCommands, FullPipelineEndToEnd) {
             0);
   EXPECT_TRUE(std::filesystem::exists(path("sim.csv")));
 
-  ASSERT_EQ(cmd_gen_dataset(flags_of(
-                {"--topology", path("n.topo"), "--count", "8",
-                 "--pkts-per-flow", "40", "--seed", "5", "--out",
-                 path("train.ds")})),
+  ASSERT_EQ(cmd_dataset("gen", flags_of({"--topology", path("n.topo"),
+                                         "--count", "8", "--pkts-per-flow",
+                                         "40", "--seed", "5", "--out",
+                                         path("train.rnds")})),
             0);
   const std::vector<dataset::Sample> ds =
-      dataset::load_dataset(path("train.ds"));
+      dataset::load_any_dataset(path("train.rnds"));
   EXPECT_EQ(ds.size(), 8u);
 
   ASSERT_EQ(cmd_train(flags_of(
-                {"--dataset", path("train.ds"), "--epochs", "3", "--dim",
+                {"--dataset", path("train.rnds"), "--epochs", "3", "--dim",
                  "8", "--iterations", "2", "--out", path("m.model")})),
             0);
   const core::RouteNet model = core::RouteNet::load(path("m.model"));
   EXPECT_EQ(model.config().link_state_dim, 8);
 
   EXPECT_EQ(cmd_eval(flags_of(
-                {"--model", path("m.model"), "--dataset", path("train.ds")})),
+                {"--model", path("m.model"), "--dataset", path("train.rnds")})),
             0);
   EXPECT_EQ(cmd_predict(flags_of(
                 {"--model", path("m.model"), "--topology", path("n.topo"),
@@ -113,16 +116,49 @@ TEST_F(CliCommands, FullPipelineEndToEnd) {
             0);
 
   EXPECT_EQ(cmd_info(flags_of({"--model", path("m.model")})), 0);
-  EXPECT_EQ(cmd_info(flags_of({"--dataset", path("train.ds")})), 0);
+  EXPECT_EQ(cmd_info(flags_of({"--dataset", path("train.rnds")})), 0);
   EXPECT_EQ(cmd_info(flags_of({"--topology", path("n.topo")})), 0);
 }
 
-TEST_F(CliCommands, GenDatasetBurstyFlag) {
-  ASSERT_EQ(cmd_gen_dataset(flags_of(
-                {"--topology", "gbn", "--count", "2", "--pkts-per-flow",
-                 "30", "--bursty", "--out", path("b.ds")})),
+TEST_F(CliCommands, DatasetGenBurstyFlag) {
+  ASSERT_EQ(cmd_dataset("gen", flags_of({"--topology", "gbn", "--count", "2",
+                                         "--pkts-per-flow", "30", "--bursty",
+                                         "--out", path("b.rnds")})),
             0);
-  EXPECT_EQ(dataset::load_dataset(path("b.ds")).size(), 2u);
+  EXPECT_EQ(dataset::load_any_dataset(path("b.rnds")).size(), 2u);
+}
+
+TEST_F(CliCommands, LegacyRndata1TrainsToTheShardModel) {
+  // RNDATA1 stays a supported input: the same records in the legacy
+  // container must train (in RAM) to the same model bytes as the streamed
+  // shard, and eval/info must read the file.
+  ASSERT_EQ(cmd_make_topology(flags_of(
+                {"--kind", "ring", "--nodes", "6", "--out", path("n.topo")})),
+            0);
+  ASSERT_EQ(cmd_dataset("gen", flags_of({"--topology", path("n.topo"),
+                                         "--count", "8", "--seed", "5",
+                                         "--pkts-per-flow", "30", "--out",
+                                         path("train.rnds")})),
+            0);
+  util::atomic_write_file(
+      path("legacy.ds"),
+      dataset::rndata1_image(dataset::ShardReader(path("train.rnds"))));
+
+  for (const char* corpus : {"train.rnds", "legacy.ds"}) {
+    ASSERT_EQ(cmd_train(flags_of({"--dataset", path(corpus), "--epochs", "1",
+                                  "--batch", "4", "--dim", "8",
+                                  "--iterations", "2", "--threads", "1",
+                                  "--out", path(std::string(corpus) +
+                                                ".model")})),
+              0)
+        << corpus;
+  }
+  EXPECT_EQ(util::read_file(path("train.rnds.model"), "model"),
+            util::read_file(path("legacy.ds.model"), "model"));
+  EXPECT_EQ(cmd_eval(flags_of({"--model", path("legacy.ds.model"),
+                               "--dataset", path("legacy.ds")})),
+            0);
+  EXPECT_EQ(cmd_info(flags_of({"--dataset", path("legacy.ds")})), 0);
 }
 
 TEST_F(CliCommands, NamedTopologiesResolve) {

@@ -19,6 +19,7 @@
 #include "ag/serialize.h"
 #include "dataset/shard.h"
 #include "dataset/stream.h"
+#include "legacy_dataset.h"
 #include "topology/generators.h"
 
 namespace rn::dataset {
@@ -40,12 +41,7 @@ std::shared_ptr<const topo::Topology> shared_ring() {
 const std::string& legacy_image() {
   static const std::string bytes = [] {
     DatasetGenerator gen(fast_config(), 51);
-    const std::vector<Sample> samples =
-        gen.generate_many(shared_ring(), 2);
-    std::string out(kDatasetMagic, kDatasetMagicLen);
-    put_pod(out, static_cast<std::uint32_t>(samples.size()));
-    for (const Sample& s : samples) encode_sample(out, s);
-    return out;
+    return rndata1_image(gen.generate_many(shared_ring(), 2));
   }();
   return bytes;
 }

@@ -8,11 +8,14 @@
 //   - StreamingDataset decodes exactly the generate_many samples,
 //   - Trainer::fit over a streamed shard is bitwise identical to the
 //     in-RAM vector path, with resident bytes bounded by the
-//     dataset.stream.* gauges.
+//     dataset.stream.* gauges,
+//   - ShardWriter's temp-file + rename write is atomic, and
+//     load_any_dataset reads both RNDS1 and read-only RNDATA1.
 #include "dataset/shard.h"
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -22,9 +25,11 @@
 
 #include "core/trainer.h"
 #include "dataset/stream.h"
+#include "legacy_dataset.h"
 #include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "topology/generators.h"
+#include "util/bytes.h"
 
 namespace rn::dataset {
 namespace {
@@ -278,6 +283,37 @@ TEST(StreamingTrainer, ResidentCapRejectsOversizedBatch) {
   EXPECT_THROW(stream.materialize(&idx, 1, out), std::runtime_error);
 }
 
+TEST(ShardWriter, WriteIsAtomic) {
+  // Records stream to `<path>.tmp` and finish() renames it over the
+  // target: no temp file survives finish(), an existing shard is replaced
+  // whole, and a writer destroyed before finish() removes its temp file
+  // and leaves the target byte-identical.
+  DatasetGenerator gen(fast_config(), 46);
+  const std::vector<Sample> samples = gen.generate_many(shared_ring(), 2);
+  const std::string path = ::testing::TempDir() + "atomic.rnds";
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove(path);
+  const auto write = [&](std::size_t n) {
+    ShardWriter writer(path, ShardHeader{});
+    for (std::size_t i = 0; i < n; ++i) writer.add(samples[i]);
+    writer.finish();
+  };
+  write(1);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  write(2);  // overwrite
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_EQ(ShardReader(path).size(), 2u);
+
+  const std::string before = read_file(path);
+  {
+    ShardWriter abandoned(path, ShardHeader{});
+    abandoned.add(samples[0]);
+    EXPECT_TRUE(std::filesystem::exists(tmp));
+  }
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_EQ(read_file(path), before);
+}
+
 TEST(LoadAnyDataset, ReadsBothContainers) {
   const GeneratorConfig cfg = fast_config();
   const auto topology = shared_ring();
@@ -285,7 +321,7 @@ TEST(LoadAnyDataset, ReadsBothContainers) {
   const std::vector<Sample> samples = gen.generate_many(topology, 2);
   const std::string legacy = ::testing::TempDir() + "any_legacy.ds";
   const std::string shard = ::testing::TempDir() + "any_shard.rnds";
-  save_dataset(legacy, samples);
+  util::atomic_write_file(legacy, rndata1_image(samples));
   generate_shard(shard, cfg, 45, topology, 2, 0, 1);
   EXPECT_FALSE(is_shard_file(legacy));
   EXPECT_TRUE(is_shard_file(shard));

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "dataset/shard.h"
+#include "dataset/stream.h"
+#include "legacy_dataset.h"
 #include "topology/generators.h"
+#include "util/bytes.h"
 
 namespace rn::dataset {
 namespace {
@@ -87,16 +91,21 @@ TEST(DatasetGenerator, GenerateRangeMatchesGenerateMany) {
 }
 
 TEST(Serialization, SaveIsAtomic) {
-  // save_dataset goes through temp + rename: no *.tmp litter afterwards,
-  // and an existing file is replaced wholesale, never torn.
+  // Saving a dataset goes through temp + rename: no *.tmp litter
+  // afterwards, and an existing file is replaced wholesale, never torn.
   DatasetGenerator gen(fast_config(), 22);
   const std::vector<Sample> samples = gen.generate_many(shared_nsfnet(), 1);
-  const std::string path = ::testing::TempDir() + "atomic_ds.bin";
-  save_dataset(path, samples);
-  save_dataset(path, samples);  // overwrite must also succeed
+  const std::string path = ::testing::TempDir() + "atomic_ds.rnds";
+  const auto save = [&] {
+    ShardWriter writer(path, ShardHeader{});
+    for (const Sample& s : samples) writer.add(s);
+    writer.finish();
+  };
+  save();
+  save();  // overwrite must also succeed
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());
-  EXPECT_EQ(load_dataset(path).size(), 1u);
+  EXPECT_EQ(load_any_dataset(path).size(), 1u);
 }
 
 TEST(DatasetGenerator, UtilizationStaysInConfiguredRange) {
@@ -224,8 +233,8 @@ TEST(Serialization, RoundTripPreservesSamples) {
   DatasetGenerator gen(fast_config(), 10);
   const std::vector<Sample> samples = gen.generate_many(shared_nsfnet(), 2);
   const std::string path = ::testing::TempDir() + "ds.bin";
-  save_dataset(path, samples);
-  const std::vector<Sample> loaded = load_dataset(path);
+  util::atomic_write_file(path, rndata1_image(samples));
+  const std::vector<Sample> loaded = load_any_dataset(path);
   ASSERT_EQ(loaded.size(), samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(loaded[i].delay_s, samples[i].delay_s);
@@ -243,7 +252,7 @@ TEST(Serialization, RoundTripPreservesSamples) {
 }
 
 TEST(Serialization, MissingFileThrows) {
-  EXPECT_THROW(load_dataset("/nonexistent/ds.bin"), std::runtime_error);
+  EXPECT_THROW(load_any_dataset("/nonexistent/ds.bin"), std::runtime_error);
 }
 
 TEST(GeneratorConfig, RejectsBadUtilizationRange) {

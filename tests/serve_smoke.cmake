@@ -29,9 +29,9 @@ run_step("${RN_CLI}" make-routing --topology net.topo --k 2 --seed 3
          --out net.routes)
 run_step("${RN_CLI}" make-traffic --topology net.topo --routing net.routes
          --kind gravity --util 0.6 --out net.traffic)
-run_step("${RN_CLI}" gen-dataset --topology net.topo --count 4
-         --pkts-per-flow 30 --seed 5 --out mini.ds)
-run_step("${RN_CLI}" train --dataset mini.ds --epochs 2 --batch 2 --dim 8
+run_step("${RN_CLI}" dataset gen --topology net.topo --count 4
+         --pkts-per-flow 30 --seed 5 --out mini.rnds)
+run_step("${RN_CLI}" train --dataset mini.rnds --epochs 2 --batch 2 --dim 8
          --iterations 2 --out mini.model)
 
 # Normal load: everything is served, the run event and serve.* counters land

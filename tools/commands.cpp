@@ -91,6 +91,29 @@ Scenario load_scenario(const Flags& flags) {
   return {std::move(topology), std::move(scheme), std::move(tm)};
 }
 
+// The corpus behind --dataset. An RNDS1 shard streams from disk through
+// the mmap-backed source, so it never has to fit in RAM; a read-only
+// RNDATA1 blob has no record index and loads whole. Not movable: the
+// vector-backed source refers to `in_ram`.
+struct Corpus {
+  explicit Corpus(const std::string& path) {
+    if (dataset::is_shard_file(path)) {
+      auto streamed = std::make_unique<dataset::StreamingDataset>(path);
+      shard = streamed.get();
+      source = std::move(streamed);
+    } else {
+      in_ram = dataset::load_any_dataset(path);
+      source = std::make_unique<dataset::VectorSampleSource>(in_ram);
+    }
+  }
+  Corpus(const Corpus&) = delete;
+  Corpus& operator=(const Corpus&) = delete;
+
+  std::vector<dataset::Sample> in_ram;  // RNDATA1 only
+  std::unique_ptr<dataset::SampleSource> source;
+  const dataset::StreamingDataset* shard = nullptr;  // RNDS1 only
+};
+
 }  // namespace
 
 int cmd_make_topology(const Flags& flags) {
@@ -210,39 +233,6 @@ int cmd_simulate(const Flags& flags) {
   return 0;
 }
 
-int cmd_gen_dataset(const Flags& flags) {
-  auto topology = resolve_topology(flags.require_string("topology"),
-                                   flags.get_seed("seed", 1));
-  dataset::GeneratorConfig cfg;
-  cfg.k_paths = flags.get_int("k", 3);
-  cfg.min_util = flags.get_double("min-util", 0.3);
-  cfg.max_util = flags.get_double("max-util", 0.8);
-  cfg.target_pkts_per_flow = flags.get_double("pkts-per-flow", 100.0);
-  cfg.model = traffic_model_from(flags);
-  const std::int64_t count = flags.get_int64("count", 50);
-  RN_CHECK(count >= 0, "negative sample count");
-  const std::uint64_t seed = flags.get_seed("seed", 1);
-  const std::string out = flags.require_string("out");
-  flags.reject_unused();
-
-  dataset::DatasetGenerator gen(cfg, seed);
-  const std::vector<dataset::Sample> samples = gen.generate_many(
-      topology, static_cast<std::uint64_t>(count),
-      [](std::uint64_t i, std::uint64_t n) {
-        if (i % 10 == 0 || i == n) {
-          std::printf("  %llu/%llu\n",
-                      static_cast<unsigned long long>(i),
-                      static_cast<unsigned long long>(n));
-          std::fflush(stdout);
-        }
-      });
-  dataset::save_dataset(out, samples);
-  std::printf("%lld samples on %s -> %s\n",
-              static_cast<long long>(count), topology->name().c_str(),
-              out.c_str());
-  return 0;
-}
-
 namespace {
 
 // "--shard I/N": 0-based shard index out of N processes.
@@ -284,10 +274,9 @@ std::vector<std::string> split_comma_paths(const std::string& csv) {
 
 int cmd_dataset(const std::string& sub, const Flags& flags) {
   if (sub == "gen") {
-    // Flags mirror gen-dataset exactly, so `dataset gen` with the same
-    // seed/config produces the same samples the legacy command does —
-    // just in the RNDS1 container, and only the index range this shard
-    // owns. --count is the TOTAL corpus size across all shards.
+    // The one dataset generator. --count is the TOTAL corpus size across
+    // all shards; this run writes only the index range its shard owns, and
+    // the default --shard 0/1 is the whole corpus in one file.
     auto topology = resolve_topology(flags.require_string("topology"),
                                      flags.get_seed("seed", 1));
     dataset::GeneratorConfig cfg;
@@ -371,19 +360,7 @@ int cmd_dataset(const std::string& sub, const Flags& flags) {
 }
 
 int cmd_train(const Flags& flags) {
-  const std::string train_path = flags.require_string("dataset");
-  // RNDS1 shards stream from disk through the mmap-backed source — the
-  // corpus never has to fit in RAM; legacy RNDATA1 blobs (no record
-  // index) load fully, exactly as before.
-  const bool streamed = dataset::is_shard_file(train_path);
-  std::vector<dataset::Sample> train_vec;
-  std::unique_ptr<dataset::SampleSource> source;
-  if (streamed) {
-    source = std::make_unique<dataset::StreamingDataset>(train_path);
-  } else {
-    train_vec = dataset::load_dataset(train_path);
-    source = std::make_unique<dataset::VectorSampleSource>(train_vec);
-  }
+  Corpus train(flags.require_string("dataset"));
   std::vector<dataset::Sample> eval_set;
   if (flags.has("eval")) {
     eval_set = dataset::load_any_dataset(flags.require_string("eval"));
@@ -414,11 +391,12 @@ int cmd_train(const Flags& flags) {
 
   core::RouteNet model(mcfg);
   std::printf("training on %llu samples%s (%zu parameters)...\n",
-              static_cast<unsigned long long>(source->size()),
-              streamed ? " [streamed]" : "", model.num_parameters());
+              static_cast<unsigned long long>(train.source->size()),
+              train.shard != nullptr ? " [streamed]" : "",
+              model.num_parameters());
   core::Trainer trainer(model, tcfg);
   const core::TrainReport report =
-      trainer.fit(*source, eval_set.empty() ? nullptr : &eval_set);
+      trainer.fit(*train.source, eval_set.empty() ? nullptr : &eval_set);
   if (report.interrupted) {
     if (tcfg.state_path.empty()) {
       std::printf("training interrupted; no --ckpt-state was set, so no "
@@ -984,55 +962,42 @@ int cmd_info(const Flags& flags) {
   if (flags.has("dataset")) {
     const std::string path = flags.require_string("dataset");
     flags.reject_unused();
-    if (dataset::is_shard_file(path)) {
-      // Stream the stats: one decoded sample resident at a time, so info
-      // works on corpora that don't fit in RAM.
-      dataset::ShardReader reader(path);
-      const dataset::ShardHeader& h = reader.header();
-      RN_CHECK(reader.size() > 0, "dataset is empty");
-      Welford delays;
-      std::string topo_name;
-      int topo_nodes = 0;
-      for (std::uint64_t i = 0; i < reader.size(); ++i) {
-        const dataset::Sample s = reader.sample(i);
-        if (i == 0) {
-          topo_name = s.topology->name();
-          topo_nodes = s.topology->num_nodes();
-        }
-        for (int idx = 0; idx < s.num_pairs(); ++idx) {
-          if (s.valid[static_cast<std::size_t>(idx)]) {
-            delays.add(s.delay_s[static_cast<std::size_t>(idx)]);
-          }
-        }
-      }
-      std::printf(
-          "RNDS1 shard %u/%u: %llu samples (global [%llu, %llu)) on %s "
-          "(%d nodes), seed %llu, %llu bytes\n",
-          h.shard_index, h.shard_count,
-          static_cast<unsigned long long>(h.count),
-          static_cast<unsigned long long>(h.first_index),
-          static_cast<unsigned long long>(h.first_index + h.count),
-          topo_name.c_str(), topo_nodes,
-          static_cast<unsigned long long>(h.seed),
-          static_cast<unsigned long long>(reader.file_bytes()));
-      std::printf("%zu valid paths, mean delay %.3f ms\n", delays.count(),
-                  delays.mean() * 1e3);
-      return 0;
-    }
-    const std::vector<dataset::Sample> samples = dataset::load_dataset(path);
-    RN_CHECK(!samples.empty(), "dataset is empty");
+    Corpus corpus(path);
+    dataset::SampleSource& source = *corpus.source;
+    RN_CHECK(source.size() > 0, "dataset is empty");
+    // One sample at a time: a shard's stats stream, so info works on
+    // corpora that don't fit in RAM.
     Welford delays;
-    for (const dataset::Sample& s : samples) {
+    std::vector<const dataset::Sample*> one;
+    std::string topo_name;
+    int topo_nodes = 0;
+    for (std::uint64_t i = 0; i < source.size(); ++i) {
+      source.materialize(&i, 1, one);
+      const dataset::Sample& s = *one.front();
+      if (i == 0) {
+        topo_name = s.topology->name();
+        topo_nodes = s.topology->num_nodes();
+      }
       for (int idx = 0; idx < s.num_pairs(); ++idx) {
         if (s.valid[static_cast<std::size_t>(idx)]) {
           delays.add(s.delay_s[static_cast<std::size_t>(idx)]);
         }
       }
     }
-    std::printf("dataset: %zu samples on %s (%d nodes); %zu valid paths, "
+    if (corpus.shard != nullptr) {
+      const dataset::ShardHeader& h = corpus.shard->header();
+      std::printf("RNDS1 shard %u/%u: global [%llu, %llu), seed %llu, "
+                  "%llu bytes\n",
+                  h.shard_index, h.shard_count,
+                  static_cast<unsigned long long>(h.first_index),
+                  static_cast<unsigned long long>(h.first_index + h.count),
+                  static_cast<unsigned long long>(h.seed),
+                  static_cast<unsigned long long>(corpus.shard->file_bytes()));
+    }
+    std::printf("dataset: %llu samples on %s (%d nodes); %zu valid paths, "
                 "mean delay %.3f ms\n",
-                samples.size(), samples.front().topology->name().c_str(),
-                samples.front().topology->num_nodes(), delays.count(),
+                static_cast<unsigned long long>(source.size()),
+                topo_name.c_str(), topo_nodes, delays.count(),
                 delays.mean() * 1e3);
     return 0;
   }

@@ -25,17 +25,13 @@ int cmd_make_traffic(const Flags& flags);
 // [--bursty] [--out CSV]
 int cmd_simulate(const Flags& flags);
 
-// Generates a labeled dataset: --topology FILE|nsfnet|geant2|gbn
-// --count N [--seed S] [--k K] [--min-util U] [--max-util U]
-// [--pkts-per-flow N] [--bursty] --out FILE
-int cmd_gen_dataset(const Flags& flags);
-
-// Sharded RNDS1 corpus pipeline (subcommand is argv[2]):
-//   dataset gen    --topology SPEC --count TOTAL [--shard I/N] [--seed S]
-//                  [--k K] [--min-util U] [--max-util U] [--pkts-per-flow P]
-//                  [--bursty] --out FILE
-//                  Generates exactly the global index range shard I of N
-//                  owns; N merged shards are bitwise identical to one
+// Labeled RNDS1 corpus pipeline (subcommand is argv[2]):
+//   dataset gen    --topology FILE|nsfnet|geant2|gbn|ba50 --count TOTAL
+//                  [--shard I/N] [--seed S] [--k K] [--min-util U]
+//                  [--max-util U] [--pkts-per-flow P] [--bursty] --out FILE
+//                  The one dataset generator. Writes exactly the global
+//                  index range shard I of N owns (default 0/1: the whole
+//                  corpus); N merged shards are bitwise identical to one
 //                  unsharded run.
 //   dataset verify --inputs a.rnds,b.rnds,...
 //                  Header-coherence + full per-record CRC check.
@@ -44,7 +40,8 @@ int cmd_dataset(const std::string& sub, const Flags& flags);
 
 // Trains RouteNet: --dataset FILE [--eval FILE] [--epochs N] [--batch N]
 // [--lr F] [--dim N] [--iterations N] [--seed S] --out MODEL.
-// An RNDS1 --dataset streams from disk (mmap) instead of loading into RAM.
+// An RNDS1 --dataset streams from disk (mmap); a read-only RNDATA1 file
+// loads into RAM.
 int cmd_train(const Flags& flags);
 
 // Evaluates a model on a dataset: --model FILE --dataset FILE
