@@ -5,14 +5,17 @@
 //      may be >10% slower than its naive counterpart (median of 5; WARNING
 //      always, exit 1 under RN_BENCH_ENFORCE).
 //   2. A backend report: every compiled-in kernel backend
-//      (scalar / avx2) timed on the three matmul shapes at paper sizes
-//      (state dims 16–64, Geant2-scale row counts), the gather / scatter /
-//      segment_sum / scale_rows family, the sigmoid / tanh gate kernels,
-//      and the fused GRU step against its composed reference — written to
-//      BENCH_kernels.json in the bench cache. Under RN_BENCH_ENFORCE the
-//      report is also a gate: the avx2 backend must be ≥1.5x scalar on the
-//      nn matmul at paper shapes and must produce bitwise-identical
-//      results, and the fused GRU step must match the composed one
+//      (scalar / avx2) timed on the matmul shapes at paper sizes (state
+//      dims 16–64, Geant2-scale row counts) — including backward's two:
+//      the weight gradient (rows×dim)ᵀ·(rows×dim) and dx = (rows×dim)·
+//      (dim×dim)ᵀ — the gather / scatter / segment_sum / scale_rows
+//      family, the sigmoid / tanh gate kernels, and the fused GRU step
+//      against its composed reference — written to BENCH_kernels.json in
+//      the bench cache. Under RN_BENCH_ENFORCE the report is also a gate:
+//      avx2 over scalar must reach ≥1.5x on the nn matmul at every dim,
+//      ≥1.5x on the weight-gradient tn at dims 32 and 64, and ≥2.5x on
+//      the dx nt at every dim; every avx2 result must be bitwise identical
+//      to scalar, and the fused GRU step must match the composed one
 //      bitwise.
 //   3. The google-benchmark tables (skipped at RN_BENCH_SCALE=smoke, where
 //      only the guard + report run so CI stays seconds-scale).
@@ -261,15 +264,39 @@ constexpr kern::Backend kBackends[kNumBackends] = {kern::Backend::kScalar,
 
 // Per-(backend, shape) matmul GFLOP/s at one thread, plus the index-op
 // family and the fused GRU step. All timings single-threaded so the numbers
-// isolate the kernel, not the chunking.
+// isolate the kernel, not the chunking. `tn` is (k×m)ᵀ·(k×n) with the
+// rows on m; `tn_wgrad` is backward's weight gradient, with the rows on
+// the summed k; `nt` is backward's dx.
 struct ShapeReport {
   int m, k, n;
   // [backend] -> gflops, in kBackends order; -1 = unavailable.
   double nn[kNumBackends] = {-1, -1};
   double tn[kNumBackends] = {-1, -1};
+  double tn_wgrad[kNumBackends] = {-1, -1};
   double nt[kNumBackends] = {-1, -1};
-  double nn_speedup = -1;  // paired avx2/scalar median, -1 = no avx2
+  // Paired avx2/scalar medians, -1 = no avx2.
+  double nn_speedup = -1;
+  double tn_wgrad_speedup = -1;
+  double nt_speedup = -1;
 };
+
+// avx2/scalar speedup of fn as the median of interleaved scalar/avx2
+// pairs — pairing cancels the clock drift and scheduler noise that two
+// separately-timed sweeps pick up (this also runs under a parallel ctest).
+// Leaves the avx2 backend active.
+template <typename Fn>
+double paired_speedup(const Fn& fn) {
+  std::vector<double> ratios;
+  for (int rep = 0; rep < 5; ++rep) {
+    kern::set_kernel_backend(kern::Backend::kScalar);
+    const double ts = median_time_s(fn, 3);
+    kern::set_kernel_backend(kern::Backend::kAvx2);
+    const double tv = median_time_s(fn, 3);
+    ratios.push_back(tv > 0.0 ? ts / tv : 0.0);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
+}
 
 bool tensors_bitwise_equal(const Tensor& a, const Tensor& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
@@ -313,62 +340,67 @@ int run_backend_report() {
     const Tensor b = random_tensor(shape.k, shape.n, 12);
     const Tensor at = random_tensor(shape.k, shape.m, 13);
     const Tensor bt = random_tensor(shape.n, shape.k, 14);
+    const Tensor g = random_tensor(shape.m, shape.n, 15);
+    auto nn = [&] { return rn::ag::matmul(a, b); };
+    auto tn = [&] { return rn::ag::matmul_tn(at, b); };
+    auto tn_wgrad = [&] { return rn::ag::matmul_tn(a, g); };
+    auto nt = [&] { return rn::ag::matmul_nt(a, bt); };
     const double gflop =
         2.0 * shape.m * shape.k * shape.n / 1e9;
-    Tensor ref_nn, ref_tn, ref_nt;
+    Tensor ref_nn, ref_tn, ref_tn_wgrad, ref_nt;
     for (int bi = 0; bi < kNumBackends; ++bi) {
       if (!kern::backend_available(kBackends[bi])) continue;
       kern::set_kernel_backend(kBackends[bi]);
-      shape.nn[bi] =
-          gflop / median_time_s([&] { return rn::ag::matmul(a, b); });
-      shape.tn[bi] =
-          gflop / median_time_s([&] { return rn::ag::matmul_tn(at, b); });
-      shape.nt[bi] =
-          gflop / median_time_s([&] { return rn::ag::matmul_nt(a, bt); });
-      std::printf("  %4dx%2dx%2d %-8s nn %6.2f / tn %6.2f / nt %6.2f "
-                  "GFLOP/s\n",
+      shape.nn[bi] = gflop / median_time_s(nn);
+      shape.tn[bi] = gflop / median_time_s(tn);
+      shape.tn_wgrad[bi] = gflop / median_time_s(tn_wgrad);
+      shape.nt[bi] = gflop / median_time_s(nt);
+      std::printf("  %4dx%2dx%2d %-8s nn %6.2f / tn %6.2f / tn_wgrad %6.2f "
+                  "/ nt %6.2f GFLOP/s\n",
                   shape.m, shape.k, shape.n,
                   kern::backend_name(kBackends[bi]), shape.nn[bi],
-                  shape.tn[bi], shape.nt[bi]);
+                  shape.tn[bi], shape.tn_wgrad[bi], shape.nt[bi]);
       // Bitwise contract: scalar and avx2 must agree exactly.
       if (kBackends[bi] == kern::Backend::kScalar) {
-        ref_nn = rn::ag::matmul(a, b);
-        ref_tn = rn::ag::matmul_tn(at, b);
-        ref_nt = rn::ag::matmul_nt(a, bt);
-      } else {
-        if (!tensors_bitwise_equal(ref_nn, rn::ag::matmul(a, b)) ||
-            !tensors_bitwise_equal(ref_tn, rn::ag::matmul_tn(at, b)) ||
-            !tensors_bitwise_equal(ref_nt, rn::ag::matmul_nt(a, bt))) {
-          std::printf("WARNING: avx2 backend diverges bitwise from scalar "
-                      "at %dx%dx%d\n",
-                      shape.m, shape.k, shape.n);
-          ++violations;
-          bitwise = false;
-        }
+        ref_nn = nn();
+        ref_tn = tn();
+        ref_tn_wgrad = tn_wgrad();
+        ref_nt = nt();
+      } else if (!tensors_bitwise_equal(ref_nn, nn()) ||
+                 !tensors_bitwise_equal(ref_tn, tn()) ||
+                 !tensors_bitwise_equal(ref_tn_wgrad, tn_wgrad()) ||
+                 !tensors_bitwise_equal(ref_nt, nt())) {
+        std::printf("WARNING: avx2 backend diverges bitwise from scalar "
+                    "at %dx%dx%d\n",
+                    shape.m, shape.k, shape.n);
+        ++violations;
+        bitwise = false;
       }
     }
-    // The acceptance gate: avx2 ≥ 1.5x scalar on the nn matmul. Measured
-    // as the median of interleaved scalar/avx2 pairs — pairing cancels the
-    // clock drift and scheduler noise that two separately-timed sweeps
-    // pick up (this also runs under a parallel ctest).
+    // The acceptance gates: avx2 over scalar on the forward nn and on
+    // backward's two matmuls, from interleaved pairs. Weight-gradient tn
+    // at dim 16 is only reported: with two 8-column tiles per row, the
+    // per-p scalar loads and zero tests dominate (it measures 1.1–1.4x).
     if (shape.nn[1] > 0.0) {
-      std::vector<double> ratios;
-      for (int rep = 0; rep < 5; ++rep) {
-        kern::set_kernel_backend(kern::Backend::kScalar);
-        const double ts =
-            median_time_s([&] { return rn::ag::matmul(a, b); }, 3);
-        kern::set_kernel_backend(kern::Backend::kAvx2);
-        const double tv =
-            median_time_s([&] { return rn::ag::matmul(a, b); }, 3);
-        ratios.push_back(tv > 0.0 ? ts / tv : 0.0);
+      shape.nn_speedup = paired_speedup(nn);
+      shape.tn_wgrad_speedup = paired_speedup(tn_wgrad);
+      shape.nt_speedup = paired_speedup(nt);
+      const struct {
+        const char* name;
+        double speedup;
+        double min;  // 0 = reported, not gated
+      } gates[] = {
+          {"nn", shape.nn_speedup, 1.5},
+          {"tn_wgrad", shape.tn_wgrad_speedup, shape.k >= 32 ? 1.5 : 0.0},
+          {"nt", shape.nt_speedup, 2.5},
+      };
+      for (const auto& gate : gates) {
+        const bool below = gate.speedup < gate.min;
+        std::printf("  %4dx%2dx%2d avx2/scalar %s speedup: %.2fx%s\n",
+                    shape.m, shape.k, shape.n, gate.name, gate.speedup,
+                    below ? "  <-- BELOW GATE" : "");
+        if (below) ++violations;
       }
-      std::sort(ratios.begin(), ratios.end());
-      const double speedup = ratios[ratios.size() / 2];
-      shape.nn_speedup = speedup;
-      std::printf("  %4dx%2dx%2d avx2/scalar nn speedup: %.2fx%s\n", shape.m,
-                  shape.k, shape.n, speedup,
-                  speedup < 1.5 ? "  <-- BELOW 1.5x" : "");
-      if (speedup < 1.5) ++violations;
     }
   }
 
@@ -507,12 +539,17 @@ int run_backend_report() {
           out << ",\"" << name << "_nn_gflops\":"
               << rn::obs::json_number(shape.nn[bi]) << ",\"" << name
               << "_tn_gflops\":" << rn::obs::json_number(shape.tn[bi])
-              << ",\"" << name
+              << ",\"" << name << "_tn_wgrad_gflops\":"
+              << rn::obs::json_number(shape.tn_wgrad[bi]) << ",\"" << name
               << "_nt_gflops\":" << rn::obs::json_number(shape.nt[bi]);
         }
         if (shape.nn_speedup > 0.0) {
           out << ",\"avx2_nn_speedup\":"
-              << rn::obs::json_number(shape.nn_speedup);
+              << rn::obs::json_number(shape.nn_speedup)
+              << ",\"avx2_tn_wgrad_speedup\":"
+              << rn::obs::json_number(shape.tn_wgrad_speedup)
+              << ",\"avx2_nt_speedup\":"
+              << rn::obs::json_number(shape.nt_speedup);
         }
         out << "}";
       }

@@ -32,7 +32,9 @@ enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 // C-row tile: one parallel chunk's working set of output rows — also the
 // grain multiple of the row-range chunking in tensor.cpp, so a chunk never
 // splits a tile. kTileK is the inner-dimension panel kept cache-resident
-// across a row tile.
+// across a row tile: the scalar nn matmul's, and the avx2 tn matmul's,
+// where p runs over the batch rows and every output row pair passes over
+// one panel of A and B before the next.
 inline constexpr int kTileRows = 32;
 inline constexpr int kTileK = 240;
 

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <vector>
 
 #include "ag/kernels.h"
 
@@ -24,26 +25,26 @@ namespace {
 
 // --- avx2: bitwise-identical matmuls --------------------------------------
 //
-// Both row-major matmuls are register-blocked: a tile of up to 32 output
-// columns accumulates in four ymm registers across the entire ascending-p
-// loop, then stores once. Per output element the arithmetic sequence is
-// unchanged from scalar (one mul, one add per non-zero a[i][p], ascending
-// p) — holding the accumulator in a register instead of round-tripping
-// through C memory does not change any rounding, it just removes the
-// store-to-load chain that capped the memory-accumulating version at
-// scalar speed.
+// All three row-major matmuls are register-blocked: a tile of up to 32
+// output columns accumulates in four ymm registers across a p range, then
+// stores once. Per output element the arithmetic sequence is unchanged
+// from scalar (one mul, one add per p, ascending p, the same zero skips) —
+// holding the accumulator in a register instead of round-tripping through
+// C memory does not change any rounding, it just removes the store-to-load
+// chain that capped the memory-accumulating version at scalar speed.
 
-// One (i, j-tile) accumulation over the full p range. Scalar reads
-// a[i][p] at stride `astride` (1 for nn where a is row-major, m for tn
-// where a is transposed).
+// One (i, j-tile) accumulation over p in [p0, p1), carried in and out of C.
+// Scalar reads a[i][p] at stride `astride` (1 for nn where a is row-major,
+// m for tn where a is transposed).
 template <int Tiles>
 inline void accum_col_tile(const float* acol, std::size_t astride,
-                           const float* b, float* crow, int j, int k, int n) {
+                           const float* b, float* crow, int j, int p0, int p1,
+                           int n) {
   __m256 acc[Tiles];
   for (int t = 0; t < Tiles; ++t) {
     acc[t] = _mm256_loadu_ps(crow + j + 8 * t);
   }
-  for (int p = 0; p < k; ++p) {
+  for (int p = p0; p < p1; ++p) {
     const float av = acol[static_cast<std::size_t>(p) * astride];
     if (av == 0.0f) continue;
     const float* brow = b + static_cast<std::size_t>(p) * n + j;
@@ -58,63 +59,166 @@ inline void accum_col_tile(const float* acol, std::size_t astride,
   }
 }
 
+// The scalar loop verbatim for one remainder column over p in [p0, p1).
+inline void accum_col_scalar(const float* acol, std::size_t astride,
+                             const float* b, float* crow, int j, int p0,
+                             int p1, int n) {
+  float acc = crow[j];
+  for (int p = p0; p < p1; ++p) {
+    const float av = acol[static_cast<std::size_t>(p) * astride];
+    if (av == 0.0f) continue;
+    acc += av * b[static_cast<std::size_t>(p) * n + j];
+  }
+  crow[j] = acc;
+}
+
 // Shared by nn and tn: walk one output row, tiling columns 32/8/scalar.
 inline void matmul_row_avx2(const float* acol, std::size_t astride,
-                            const float* b, float* crow, int k, int n) {
+                            const float* b, float* crow, int p0, int p1,
+                            int n) {
   int j = 0;
-  for (; j + 32 <= n; j += 32) accum_col_tile<4>(acol, astride, b, crow, j, k, n);
-  for (; j + 8 <= n; j += 8) accum_col_tile<1>(acol, astride, b, crow, j, k, n);
-  for (; j < n; ++j) {
-    float acc = crow[j];
-    for (int p = 0; p < k; ++p) {
-      const float av = acol[static_cast<std::size_t>(p) * astride];
-      if (av == 0.0f) continue;
-      acc += av * b[static_cast<std::size_t>(p) * n + j];
-    }
-    crow[j] = acc;
+  for (; j + 32 <= n; j += 32) {
+    accum_col_tile<4>(acol, astride, b, crow, j, p0, p1, n);
   }
+  for (; j + 8 <= n; j += 8) {
+    accum_col_tile<1>(acol, astride, b, crow, j, p0, p1, n);
+  }
+  for (; j < n; ++j) accum_col_scalar(acol, astride, b, crow, j, p0, p1, n);
 }
 
 void avx2_matmul_block(const float* a, const float* b, float* c, int r0,
                        int r1, int k, int n) {
   for (int i = r0; i < r1; ++i) {
     matmul_row_avx2(a + static_cast<std::size_t>(i) * k, 1, b,
-                    c + static_cast<std::size_t>(i) * n, k, n);
+                    c + static_cast<std::size_t>(i) * n, 0, k, n);
   }
 }
 
+// accum_col_tile for the two adjacent tn output rows i and i+1 (a points at
+// column i of the k×m operand): each B-row load feeds both rows, while
+// each row keeps its own accumulator chain and its own zero skip, so every
+// element sees exactly the single-row sequence.
+template <int Tiles>
+inline void accum_col_tile_pair(const float* acol, std::size_t m,
+                                const float* b, float* crow0, float* crow1,
+                                int j, int p0, int p1, int n) {
+  __m256 acc0[Tiles], acc1[Tiles];
+  for (int t = 0; t < Tiles; ++t) {
+    acc0[t] = _mm256_loadu_ps(crow0 + j + 8 * t);
+    acc1[t] = _mm256_loadu_ps(crow1 + j + 8 * t);
+  }
+  for (int p = p0; p < p1; ++p) {
+    const float* arow = acol + static_cast<std::size_t>(p) * m;
+    const float av0 = arow[0];
+    const float av1 = arow[1];
+    if (av0 == 0.0f && av1 == 0.0f) continue;
+    const float* brow = b + static_cast<std::size_t>(p) * n + j;
+    __m256 bv[Tiles];
+    for (int t = 0; t < Tiles; ++t) bv[t] = _mm256_loadu_ps(brow + 8 * t);
+    if (av0 != 0.0f) {
+      const __m256 av8 = _mm256_set1_ps(av0);
+      for (int t = 0; t < Tiles; ++t) {
+        acc0[t] = _mm256_add_ps(acc0[t], _mm256_mul_ps(av8, bv[t]));
+      }
+    }
+    if (av1 != 0.0f) {
+      const __m256 av8 = _mm256_set1_ps(av1);
+      for (int t = 0; t < Tiles; ++t) {
+        acc1[t] = _mm256_add_ps(acc1[t], _mm256_mul_ps(av8, bv[t]));
+      }
+    }
+  }
+  for (int t = 0; t < Tiles; ++t) {
+    _mm256_storeu_ps(crow0 + j + 8 * t, acc0[t]);
+    _mm256_storeu_ps(crow1 + j + 8 * t, acc1[t]);
+  }
+}
+
+// Weight gradients: a is the tall rows×m activation, so a full-p sweep per
+// output row would stream all of B once per row. Instead p runs in panels
+// of kTileK rows that stay cache-resident while every output row passes
+// over them; C carries each element's running sum from one panel to the
+// next (a float store and reload is exact), so the per-element chain is
+// still the scalar one. Output rows go in pairs; an odd last row takes the
+// single-row path.
 void avx2_matmul_tn_block(const float* a, const float* b, float* c, int r0,
                           int r1, int m, int k, int n) {
-  for (int i = r0; i < r1; ++i) {
-    matmul_row_avx2(a + i, static_cast<std::size_t>(m), b,
-                    c + static_cast<std::size_t>(i) * n, k, n);
+  const auto stride = static_cast<std::size_t>(m);
+  for (int pb = 0; pb < k; pb += kTileK) {
+    const int pend = std::min(k, pb + kTileK);
+    int i = r0;
+    for (; i + 2 <= r1; i += 2) {
+      float* crow0 = c + static_cast<std::size_t>(i) * n;
+      float* crow1 = crow0 + n;
+      int j = 0;
+      for (; j + 32 <= n; j += 32) {
+        accum_col_tile_pair<4>(a + i, stride, b, crow0, crow1, j, pb, pend,
+                               n);
+      }
+      for (; j + 8 <= n; j += 8) {
+        accum_col_tile_pair<1>(a + i, stride, b, crow0, crow1, j, pb, pend,
+                               n);
+      }
+      for (; j < n; ++j) {
+        accum_col_scalar(a + i, stride, b, crow0, j, pb, pend, n);
+        accum_col_scalar(a + i + 1, stride, b, crow1, j, pb, pend, n);
+      }
+    }
+    if (i < r1) {
+      matmul_row_avx2(a + i, stride, b, c + static_cast<std::size_t>(i) * n,
+                      pb, pend, n);
+    }
   }
 }
 
-// Lane-per-output-column: 8 adjacent columns of C accumulate in parallel,
-// each lane running its own ascending-p dot product in scalar order (one
-// mul, one add per p). The B elements for the 8 columns at a given p sit a
-// row-stride (k floats) apart, fetched with a strided gather.
+// One (i, j-tile) of dx = da·Wᵀ over the packed B: every lane starts from
+// zero and runs its column's ascending-p dot product (one mul, one add per
+// p, no zero skip — the scalar dot product has none), then adds into C
+// once, exactly like the scalar loop.
+template <int Tiles>
+inline void dot_col_tile(const float* arow, const float* bt, float* crow,
+                         int j, int k, int ldb) {
+  __m256 acc[Tiles];
+  for (int t = 0; t < Tiles; ++t) acc[t] = _mm256_setzero_ps();
+  for (int p = 0; p < k; ++p) {
+    const __m256 av8 = _mm256_set1_ps(arow[p]);
+    const float* bp = bt + static_cast<std::size_t>(p) * ldb + j;
+    for (int t = 0; t < Tiles; ++t) {
+      acc[t] = _mm256_add_ps(acc[t],
+                             _mm256_mul_ps(av8, _mm256_loadu_ps(bp + 8 * t)));
+    }
+  }
+  for (int t = 0; t < Tiles; ++t) {
+    _mm256_storeu_ps(crow + j + 8 * t,
+                     _mm256_add_ps(_mm256_loadu_ps(crow + j + 8 * t), acc[t]));
+  }
+}
+
+// Lane-per-output-column: 8 adjacent columns of C accumulate in parallel.
+// The B elements those columns need at one p sit a row (k floats) apart in
+// the n×k operand, so B's first n8 rows (one per output column) are packed
+// transposed (bt[p][j] = b[j][p]) once per call, and every step is one
+// contiguous load.
+// Packing only moves values, so each lane multiplies and adds the same
+// operands in the same order as the scalar dot product.
 void avx2_matmul_nt_block(const float* a, const float* b, float* c, int r0,
                           int r1, int k, int n) {
   const int n8 = n & ~7;
-  const __m256i stride =
-      _mm256_mullo_epi32(_mm256_set1_epi32(k),
-                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  std::vector<float> bt(static_cast<std::size_t>(k) * n8);
+  for (int j = 0; j < n8; ++j) {
+    const float* brow = b + static_cast<std::size_t>(j) * k;
+    for (int p = 0; p < k; ++p) {
+      bt[static_cast<std::size_t>(p) * n8 + j] = brow[p];
+    }
+  }
   for (int i = r0; i < r1; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * k;
     float* crow = c + static_cast<std::size_t>(i) * n;
     int j = 0;
-    for (; j < n8; j += 8) {
-      const float* bbase = b + static_cast<std::size_t>(j) * k;
-      __m256 acc = _mm256_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const __m256 bv =
-            _mm256_i32gather_ps(bbase + p, stride, sizeof(float));
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(arow[p]), bv));
-      }
-      _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j), acc));
+    for (; j + 32 <= n8; j += 32) {
+      dot_col_tile<4>(arow, bt.data(), crow, j, k, n8);
     }
+    for (; j < n8; j += 8) dot_col_tile<1>(arow, bt.data(), crow, j, k, n8);
     for (; j < n; ++j) {
       const float* brow = b + static_cast<std::size_t>(j) * k;
       float acc = 0.0f;

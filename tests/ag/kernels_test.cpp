@@ -44,13 +44,15 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
 }
 
 // Shapes chosen to stress every vector-width boundary: single element,
-// sub-vector, one-past-vector, 8/32-multiples, and ragged tails.
+// sub-vector, one-past-vector, 8/32-multiples, and ragged tails — plus k
+// past one and two kTileK (240) panels, where tn carries its running sums
+// through C between panels.
 struct Shape {
   int m, k, n;
 };
-const Shape kShapes[] = {{1, 1, 1},   {3, 5, 7},   {17, 31, 33},
-                         {33, 65, 9}, {8, 16, 32}, {64, 64, 64},
-                         {5, 240, 41}};
+const Shape kShapes[] = {{1, 1, 1},    {3, 5, 7},     {17, 31, 33},
+                         {33, 65, 9},  {8, 16, 32},   {64, 64, 64},
+                         {5, 240, 41}, {37, 517, 45}, {2, 481, 32}};
 
 class KernelsAvx2Test : public ::testing::Test {
  protected:
@@ -96,14 +98,33 @@ TEST_F(KernelsAvx2Test, MatmulFamilyBitwiseEqualAtOddShapes) {
         << "matmul_nt " << s.m << "x" << s.k << "x" << s.n;
 
     // Partial row ranges (the parallel chunking never hands a kernel the
-    // whole range when threaded).
+    // whole range when threaded). An odd-length range leaves tn an unpaired
+    // last row; nt packs B again for every call.
     if (s.m > 2) {
+      const int r0 = 1, r1 = s.m - 1;
       cs = c0;
       cv = c0;
-      scalar.matmul_block(a.data(), b.data(), cs.data(), 1, s.m - 1, s.k,
-                          s.n);
-      avx2.matmul_block(a.data(), b.data(), cv.data(), 1, s.m - 1, s.k, s.n);
-      EXPECT_TRUE(bitwise_equal(cs, cv)) << "matmul partial range";
+      scalar.matmul_block(a.data(), b.data(), cs.data(), r0, r1, s.k, s.n);
+      avx2.matmul_block(a.data(), b.data(), cv.data(), r0, r1, s.k, s.n);
+      EXPECT_TRUE(bitwise_equal(cs, cv))
+          << "matmul partial range " << s.m << "x" << s.k << "x" << s.n;
+
+      cs = c0;
+      cv = c0;
+      scalar.matmul_tn_block(at.data(), b.data(), cs.data(), r0, r1, s.m,
+                             s.k, s.n);
+      avx2.matmul_tn_block(at.data(), b.data(), cv.data(), r0, r1, s.m, s.k,
+                           s.n);
+      EXPECT_TRUE(bitwise_equal(cs, cv))
+          << "matmul_tn partial range " << s.m << "x" << s.k << "x" << s.n;
+
+      cs = c0;
+      cv = c0;
+      scalar.matmul_nt_block(a.data(), bt.data(), cs.data(), r0, r1, s.k,
+                             s.n);
+      avx2.matmul_nt_block(a.data(), bt.data(), cv.data(), r0, r1, s.k, s.n);
+      EXPECT_TRUE(bitwise_equal(cs, cv))
+          << "matmul_nt partial range " << s.m << "x" << s.k << "x" << s.n;
     }
   }
 }
@@ -128,6 +149,31 @@ TEST_F(KernelsAvx2Test, ZeroSkipSuppressesInfTimesZeroExactlyLikeScalar) {
       .matmul_block(a.data(), b.data(), cv.data(), 0, m, k, n);
   for (const float v : cs) EXPECT_FALSE(std::isnan(v));
   EXPECT_TRUE(bitwise_equal(cs, cv));
+
+  // tn runs output rows in pairs that share each B-row load, so the skip
+  // must stay per row: at the Inf row of B, put a signed zero in only one
+  // row of each pair — the first row of one pair, the second of the next
+  // (the other row gets a non-zero, whose products go to ±Inf) — and in
+  // the unpaired last row of an odd m.
+  const int tm = 5, tk = 3, tn = 41;
+  auto at = random_data(static_cast<std::size_t>(tk) * tm, 8);
+  auto tb = random_data(static_cast<std::size_t>(tk) * tn, 9);
+  const float inf_row_a[tm] = {0.0f, 1.5f, -2.0f, -0.0f, 0.0f};
+  for (int i = 0; i < tm; ++i) {
+    at[static_cast<std::size_t>(1) * tm + i] = inf_row_a[i];
+  }
+  for (int j = 0; j < tn; ++j) {
+    tb[static_cast<std::size_t>(1) * tn + j] =
+        std::numeric_limits<float>::infinity();
+  }
+  std::vector<float> ts(static_cast<std::size_t>(tm) * tn, 0.0f);
+  std::vector<float> tv = ts;
+  kern::ops(kern::Backend::kScalar)
+      .matmul_tn_block(at.data(), tb.data(), ts.data(), 0, tm, tm, tk, tn);
+  kern::ops(kern::Backend::kAvx2)
+      .matmul_tn_block(at.data(), tb.data(), tv.data(), 0, tm, tm, tk, tn);
+  for (const float v : ts) EXPECT_FALSE(std::isnan(v));
+  EXPECT_TRUE(bitwise_equal(ts, tv));
 }
 
 TEST_F(KernelsAvx2Test, RowIndexOpsBitwiseEqualWithDuplicateIndices) {

@@ -185,15 +185,6 @@ TEST(Matmul, ParallelThresholdRoundTrips) {
   set_matmul_parallel_threshold(saved);
 }
 
-TEST(Matmul, NtTileThresholdRoundTrips) {
-  const long long saved = matmul_nt_tile_threshold();
-  set_matmul_nt_tile_threshold(777);
-  EXPECT_EQ(matmul_nt_tile_threshold(), 777);
-  set_matmul_nt_tile_threshold(-5);  // clamped, never negative
-  EXPECT_EQ(matmul_nt_tile_threshold(), 0);
-  set_matmul_nt_tile_threshold(saved);
-}
-
 TEST(Matmul, IdentityIsNeutral) {
   const Tensor a = Tensor::from_rows({{1.5f, -2.0f}, {0.0f, 4.0f}});
   Tensor id(2, 2);

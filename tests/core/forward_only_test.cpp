@@ -24,11 +24,14 @@
 #include "ag/kernels.h"
 #include "ag/tape.h"
 #include "core/routenet.h"
+#include "execution_scope.h"
 #include "par/thread_pool.h"
 #include "topology/generators.h"
 
 namespace rn::core {
 namespace {
+
+using rn::testing::ExecutionScope;
 
 std::vector<dataset::Sample> geant2_samples(int count, std::uint64_t seed) {
   auto topology = std::make_shared<const topo::Topology>(topo::geant2());
@@ -91,31 +94,6 @@ bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
-
-// Restores the kernel backend, pool width and matmul threshold on exit.
-class ExecutionScope {
- public:
-  ExecutionScope(ag::kern::Backend backend, int threads)
-      : saved_backend_(ag::kern::set_kernel_backend(backend)),
-        saved_threads_(par::global_threads()),
-        saved_threshold_(ag::matmul_parallel_threshold()) {
-    par::set_global_threads(threads);
-    // At 4 threads, force even these small matmuls onto the pool.
-    if (threads > 1) ag::set_matmul_parallel_threshold(0);
-  }
-  ~ExecutionScope() {
-    ag::kern::set_kernel_backend(saved_backend_);
-    par::set_global_threads(saved_threads_);
-    ag::set_matmul_parallel_threshold(saved_threshold_);
-  }
-  ExecutionScope(const ExecutionScope&) = delete;
-  ExecutionScope& operator=(const ExecutionScope&) = delete;
-
- private:
-  ag::kern::Backend saved_backend_;
-  int saved_threads_;
-  long long saved_threshold_;
-};
 
 TEST(ForwardOnly, PredictMergedBitwiseEqualsRecordingForward) {
   const std::vector<dataset::Sample> samples = geant2_samples(8, 31);

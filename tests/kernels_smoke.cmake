@@ -1,10 +1,11 @@
 # Kernel-bench smoke test (ctest -R kernels_smoke): runs bench/matmul_kernels
 # twice at the seconds-scale "smoke" tier with RN_BENCH_ENFORCE=1 — so the
 # blocked-vs-naive guard, the avx2-vs-scalar bitwise check, and (where avx2
-# exists) the >=1.5x speedup gate are all load-bearing — then drives
-# `routenet obs diff` over the resulting BENCH_kernels.json reports: rc 0 on
-# an identical pair, rc 1 on a doctored copy with cratered GFLOP/s, rc <= 1
-# run-to-run (timing jitter may legitimately gate). Invoked with
+# exists) the speedup gates on nn and backward's tn and nt are all
+# load-bearing — then drives `routenet obs diff` over the resulting
+# BENCH_kernels.json reports: rc 0 on an identical pair, rc 1 on a doctored
+# copy with cratered GFLOP/s, rc <= 1 run-to-run (timing jitter may
+# legitimately gate). Invoked with
 # -DRN_CLI=<routenet> -DBENCH_BIN=<matmul_kernels> -DWORK_DIR=<dir>.
 
 if(NOT DEFINED RN_CLI OR NOT DEFINED BENCH_BIN OR NOT DEFINED WORK_DIR)
@@ -51,11 +52,13 @@ endif()
 configure_file("${report}" "${WORK_DIR}/run_a.json" COPYONLY)
 
 # The report must carry the backend comparison the gate reads: per-shape
-# GFLOP/s for the scalar anchor, the fused-GRU section with its bitwise
-# verdict, and the telemetry snapshot.
+# GFLOP/s for the scalar anchor (backward's weight-gradient shape
+# included), the fused-GRU section with its bitwise verdict, and the
+# telemetry snapshot.
 file(READ "${WORK_DIR}/run_a.json" report_json)
 foreach(needle
-        "\"scalar_nn_gflops\":" "\"matmul_shapes\":" "\"index_ops\":"
+        "\"scalar_nn_gflops\":" "\"scalar_tn_wgrad_gflops\":"
+        "\"matmul_shapes\":" "\"index_ops\":"
         "\"gru_step\":" "\"bitwise_identical\":true" "\"telemetry\":")
   string(FIND "${report_json}" "${needle}" found)
   if(found EQUAL -1)

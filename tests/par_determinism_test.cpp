@@ -1,5 +1,6 @@
 // Determinism contract of the parallel execution layer: datasets and
-// autodiff kernels are bitwise identical at any thread count.
+// autodiff kernels are bitwise identical at any thread count, and training
+// is bitwise identical across thread counts and kernel backends.
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -7,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include "ag/kernels.h"
 #include "ag/nn.h"
+#include "ag/optim.h"
 #include "ag/tensor.h"
+#include "core/graph_batch.h"
+#include "core/routenet.h"
 #include "dataset/dataset.h"
+#include "execution_scope.h"
 #include "gradcheck.h"
 #include "par/thread_pool.h"
 #include "topology/generators.h"
@@ -221,20 +227,12 @@ TEST(ParDeterminism, MatmulBitwiseEqualToUnblockedReference) {
   const ag::Tensor ref_nt = reference_matmul_nt(a, bt);
 
   const long long saved = ag::matmul_parallel_threshold();
-  const long long saved_nt = ag::matmul_nt_tile_threshold();
   for (const int threads : {1, 4}) {
     ag::set_matmul_parallel_threshold(threads == 1 ? saved : 0);
     par::set_global_threads(threads);
     expect_bitwise_equal(ref, ag::matmul(a, b), "nn", threads);
     expect_bitwise_equal(ref_tn, ag::matmul_tn(at, b), "tn", threads);
-    // nt has two shapes — the untiled small-B fallback and the j-tiled
-    // panel kernel; pin each via the threshold and demand bitwise equality
-    // from both.
-    ag::set_matmul_nt_tile_threshold(1LL << 62);  // always fallback
-    expect_bitwise_equal(ref_nt, ag::matmul_nt(a, bt), "nt-naive", threads);
-    ag::set_matmul_nt_tile_threshold(0);  // always tiled
-    expect_bitwise_equal(ref_nt, ag::matmul_nt(a, bt), "nt-tiled", threads);
-    ag::set_matmul_nt_tile_threshold(saved_nt);
+    expect_bitwise_equal(ref_nt, ag::matmul_nt(a, bt), "nt", threads);
   }
   ag::set_matmul_parallel_threshold(saved);
   par::set_global_threads(1);
@@ -288,6 +286,92 @@ TEST(ParDeterminism, MatmulBitwiseEqualAcrossThreadCounts) {
   for (int i = 0; i < c1_nt.size(); ++i) {
     ASSERT_EQ(c1_nt[static_cast<std::size_t>(i)],
               c4_nt[static_cast<std::size_t>(i)]);
+  }
+}
+
+using rn::testing::ExecutionScope;
+
+// Parameters and Adam moments after a few training steps.
+struct TrainState {
+  std::vector<ag::Tensor> params, adam_m, adam_v;
+};
+
+// Three full-batch Adam steps of a small RouteNet on delay + jitter MSE.
+// Path states are 32 wide and link states 16, so backward runs the 32-
+// and 8-column tiles of every matmul; the syn50 sample's 2450 paths put
+// the weight-gradient matmuls across several k panels.
+TrainState train_few_steps(const std::vector<dataset::Sample>& samples) {
+  core::RouteNetConfig cfg;
+  cfg.link_state_dim = 16;
+  cfg.path_state_dim = 32;
+  cfg.iterations = 3;
+  cfg.readout_hidden = 12;
+  core::RouteNet model(cfg);
+  model.set_normalizer(dataset::fit_normalizer(samples));
+  std::vector<const dataset::Sample*> ptrs;
+  for (const dataset::Sample& s : samples) ptrs.push_back(&s);
+  const core::GraphBatch batch = core::GraphBatch::from_samples(
+      ptrs, model.normalizer(), /*with_targets=*/true);
+
+  ag::Adam adam(model.params(), 5e-3f);
+  for (int step = 0; step < 3; ++step) {
+    ag::Tape tape;
+    const core::RouteNet::Output out = model.forward(tape, batch);
+    const ag::ValueId loss = tape.add(
+        tape.mse(tape.gather_rows(out.delay, batch.valid_paths),
+                 batch.delay_targets),
+        tape.mse(tape.gather_rows(out.jitter, batch.valid_paths),
+                 batch.jitter_targets));
+    adam.zero_grad();
+    tape.backward(loss);
+    adam.step();
+  }
+  TrainState state{{}, adam.moments_m(), adam.moments_v()};
+  for (const ag::Parameter* p : model.params()) {
+    state.params.push_back(p->value);
+  }
+  return state;
+}
+
+void expect_tensors_bitwise_equal(const std::vector<ag::Tensor>& want,
+                                  const std::vector<ag::Tensor>& got,
+                                  const char* what, int threads) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(want[i].same_shape(got[i])) << what << " " << i;
+    EXPECT_EQ(0, std::memcmp(want[i].data(), got[i].data(),
+                             sizeof(float) *
+                                 static_cast<std::size_t>(want[i].size())))
+        << what << " " << i << " differs bitwise at threads " << threads;
+  }
+}
+
+// The backend contract at training level: avx2 at 1 and 4 threads ends in
+// exactly scalar's 1-thread parameters and Adam moments.
+TEST(ParDeterminism, TrainingBitwiseEqualAcrossBackendsAndThreads) {
+  if (!ag::kern::backend_available(ag::kern::Backend::kAvx2)) {
+    GTEST_SKIP() << "avx2 backend not available on this build/CPU";
+  }
+  par::set_global_threads(1);
+  std::vector<dataset::Sample> samples =
+      dataset::DatasetGenerator(fast_config(), 41)
+          .generate_many(shared_nsfnet(), 2);
+  Rng topo_rng(50);
+  samples.push_back(dataset::DatasetGenerator(fast_config(), 43)
+                        .generate(std::make_shared<const topo::Topology>(
+                            topo::synthetic_ba(50, 2, topo_rng))));
+
+  TrainState ref;
+  {
+    const ExecutionScope scope(ag::kern::Backend::kScalar, 1);
+    ref = train_few_steps(samples);
+  }
+  for (const int threads : {1, 4}) {
+    const ExecutionScope scope(ag::kern::Backend::kAvx2, threads);
+    const TrainState got = train_few_steps(samples);
+    expect_tensors_bitwise_equal(ref.params, got.params, "param", threads);
+    expect_tensors_bitwise_equal(ref.adam_m, got.adam_m, "adam m", threads);
+    expect_tensors_bitwise_equal(ref.adam_v, got.adam_v, "adam v", threads);
   }
 }
 
