@@ -100,12 +100,18 @@ PhaseResult run_load(const std::string& name, const std::string& address,
   latencies.reserve(static_cast<std::size_t>(total));
   double queue_wait_sum = 0.0;
   double rtt_sum = 0.0;
+  // Connect before the clock starts, on this thread, so a failed connect
+  // throws to main() instead of escaping a client thread.
+  std::vector<std::unique_ptr<rn::serve::NetClient>> conns;
+  for (int c = 0; c < clients; ++c) {
+    conns.push_back(std::make_unique<rn::serve::NetClient>(address));
+  }
   rn::obs::Stopwatch wall;
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&] {
-      rn::serve::NetClient client(address);
+    threads.emplace_back([&, c] {
+      rn::serve::NetClient& client = *conns[static_cast<std::size_t>(c)];
       std::vector<double> mine;
       double my_queue_wait = 0.0;
       double my_rtt = 0.0;

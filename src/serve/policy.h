@@ -1,8 +1,10 @@
 // p99-adaptive batching policy.
 //
-// BENCH_serving.json showed the fixed `batch_deadline_s` knob — not the
-// batcher — is the serving bottleneck: batch-max 32 is no better than 8
-// because every partial batch waits out the same fixed deadline. This
+// A batch-cap sweep in the in-process serving bench (since deleted)
+// showed the fixed `batch_deadline_s` knob — not the batcher — is the
+// serving bottleneck: batch-max 32 is no better than 8 because every
+// partial batch waits out the same fixed deadline. `bench/serving_net`'s
+// fixed vs adaptive phases gate the fix. This
 // controller closes the loop using the live sliding-window p99 of
 // serve.latency_s (PR 6's WindowedHistogram) against a target SLO, AIMD
 // style:

@@ -62,20 +62,20 @@ InferenceServer::InferenceServer(const core::RouteNet& model, ServerConfig cfg)
   RN_CHECK(cfg_.queue_capacity >= 1, "queue capacity must be positive");
   set_batch_deadline(cfg_.batch_deadline_s);
   pool_ = par::global_pool();
-  num_workers_ = cfg_.workers > 0 ? cfg_.workers : pool_->size();
-  num_workers_ = std::max(1, num_workers_);
+  const int workers = std::max(1, cfg_.workers > 0 ? cfg_.workers
+                                                  : pool_->size());
   // A 1-thread pool runs submit() inline on the caller, which would execute
   // a serve loop right here and never return — those workers (and any beyond
   // the pool's width) get dedicated threads instead.
   const int pool_backed =
-      pool_->size() > 1 ? std::min(num_workers_, pool_->size()) : 0;
+      pool_->size() > 1 ? std::min(workers, pool_->size()) : 0;
   for (int i = 0; i < pool_backed; ++i) {
     pool_workers_.push_back(pool_->submit([this] { worker_loop(); }));
   }
-  for (int i = pool_backed; i < num_workers_; ++i) {
+  for (int i = pool_backed; i < workers; ++i) {
     thread_workers_.emplace_back([this] { worker_loop(); });
   }
-  metrics().workers.set(static_cast<double>(num_workers_));
+  metrics().workers.set(static_cast<double>(workers));
 }
 
 InferenceServer::~InferenceServer() { stop(); }
@@ -87,12 +87,10 @@ std::future<core::RouteNet::Prediction> InferenceServer::submit(
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       metrics().rejected.add();
       throw RejectedError("inference server is stopping");
     }
     if (queue_.size() >= cfg_.queue_capacity) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       metrics().rejected.add();
       throw RejectedError("inference queue full (capacity " +
                           std::to_string(cfg_.queue_capacity) + ")");
@@ -105,7 +103,6 @@ std::future<core::RouteNet::Prediction> InferenceServer::submit(
     queue_.push_back(std::move(req));
     depth = queue_.size();
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   metrics().requests.add();
   metrics().queue_depth.record(static_cast<double>(depth));
   metrics().queue_depth_window.record(static_cast<double>(depth));
@@ -270,9 +267,7 @@ void InferenceServer::stop() {
 
 ServerStats InferenceServer::stats() const {
   ServerStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
   s.served = served_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   return s;
 }

@@ -22,9 +22,13 @@
 // destructor calls stop().
 //
 // Telemetry (docs/observability.md): histograms serve.queue_depth /
-// serve.batch_size / serve.latency_s; counters serve.requests_total /
-// serve.rejected_total / serve.served_total / serve.batches_total; gauge
-// serve.workers; trace spans serve.batch (arg: size) with one serve.request
+// serve.batch_size / serve.latency_s, with sliding-window twins of
+// serve.queue_depth and serve.latency_s (the adaptive policy and
+// obs.snapshot read the latency window); counters
+// serve.requests_total / serve.rejected_total / serve.served_total /
+// serve.batches_total, process-wide across every server (stats() keeps
+// this server's own served/batches); gauges serve.workers and
+// ag.arena.*; trace spans serve.batch (arg: size) with one serve.request
 // (arg: id) child per coalesced request.
 #pragma once
 
@@ -85,9 +89,7 @@ struct RequestTrace {
 
 // Cumulative counts since construction; readable at any time.
 struct ServerStats {
-  std::uint64_t submitted = 0;
   std::uint64_t served = 0;
-  std::uint64_t rejected = 0;
   std::uint64_t batches = 0;
 };
 
@@ -129,8 +131,6 @@ class InferenceServer {
 
   ServerStats stats() const;
   std::size_t queue_depth() const;
-  int num_workers() const { return num_workers_; }
-  const ServerConfig& config() const { return cfg_; }
 
  private:
   struct Request {
@@ -156,7 +156,6 @@ class InferenceServer {
   // Nanoseconds; atomic so the adaptive policy can retune it while workers
   // and submitters run.
   std::atomic<std::int64_t> deadline_ns_{0};
-  int num_workers_ = 1;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -166,9 +165,7 @@ class InferenceServer {
   bool joined_ = false;
   std::uint64_t next_id_ = 0;
 
-  std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> served_{0};
-  std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> batches_{0};
 
   // Keeps the pool backing pool_workers_ alive for the server's lifetime.

@@ -167,6 +167,29 @@ TEST_F(CliCommands, NamedTopologiesResolve) {
   }
 }
 
+TEST_F(CliCommands, QueryLoadGenToDeadAddressThrows) {
+  // Every client connection is opened before the load threads start, so a
+  // dead address surfaces as one exception on the caller (the CLI's
+  // `error: ...` path, rc 1) rather than escaping a client thread.
+  ASSERT_EQ(cmd_make_topology(flags_of(
+                {"--kind", "ring", "--nodes", "5", "--out", path("n.topo")})),
+            0);
+  ASSERT_EQ(cmd_make_routing(flags_of({"--topology", path("n.topo"), "--k",
+                                       "1", "--out", path("n.routes")})),
+            0);
+  ASSERT_EQ(cmd_make_traffic(flags_of(
+                {"--topology", path("n.topo"), "--routing", path("n.routes"),
+                 "--kind", "gravity", "--util", "0.5", "--out",
+                 path("n.traffic")})),
+            0);
+  EXPECT_THROW(
+      cmd_query(flags_of({"--connect", "unix:" + path("absent.sock"),
+                          "--topology", path("n.topo"), "--routing",
+                          path("n.routes"), "--traffic", path("n.traffic"),
+                          "--requests", "4", "--clients", "2"})),
+      std::runtime_error);
+}
+
 TEST_F(CliCommands, TrainRejectsMissingDataset) {
   EXPECT_THROW(cmd_train(flags_of({"--dataset", path("nope.ds"), "--out",
                                    path("m.model")})),

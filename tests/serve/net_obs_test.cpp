@@ -15,6 +15,11 @@
 //     counters that grow between two scrapes, the installed model with
 //     its version, and latency-window exemplars whose request ids all
 //     belong to traced requests this process actually issued.
+//   - Error frames over a real socket: a predict against a full queue gets
+//     kRejected, one for a model that is not loaded gets kUnknownModel,
+//     and a shutdown with remote shutdown disabled gets kRejected. Each
+//     leaves the connection serving and moves NetStats and the
+//     serve.net.{rejected,errors}_total counters by exactly one.
 #include "serve/net.h"
 
 #include <arpa/inet.h>
@@ -24,6 +29,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -32,6 +39,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "routing/routing.h"
 #include "serve/protocol.h"
 #include "topology/generators.h"
@@ -151,6 +159,18 @@ std::uint64_t counter_value(const wire::StatsSnapshot& snap,
     if (c.name == name) return c.value;
   }
   return 0;
+}
+
+// Runs `call` and requires it to fail with an RNP/1 error frame of `code`.
+void expect_remote_error(const std::function<void()>& call,
+                         wire::ErrorCode code) {
+  try {
+    call();
+    ADD_FAILURE() << "expected a " << wire::error_code_name(code)
+                  << " error frame";
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.code(), code) << e.what();
+  }
 }
 
 // --- Tests -----------------------------------------------------------------
@@ -298,6 +318,69 @@ TEST(NetObs, StatsScrapeReportsCountersModelsAndExemplars) {
   const wire::StatsSnapshot second = client.stats();
   EXPECT_GE(counter_value(second, "serve.net.requests_total"),
             requests_before + 2);
+
+  server.stop();
+}
+
+TEST(NetObs, ErrorFramesKeepTheConnectionAndAreCounted) {
+  ServerConfig cfg = fast_config();
+  cfg.queue_capacity = 1;
+  ModelRegistry registry(cfg);
+  registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));
+  NetServerConfig ncfg = loopback_config();
+  ncfg.allow_remote_shutdown = false;
+  NetServer server(registry, ncfg);
+  server.start();
+  obs::Counter& net_rejected =
+      obs::Registry::global().counter("serve.net.rejected_total");
+  obs::Counter& net_errors =
+      obs::Registry::global().counter("serve.net.errors_total");
+  const std::uint64_t rejected0 = net_rejected.value();
+  const std::uint64_t errors0 = net_errors.value();
+
+  const ModelRegistry::Handle entry = registry.acquire("m");
+  NetClient a(server.address());
+  NetClient b(server.address());
+  const dataset::Sample sample = make_request(7);
+
+  // Rejected: with the batcher paused, A's predict takes the only queue
+  // slot and B's is turned away at the queue, not at the socket.
+  entry->server().set_paused_for_test(true);
+  std::future<core::RouteNet::Prediction> a_answer = std::async(
+      std::launch::async, [&] { return a.predict("m", sample); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (entry->server().queue_depth() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (entry->server().queue_depth() != 1) {
+    entry->server().set_paused_for_test(false);
+    FAIL() << "connection A's predict never reached the queue";
+  }
+  expect_remote_error([&] { b.predict("m", make_request(8)); },
+                      wire::ErrorCode::kRejected);
+  entry->server().set_paused_for_test(false);
+  const core::RouteNet::Prediction got = a_answer.get();
+  const core::RouteNet::Prediction want = entry->model().predict(sample);
+  EXPECT_EQ(got.delay_s, want.delay_s);
+  EXPECT_EQ(got.jitter_s, want.jitter_s);
+
+  // Unknown model: an error frame, and the same connection still serves.
+  expect_remote_error([&] { b.predict("absent", sample); },
+                      wire::ErrorCode::kUnknownModel);
+  EXPECT_EQ(b.predict("m", sample).delay_s, want.delay_s);
+
+  // Remote shutdown disabled: refused, and the server keeps serving.
+  expect_remote_error([&] { b.shutdown_server(); },
+                      wire::ErrorCode::kRejected);
+  EXPECT_EQ(b.predict("m", sample).delay_s, want.delay_s);
+
+  const NetStats stats = server.stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.errors, 3u);
+  EXPECT_EQ(net_rejected.value() - rejected0, 1u);
+  EXPECT_EQ(net_errors.value() - errors0, 3u);
 
   server.stop();
 }

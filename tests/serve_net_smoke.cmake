@@ -4,8 +4,9 @@
 # it over RNP/1 with `routenet query`: a single predict (human-readable
 # table), a 4-client load-generation run, a hot reload, and a remote
 # shutdown that must drain gracefully. The server's telemetry stream must
-# carry the serve.net.run event, serve.net.* counters, and one
-# serve.registry.swap per load/reload.
+# carry the serve.net.run event, serve.net.* and serve.* counters, one
+# serve.registry.swap per load/reload, and the periodic obs.snapshot
+# (--stats-every-s) with the sliding-window serve latency quantiles.
 #
 # Observability end-to-end: both sides run with --trace-out, and the single
 # predict's printed request id must appear as a span arg ("rid":N) in BOTH
@@ -51,7 +52,7 @@ run_step("${RN_CLI}" train --dataset mini.rnds --epochs 2 --batch 2 --dim 8
 execute_process(
   COMMAND sh -c "'${RN_CLI}' serve --listen tcp:127.0.0.1:0 \
 --model mini.model --address-file addr.txt --slo-ms 20 \
---batch-deadline-ms 2 --metrics-out server.jsonl \
+--batch-deadline-ms 2 --stats-every-s 0.2 --metrics-out server.jsonl \
 --trace-out server_trace.json \
 > server.log 2>&1 & echo $! > server.pid"
   WORKING_DIRECTORY "${WORK_DIR}"
@@ -176,8 +177,12 @@ endif()
 
 # The drained server prints its final tallies and its telemetry stream
 # carries the network-path events: the run summary, per-frame counters,
-# one registry swap for the initial load and one for the reload, and at
-# least one adaptive-policy metric (--slo-ms was set).
+# the batcher's serve.* counters, one registry swap for the initial load
+# and one for the reload, and at least one adaptive-policy metric
+# (--slo-ms was set). The stats reporter (--stats-every-s) must contribute
+# at least one obs.snapshot carrying the sliding-window serve latency
+# quantiles and the tracer's loss counter (stop() emits a final snapshot
+# even when the run beats the first period).
 file(READ "${WORK_DIR}/server.log" server_log)
 foreach(needle "listening on tcp:127.0.0.1:" "server drained:" " 0 errors")
   string(FIND "${server_log}" "${needle}" found)
@@ -190,7 +195,10 @@ file(READ "${WORK_DIR}/server.jsonl" metrics_log)
 foreach(needle "\"kind\":\"serve.net.run\"" "\"kind\":\"serve.net.listen\""
         "serve.net.requests_total" "serve.net.responses_total"
         "serve.net.bytes_rx_total" "\"kind\":\"serve.registry.swap\""
-        "serve.policy.ticks_total" "\"rejected\":0")
+        "serve.policy.ticks_total" "\"rejected\":0"
+        "serve.requests_total" "serve.batches_total"
+        "\"kind\":\"obs.snapshot\"" "serve.latency_s.window_p99"
+        "serve.latency_s.window_count" "trace.sampled_out")
   string(FIND "${metrics_log}" "${needle}" found)
   if(found EQUAL -1)
     message(FATAL_ERROR "server.jsonl is missing ${needle}")

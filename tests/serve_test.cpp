@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "topology/generators.h"
 
@@ -40,6 +41,12 @@ dataset::Sample make_request(
       traffic::uniform_traffic(topology->num_nodes(), 50.0, 150.0, rng);
   return dataset::make_inference_sample(topology, std::move(scheme),
                                         std::move(tm));
+}
+
+// Submits and rejects are counted process-wide only; tests read the
+// registry counters as deltas around the server under test.
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
 }
 
 void expect_identical(const core::RouteNet::Prediction& a,
@@ -93,6 +100,8 @@ TEST(InferenceServer, ConcurrentClientsGetExactlySinglePredictResults) {
   cfg.batch_deadline_s = 0.002;
   cfg.queue_capacity = samples.size();
   cfg.workers = 2;
+  const std::uint64_t requests0 = counter("serve.requests_total");
+  const std::uint64_t rejected0 = counter("serve.rejected_total");
   InferenceServer server(model, cfg);
   std::vector<core::RouteNet::Prediction> got(samples.size());
   std::vector<std::thread> clients;
@@ -111,9 +120,9 @@ TEST(InferenceServer, ConcurrentClientsGetExactlySinglePredictResults) {
     expect_identical(got[i], expected[i]);
   }
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.submitted, samples.size());
+  EXPECT_EQ(counter("serve.requests_total") - requests0, samples.size());
   EXPECT_EQ(stats.served, samples.size());
-  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(counter("serve.rejected_total") - rejected0, 0u);
   EXPECT_GE(stats.batches, 1u);
   EXPECT_LE(stats.batches, stats.served);
 }
@@ -130,6 +139,8 @@ TEST(InferenceServer, QueueOverflowRejectsDeterministically) {
   cfg.batch_deadline_s = 0.001;
   cfg.queue_capacity = 4;
   cfg.workers = 1;
+  const std::uint64_t requests0 = counter("serve.requests_total");
+  const std::uint64_t rejected0 = counter("serve.rejected_total");
   InferenceServer server(model, cfg);
   server.set_paused_for_test(true);
   std::vector<std::future<core::RouteNet::Prediction>> futures;
@@ -146,9 +157,9 @@ TEST(InferenceServer, QueueOverflowRejectsDeterministically) {
   }
   server.stop();
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.submitted, 4u);
+  EXPECT_EQ(counter("serve.requests_total") - requests0, 4u);
   EXPECT_EQ(stats.served, 4u);
-  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(counter("serve.rejected_total") - rejected0, 1u);
   EXPECT_THROW(server.submit(make_request(topology, 300)), RejectedError);
 }
 

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <map>
 #include <memory>
 #include <thread>
@@ -483,13 +482,11 @@ int cmd_predict(const Flags& flags) {
   return 0;
 }
 
-namespace {
-
-// `serve --listen ADDR`: the network frontend. Loads one or more models
+// `serve`: the RNP/1 network server. Loads one or more models
 // into a hot-reloadable registry, optionally attaches the p99-adaptive
 // batching policy (--slo-ms), and serves RNP/1 until a remote shutdown
 // request (routenet query --shutdown) arrives.
-int cmd_serve_listen(const Flags& flags) {
+int cmd_serve(const Flags& flags) {
   const std::string listen = flags.require_string("listen");
   serve::ServerConfig scfg;
   scfg.max_batch = flags.get_int("batch-max", 8);
@@ -516,7 +513,7 @@ int cmd_serve_listen(const Flags& flags) {
       pos = comma + 1;
     }
   }
-  RN_CHECK(registry.size() > 0, "serve --listen needs --model or --models");
+  RN_CHECK(registry.size() > 0, "serve needs --model or --models");
 
   std::unique_ptr<serve::AdaptiveBatchPolicy> policy;
   if (flags.has("slo-ms")) {
@@ -592,143 +589,6 @@ int cmd_serve_listen(const Flags& flags) {
   return 0;
 }
 
-}  // namespace
-
-int cmd_serve(const Flags& flags) {
-  if (flags.has("listen")) return cmd_serve_listen(flags);
-  const core::RouteNet model =
-      core::RouteNet::load(flags.require_string("model"));
-  Scenario sc = load_scenario(flags);
-  const int requests = flags.get_int("requests", 64);
-  const int clients = flags.get_int("clients", 4);
-  serve::ServerConfig scfg;
-  scfg.max_batch = flags.get_int("batch-max", 8);
-  scfg.batch_deadline_s = flags.get_double("batch-deadline-ms", 5.0) / 1e3;
-  scfg.queue_capacity =
-      static_cast<std::size_t>(flags.get_int("queue-cap", 256));
-  const bool force_overflow = flags.get_bool("force-overflow");
-  const std::uint64_t seed = flags.get_seed("seed", 1);
-  flags.reject_unused();
-  RN_CHECK(requests >= 1, "need at least one request");
-  RN_CHECK(clients >= 1, "need at least one client");
-
-  // Distinct request scenarios: the base matrix scaled by a per-request
-  // factor, so batches merge genuinely different samples.
-  std::vector<dataset::Sample> pool;
-  pool.reserve(static_cast<std::size_t>(requests));
-  Rng rng(derive_seed(seed, /*stream=*/0x5e7e, 0));
-  for (int i = 0; i < requests; ++i) {
-    traffic::TrafficMatrix tm = sc.tm;
-    tm.scale(rng.uniform(0.5, 1.5));
-    pool.push_back(
-        dataset::make_inference_sample(sc.topology, sc.scheme, std::move(tm)));
-  }
-
-  serve::InferenceServer server(model, scfg);
-  std::printf("serving %d requests on %s: clients=%d workers=%d "
-              "batch-max=%d deadline=%.1fms queue-cap=%zu\n",
-              requests, sc.topology->name().c_str(), clients,
-              server.num_workers(), scfg.max_batch,
-              scfg.batch_deadline_s * 1e3, scfg.queue_capacity);
-
-  std::atomic<int> next{0};
-  std::atomic<std::uint64_t> ok{0}, rejected{0}, failed{0};
-  obs::Stopwatch wall;
-  if (force_overflow) {
-    // Deterministic backpressure demo: with workers paused the queue fills
-    // to exactly its capacity, every further submit rejects, and resuming
-    // drains the queued requests — so `--queue-cap Q` with N requests
-    // always reports exactly N - Q rejects, no timing involved.
-    server.set_paused_for_test(true);
-    std::vector<std::future<core::RouteNet::Prediction>> inflight;
-    inflight.reserve(static_cast<std::size_t>(requests));
-    for (const dataset::Sample& sample : pool) {
-      try {
-        inflight.push_back(server.submit(sample));
-      } catch (const serve::RejectedError&) {
-        rejected.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    server.set_paused_for_test(false);
-    for (std::future<core::RouteNet::Prediction>& f : inflight) {
-      try {
-        f.get();
-        ok.fetch_add(1, std::memory_order_relaxed);
-      } catch (const std::exception&) {
-        failed.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  } else {
-    // Closed-loop load generator: each client submits, waits for the
-    // result, moves to the next request; rejects (backpressure) are
-    // counted, not retried.
-    std::vector<std::thread> load;
-    load.reserve(static_cast<std::size_t>(clients));
-    for (int c = 0; c < clients; ++c) {
-      load.emplace_back([&] {
-        for (;;) {
-          const int i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= requests) return;
-          try {
-            server.submit(pool[static_cast<std::size_t>(i)]).get();
-            ok.fetch_add(1, std::memory_order_relaxed);
-          } catch (const serve::RejectedError&) {
-            rejected.fetch_add(1, std::memory_order_relaxed);
-          } catch (const std::exception&) {
-            failed.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (std::thread& t : load) t.join();
-  }
-  const double wall_s = wall.elapsed_s();
-  server.stop();
-
-  const serve::ServerStats stats = server.stats();
-  const obs::Histogram& lat =
-      obs::Registry::global().histogram("serve.latency_s");
-  const obs::Histogram& bs =
-      obs::Registry::global().histogram("serve.batch_size");
-  const double throughput =
-      wall_s > 0.0 ? static_cast<double>(ok.load()) / wall_s : 0.0;
-  std::printf("served %llu (rejected %llu, failed %llu) in %.3f s — "
-              "%.1f req/s\n",
-              static_cast<unsigned long long>(stats.served),
-              static_cast<unsigned long long>(stats.rejected),
-              static_cast<unsigned long long>(failed.load()), wall_s,
-              throughput);
-  std::printf("batches %llu (mean size %.2f)   latency p50 %.3f ms  "
-              "p99 %.3f ms\n",
-              static_cast<unsigned long long>(stats.batches), bs.mean(),
-              lat.quantile(0.5) * 1e3, lat.quantile(0.99) * 1e3);
-  const obs::WindowedHistogram::Stats window =
-      obs::Registry::global().windowed("serve.latency_s").stats();
-  std::printf("live window (%.0fs): %llu requests  latency p50 %.3f ms  "
-              "p99 %.3f ms\n",
-              obs::Registry::global().windowed("serve.latency_s").window_s(),
-              static_cast<unsigned long long>(window.count),
-              window.p50 * 1e3, window.p99 * 1e3);
-  if (obs::EventSink::global().enabled()) {
-    obs::Event ev("serve.run");
-    ev.f("requests", requests)
-        .f("clients", clients)
-        .f("workers", server.num_workers())
-        .f("batch_max", scfg.max_batch)
-        .f("served", stats.served)
-        .f("rejected", stats.rejected)
-        .f("batches", stats.batches)
-        .f("wall_s", wall_s)
-        .f("throughput_rps", throughput)
-        .f("latency_p50_s", lat.quantile(0.5))
-        .f("latency_p99_s", lat.quantile(0.99))
-        .f("latency_window_p99_s", window.p99)
-        .f("latency_window_count", window.count);
-    obs::EventSink::global().emit(ev);
-  }
-  return 0;
-}
-
 int cmd_query(const Flags& flags) {
   const std::string connect = flags.require_string("connect");
   const std::string model = flags.get_string("model-name", "default");
@@ -796,9 +656,9 @@ int cmd_query(const Flags& flags) {
     return 0;
   }
 
-  // Remote load generator: the socket twin of `serve`'s in-process loop.
-  // Each client owns one connection; requests are the base matrix scaled
-  // per-request so batches merge genuinely different samples.
+  // Closed-loop load generator. Each client owns one connection; requests
+  // are the base matrix scaled per-request so batches merge genuinely
+  // different samples.
   std::vector<dataset::Sample> pool;
   pool.reserve(static_cast<std::size_t>(requests));
   Rng rng(derive_seed(seed, /*stream=*/0x5e7e, 0));
@@ -818,12 +678,19 @@ int cmd_query(const Flags& flags) {
   // server's batching queue" without a second measurement pass.
   std::vector<double> queue_wait_sums(static_cast<std::size_t>(clients),
                                       0.0);
+  // Connect on this thread: a dead address throws here, through the
+  // CLI's error path, instead of escaping a client thread; and connection
+  // setup stays out of the timed window.
+  std::vector<std::unique_ptr<serve::NetClient>> conns;
+  for (int c = 0; c < clients; ++c) {
+    conns.push_back(std::make_unique<serve::NetClient>(connect));
+  }
   obs::Stopwatch wall;
   std::vector<std::thread> load;
   load.reserve(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
     load.emplace_back([&, c] {
-      serve::NetClient client(connect);
+      serve::NetClient& client = *conns[static_cast<std::size_t>(c)];
       for (;;) {
         const int i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= requests) return;

@@ -52,18 +52,14 @@ int cmd_eval(const Flags& flags);
 // [--top N] [--out CSV]
 int cmd_predict(const Flags& flags);
 
-// Two modes. Default: the in-process batched inference server under a
-// closed-loop load generator: --model FILE --topology FILE --routing FILE
-// --traffic FILE [--requests N] [--clients C] [--batch-max B]
-// [--batch-deadline-ms D] [--queue-cap Q] [--force-overflow] [--seed S].
-// Worker count follows the global --threads. --force-overflow pauses the
-// workers while submitting so exactly requests - queue-cap submissions
-// reject — the deterministic backpressure demo.
-// With --listen tcp:HOST:PORT|unix:PATH: the RNP/1 network frontend.
+// The RNP/1 network server: --listen tcp:HOST:PORT|unix:PATH (required).
 // Models come from --model FILE (named "default") and/or --models
-// name=path[,...]; [--address-file PATH] publishes the bound address
-// (ephemeral ports); [--slo-ms S] enables the p99-adaptive batching policy
-// ([--policy-interval-ms I] [--deadline-min-ms A] [--deadline-max-ms B]).
+// name=path[,...]; [--batch-max B] [--batch-deadline-ms D] [--queue-cap Q]
+// tune each model's batcher, whose workers follow the global --threads;
+// [--address-file PATH] publishes the bound address (ephemeral ports);
+// [--read-timeout-s T] bounds stalled connections; [--slo-ms S] enables the
+// p99-adaptive batching policy ([--policy-interval-ms I]
+// [--deadline-min-ms A] [--deadline-max-ms B]).
 // Runs until `routenet query --shutdown`.
 int cmd_serve(const Flags& flags);
 
@@ -71,7 +67,8 @@ int cmd_serve(const Flags& flags);
 //   --shutdown                  ask the server to drain and exit
 //   --reload                    hot-reload the named model from its path
 //   --topology/--routing/--traffic [--top N]   one remote predict
-//   ... with --requests N --clients C          closed-loop load generator
+//   ... with --requests N --clients C [--seed S]   closed-loop load
+//       generator over C connections, opened before the clock starts
 int cmd_query(const Flags& flags);
 
 // Describes an artifact: --topology FILE | --dataset FILE | --model FILE

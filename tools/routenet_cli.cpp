@@ -65,21 +65,19 @@ int usage() {
       "                 SIGINT/SIGTERM save state before exiting\n"
       "  eval           report MRE / Pearson r / R^2 of a model\n"
       "  predict        per-path delay/jitter for a scenario + Top-N\n"
-      "  serve          micro-batched inference server under a closed-loop\n"
-      "                 load generator: --requests/--clients drive traffic;\n"
-      "                 --batch-max/--batch-deadline-ms/--queue-cap tune\n"
-      "                 coalescing and backpressure; workers follow\n"
-      "                 --threads; --force-overflow demonstrates exact\n"
-      "                 deterministic rejects. With --listen tcp:HOST:PORT\n"
-      "                 (or unix:PATH) it becomes the RNP/1 network server:\n"
-      "                 --models name=path,... routes by model name with\n"
-      "                 hot reload, --address-file publishes the bound\n"
-      "                 address, --slo-ms enables p99-adaptive batching,\n"
-      "                 --read-timeout-s bounds stalled connections\n"
+      "  serve          RNP/1 network server: --listen tcp:HOST:PORT (or\n"
+      "                 unix:PATH) is required; --model FILE and/or\n"
+      "                 --models name=path,... route by model name with\n"
+      "                 hot reload; --batch-max/--batch-deadline-ms/\n"
+      "                 --queue-cap tune coalescing and backpressure\n"
+      "                 (workers follow --threads); --address-file\n"
+      "                 publishes the bound address, --slo-ms enables\n"
+      "                 p99-adaptive batching, --read-timeout-s bounds\n"
+      "                 stalled connections\n"
       "  query          RNP/1 client: --connect ADDR + a scenario for one\n"
       "                 remote predict (--top N; prints the request id and\n"
       "                 the server's queue-wait attribution),\n"
-      "                 --requests/--clients for a socket load generator\n"
+      "                 --requests/--clients for the closed-loop load generator\n"
       "                 reporting client p50/p99 + the server's queue-wait\n"
       "                 share, --reload for a hot reload, --shutdown to\n"
       "                 drain the server\n"
@@ -132,8 +130,8 @@ int main(int argc, char** argv) {
                            "(gen|verify|merge)\n\n");
       return usage();
     }
-    const std::vector<std::string> bool_flags = {"bursty", "force-overflow",
-                                                 "reload", "shutdown"};
+    const std::vector<std::string> bool_flags = {"bursty", "reload",
+                                                 "shutdown"};
     const rn::cli::Flags flags(argc, argv, is_dataset ? 3 : 2, bool_flags);
     // Telemetry sink is process-global: open it before dispatch so every
     // layer (trainer, simulator, message passing) streams to one file.
