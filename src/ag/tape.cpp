@@ -8,17 +8,9 @@
 
 namespace rn::ag {
 
-namespace {
-
-// Shared scratch returned by grad() for nodes that never received gradient.
-const Tensor& empty_tensor() {
-  static const Tensor t;
-  return t;
-}
-
-}  // namespace
-
 ValueId Tape::push(Node n) {
+  n.rows = n.value.rows();
+  n.cols = n.value.cols();
   nodes_.push_back(std::move(n));
   return static_cast<ValueId>(nodes_.size() - 1);
 }
@@ -41,6 +33,17 @@ const Tensor& Tape::input(ValueId id) const {
   return n.value;
 }
 
+void Tape::save(ValueId id) {
+  if (recording()) node(id).saved = true;
+}
+
+const Tensor& Tape::saved_value(ValueId id) const {
+  const Node& n = node(id);
+  RN_CHECK(!n.released || n.saved,
+           "backward read of a released tape value its op did not save");
+  return n.value;
+}
+
 bool Tape::any_needs_grad(ValueId a, ValueId b) const {
   if (a != kInvalidValue && node(a).needs_grad) return true;
   if (b != kInvalidValue && node(b).needs_grad) return true;
@@ -49,9 +52,7 @@ bool Tape::any_needs_grad(ValueId a, ValueId b) const {
 
 Tensor& Tape::grad_buffer(ValueId id) {
   Node& n = node(id);
-  if (n.grad.empty() && n.value.size() > 0) {
-    n.grad = Tensor(n.value.rows(), n.value.cols());
-  }
+  if (n.grad.empty() && n.rows * n.cols > 0) n.grad = Tensor(n.rows, n.cols);
   return n.grad;
 }
 
@@ -83,6 +84,8 @@ ValueId Tape::matmul(ValueId a, ValueId b) {
   n.b = b;
   n.value = ag::matmul(input(a), input(b));
   n.needs_grad = any_needs_grad(a, b);
+  save(a);
+  save(b);
   return push(std::move(n));
 }
 
@@ -126,6 +129,8 @@ ValueId Tape::mul(ValueId a, ValueId b) {
   kern::active().mul_inplace(n.value.data(), bv.data(),
                              static_cast<std::size_t>(n.value.size()));
   n.needs_grad = any_needs_grad(a, b);
+  save(a);
+  save(b);
   return push(std::move(n));
 }
 
@@ -217,6 +222,7 @@ ValueId Tape::sigmoid(ValueId a) {
   kern::active().sigmoid_inplace(n.value.data(),
                                  static_cast<std::size_t>(n.value.size()));
   n.needs_grad = any_needs_grad(a);
+  n.saved = recording();  // backward reads the output
   return push(std::move(n));
 }
 
@@ -228,6 +234,7 @@ ValueId Tape::tanh(ValueId a) {
   kern::active().tanh_inplace(n.value.data(),
                               static_cast<std::size_t>(n.value.size()));
   n.needs_grad = any_needs_grad(a);
+  n.saved = recording();  // backward reads the output
   return push(std::move(n));
 }
 
@@ -241,6 +248,7 @@ ValueId Tape::relu(ValueId a) {
     if (n.value[idx] < 0.0f) n.value[idx] = 0.0f;
   }
   n.needs_grad = any_needs_grad(a);
+  n.saved = recording();  // backward reads the output
   return push(std::move(n));
 }
 
@@ -411,8 +419,9 @@ ValueId Tape::gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
 // The two matmuls per gate stay separate (summing the second result into
 // the first, not accumulating into one buffer) because that is the rounding
 // order the composed kAdd node produced. Both modes run this same code; a
-// recording tape then moves the activations into the node's GruAux, a
-// forward-only tape lets them return to the arena.
+// recording tape then moves the activations and hg into the node's GruAux
+// and saves x (or x_src) and an ungathered h, a forward-only tape lets them
+// all return to the arena.
 ValueId Tape::gru_step_impl(ValueId a, ValueId b, const GruWeights& w,
                             const std::vector<int>& x_idx,
                             const std::vector<int>& h_idx) {
@@ -461,13 +470,14 @@ ValueId Tape::gru_step_impl(ValueId a, ValueId b, const GruWeights& w,
   n.b = b;
   n.value = Tensor(rows, cols);
   K.gru_blend(z.data(), h.data(), hc.data(), n.value.data(), count);
+  save(a);
+  if (h_idx.empty()) save(b);
   if (recording()) {
     n.gru = std::make_unique<GruAux>();
     GruAux& A = *n.gru;
     A.w = w;
     A.x_idx = x_idx;
     A.h_idx = h_idx;
-    A.xg = std::move(xg);
     A.hg = std::move(hg);
     A.z = std::move(z);
     A.r = std::move(r);
@@ -522,6 +532,7 @@ ValueId Tape::mse(ValueId pred, const Tensor& target) {
   }
   n.value = Tensor::scalar(static_cast<float>(acc / pv.size()));
   n.needs_grad = any_needs_grad(pred);
+  save(pred);
   return push(std::move(n));
 }
 
@@ -540,6 +551,7 @@ ValueId Tape::mae(ValueId pred, const Tensor& target) {
   }
   n.value = Tensor::scalar(static_cast<float>(acc / pv.size()));
   n.needs_grad = any_needs_grad(pred);
+  save(pred);
   return push(std::move(n));
 }
 
@@ -561,6 +573,7 @@ ValueId Tape::huber(ValueId pred, const Tensor& target, float delta) {
   }
   n.value = Tensor::scalar(static_cast<float>(acc / pv.size()));
   n.needs_grad = any_needs_grad(pred);
+  save(pred);
   return push(std::move(n));
 }
 
@@ -572,29 +585,30 @@ void Tape::release(ValueId id) {
   Node& n = node(id);
   RN_CHECK(!n.released, "tape value released twice");
   n.released = true;
-  if (!recording()) n.value = Tensor();
+  if (!n.saved) n.value = Tensor();
 }
 
-const Tensor& Tape::grad(ValueId id) const {
-  const Node& n = node(id);
-  return n.grad.empty() ? empty_tensor() : n.grad;
-}
-
+// Every reader of a node has a higher id, so once the reverse sweep has
+// passed a node nothing reads it again and it is freed on the spot.
 void Tape::backward(ValueId root) {
   RN_CHECK(recording(), "backward() on a forward-only tape");
+  RN_CHECK(!consumed_, "backward() twice on one tape");
   obs::TraceSpan span("ag.backward");
-  Node& r = node(root);
-  RN_CHECK(r.value.rows() == 1 && r.value.cols() == 1,
-           "backward root must be a 1×1 scalar");
-  // Reset per-node gradients from any previous backward on this tape.
-  for (Node& n : nodes_) {
-    if (!n.grad.empty()) n.grad.fill(0.0f);
-  }
+  const Node& r = node(root);
+  RN_CHECK(r.rows == 1 && r.cols == 1, "backward root must be a 1×1 scalar");
+  consumed_ = true;
   grad_buffer(root).at(0, 0) = 1.0f;
-  for (ValueId id = root; id >= 0; --id) {
-    const Node& n = node(id);
-    if (!n.needs_grad || n.grad.empty()) continue;
-    backward_node(id);
+  for (auto id = static_cast<ValueId>(nodes_.size()) - 1; id >= 0; --id) {
+    Node& n = node(id);
+    if (n.needs_grad && !n.grad.empty()) backward_node(id);
+    n.grad = Tensor();
+    if (id == root) continue;
+    n.value = Tensor();
+    n.aux_tensor = Tensor();
+    n.gru.reset();
+    n.idx = std::vector<int>();
+    n.released = true;
+    n.saved = false;
   }
 }
 
@@ -616,10 +630,10 @@ void Tape::backward_node(ValueId id) {
       break;
     case Op::kMatmul: {
       if (Tensor* ga = propagate(n.a)) {
-        ga->add_scaled(matmul_nt(g, node(n.b).value), 1.0f);
+        ga->add_scaled(matmul_nt(g, saved_value(n.b)), 1.0f);
       }
       if (Tensor* gb = propagate(n.b)) {
-        gb->add_scaled(matmul_tn(node(n.a).value, g), 1.0f);
+        gb->add_scaled(matmul_tn(saved_value(n.a), g), 1.0f);
       }
       break;
     }
@@ -634,14 +648,14 @@ void Tape::backward_node(ValueId id) {
       break;
     }
     case Op::kMul: {
-      const Tensor& av = node(n.a).value;
-      const Tensor& bv = node(n.b).value;
       const auto count = static_cast<std::size_t>(g.size());
       if (Tensor* ga = propagate(n.a)) {
-        kern::active().madd(ga->data(), g.data(), bv.data(), count);
+        kern::active().madd(ga->data(), g.data(), saved_value(n.b).data(),
+                            count);
       }
       if (Tensor* gb = propagate(n.b)) {
-        kern::active().madd(gb->data(), g.data(), av.data(), count);
+        kern::active().madd(gb->data(), g.data(), saved_value(n.a).data(),
+                            count);
       }
       break;
     }
@@ -679,9 +693,10 @@ void Tape::backward_node(ValueId id) {
     }
     case Op::kSigmoid: {
       if (Tensor* ga = propagate(n.a)) {
+        const Tensor& out = saved_value(id);
         for (int i = 0; i < g.size(); ++i) {
           auto k = static_cast<std::size_t>(i);
-          const float y = n.value[k];
+          const float y = out[k];
           (*ga)[k] += g[k] * y * (1.0f - y);
         }
       }
@@ -689,9 +704,10 @@ void Tape::backward_node(ValueId id) {
     }
     case Op::kTanh: {
       if (Tensor* ga = propagate(n.a)) {
+        const Tensor& out = saved_value(id);
         for (int i = 0; i < g.size(); ++i) {
           auto k = static_cast<std::size_t>(i);
-          const float y = n.value[k];
+          const float y = out[k];
           (*ga)[k] += g[k] * (1.0f - y * y);
         }
       }
@@ -699,9 +715,10 @@ void Tape::backward_node(ValueId id) {
     }
     case Op::kRelu: {
       if (Tensor* ga = propagate(n.a)) {
+        const Tensor& out = saved_value(id);
         for (int i = 0; i < g.size(); ++i) {
           auto k = static_cast<std::size_t>(i);
-          if (n.value[k] > 0.0f) (*ga)[k] += g[k];
+          if (out[k] > 0.0f) (*ga)[k] += g[k];
         }
       }
       break;
@@ -727,7 +744,7 @@ void Tape::backward_node(ValueId id) {
     case Op::kConcatRows: {
       int r0 = 0;
       for (ValueId src : n.srcs) {
-        const int rows = node(src).value.rows();
+        const int rows = node(src).rows;
         if (node(src).needs_grad) {
           Tensor& gs = grad_buffer(src);
           for (int r = 0; r < rows; ++r) {
@@ -807,7 +824,7 @@ void Tape::backward_node(ValueId id) {
     }
     case Op::kMse: {
       if (Tensor* ga = propagate(n.a)) {
-        const Tensor& pv = node(n.a).value;
+        const Tensor& pv = saved_value(n.a);
         const float gv =
             g.at(0, 0) * 2.0f / static_cast<float>(pv.size());
         for (int i = 0; i < pv.size(); ++i) {
@@ -819,7 +836,7 @@ void Tape::backward_node(ValueId id) {
     }
     case Op::kMae: {
       if (Tensor* ga = propagate(n.a)) {
-        const Tensor& pv = node(n.a).value;
+        const Tensor& pv = saved_value(n.a);
         const float gv = g.at(0, 0) / static_cast<float>(pv.size());
         for (int i = 0; i < pv.size(); ++i) {
           auto k = static_cast<std::size_t>(i);
@@ -841,9 +858,15 @@ void Tape::backward_node(ValueId id) {
       // so backward() must precede the optimizer step.
       GruAux& A = *n.gru;
       const kern::Ops& K = kern::active();
-      const Tensor& x = A.x_idx.empty() ? node(n.a).value : A.xg;
-      const Tensor& h = A.h_idx.empty() ? node(n.b).value : A.hg;
       const int rows = g.rows(), cols = g.cols();
+      Tensor xg;  // x re-gathered from the saved x_src: a plain row copy
+      if (!A.x_idx.empty()) {
+        const Tensor& xs = saved_value(n.a);
+        xg = Tensor(rows, xs.cols());
+        K.gather_rows(xs.data(), A.x_idx.data(), rows, xs.cols(), xg.data());
+      }
+      const Tensor& x = A.x_idx.empty() ? saved_value(n.a) : xg;
+      const Tensor& h = A.h_idx.empty() ? saved_value(n.b) : A.hg;
       const auto count = static_cast<std::size_t>(g.size());
 
       Tensor dh(rows, cols);    // grad wrt the (gathered) previous hidden
@@ -906,7 +929,7 @@ void Tape::backward_node(ValueId id) {
     }
     case Op::kHuber: {
       if (Tensor* ga = propagate(n.a)) {
-        const Tensor& pv = node(n.a).value;
+        const Tensor& pv = saved_value(n.a);
         const float gv = g.at(0, 0) / static_cast<float>(pv.size());
         const float delta = n.scalar;
         for (int i = 0; i < pv.size(); ++i) {

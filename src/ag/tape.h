@@ -12,17 +12,25 @@
 // "aggregate per-hop messages into links".
 //
 // A tape is built in one of two modes, fixed at construction. A recording
-// tape (the default) keeps everything backward() reads: gate activations,
-// index vectors, row factors. A forward-only tape runs the same kern::Ops
-// entries in the same order, so its values are bitwise equal, but keeps
-// none of that state and borrows its indices from the caller. Callers that
-// never call backward() (inference) use forward-only; backward() on such a
-// tape fails.
+// tape (the default) keeps what backward() reads: gate activations, index
+// vectors, row factors, and the operands each op's backward needs. A
+// forward-only tape runs the same kern::Ops entries in the same order, so
+// its values are bitwise equal, but keeps none of that state and borrows its
+// indices from the caller. Callers that never call backward() (inference)
+// use forward-only; backward() on such a tape fails.
 //
-// release(id) declares a value dead. A forward-only tape returns its
-// buffer to the arena at once; a recording tape keeps it for backward() and
-// only marks it. In both modes any later read of a released value fails, so
-// training enforces the same release discipline inference relies on.
+// release(id) declares a value dead, under one rule in both modes: the
+// buffer returns to the arena at once unless a recorded op's backward reads
+// it. Each op marks the operands its backward reads as saved when it is
+// recorded (matmul and mul: both operands; the losses: pred; sigmoid, tanh
+// and relu: their own output; gru_step: x and h; gru_step_gathered: x_src).
+// A forward-only tape marks nothing. In both modes any later read of a
+// released value fails, so training enforces the same release discipline
+// inference relies on.
+//
+// backward() consumes the tape: it frees each node's value, gradient and
+// saved state as soon as the node has run, and afterwards only the root's
+// value is readable. A second backward() on the same tape fails.
 #pragma once
 
 #include <cstdint>
@@ -170,25 +178,19 @@ class Tape {
   const Tensor& value(ValueId id) const;
 
   // Declares id dead: no op and no value() call may read it afterwards.
-  // Frees the buffer on a forward-only tape; only marks it on a recording
-  // tape, whose backward() still reads it. Releasing twice fails.
+  // Frees the buffer unless a recorded op's backward reads it (see the
+  // header comment). Releasing twice fails.
   void release(ValueId id);
 
   bool recording() const { return mode_ == TapeMode::kRecord; }
 
-  // Accumulates d(root)/d(param) into each touched Parameter's .grad and
-  // stores per-node gradients (readable via grad()). root must be 1×1.
-  // Fails on a forward-only tape.
+  // Accumulates d(root)/d(param) into each touched Parameter's .grad. root
+  // must be 1×1. Frees every node but the root as it goes, so only
+  // value(root) is readable afterwards. Fails on a forward-only tape and on
+  // a second call.
   void backward(ValueId root);
 
-  // Gradient of the last backward() w.r.t. an intermediate value. Zero tensor
-  // if the node did not require grad. Intended for tests.
-  const Tensor& grad(ValueId id) const;
-
   std::size_t num_nodes() const { return nodes_.size(); }
-
-  // Drops all recorded nodes; Parameters are untouched.
-  void clear() { nodes_.clear(); }
 
  private:
   enum class Op : std::uint8_t {
@@ -199,12 +201,14 @@ class Tape {
   };
 
   // Fused-GRU node state: parameter references, the optional gather indices,
-  // the materialized gathered inputs, and the three activations the
-  // backward pass needs (everything else is recomputed from them).
+  // the gathered hidden input, and the three activations the backward pass
+  // needs (everything else is recomputed from them). The gathered x is
+  // re-gathered from the saved x_src in backward: x_src is the small link
+  // state, while h_src is the full path state, so hg stays materialized.
   struct GruAux {
     GruWeights w;
     std::vector<int> x_idx, h_idx;  // empty → the input id is used directly
-    Tensor xg, hg;                  // gathered inputs (gathered variant only)
+    Tensor hg;                      // gathered hidden (gathered variant only)
     Tensor z, r, hc;                // saved gate / candidate activations
   };
 
@@ -215,8 +219,10 @@ class Tape {
     std::vector<ValueId> srcs;  // kConcatRows only
     Tensor value;
     Tensor grad;       // allocated lazily in backward()
+    int rows = 0, cols = 0;  // value's shape; outlives a freed value
     bool needs_grad = false;
     bool released = false;
+    bool saved = false;  // a recorded backward reads value: release keeps it
     Parameter* parameter = nullptr;  // kParam only
     std::vector<int> idx;            // gather/scatter/segment (recording)
     std::vector<float> row_factors;  // kScaleRows only (recording)
@@ -234,15 +240,21 @@ class Tape {
   const Node& node(ValueId id) const;
   // An op operand's value; fails if it was released.
   const Tensor& input(ValueId id) const;
+  // Marks id as read by a recorded backward (no-op on a forward-only tape).
+  void save(ValueId id);
+  // A value read inside backward_node; fails if release() freed it, i.e.
+  // the op reading it did not save() it.
+  const Tensor& saved_value(ValueId id) const;
   bool any_needs_grad(ValueId a, ValueId b = kInvalidValue) const;
   Tensor& grad_buffer(ValueId id);  // allocates zeros on first touch
 
   void backward_node(ValueId id);
 
-  // Deque, not vector: value()/grad() hand out references that must survive
+  // Deque, not vector: value() hands out references that must survive
   // subsequent op recordings (deque never relocates existing elements).
   std::deque<Node> nodes_;
   TapeMode mode_;
+  bool consumed_ = false;  // backward() has run
 };
 
 }  // namespace rn::ag

@@ -1,10 +1,16 @@
 #include "ag/tape.h"
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ag/arena.h"
+#include "ag/nn.h"
 #include "gradcheck.h"
+#include "util/rng.h"
 
 namespace rn::ag {
 namespace {
@@ -305,9 +311,9 @@ TEST(Dropout, BackwardUsesSameMask) {
   Tape tape;
   const ValueId dropped = tape.dropout(tape.param(p), 0.5f, rng);
   const ValueId loss = tape.reduce_sum(dropped);
+  const Tensor y = tape.value(dropped);  // backward() frees it
   p.zero_grad();
   tape.backward(loss);
-  const Tensor& y = tape.value(dropped);
   for (int i = 0; i < y.size(); ++i) {
     const auto k = static_cast<std::size_t>(i);
     if (y[k] == 0.0f) {
@@ -370,7 +376,9 @@ TEST(TapeForward, MatmulMismatchThrows) {
   EXPECT_THROW(tape.add_bias(a, bias), std::runtime_error);
 }
 
-TEST(TapeBackward, SecondBackwardOnSameTapeResetsNodeGrads) {
+TEST(TapeBackward, SecondBackwardOnSameTapeThrows) {
+  // backward() consumes the tape; accumulating into parameters across
+  // steps takes one tape per step (GradAccumulatesAcrossBackwards).
   Parameter p("p", Tensor::scalar(3.0f));
   Tape tape;
   const ValueId v = tape.param(p);
@@ -378,8 +386,130 @@ TEST(TapeBackward, SecondBackwardOnSameTapeResetsNodeGrads) {
   p.zero_grad();
   tape.backward(loss);
   const float g1 = p.grad.at(0, 0);
-  tape.backward(loss);  // node grads reset; parameter grads accumulate
-  EXPECT_FLOAT_EQ(p.grad.at(0, 0), 2.0f * g1);
+  EXPECT_THROW(tape.backward(loss), std::runtime_error);
+  EXPECT_FLOAT_EQ(p.grad.at(0, 0), g1);
+}
+
+TEST(TapeBackward, OnlyTheRootIsReadableAfterBackward) {
+  // Every node but the root is freed once the reverse sweep has passed it,
+  // including nodes recorded after the root.
+  Parameter p("p", Tensor::from_rows({{1.0f, -2.0f}}));
+  Tape tape;
+  const ValueId x = tape.param(p);
+  const ValueId y = tape.tanh(tape.mul(x, x));
+  const ValueId loss = tape.reduce_sum(y);
+  const ValueId after = tape.scale(loss, 2.0f);
+  const float want = tape.value(loss).at(0, 0);
+  tape.backward(loss);
+  EXPECT_FLOAT_EQ(tape.value(loss).at(0, 0), want);
+  for (const ValueId id : {x, y, after}) {
+    EXPECT_THROW(tape.value(id), std::runtime_error) << "node " << id;
+  }
+}
+
+// Each recorded op saves exactly the operands its backward reads, so a
+// release() between forward and backward frees everything else. Releasing
+// every intermediate must leave the gradients bitwise unchanged; an op that
+// failed to save an operand makes backward() throw here instead of reading
+// a freed buffer.
+TEST(TapeBackward, ReleasedIntermediatesBackpropagateBitwise) {
+  Rng rng(71);
+  GruCell cell(3, 4, rng, "gru");
+  Parameter pa("a", Tensor::from_rows({{0.3f, -1.2f, 0.8f},
+                                       {1.5f, 0.1f, -0.4f}}));
+  Parameter pb("b", Tensor::from_rows({{0.7f, -0.2f, 1.1f, 0.4f},
+                                       {-0.9f, 0.6f, 0.2f, -1.3f},
+                                       {0.5f, 1.4f, -0.7f, 0.3f}}));
+  Parameter ph("h", Tensor::from_rows({{0.2f, -0.5f, 0.9f, -0.1f},
+                                       {-0.6f, 0.4f, 0.1f, 0.8f}}));
+  const Tensor target(2, 4, 0.25f);
+  const std::vector<int> x_idx = {1, 0, 1};
+  const std::vector<int> h_idx = {0, 1, 1};
+  const Tensor gathered_target(3, 4, -0.1f);
+  std::vector<Parameter*> params = cell.params();
+  params.insert(params.end(), {&pa, &pb, &ph});
+
+  // Each graph builds a loss; with `rel` set it releases every intermediate
+  // right after its last forward reader.
+  const auto drop = [](Tape& t, bool rel, std::initializer_list<ValueId> ids) {
+    if (!rel) return;
+    for (const ValueId id : ids) t.release(id);
+  };
+  using Build = std::function<ValueId(Tape&, bool)>;
+  const std::vector<std::pair<const char*, Build>> graphs = {
+      {"matmul+mse",
+       [&](Tape& t, bool rel) {
+         const ValueId a = t.scale(t.param(pa), 1.0f);
+         const ValueId b = t.scale(t.param(pb), 1.0f);
+         const ValueId y = t.matmul(a, b);
+         drop(t, rel, {a, b});
+         const ValueId loss = t.mse(y, target);
+         drop(t, rel, {y});
+         return loss;
+       }},
+      {"mul+mae",
+       [&](Tape& t, bool rel) {
+         const ValueId a = t.scale(t.param(ph), 1.5f);
+         const ValueId b = t.scale(t.param(ph), -0.5f);
+         const ValueId y = t.mul(a, b);
+         drop(t, rel, {a, b});
+         const ValueId loss = t.mae(y, target);
+         drop(t, rel, {y});
+         return loss;
+       }},
+      {"sigmoid+tanh+relu+huber",
+       [&](Tape& t, bool rel) {
+         const ValueId a = t.scale(t.param(ph), 2.0f);
+         const ValueId s = t.sigmoid(a);
+         const ValueId th = t.tanh(a);
+         const ValueId r = t.relu(a);
+         drop(t, rel, {a});
+         const ValueId sum = t.add(t.add(s, th), r);
+         drop(t, rel, {s, th, r});
+         const ValueId loss = t.huber(sum, target, 0.5f);
+         drop(t, rel, {sum});
+         return loss;
+       }},
+      {"gru_step",
+       [&](Tape& t, bool rel) {
+         const ValueId x = t.scale(t.param(pa), 1.0f);
+         const ValueId h = t.scale(t.param(ph), 1.0f);
+         const ValueId y = cell.step(t, x, h);
+         drop(t, rel, {x, h});
+         const ValueId loss = t.mse(y, target);
+         drop(t, rel, {y});
+         return loss;
+       }},
+      {"gru_step_gathered",
+       [&](Tape& t, bool rel) {
+         const ValueId x = t.scale(t.param(pa), 1.0f);
+         const ValueId h = t.scale(t.param(ph), 1.0f);
+         const ValueId y = cell.step_gathered(t, x, x_idx, h, h_idx);
+         drop(t, rel, {x, h});
+         const ValueId loss = t.mse(y, gathered_target);
+         drop(t, rel, {y});
+         return loss;
+       }},
+  };
+  for (const auto& [name, build] : graphs) {
+    auto grads = [&](bool rel) {
+      for (Parameter* p : params) p->zero_grad();
+      Tape tape;
+      tape.backward(build(tape, rel));
+      std::vector<Tensor> out;
+      for (Parameter* p : params) out.push_back(p->grad);
+      return out;
+    };
+    const std::vector<Tensor> kept = grads(false);
+    const std::vector<Tensor> released = grads(true);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_EQ(std::memcmp(kept[i].data(), released[i].data(),
+                            static_cast<std::size_t>(kept[i].size()) *
+                                sizeof(float)),
+                0)
+          << name << ": " << params[i]->name;
+    }
+  }
 }
 
 TEST(TapeForward, ValueReferencesSurviveLaterOps) {
@@ -395,13 +525,18 @@ TEST(TapeForward, ValueReferencesSurviveLaterOps) {
 }
 
 TEST(TapeBackward, ConstantsReceiveNoGradientWork) {
-  // A graph of pure constants must not blow up in backward (nothing needs
-  // grad except the root chain).
+  // A graph of pure constants must not blow up in backward, and no node
+  // below the root gets a gradient buffer: backward acquires exactly one
+  // tensor, the root's 1×1 seed.
   Tape tape;
   const ValueId a = tape.constant(Tensor(3, 3, 1.0f));
   const ValueId loss = tape.reduce_mean(tape.mul(a, a));
+  const ArenaStats before = arena_stats();
   tape.backward(loss);  // no throw
-  EXPECT_EQ(tape.grad(a).size(), 0);  // never allocated
+  const ArenaStats after = arena_stats();
+  EXPECT_EQ((after.fresh_allocs + after.reuses) -
+                (before.fresh_allocs + before.reuses),
+            1u);
 }
 
 }  // namespace
