@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <queue>
 
 #include "obs/event.h"
 #include "obs/timer.h"
@@ -28,19 +26,55 @@ enum class EventKind : std::uint8_t {
   kPacketArrive,  // a packet reaches the head of its next link's queue
 };
 
+// A plain 24-byte heap entry. A packet in propagation waits in the run's
+// slot pool; its event carries the slot, not the packet.
 struct Event {
   double time = 0.0;
   std::uint64_t seq = 0;  // tie-breaker for determinism
+  std::int32_t target = 0;  // flow index, link id or packet slot
   EventKind kind = EventKind::kFlowArrival;
-  std::int32_t target = 0;  // flow index or link id
-  Packet pkt;
 };
+static_assert(sizeof(Event) == 24, "events should stay three words");
 
+// The one event order: by time, exact ties by scheduling sequence. It is
+// total (seqs are unique), so any correct heap pops the same sequence.
 struct EventLater {
   bool operator()(const Event& a, const Event& b) const {
     if (a.time != b.time) return a.time > b.time;
     return a.seq > b.seq;
   }
+};
+
+// FIFO of packets in a power-of-two ring that only ever grows, so a link
+// queue allocates a handful of times per run rather than per packet.
+class PacketRing {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  const Packet& front() const { return buf_[head_]; }
+  void pop_front() {
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
+  }
+  void push_back(const Packet& pkt) {
+    if (size_ == buf_.size()) grow();
+    buf_[(head_ + size_) & (buf_.size() - 1)] = pkt;
+    ++size_;
+  }
+
+ private:
+  void grow() {
+    std::vector<Packet> bigger(std::max<std::size_t>(8, 2 * buf_.size()));
+    for (std::size_t i = 0; i < size_; ++i) {
+      bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+    buf_.swap(bigger);
+    head_ = 0;
+  }
+
+  std::vector<Packet> buf_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
 };
 
 // Per-flow ON/OFF renewal state (exact for exponential periods thanks to
@@ -54,7 +88,7 @@ struct FlowState {
 
 struct LinkState {
   // One FIFO per scheduling class (FIFO mode uses only queues[0]).
-  std::vector<std::deque<Packet>> queues;
+  std::vector<PacketRing> queues;
   std::size_t total_queued = 0;
   bool busy = false;
   Packet serving;
@@ -128,9 +162,67 @@ class Run {
     }
   }
 
-  void schedule(double t, EventKind kind, std::int32_t target,
-                Packet pkt = {}) {
-    events_.push(Event{t, seq_++, kind, target, pkt});
+  // Binary min-heap on EventLater. The event being handled stays at the
+  // root until its handler's first schedule() overwrites it and sifts the
+  // new event down, so a handler that schedules its successor pays one
+  // sift instead of a pop plus a push. The heap holds the same events as
+  // pop-then-push would, and the order is total, so it pops the same
+  // sequence.
+  void schedule(double t, EventKind kind, std::int32_t target) {
+    const Event ev{t, seq_++, target, kind};
+    if (root_spent_) {
+      root_spent_ = false;
+      sift_down(ev);
+    } else {
+      sift_up(ev);
+    }
+  }
+
+  void schedule_arrival(double t, const Packet& pkt) {
+    auto slot = static_cast<std::int32_t>(in_transit_.size());
+    if (free_slots_.empty()) {
+      in_transit_.push_back(pkt);
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      in_transit_[static_cast<std::size_t>(slot)] = pkt;
+    }
+    schedule(t, EventKind::kPacketArrive, slot);
+  }
+
+  // Places `ev` into the hole at the root.
+  void sift_down(const Event& ev) {
+    const std::size_t n = heap_.size();
+    std::size_t hole = 0;
+    for (;;) {
+      std::size_t child = 2 * hole + 1;
+      if (child >= n) break;
+      if (child + 1 < n && EventLater{}(heap_[child], heap_[child + 1])) {
+        ++child;
+      }
+      if (!EventLater{}(ev, heap_[child])) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = ev;
+  }
+
+  void sift_up(const Event& ev) {
+    std::size_t hole = heap_.size();
+    heap_.emplace_back();
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!EventLater{}(heap_[parent], ev)) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = ev;
+  }
+
+  void pop_root() {
+    const Event last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(last);
   }
 
   void note_queue_change(LinkState& ls, double now) {
@@ -186,11 +278,13 @@ class Run {
     return false;
   }
 
-  void start_service(topo::LinkId id, LinkState& ls, Packet pkt, double now) {
+  void start_service(topo::LinkId id, LinkState& ls, const Packet& pkt,
+                     double now) {
     ls.busy = true;
     ls.serving = pkt;
     ls.busy_since = now;
-    const double tx_time = pkt.size_bits / topo_.link(id).capacity_bps;
+    const double tx_time =
+        pkt.size_bits / capacity_bps_[static_cast<std::size_t>(id)];
     schedule(now + tx_time, EventKind::kServiceDone, id);
   }
 
@@ -205,7 +299,7 @@ class Run {
         cfg_.scheduling == Scheduling::kFifo
             ? 0
             : static_cast<std::size_t>(pkt.cls);
-    std::deque<Packet>& q = ls.queues[qi];
+    PacketRing& q = ls.queues[qi];
     if (cfg_.link_buffer_pkts > 0 &&
         static_cast<int>(q.size()) >= cfg_.link_buffer_pkts) {
       ++ls.drops;
@@ -216,20 +310,20 @@ class Run {
     q.push_back(pkt);
     ++ls.total_queued;
     ls.peak_queue = std::max(ls.peak_queue, ls.total_queued);
-    queue_depth_hist_->record(static_cast<double>(ls.total_queued));
   }
 
-  void deliver(Packet pkt, double now) {
-    const routing::Path& path = scheme_.path_by_index(pkt.pair_idx);
-    if (pkt.hop >= static_cast<std::int32_t>(path.size())) {
+  void deliver(const Packet& pkt, double now) {
+    const auto pair = static_cast<std::size_t>(pkt.pair_idx);
+    const std::int32_t first = route_begin_[pair];
+    if (pkt.hop >= route_begin_[pair + 1] - first) {
       // Destination reached.
       ++packets_delivered_;
       if (pkt.created_s >= cfg_.warmup_s) {
         const double delay = now - pkt.created_s;
-        auto& acc = path_delay_[static_cast<std::size_t>(pkt.pair_idx)];
+        auto& acc = path_delay_[pair];
         acc.add(delay);
         if (cfg_.collect_samples) {
-          auto& samples = path_samples_[static_cast<std::size_t>(pkt.pair_idx)];
+          auto& samples = path_samples_[pair];
           if (samples.size() < cfg_.max_samples_per_path) {
             samples.push_back(delay);
           } else {
@@ -242,8 +336,15 @@ class Run {
       }
       return;
     }
-    const topo::LinkId id = path[static_cast<std::size_t>(pkt.hop)];
+    const topo::LinkId id =
+        route_links_[static_cast<std::size_t>(first + pkt.hop)];
     handle_packet_arrive(id, pkt, now);
+  }
+
+  void handle_packet_landed(std::int32_t slot, double now) {
+    const Packet pkt = in_transit_[static_cast<std::size_t>(slot)];
+    free_slots_.push_back(slot);
+    deliver(pkt, now);
   }
 
   void handle_service_done(topo::LinkId id, double now) {
@@ -256,9 +357,9 @@ class Run {
     Packet pkt = ls.serving;
     ls.busy = false;
     pkt.hop += 1;
-    const double prop = topo_.link(id).prop_delay_s;
+    const double prop = prop_delay_s_[static_cast<std::size_t>(id)];
     if (prop > 0.0) {
-      schedule(now + prop, EventKind::kPacketArrive, id, pkt);
+      schedule_arrival(now + prop, pkt);
     } else {
       deliver(pkt, now);
     }
@@ -292,8 +393,18 @@ class Run {
   const traffic::TrafficMatrix& tm_;
   Rng rng_;
 
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  std::vector<Event> heap_;
+  bool root_spent_ = false;  // the root was handled; schedule() overwrites it
   std::uint64_t seq_ = 0;
+  // Packets in propagation, addressed by their kPacketArrive event.
+  std::vector<Packet> in_transit_;
+  std::vector<std::int32_t> free_slots_;
+  // Per-run copies of the routing and link attributes the loop reads:
+  // pair p's path is route_links_[route_begin_[p], route_begin_[p + 1]).
+  std::vector<std::int32_t> route_begin_;
+  std::vector<topo::LinkId> route_links_;
+  std::vector<double> capacity_bps_;
+  std::vector<double> prop_delay_s_;
   std::vector<FlowState> flows_;
   std::vector<std::int32_t> flow_class_;
   std::vector<LinkState> links_;
@@ -303,9 +414,6 @@ class Run {
   std::size_t packets_created_ = 0;
   std::size_t packets_delivered_ = 0;  // all deliveries, warmup included
   std::size_t processed_ = 0;
-  // Cached registry reference; the event loop records lock-free.
-  obs::Histogram* queue_depth_hist_ =
-      &obs::Registry::global().histogram("sim.queue_depth_pkts");
 };
 
 SimResult Run::execute() {
@@ -322,7 +430,25 @@ SimResult Run::execute() {
       flow_class_[static_cast<std::size_t>(idx)] = cls;
     }
   }
-  links_.resize(static_cast<std::size_t>(topo_.num_links()));
+  const int num_links = topo_.num_links();
+  route_begin_.assign(1, 0);
+  route_begin_.reserve(static_cast<std::size_t>(num_pairs) + 1);
+  route_links_.clear();
+  for (int idx = 0; idx < num_pairs; ++idx) {
+    for (const topo::LinkId id : scheme_.path_by_index(idx)) {
+      RN_CHECK(id >= 0 && id < num_links, "path uses an unknown link id");
+      route_links_.push_back(id);
+    }
+    route_begin_.push_back(static_cast<std::int32_t>(route_links_.size()));
+  }
+  capacity_bps_.reserve(static_cast<std::size_t>(num_links));
+  prop_delay_s_.reserve(static_cast<std::size_t>(num_links));
+  for (const topo::Link& link : topo_.links()) {
+    capacity_bps_.push_back(link.capacity_bps);
+    prop_delay_s_.push_back(link.prop_delay_s);
+  }
+  heap_.reserve(static_cast<std::size_t>(num_pairs + num_links));
+  links_.resize(static_cast<std::size_t>(num_links));
   const std::size_t queue_count =
       cfg_.scheduling == Scheduling::kFifo
           ? 1
@@ -361,9 +487,9 @@ SimResult Run::execute() {
 
   obs::Stopwatch wall;
   double now = 0.0;
-  while (!events_.empty()) {
-    const Event ev = events_.top();
-    events_.pop();
+  while (!heap_.empty()) {
+    const Event ev = heap_.front();
+    root_spent_ = true;
     now = ev.time;
     ++processed_;
     switch (ev.kind) {
@@ -374,12 +500,16 @@ SimResult Run::execute() {
         handle_service_done(ev.target, now);
         break;
       case EventKind::kPacketArrive:
-        deliver(ev.pkt, now);
+        handle_packet_landed(ev.target, now);
         break;
     }
+    if (root_spent_) {
+      root_spent_ = false;
+      pop_root();
+    }
   }
-  // `now` is the time of the last event; in-flight packets at that point are
-  // simply not counted (standard truncation).
+  // Arrivals stop at horizon_s and the loop then drains every queue, so
+  // `now` is the time of the last event and no packet is left in flight.
 
   const double wall_s = wall.elapsed_s();
 
@@ -407,8 +537,8 @@ SimResult Run::execute() {
     }
   }
   const double window = std::max(1e-12, now - cfg_.warmup_s);
-  result.links.resize(static_cast<std::size_t>(topo_.num_links()));
-  for (topo::LinkId id = 0; id < topo_.num_links(); ++id) {
+  result.links.resize(static_cast<std::size_t>(num_links));
+  for (topo::LinkId id = 0; id < num_links; ++id) {
     LinkState& ls = links_[static_cast<std::size_t>(id)];
     // Close open accounting intervals at the final clock.
     if (ls.busy) {
@@ -426,7 +556,8 @@ SimResult Run::execute() {
     result.peak_queue_pkts = std::max(result.peak_queue_pkts, ls.peak_queue);
   }
   // Whatever was neither delivered nor dropped is still in a queue, in
-  // service, or in propagation when the horizon truncates the run.
+  // service or in propagation. The drain above leaves none, so this is 0;
+  // it is computed rather than assumed so the accounting stays checkable.
   result.packets_in_flight =
       packets_created_ - packets_delivered_ - result.packets_dropped;
 

@@ -6,6 +6,15 @@
 // link capacity, and its end-to-end delay recorded at the destination.
 // Per-source/destination mean delay and jitter (delay standard deviation)
 // are exactly the targets RouteNet learns to predict.
+//
+// Engine: one binary heap of 24-byte events ordered by (time, scheduling
+// sequence), a total order, so a run is a pure function of its inputs and
+// seed. A handler's first new event replaces the root it was popped from.
+// With zero propagation delay a hop costs one event, the service
+// completion; a packet in propagation waits in a slot pool. Link queues
+// are power-of-two rings, one per class, shared by all three disciplines,
+// and each run flattens the routing and link attributes it reads into
+// arrays. docs/performance.md ("Packet simulator") has the numbers.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +41,9 @@ enum class Scheduling {
 struct SimConfig {
   // Statistics only count packets created at or after warmup_s.
   double warmup_s = 1.0;
-  // Simulation stops once the event clock passes horizon_s.
+  // Flows emit no packet after horizon_s; the run then drains, so every
+  // packet created is delivered or dropped, and the clock ends at the last
+  // event rather than at horizon_s.
   double horizon_s = 30.0;
   std::uint64_t seed = 1;
   traffic::TrafficModel model;
@@ -82,7 +93,9 @@ struct SimResult {
   // packets_in_flight holds for every scheduling discipline.
   std::size_t packets_delivered = 0;
   std::size_t packets_dropped = 0;
-  std::size_t packets_in_flight = 0;  // still queued/in service at the end
+  // Neither delivered nor dropped at the end. The run drains after the
+  // horizon, so this is always 0; it stays as the accounting's check term.
+  std::size_t packets_in_flight = 0;
 
   // Run-level telemetry: host wall time of the event loop, its throughput,
   // and the deepest any link queue got.

@@ -3,6 +3,7 @@
 //   - N independently generated shards merged are bitwise identical to a
 //     single-process run (at 1 and 4 threads — generation is thread-count
 //     invariant),
+//   - small NSFNET and ba50 shards hash to committed CRC-32s,
 //   - verify/merge refuse incoherent sets (seed / config-fingerprint
 //     mismatch, missing or duplicated shards),
 //   - StreamingDataset decodes exactly the generate_many samples,
@@ -102,6 +103,39 @@ TEST(ShardGeneration, FourShardMergeBitwiseEqualsSingle) {
     EXPECT_EQ(read_file(single), read_file(merged))
         << "4-shard merge is not bitwise identical at " << threads
         << " thread(s)";
+  }
+  par::set_global_threads(0);
+}
+
+// Golden RNDS1 bytes: committed CRC-32s of small NSFNET and ba50 shards
+// (the topologies `dataset gen` builds for `nsfnet` and `ba50`), at 1 and 4
+// threads. Any change to the scenario draws, the simulator seed derivation
+// or the simulator's event order moves them. Recompute them only for a
+// deliberate ground-truth change, and say so.
+TEST(ShardGolden, NsfnetAndBa50BytesAreCommitted) {
+  GeneratorConfig cfg;
+  cfg.target_pkts_per_flow = 40.0;
+  cfg.warmup_s = 0.5;
+  cfg.min_delivered = 5;
+  Rng ba_rng(6);
+  const auto ba50 = std::make_shared<const topo::Topology>(
+      topo::synthetic_ba(50, 2, ba_rng));
+  const auto nsfnet = std::make_shared<const topo::Topology>(topo::nsfnet());
+  for (const int threads : {1, 4}) {
+    par::set_global_threads(threads);
+    const std::string tag = "_t" + std::to_string(threads);
+    const std::string ns_path =
+        ::testing::TempDir() + "golden_ns" + tag + ".rnds";
+    const std::string ba_path =
+        ::testing::TempDir() + "golden_ba" + tag + ".rnds";
+    generate_shard(ns_path, cfg, 11, nsfnet, 4, 0, 1);
+    generate_shard(ba_path, cfg, 6, ba50, 2, 0, 1);
+    const std::string ns = read_file(ns_path);
+    const std::string ba = read_file(ba_path);
+    EXPECT_EQ(util::crc32(ns.data(), ns.size()), 0x8307b223u)
+        << "NSFNET shard at " << threads << " thread(s)";
+    EXPECT_EQ(util::crc32(ba.data(), ba.size()), 0xc82dc2f5u)
+        << "ba50 shard at " << threads << " thread(s)";
   }
   par::set_global_threads(0);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "topology/generators.h"
+#include "util/bytes.h"
 
 namespace rn::sim {
 namespace {
@@ -326,6 +327,16 @@ TEST(PacketSimulator, HigherLoadMeansHigherDelayMonotonic) {
   }
 }
 
+TEST(PacketSimulator, RejectsPathThroughUnknownLink) {
+  // The run flattens every path into its route table up front, so a path
+  // naming a link the topology lacks throws before any event runs.
+  SingleLinkScenario sc(10'000.0, 5'000.0);
+  sc.scheme.set_path(1, 0, {3});  // the topology has one link, id 0
+  const SimConfig cfg;
+  EXPECT_THROW(PacketSimulator(cfg).run(sc.topology, sc.scheme, sc.tm),
+               std::runtime_error);
+}
+
 TEST(PacketSimulator, RejectsBadConfig) {
   SimConfig cfg;
   cfg.warmup_s = 10.0;
@@ -334,12 +345,13 @@ TEST(PacketSimulator, RejectsBadConfig) {
 }
 
 // Whole-run packet accounting must reconcile exactly for every scheduling
-// discipline: created == delivered + dropped + in_flight.
+// discipline: created == delivered + dropped + in_flight. The run drains
+// after the horizon, so nothing is left in flight.
 class PacketReconciliation : public ::testing::TestWithParam<Scheduling> {};
 
 TEST_P(PacketReconciliation, CreatedEqualsDeliveredPlusDroppedPlusInFlight) {
-  // Overloaded bottleneck with a tiny finite buffer so all three outcomes
-  // (delivered, dropped, and potentially in-flight) actually occur.
+  // Overloaded bottleneck with a tiny finite buffer so both outcomes,
+  // delivered and dropped, actually occur.
   SingleLinkScenario sc(10'000.0, 18'000.0);
   SimConfig cfg;
   cfg.warmup_s = 1.0;
@@ -356,6 +368,7 @@ TEST_P(PacketReconciliation, CreatedEqualsDeliveredPlusDroppedPlusInFlight) {
   EXPECT_EQ(res.packets_created,
             res.packets_delivered + res.packets_dropped +
                 res.packets_in_flight);
+  EXPECT_EQ(res.packets_in_flight, 0u);
   EXPECT_GT(res.packets_delivered, 0u);
   EXPECT_GT(res.packets_dropped, 0u);  // ρ=1.8 with 4-pkt buffer must drop
   // Run-level telemetry sanity.
@@ -403,6 +416,141 @@ TEST(PacketSimulator, PerLinkPeakQueueBoundsRunPeak) {
   EXPECT_EQ(res.packets_created,
             res.packets_delivered + res.packets_dropped +
                 res.packets_in_flight);
+}
+
+// Golden outputs: committed CRC-32s of the bit pattern of every
+// deterministic SimResult field (everything but the two wall-clock ones).
+// An engine rewrite that keeps the event order keeps these; a change to the
+// tie-break, the RNG draw order or any statistic moves them. Recompute them
+// only for a deliberate ground-truth change, and say so.
+std::uint32_t result_crc(const SimResult& r) {
+  std::uint32_t crc = 0;
+  const auto put = [&crc](auto v) { crc = util::crc32(&v, sizeof v, crc); };
+  const auto count = [&put](std::size_t n) {
+    put(static_cast<std::uint64_t>(n));
+  };
+  for (const PathStats& p : r.paths) {
+    count(p.delivered);
+    count(p.dropped);
+    put(p.mean_delay_s);
+    put(p.jitter_s);
+    put(p.p99_delay_s);
+  }
+  for (const LinkStats& l : r.links) {
+    put(l.utilization);
+    put(l.mean_queue_pkts);
+    count(l.peak_queue_pkts);
+    count(l.tx_pkts);
+    count(l.drops);
+  }
+  put(r.simulated_time_s);
+  put(r.warmup_s);
+  count(r.total_events);
+  count(r.packets_created);
+  count(r.packets_delivered);
+  count(r.packets_dropped);
+  count(r.packets_in_flight);
+  count(r.peak_queue_pkts);
+  return crc;
+}
+
+// NSFNET under uniform traffic scaled so its busiest link sits at `util`.
+struct NsfnetScenario {
+  explicit NsfnetScenario(double util,
+                          const topo::GeneratorOptions& opts = {})
+      : topology(topo::nsfnet(opts)),
+        scheme(routing::shortest_path_routing(topology)),
+        tm(topology.num_nodes()) {
+    Rng rng(4);
+    tm = traffic::uniform_traffic(topology.num_nodes(), 50.0, 150.0, rng);
+    traffic::scale_to_max_utilization(tm, topology, scheme, util);
+  }
+  SimResult run(const SimConfig& cfg) const {
+    return PacketSimulator(cfg).run(topology, scheme, tm);
+  }
+  topo::Topology topology;
+  routing::RoutingScheme scheme;
+  traffic::TrafficMatrix tm;
+};
+
+SimConfig golden_config() {
+  SimConfig cfg;
+  cfg.warmup_s = 1.0;
+  cfg.horizon_s = 201.0;
+  cfg.seed = 2024;
+  return cfg;
+}
+
+SimConfig two_classes(SimConfig cfg, Scheduling s) {
+  cfg.scheduling = s;
+  cfg.num_classes = 2;
+  cfg.class_of_flow = [](int pair_idx) { return pair_idx % 3 == 0 ? 0 : 1; };
+  return cfg;
+}
+
+TEST(SimGolden, FifoFiniteBufferDrops) {
+  SimConfig cfg = golden_config();
+  cfg.link_buffer_pkts = 3;
+  const SimResult res = NsfnetScenario(0.95).run(cfg);
+  ASSERT_GT(res.packets_dropped, 0u);
+  EXPECT_EQ(result_crc(res), 0x4634be7bu);
+}
+
+TEST(SimGolden, OnOffArrivals) {
+  SimConfig cfg = golden_config();
+  cfg.model.arrivals = traffic::ArrivalProcess::kOnOff;
+  cfg.model.on_fraction = 0.3;
+  cfg.model.mean_on_s = 0.5;
+  cfg.model.sizes = traffic::PacketSizeModel::kBimodal;
+  EXPECT_EQ(result_crc(NsfnetScenario(0.7).run(cfg)), 0x5797c089u);
+}
+
+TEST(SimGolden, PropagationDelay) {
+  topo::GeneratorOptions opts;
+  opts.prop_delay_s = 0.004;
+  SimConfig cfg = golden_config();
+  cfg.link_buffer_pkts = 6;
+  EXPECT_EQ(result_crc(NsfnetScenario(0.8, opts).run(cfg)), 0x1e3412eau);
+}
+
+TEST(SimGolden, StrictPriorityTwoClasses) {
+  SimConfig cfg = two_classes(golden_config(), Scheduling::kStrictPriority);
+  cfg.link_buffer_pkts = 5;
+  EXPECT_EQ(result_crc(NsfnetScenario(0.9).run(cfg)), 0xa2f957cbu);
+}
+
+TEST(SimGolden, DeficitRoundRobinTwoClasses) {
+  SimConfig cfg = two_classes(golden_config(), Scheduling::kDeficitRoundRobin);
+  cfg.link_buffer_pkts = 5;
+  cfg.drr_quantum_bits = 700.0;
+  EXPECT_EQ(result_crc(NsfnetScenario(0.9).run(cfg)), 0x92dafc43u);
+}
+
+TEST(SimGolden, ReservoirSamples) {
+  SimConfig cfg = golden_config();
+  cfg.collect_samples = true;
+  cfg.max_samples_per_path = 16;  // small cap: the reservoir draws often
+  const SimResult res = NsfnetScenario(0.7).run(cfg);
+  ASSERT_GT(res.paths[1].p99_delay_s, 0.0);
+  EXPECT_EQ(result_crc(res), 0xfe70eca9u);
+}
+
+TEST(SimGolden, FixedSizeTandemTies) {
+  // Equal capacities and fixed sizes make every transmission last exactly
+  // 0.1 s, so a completion on one link ties exactly with the completion of
+  // the packet it handed to the next link; only the event sequence number
+  // orders them.
+  const topo::Topology t = topo::line(4, 10'000.0);
+  const routing::RoutingScheme scheme = routing::shortest_path_routing(t);
+  traffic::TrafficMatrix tm(4);
+  tm.set_rate_bps(0, 3, 4'000.0);
+  tm.set_rate_bps(1, 3, 3'000.0);
+  tm.set_rate_bps(0, 2, 2'000.0);
+  SimConfig cfg = golden_config();
+  cfg.horizon_s = 401.0;
+  cfg.model.sizes = traffic::PacketSizeModel::kFixed;
+  const SimResult res = PacketSimulator(cfg).run(t, scheme, tm);
+  EXPECT_EQ(result_crc(res), 0x4dc0b4dbu);
 }
 
 TEST(HorizonForTargetPackets, ScalesInversely) {
