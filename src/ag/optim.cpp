@@ -6,45 +6,9 @@
 
 namespace rn::ag {
 
-Optimizer::Optimizer(std::vector<Parameter*> params)
-    : params_(std::move(params)) {
-  for (Parameter* p : params_) {
-    RN_CHECK(p != nullptr, "null Parameter handed to Optimizer");
-  }
-}
-
-void Optimizer::zero_grad() {
-  for (Parameter* p : params_) p->zero_grad();
-}
-
-Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  RN_CHECK(lr > 0.0f, "learning rate must be positive");
-  if (momentum_ != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (Parameter* p : params_) {
-      velocity_.emplace_back(p->value.rows(), p->value.cols());
-    }
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    if (momentum_ == 0.0f) {
-      p.value.add_scaled(p.grad, -lr_);
-    } else {
-      Tensor& v = velocity_[i];
-      v.scale(momentum_);
-      v.add_scaled(p.grad, 1.0f);
-      p.value.add_scaled(v, -lr_);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
@@ -53,9 +17,14 @@ Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2,
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (Parameter* p : params_) {
+    RN_CHECK(p != nullptr, "null Parameter handed to Adam");
     m_.emplace_back(p->value.rows(), p->value.cols());
     v_.emplace_back(p->value.rows(), p->value.cols());
   }
+}
+
+void Adam::zero_grad() {
+  for (Parameter* p : params_) p->zero_grad();
 }
 
 void Adam::set_state(long step_count, std::vector<Tensor> m,

@@ -1,4 +1,4 @@
-// First-order optimizers over Parameter sets, plus gradient clipping.
+// Adam over a Parameter set, plus gradient clipping.
 #pragma once
 
 #include <vector>
@@ -7,49 +7,22 @@
 
 namespace rn::ag {
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Parameter*> params);
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  // Applies one update from the accumulated gradients.
-  virtual void step() = 0;
-
-  void zero_grad();
-
-  const std::vector<Parameter*>& params() const { return params_; }
-
- protected:
-  std::vector<Parameter*> params_;
-};
-
-// Plain SGD with optional classical momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, float lr, float momentum = 0.0f);
-
-  void step() override;
-
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
 // Adam (Kingma & Ba) with bias correction — the optimizer RouteNet trains
 // with in the reference implementation.
-class Adam final : public Optimizer {
+class Adam {
  public:
   Adam(std::vector<Parameter*> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f);
 
-  void step() override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
+
+  // Applies one update from the accumulated gradients.
+  void step();
+
+  void zero_grad();
+
+  const std::vector<Parameter*>& params() const { return params_; }
 
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
@@ -64,6 +37,7 @@ class Adam final : public Optimizer {
                  std::vector<Tensor> v);
 
  private:
+  std::vector<Parameter*> params_;
   float lr_, beta1_, beta2_, eps_;
   long t_ = 0;
   std::vector<Tensor> m_, v_;

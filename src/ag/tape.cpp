@@ -1,14 +1,25 @@
 #include "ag/tape.h"
 
-#include <cmath>
-#include <cstring>
+#include <algorithm>
 
 #include "ag/kernels.h"
 #include "obs/trace.h"
 
 namespace rn::ag {
 
-ValueId Tape::push(Node n) {
+ValueId Tape::record(Node n) {
+  const auto needs = [this](ValueId id) {
+    return id != kInvalidValue && node(id).needs_grad;
+  };
+  n.needs_grad = n.op == Op::kParam || n.op == Op::kGruStep ||
+                 n.op == Op::kGruStepGathered || needs(n.a) || needs(n.b);
+  for (ValueId src : n.srcs) n.needs_grad = n.needs_grad || needs(src);
+  if (recording()) {
+    const Saved& s = kSaved[static_cast<std::size_t>(n.op)];
+    if (s.a) node(n.a).saved = true;
+    if (s.b) node(n.b).saved = true;
+    n.saved = s.out;
+  }
   n.rows = n.value.rows();
   n.cols = n.value.cols();
   nodes_.push_back(std::move(n));
@@ -33,21 +44,11 @@ const Tensor& Tape::input(ValueId id) const {
   return n.value;
 }
 
-void Tape::save(ValueId id) {
-  if (recording()) node(id).saved = true;
-}
-
 const Tensor& Tape::saved_value(ValueId id) const {
   const Node& n = node(id);
   RN_CHECK(!n.released || n.saved,
            "backward read of a released tape value its op did not save");
   return n.value;
-}
-
-bool Tape::any_needs_grad(ValueId a, ValueId b) const {
-  if (a != kInvalidValue && node(a).needs_grad) return true;
-  if (b != kInvalidValue && node(b).needs_grad) return true;
-  return false;
 }
 
 Tensor& Tape::grad_buffer(ValueId id) {
@@ -59,79 +60,49 @@ Tensor& Tape::grad_buffer(ValueId id) {
 // --- Leaves ------------------------------------------------------------------
 
 ValueId Tape::constant(Tensor t) {
-  Node n;
-  n.op = Op::kConstant;
-  n.value = std::move(t);
-  n.needs_grad = false;
-  return push(std::move(n));
+  return record({.op = Op::kConstant, .value = std::move(t)});
 }
 
 ValueId Tape::param(Parameter& p) {
-  Node n;
-  n.op = Op::kParam;
-  n.value = p.value;  // copy: tape must stay valid if the optimizer steps
-  n.needs_grad = true;
-  n.parameter = &p;
-  return push(std::move(n));
+  // Copy: the tape must stay valid if the optimizer steps.
+  return record({.op = Op::kParam, .value = p.value, .parameter = &p});
 }
 
 // --- Dense algebra -------------------------------------------------------------
 
 ValueId Tape::matmul(ValueId a, ValueId b) {
-  Node n;
-  n.op = Op::kMatmul;
-  n.a = a;
-  n.b = b;
-  n.value = ag::matmul(input(a), input(b));
-  n.needs_grad = any_needs_grad(a, b);
-  save(a);
-  save(b);
-  return push(std::move(n));
+  return record({.op = Op::kMatmul,
+                 .a = a,
+                 .b = b,
+                 .value = ag::matmul(input(a), input(b))});
 }
 
 ValueId Tape::add(ValueId a, ValueId b) {
   const Tensor& av = input(a);
   const Tensor& bv = input(b);
   RN_CHECK(av.same_shape(bv), "add shape mismatch");
-  Node n;
-  n.op = Op::kAdd;
-  n.a = a;
-  n.b = b;
-  n.value = av;
-  n.value.add_scaled(bv, 1.0f);
-  n.needs_grad = any_needs_grad(a, b);
-  return push(std::move(n));
+  Tensor v = av;
+  v.add_scaled(bv, 1.0f);
+  return record({.op = Op::kAdd, .a = a, .b = b, .value = std::move(v)});
 }
 
 ValueId Tape::sub(ValueId a, ValueId b) {
   const Tensor& av = input(a);
   const Tensor& bv = input(b);
   RN_CHECK(av.same_shape(bv), "sub shape mismatch");
-  Node n;
-  n.op = Op::kSub;
-  n.a = a;
-  n.b = b;
-  n.value = av;
-  n.value.add_scaled(bv, -1.0f);
-  n.needs_grad = any_needs_grad(a, b);
-  return push(std::move(n));
+  Tensor v = av;
+  v.add_scaled(bv, -1.0f);
+  return record({.op = Op::kSub, .a = a, .b = b, .value = std::move(v)});
 }
 
 ValueId Tape::mul(ValueId a, ValueId b) {
   const Tensor& av = input(a);
   const Tensor& bv = input(b);
   RN_CHECK(av.same_shape(bv), "mul shape mismatch");
-  Node n;
-  n.op = Op::kMul;
-  n.a = a;
-  n.b = b;
-  n.value = av;
-  kern::active().mul_inplace(n.value.data(), bv.data(),
-                             static_cast<std::size_t>(n.value.size()));
-  n.needs_grad = any_needs_grad(a, b);
-  save(a);
-  save(b);
-  return push(std::move(n));
+  Tensor v = av;
+  kern::active().mul_inplace(v.data(), bv.data(),
+                             static_cast<std::size_t>(v.size()));
+  return record({.op = Op::kMul, .a = a, .b = b, .value = std::move(v)});
 }
 
 ValueId Tape::add_bias(ValueId m, ValueId bias) {
@@ -139,187 +110,111 @@ ValueId Tape::add_bias(ValueId m, ValueId bias) {
   const Tensor& bv = input(bias);
   RN_CHECK(bv.rows() == 1 && bv.cols() == mv.cols(),
            "add_bias expects a 1×C bias matching the matrix columns");
-  Node n;
-  n.op = Op::kAddBias;
-  n.a = m;
-  n.b = bias;
-  n.value = mv;
-  kern::active().add_bias_rows(n.value.data(), bv.data(), mv.rows(),
-                               mv.cols());
-  n.needs_grad = any_needs_grad(m, bias);
-  return push(std::move(n));
+  Tensor v = mv;
+  kern::active().add_bias_rows(v.data(), bv.data(), mv.rows(), mv.cols());
+  return record({.op = Op::kAddBias, .a = m, .b = bias, .value = std::move(v)});
 }
 
 ValueId Tape::scale(ValueId a, float s) {
-  Node n;
-  n.op = Op::kScale;
-  n.a = a;
-  n.scalar = s;
-  n.value = input(a);
-  n.value.scale(s);
-  n.needs_grad = any_needs_grad(a);
-  return push(std::move(n));
+  Tensor v = input(a);
+  v.scale(s);
+  return record(
+      {.op = Op::kScale, .a = a, .value = std::move(v), .scalar = s});
 }
 
 ValueId Tape::scale_rows(ValueId a, const std::vector<float>& factors) {
   const Tensor& av = input(a);
   RN_CHECK(static_cast<int>(factors.size()) == av.rows(),
            "scale_rows: one factor per row");
-  Node n;
-  n.op = Op::kScaleRows;
-  n.a = a;
-  n.value = av;
-  kern::active().scale_rows(n.value.data(), factors.data(), av.rows(),
-                            av.cols());
-  if (recording()) n.row_factors = factors;
-  n.needs_grad = any_needs_grad(a);
-  return push(std::move(n));
+  Tensor v = av;
+  kern::active().scale_rows(v.data(), factors.data(), av.rows(), av.cols());
+  Tensor kept;
+  if (recording()) {
+    kept = Tensor(av.rows(), 1);
+    std::copy(factors.begin(), factors.end(), kept.data());
+  }
+  return record({.op = Op::kScaleRows,
+                 .a = a,
+                 .value = std::move(v),
+                 .aux_tensor = std::move(kept)});
 }
 
 ValueId Tape::dropout(ValueId a, float rate, Rng& rng) {
   RN_CHECK(rate >= 0.0f && rate < 1.0f, "dropout rate must be in [0,1)");
   const Tensor& av = input(a);
-  Node n;
-  n.op = Op::kDropout;
-  n.a = a;
   // Mask holds 0 or the inverted-dropout scale, so forward and backward are
   // both a plain elementwise multiply by it.
-  n.aux_tensor = Tensor(av.rows(), av.cols());
+  Tensor mask(av.rows(), av.cols());
   const float keep_scale = 1.0f / (1.0f - rate);
   for (int i = 0; i < av.size(); ++i) {
-    n.aux_tensor[static_cast<std::size_t>(i)] =
+    mask[static_cast<std::size_t>(i)] =
         rng.bernoulli(static_cast<double>(rate)) ? 0.0f : keep_scale;
   }
-  n.value = av;
+  Tensor v = av;
   for (int i = 0; i < av.size(); ++i) {
-    n.value[static_cast<std::size_t>(i)] *=
-        n.aux_tensor[static_cast<std::size_t>(i)];
+    v[static_cast<std::size_t>(i)] *= mask[static_cast<std::size_t>(i)];
   }
-  n.needs_grad = any_needs_grad(a);
-  return push(std::move(n));
+  return record({.op = Op::kDropout,
+                 .a = a,
+                 .value = std::move(v),
+                 .aux_tensor = std::move(mask)});
 }
 
 ValueId Tape::one_minus(ValueId a) {
-  Node n;
-  n.op = Op::kOneMinus;
-  n.a = a;
-  n.value = input(a);
-  for (int i = 0; i < n.value.size(); ++i) {
+  Tensor v = input(a);
+  for (int i = 0; i < v.size(); ++i) {
     auto idx = static_cast<std::size_t>(i);
-    n.value[idx] = 1.0f - n.value[idx];
+    v[idx] = 1.0f - v[idx];
   }
-  n.needs_grad = any_needs_grad(a);
-  return push(std::move(n));
+  return record({.op = Op::kOneMinus, .a = a, .value = std::move(v)});
 }
 
 // --- Nonlinearities --------------------------------------------------------------
 
 ValueId Tape::sigmoid(ValueId a) {
-  Node n;
-  n.op = Op::kSigmoid;
-  n.a = a;
-  n.value = input(a);
-  kern::active().sigmoid_inplace(n.value.data(),
-                                 static_cast<std::size_t>(n.value.size()));
-  n.needs_grad = any_needs_grad(a);
-  n.saved = recording();  // backward reads the output
-  return push(std::move(n));
+  Tensor v = input(a);
+  kern::active().sigmoid_inplace(v.data(), static_cast<std::size_t>(v.size()));
+  return record({.op = Op::kSigmoid, .a = a, .value = std::move(v)});
 }
 
 ValueId Tape::tanh(ValueId a) {
-  Node n;
-  n.op = Op::kTanh;
-  n.a = a;
-  n.value = input(a);
-  kern::active().tanh_inplace(n.value.data(),
-                              static_cast<std::size_t>(n.value.size()));
-  n.needs_grad = any_needs_grad(a);
-  n.saved = recording();  // backward reads the output
-  return push(std::move(n));
+  Tensor v = input(a);
+  kern::active().tanh_inplace(v.data(), static_cast<std::size_t>(v.size()));
+  return record({.op = Op::kTanh, .a = a, .value = std::move(v)});
 }
 
 ValueId Tape::relu(ValueId a) {
-  Node n;
-  n.op = Op::kRelu;
-  n.a = a;
-  n.value = input(a);
-  for (int i = 0; i < n.value.size(); ++i) {
+  Tensor v = input(a);
+  for (int i = 0; i < v.size(); ++i) {
     auto idx = static_cast<std::size_t>(i);
-    if (n.value[idx] < 0.0f) n.value[idx] = 0.0f;
+    if (v[idx] < 0.0f) v[idx] = 0.0f;
   }
-  n.needs_grad = any_needs_grad(a);
-  n.saved = recording();  // backward reads the output
-  return push(std::move(n));
+  return record({.op = Op::kRelu, .a = a, .value = std::move(v)});
 }
 
 // --- Shape ops --------------------------------------------------------------------
-
-ValueId Tape::concat_cols(ValueId a, ValueId b) {
-  const Tensor& av = input(a);
-  const Tensor& bv = input(b);
-  RN_CHECK(av.rows() == bv.rows(), "concat_cols row mismatch");
-  Node n;
-  n.op = Op::kConcatCols;
-  n.a = a;
-  n.b = b;
-  n.aux0 = av.cols();
-  n.value = Tensor(av.rows(), av.cols() + bv.cols());
-  for (int r = 0; r < av.rows(); ++r) {
-    float* out = n.value.row(r);
-    const float* ra = av.row(r);
-    const float* rb = bv.row(r);
-    for (int c = 0; c < av.cols(); ++c) out[c] = ra[c];
-    for (int c = 0; c < bv.cols(); ++c) out[av.cols() + c] = rb[c];
-  }
-  n.needs_grad = any_needs_grad(a, b);
-  return push(std::move(n));
-}
 
 ValueId Tape::concat_rows(const std::vector<ValueId>& xs) {
   RN_CHECK(!xs.empty(), "concat_rows of no blocks");
   const int cols = input(xs.front()).cols();
   int rows = 0;
-  bool needs = false;
   for (ValueId x : xs) {
     const Tensor& xv = input(x);
     RN_CHECK(xv.cols() == cols, "concat_rows column mismatch");
     rows += xv.rows();
-    needs = needs || node(x).needs_grad;
   }
-  Node n;
-  n.op = Op::kConcatRows;
-  n.srcs = xs;
-  n.value = Tensor(rows, cols);
+  Tensor v(rows, cols);
   int r0 = 0;
   for (ValueId x : xs) {
     const Tensor& xv = input(x);
     for (int r = 0; r < xv.rows(); ++r) {
-      float* out = n.value.row(r0 + r);
+      float* out = v.row(r0 + r);
       const float* in = xv.row(r);
       for (int c = 0; c < cols; ++c) out[c] = in[c];
     }
     r0 += xv.rows();
   }
-  n.needs_grad = needs;
-  return push(std::move(n));
-}
-
-ValueId Tape::slice_cols(ValueId a, int c0, int c1) {
-  const Tensor& av = input(a);
-  RN_CHECK(0 <= c0 && c0 < c1 && c1 <= av.cols(), "slice_cols bounds");
-  Node n;
-  n.op = Op::kSliceCols;
-  n.a = a;
-  n.aux0 = c0;
-  n.aux1 = c1;
-  n.value = Tensor(av.rows(), c1 - c0);
-  for (int r = 0; r < av.rows(); ++r) {
-    const float* in = av.row(r);
-    float* out = n.value.row(r);
-    for (int c = c0; c < c1; ++c) out[c - c0] = in[c];
-  }
-  n.needs_grad = any_needs_grad(a);
-  return push(std::move(n));
+  return record({.op = Op::kConcatRows, .srcs = xs, .value = std::move(v)});
 }
 
 // --- Graph-indexing ops --------------------------------------------------------------
@@ -329,16 +224,14 @@ ValueId Tape::gather_rows(ValueId a, const std::vector<int>& idx) {
   for (int i : idx) {
     RN_CHECK(i >= 0 && i < av.rows(), "gather_rows index out of range");
   }
-  Node n;
-  n.op = Op::kGatherRows;
-  n.a = a;
-  n.value = Tensor(static_cast<int>(idx.size()), av.cols());
+  Tensor v(static_cast<int>(idx.size()), av.cols());
   kern::active().gather_rows(av.data(), idx.data(),
                              static_cast<int>(idx.size()), av.cols(),
-                             n.value.data());
-  if (recording()) n.idx = idx;
-  n.needs_grad = any_needs_grad(a);
-  return push(std::move(n));
+                             v.data());
+  return record({.op = Op::kGatherRows,
+                 .a = a,
+                 .value = std::move(v),
+                 .idx = recording() ? idx : std::vector<int>()});
 }
 
 ValueId Tape::scatter_rows(ValueId base, const std::vector<int>& idx,
@@ -355,17 +248,15 @@ ValueId Tape::scatter_rows(ValueId base, const std::vector<int>& idx,
              "scatter_rows indices must be unique");
     seen[static_cast<std::size_t>(i)] = true;
   }
-  Node n;
-  n.op = Op::kScatterRows;
-  n.a = base;
-  n.b = rows;
-  n.value = bv;
-  kern::active().scatter_rows(n.value.data(), idx.data(),
+  Tensor v = bv;
+  kern::active().scatter_rows(v.data(), idx.data(),
                               static_cast<int>(idx.size()), bv.cols(),
                               rv.data());
-  if (recording()) n.idx = idx;
-  n.needs_grad = any_needs_grad(base, rows);
-  return push(std::move(n));
+  return record({.op = Op::kScatterRows,
+                 .a = base,
+                 .b = rows,
+                 .value = std::move(v),
+                 .idx = recording() ? idx : std::vector<int>()});
 }
 
 ValueId Tape::segment_sum(ValueId a, const std::vector<int>& seg,
@@ -376,24 +267,21 @@ ValueId Tape::segment_sum(ValueId a, const std::vector<int>& seg,
   for (int s : seg) {
     RN_CHECK(s >= 0 && s < num_segments, "segment id out of range");
   }
-  Node n;
-  n.op = Op::kSegmentSum;
-  n.a = a;
-  n.aux0 = num_segments;
-  n.value = Tensor(num_segments, av.cols());
-  kern::active().indexed_row_add(n.value.data(), seg.data(),
+  Tensor v(num_segments, av.cols());
+  kern::active().indexed_row_add(v.data(), seg.data(),
                                  static_cast<int>(seg.size()), av.cols(),
                                  av.data());
-  if (recording()) n.idx = seg;
-  n.needs_grad = any_needs_grad(a);
-  return push(std::move(n));
+  return record({.op = Op::kSegmentSum,
+                 .a = a,
+                 .value = std::move(v),
+                 .idx = recording() ? seg : std::vector<int>()});
 }
 
 // --- Fused ops ---------------------------------------------------------------------------
 
 ValueId Tape::gru_step(ValueId x, ValueId h, const GruWeights& w) {
   static const std::vector<int> kNoGather;
-  return gru_step_impl(x, h, w, kNoGather, kNoGather);
+  return gru_step_impl(Op::kGruStep, x, h, w, kNoGather, kNoGather);
 }
 
 ValueId Tape::gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
@@ -401,6 +289,7 @@ ValueId Tape::gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
                                 const GruWeights& w) {
   RN_CHECK(x_idx.size() == h_idx.size(),
            "gru_step_gathered: one x row per h row");
+  RN_CHECK(!x_idx.empty(), "gru_step_gathered: no rows to gather");
   const Tensor& xs = input(x_src);
   const Tensor& hs = input(h_src);
   for (int i : x_idx) {
@@ -409,7 +298,7 @@ ValueId Tape::gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
   for (int i : h_idx) {
     RN_CHECK(i >= 0 && i < hs.rows(), "gru_step h index out of range");
   }
-  return gru_step_impl(x_src, h_src, w, x_idx, h_idx);
+  return gru_step_impl(Op::kGruStepGathered, x_src, h_src, w, x_idx, h_idx);
 }
 
 // The forward replicates the composed GruCell::step arithmetic exactly:
@@ -419,10 +308,9 @@ ValueId Tape::gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
 // The two matmuls per gate stay separate (summing the second result into
 // the first, not accumulating into one buffer) because that is the rounding
 // order the composed kAdd node produced. Both modes run this same code; a
-// recording tape then moves the activations and hg into the node's GruAux
-// and saves x (or x_src) and an ungathered h, a forward-only tape lets them
-// all return to the arena.
-ValueId Tape::gru_step_impl(ValueId a, ValueId b, const GruWeights& w,
+// recording tape then moves the activations and hg into the node's GruAux,
+// a forward-only tape lets them all return to the arena.
+ValueId Tape::gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
                             const std::vector<int>& x_idx,
                             const std::vector<int>& h_idx) {
   RN_CHECK(w.wz && w.uz && w.bz && w.wr && w.ur && w.br && w.wh && w.uh &&
@@ -464,117 +352,46 @@ ValueId Tape::gru_step_impl(ValueId a, ValueId b, const GruWeights& w,
   Tensor hc = gate(rh, *w.wh, *w.uh, *w.bh);
   K.tanh_inplace(hc.data(), count);
 
-  Node n;
-  n.op = Op::kGruStep;
-  n.a = a;
-  n.b = b;
-  n.value = Tensor(rows, cols);
-  K.gru_blend(z.data(), h.data(), hc.data(), n.value.data(), count);
-  save(a);
-  if (h_idx.empty()) save(b);
+  Tensor v(rows, cols);
+  K.gru_blend(z.data(), h.data(), hc.data(), v.data(), count);
+  std::unique_ptr<GruAux> aux;
   if (recording()) {
-    n.gru = std::make_unique<GruAux>();
-    GruAux& A = *n.gru;
-    A.w = w;
-    A.x_idx = x_idx;
-    A.h_idx = h_idx;
-    A.hg = std::move(hg);
-    A.z = std::move(z);
-    A.r = std::move(r);
-    A.hc = std::move(hc);
+    aux = std::make_unique<GruAux>(w, x_idx, h_idx, std::move(hg),
+                                   std::move(z), std::move(r), std::move(hc));
   }
-  // Parameters are always trainable, so the node unconditionally carries
-  // gradient (forward-only tapes simply never run backward()).
-  n.needs_grad = true;
-  return push(std::move(n));
+  return record({.op = op,
+                 .a = a,
+                 .b = b,
+                 .value = std::move(v),
+                 .gru = std::move(aux)});
 }
 
 // --- Reductions & losses ----------------------------------------------------------------
 
-ValueId Tape::reduce_sum(ValueId a) {
-  const Tensor& av = input(a);
-  Node n;
-  n.op = Op::kReduceSum;
-  n.a = a;
-  double acc = 0.0;
-  for (int i = 0; i < av.size(); ++i) acc += av[static_cast<std::size_t>(i)];
-  n.value = Tensor::scalar(static_cast<float>(acc));
-  n.needs_grad = any_needs_grad(a);
-  return push(std::move(n));
-}
-
 ValueId Tape::reduce_mean(ValueId a) {
   const Tensor& av = input(a);
   RN_CHECK(av.size() > 0, "reduce_mean of empty tensor");
-  Node n;
-  n.op = Op::kReduceMean;
-  n.a = a;
   double acc = 0.0;
   for (int i = 0; i < av.size(); ++i) acc += av[static_cast<std::size_t>(i)];
-  n.value = Tensor::scalar(static_cast<float>(acc / av.size()));
-  n.needs_grad = any_needs_grad(a);
-  return push(std::move(n));
+  return record({.op = Op::kReduceMean,
+                 .a = a,
+                 .value = Tensor::scalar(static_cast<float>(acc / av.size()))});
 }
 
 ValueId Tape::mse(ValueId pred, const Tensor& target) {
   const Tensor& pv = input(pred);
   RN_CHECK(pv.same_shape(target), "mse shape mismatch");
   RN_CHECK(pv.size() > 0, "mse of empty tensor");
-  Node n;
-  n.op = Op::kMse;
-  n.a = pred;
-  n.aux_tensor = target;
   double acc = 0.0;
   for (int i = 0; i < pv.size(); ++i) {
     auto idx = static_cast<std::size_t>(i);
     const double d = static_cast<double>(pv[idx]) - target[idx];
     acc += d * d;
   }
-  n.value = Tensor::scalar(static_cast<float>(acc / pv.size()));
-  n.needs_grad = any_needs_grad(pred);
-  save(pred);
-  return push(std::move(n));
-}
-
-ValueId Tape::mae(ValueId pred, const Tensor& target) {
-  const Tensor& pv = input(pred);
-  RN_CHECK(pv.same_shape(target), "mae shape mismatch");
-  RN_CHECK(pv.size() > 0, "mae of empty tensor");
-  Node n;
-  n.op = Op::kMae;
-  n.a = pred;
-  n.aux_tensor = target;
-  double acc = 0.0;
-  for (int i = 0; i < pv.size(); ++i) {
-    auto idx = static_cast<std::size_t>(i);
-    acc += std::abs(static_cast<double>(pv[idx]) - target[idx]);
-  }
-  n.value = Tensor::scalar(static_cast<float>(acc / pv.size()));
-  n.needs_grad = any_needs_grad(pred);
-  save(pred);
-  return push(std::move(n));
-}
-
-ValueId Tape::huber(ValueId pred, const Tensor& target, float delta) {
-  const Tensor& pv = input(pred);
-  RN_CHECK(pv.same_shape(target), "huber shape mismatch");
-  RN_CHECK(pv.size() > 0, "huber of empty tensor");
-  RN_CHECK(delta > 0.0f, "huber delta must be positive");
-  Node n;
-  n.op = Op::kHuber;
-  n.a = pred;
-  n.aux_tensor = target;
-  n.scalar = delta;
-  double acc = 0.0;
-  for (int i = 0; i < pv.size(); ++i) {
-    auto idx = static_cast<std::size_t>(i);
-    const double d = std::abs(static_cast<double>(pv[idx]) - target[idx]);
-    acc += d <= delta ? 0.5 * d * d : delta * (d - 0.5 * delta);
-  }
-  n.value = Tensor::scalar(static_cast<float>(acc / pv.size()));
-  n.needs_grad = any_needs_grad(pred);
-  save(pred);
-  return push(std::move(n));
+  return record({.op = Op::kMse,
+                 .a = pred,
+                 .value = Tensor::scalar(static_cast<float>(acc / pv.size())),
+                 .aux_tensor = target});
 }
 
 // --- Execution --------------------------------------------------------------------------
@@ -601,14 +418,11 @@ void Tape::backward(ValueId root) {
   for (auto id = static_cast<ValueId>(nodes_.size()) - 1; id >= 0; --id) {
     Node& n = node(id);
     if (n.needs_grad && !n.grad.empty()) backward_node(id);
-    n.grad = Tensor();
-    if (id == root) continue;
-    n.value = Tensor();
-    n.aux_tensor = Tensor();
-    n.gru.reset();
-    n.idx = std::vector<int>();
-    n.released = true;
-    n.saved = false;
+    if (id == root) {
+      n.grad = Tensor();
+    } else {
+      n = Node{.released = true};
+    }
   }
 }
 
@@ -682,7 +496,7 @@ void Tape::backward_node(ValueId id) {
     case Op::kScaleRows: {
       if (Tensor* ga = propagate(n.a)) {
         kern::active().add_scaled_rows(ga->data(), g.data(),
-                                       n.row_factors.data(), g.rows(),
+                                       n.aux_tensor.data(), g.rows(),
                                        g.cols());
       }
       break;
@@ -723,24 +537,6 @@ void Tape::backward_node(ValueId id) {
       }
       break;
     }
-    case Op::kConcatCols: {
-      const int ac = n.aux0;
-      if (Tensor* ga = propagate(n.a)) {
-        for (int r = 0; r < g.rows(); ++r) {
-          const float* grow = g.row(r);
-          float* out = ga->row(r);
-          for (int c = 0; c < ac; ++c) out[c] += grow[c];
-        }
-      }
-      if (Tensor* gb = propagate(n.b)) {
-        for (int r = 0; r < g.rows(); ++r) {
-          const float* grow = g.row(r);
-          float* out = gb->row(r);
-          for (int c = 0; c < gb->cols(); ++c) out[c] += grow[ac + c];
-        }
-      }
-      break;
-    }
     case Op::kConcatRows: {
       int r0 = 0;
       for (ValueId src : n.srcs) {
@@ -754,16 +550,6 @@ void Tape::backward_node(ValueId id) {
           }
         }
         r0 += rows;
-      }
-      break;
-    }
-    case Op::kSliceCols: {
-      if (Tensor* ga = propagate(n.a)) {
-        for (int r = 0; r < g.rows(); ++r) {
-          const float* grow = g.row(r);
-          float* out = ga->row(r);
-          for (int c = 0; c < g.cols(); ++c) out[n.aux0 + c] += grow[c];
-        }
       }
       break;
     }
@@ -804,15 +590,6 @@ void Tape::backward_node(ValueId id) {
       }
       break;
     }
-    case Op::kReduceSum: {
-      if (Tensor* ga = propagate(n.a)) {
-        const float gv = g.at(0, 0);
-        for (int i = 0; i < ga->size(); ++i) {
-          (*ga)[static_cast<std::size_t>(i)] += gv;
-        }
-      }
-      break;
-    }
     case Op::kReduceMean: {
       if (Tensor* ga = propagate(n.a)) {
         const float gv = g.at(0, 0) / static_cast<float>(ga->size());
@@ -834,19 +611,8 @@ void Tape::backward_node(ValueId id) {
       }
       break;
     }
-    case Op::kMae: {
-      if (Tensor* ga = propagate(n.a)) {
-        const Tensor& pv = saved_value(n.a);
-        const float gv = g.at(0, 0) / static_cast<float>(pv.size());
-        for (int i = 0; i < pv.size(); ++i) {
-          auto k = static_cast<std::size_t>(i);
-          const float d = pv[k] - n.aux_tensor[k];
-          (*ga)[k] += d > 0.0f ? gv : (d < 0.0f ? -gv : 0.0f);
-        }
-      }
-      break;
-    }
-    case Op::kGruStep: {
+    case Op::kGruStep:
+    case Op::kGruStepGathered: {
       // Full GRU backward from the saved activations. With
       //   h' = (1−z)∘h + z∘hc,  hc = tanh(a_h),  z = σ(a_z),  r = σ(a_r),
       // the chain gives
@@ -923,25 +689,6 @@ void Tape::backward_node(ValueId id) {
         } else {
           K.indexed_row_add(gb.data(), A.h_idx.data(), rows, cols,
                             dh.data());
-        }
-      }
-      break;
-    }
-    case Op::kHuber: {
-      if (Tensor* ga = propagate(n.a)) {
-        const Tensor& pv = saved_value(n.a);
-        const float gv = g.at(0, 0) / static_cast<float>(pv.size());
-        const float delta = n.scalar;
-        for (int i = 0; i < pv.size(); ++i) {
-          auto k = static_cast<std::size_t>(i);
-          const float d = pv[k] - n.aux_tensor[k];
-          if (d > delta) {
-            (*ga)[k] += gv * delta;
-          } else if (d < -delta) {
-            (*ga)[k] -= gv * delta;
-          } else {
-            (*ga)[k] += gv * d;
-          }
         }
       }
       break;

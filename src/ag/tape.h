@@ -21,10 +21,9 @@
 //
 // release(id) declares a value dead, under one rule in both modes: the
 // buffer returns to the arena at once unless a recorded op's backward reads
-// it. Each op marks the operands its backward reads as saved when it is
-// recorded (matmul and mul: both operands; the losses: pred; sigmoid, tanh
-// and relu: their own output; gru_step: x and h; gru_step_gathered: x_src).
-// A forward-only tape marks nothing. In both modes any later read of a
+// it. Which values each op's backward reads is one row of data, the kSaved
+// table below; a recording tape marks them saved as the op is recorded, a
+// forward-only tape marks nothing. In both modes any later read of a
 // released value fails, so training enforces the same release discipline
 // inference relies on.
 //
@@ -33,8 +32,10 @@
 // value is readable. A second backward() on the same tape fails.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,9 +119,7 @@ class Tape {
   ValueId relu(ValueId a);
 
   // --- Shape ops -----------------------------------------------------------
-  ValueId concat_cols(ValueId a, ValueId b);          // [A | B]
   ValueId concat_rows(const std::vector<ValueId>& xs);  // stack row blocks
-  ValueId slice_cols(ValueId a, int c0, int c1);      // columns [c0, c1)
 
   // --- Graph-indexing ops ---------------------------------------------------
   // Index vectors are borrowed for the call; only a recording tape copies
@@ -153,25 +152,19 @@ class Tape {
   ValueId gru_step(ValueId x, ValueId h, const GruWeights& w);
 
   // gru_step with both inputs gathered inside the node:
-  // x = x_src[x_idx], h = h_src[h_idx]. Fuses the two gather_rows nodes of
-  // the message-passing path update; the backward scatters dx/dh back into
-  // the source states' gradients (ascending-index accumulation).
+  // x = x_src[x_idx], h = h_src[h_idx], for at least one row. Fuses the two
+  // gather_rows nodes of the message-passing path update; the backward
+  // scatters dx/dh back into the source states' gradients (ascending-index
+  // accumulation).
   ValueId gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
                             ValueId h_src, const std::vector<int>& h_idx,
                             const GruWeights& w);
 
   // --- Reductions & losses ---------------------------------------------------
-  ValueId reduce_sum(ValueId a);   // -> 1×1
   ValueId reduce_mean(ValueId a);  // -> 1×1
 
   // mean((pred - target)^2); target is a constant.
   ValueId mse(ValueId pred, const Tensor& target);
-
-  // mean(|pred - target|).
-  ValueId mae(ValueId pred, const Tensor& target);
-
-  // Huber loss with threshold delta, averaged over entries.
-  ValueId huber(ValueId pred, const Tensor& target, float delta);
 
   // --- Execution -------------------------------------------------------------
   // Fails for a released value.
@@ -195,10 +188,47 @@ class Tape {
  private:
   enum class Op : std::uint8_t {
     kConstant, kParam, kMatmul, kAdd, kSub, kMul, kAddBias, kScale,
-    kScaleRows, kOneMinus, kSigmoid, kTanh, kRelu, kConcatCols,
-    kConcatRows, kSliceCols, kGatherRows, kScatterRows, kSegmentSum,
-    kReduceSum, kReduceMean, kMse, kMae, kHuber, kDropout, kGruStep,
+    kScaleRows, kOneMinus, kSigmoid, kTanh, kRelu, kConcatRows, kGatherRows,
+    kScatterRows, kSegmentSum, kReduceMean, kMse, kDropout, kGruStep,
+    kGruStepGathered,
+    kLast = kGruStepGathered,
   };
+
+  // The tape values an op's backward reads: operand a, operand b, and the
+  // op's own output. record() marks them saved on a recording tape, so
+  // release() keeps them until backward() has run; every other value is
+  // freed on release. State an op owns (indices, factors, masks, targets,
+  // GRU activations) lives in its node and needs no row here.
+  struct Saved {
+    bool a, b, out;
+  };
+  static constexpr Saved kSaved[] = {
+      {false, false, false},  // kConstant
+      {false, false, false},  // kParam
+      {true, true, false},    // kMatmul
+      {false, false, false},  // kAdd
+      {false, false, false},  // kSub
+      {true, true, false},    // kMul
+      {false, false, false},  // kAddBias
+      {false, false, false},  // kScale
+      {false, false, false},  // kScaleRows
+      {false, false, false},  // kOneMinus
+      {false, false, true},   // kSigmoid
+      {false, false, true},   // kTanh
+      {false, false, true},   // kRelu
+      {false, false, false},  // kConcatRows
+      {false, false, false},  // kGatherRows
+      {false, false, false},  // kScatterRows
+      {false, false, false},  // kSegmentSum
+      {false, false, false},  // kReduceMean
+      {true, false, false},   // kMse: pred
+      {false, false, false},  // kDropout
+      {true, true, false},    // kGruStep: x and h
+      {true, false, false},   // kGruStepGathered: x_src (h is gathered into
+                              // GruAux::hg)
+  };
+  static_assert(std::size(kSaved) == static_cast<std::size_t>(Op::kLast) + 1,
+                "one kSaved row per Op");
 
   // Fused-GRU node state: parameter references, the optional gather indices,
   // the gathered hidden input, and the three activations the backward pass
@@ -212,40 +242,42 @@ class Tape {
     Tensor z, r, hc;                // saved gate / candidate activations
   };
 
+  // Every member has an initializer, so an op builds its node with
+  // designated initializers that name only what it sets.
   struct Node {
-    Op op;
+    Op op = Op::kConstant;
     ValueId a = kInvalidValue;
     ValueId b = kInvalidValue;
-    std::vector<ValueId> srcs;  // kConcatRows only
-    Tensor value;
-    Tensor grad;       // allocated lazily in backward()
+    std::vector<ValueId> srcs{};  // kConcatRows only
+    Tensor value{};
+    Tensor grad{};  // allocated lazily in backward()
     int rows = 0, cols = 0;  // value's shape; outlives a freed value
     bool needs_grad = false;
     bool released = false;
     bool saved = false;  // a recorded backward reads value: release keeps it
     Parameter* parameter = nullptr;  // kParam only
-    std::vector<int> idx;            // gather/scatter/segment (recording)
-    std::vector<float> row_factors;  // kScaleRows only (recording)
-    int aux0 = 0, aux1 = 0;          // slice bounds / segment count
-    float scalar = 0.0f;             // kScale factor / kHuber delta
-    Tensor aux_tensor;               // loss target / dropout mask
-    std::unique_ptr<GruAux> gru;     // kGruStep on a recording tape only
+    std::vector<int> idx{};          // gather/scatter/segment (recording)
+    float scalar = 0.0f;             // kScale factor
+    // Loss target / dropout mask / kScaleRows factors as an N×1 column
+    // (recording).
+    Tensor aux_tensor{};
+    std::unique_ptr<GruAux> gru{};  // kGruStep* on a recording tape only
   };
 
-  ValueId push(Node node);
-  ValueId gru_step_impl(ValueId a, ValueId b, const GruWeights& w,
+  // Appends n: the one place a node enters the tape. It needs a gradient
+  // when an operand does or when it reads Parameters, and on a recording
+  // tape the values kSaved names for n.op are marked saved.
+  ValueId record(Node n);
+  ValueId gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
                         const std::vector<int>& x_idx,
                         const std::vector<int>& h_idx);
   Node& node(ValueId id);
   const Node& node(ValueId id) const;
   // An op operand's value; fails if it was released.
   const Tensor& input(ValueId id) const;
-  // Marks id as read by a recorded backward (no-op on a forward-only tape).
-  void save(ValueId id);
   // A value read inside backward_node; fails if release() freed it, i.e.
-  // the op reading it did not save() it.
+  // the reading op's kSaved row does not name it.
   const Tensor& saved_value(ValueId id) const;
-  bool any_needs_grad(ValueId a, ValueId b = kInvalidValue) const;
   Tensor& grad_buffer(ValueId id);  // allocates zeros on first touch
 
   void backward_node(ValueId id);

@@ -304,6 +304,19 @@ TEST(FusedGru, GatheredStepMatchesGatherThenStepBitwise) {
   EXPECT_TRUE(bitwise_equal(composed, run(true)));
 }
 
+TEST(FusedGru, GatheredStepRejectsBadIndices) {
+  Rng rng(47);
+  GruCell cell(2, 3, rng, "gru");
+  Tape tape;
+  const ValueId x = tape.constant(random_tensor(4, 2, 48));
+  const ValueId h = tape.constant(random_tensor(4, 3, 49));
+  EXPECT_THROW(cell.step_gathered(tape, x, {}, h, {}), std::runtime_error);
+  EXPECT_THROW(cell.step_gathered(tape, x, {0}, h, {0, 1}),
+               std::runtime_error);
+  EXPECT_THROW(cell.step_gathered(tape, x, {4}, h, {0}), std::runtime_error);
+  EXPECT_THROW(cell.step_gathered(tape, x, {0}, h, {-1}), std::runtime_error);
+}
+
 TEST(FusedGru, GradCheckThroughGatheredFusedStep) {
   Rng rng(44);
   GruCell cell(2, 3, rng, "gru");

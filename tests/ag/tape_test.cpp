@@ -58,21 +58,6 @@ TEST(TapeForward, Nonlinearities) {
   EXPECT_FLOAT_EQ(om.at(0, 1), 2.0f);
 }
 
-TEST(TapeForward, ConcatAndSlice) {
-  Tape tape;
-  const ValueId a = tape.constant(Tensor::from_rows({{1.0f}, {2.0f}}));
-  const ValueId b = tape.constant(Tensor::from_rows({{3.0f}, {4.0f}}));
-  const ValueId cc = tape.concat_cols(a, b);
-  EXPECT_EQ(tape.value(cc).cols(), 2);
-  EXPECT_FLOAT_EQ(tape.value(cc).at(1, 1), 4.0f);
-  const ValueId cr = tape.concat_rows({a, b});
-  EXPECT_EQ(tape.value(cr).rows(), 4);
-  EXPECT_FLOAT_EQ(tape.value(cr).at(3, 0), 4.0f);
-  const ValueId sl = tape.slice_cols(cc, 1, 2);
-  EXPECT_EQ(tape.value(sl).cols(), 1);
-  EXPECT_FLOAT_EQ(tape.value(sl).at(0, 0), 3.0f);
-}
-
 TEST(TapeForward, GatherScatterSegment) {
   Tape tape;
   const ValueId a = tape.constant(
@@ -103,7 +88,6 @@ TEST(TapeForward, Reductions) {
   Tape tape;
   const ValueId a = tape.constant(Tensor::from_rows({{1.0f, 2.0f},
                                                      {3.0f, 4.0f}}));
-  EXPECT_FLOAT_EQ(tape.value(tape.reduce_sum(a)).at(0, 0), 10.0f);
   EXPECT_FLOAT_EQ(tape.value(tape.reduce_mean(a)).at(0, 0), 2.5f);
 }
 
@@ -112,9 +96,6 @@ TEST(TapeForward, Losses) {
   const ValueId pred = tape.constant(Tensor::from_rows({{1.0f, 3.0f}}));
   const Tensor target = Tensor::from_rows({{0.0f, 1.0f}});
   EXPECT_FLOAT_EQ(tape.value(tape.mse(pred, target)).at(0, 0), 2.5f);
-  EXPECT_FLOAT_EQ(tape.value(tape.mae(pred, target)).at(0, 0), 1.5f);
-  // Huber(delta=1): |1| -> 0.5, |2| -> 1*(2-0.5) = 1.5; mean = 1.0
-  EXPECT_FLOAT_EQ(tape.value(tape.huber(pred, target, 1.0f)).at(0, 0), 1.0f);
 }
 
 TEST(TapeBackward, RootMustBeScalar) {
@@ -140,7 +121,7 @@ TEST(TapeBackward, GradAccumulatesAcrossBackwards) {
   Parameter p("p", Tensor::scalar(2.0f));
   for (int i = 0; i < 2; ++i) {
     Tape tape;
-    const ValueId loss = tape.reduce_sum(tape.param(p));
+    const ValueId loss = tape.reduce_mean(tape.param(p));
     tape.backward(loss);
   }
   EXPECT_FLOAT_EQ(p.grad.at(0, 0), 2.0f);  // 1 per backward
@@ -189,13 +170,19 @@ TEST(GradCheck, Nonlinearities) {
 TEST(GradCheck, ConcatSliceScale) {
   Parameter a("a", Tensor::from_rows({{0.5f}, {-0.2f}}));
   Parameter b("b", Tensor::from_rows({{1.1f}, {0.7f}}));
-  const Tensor target(2, 1, 0.0f);
+  {
+    // concat_rows stacks its blocks in order.
+    Tape tape;
+    const ValueId cr = tape.concat_rows({tape.param(a), tape.param(b)});
+    EXPECT_EQ(tape.value(cr).rows(), 4);
+    EXPECT_FLOAT_EQ(tape.value(cr).at(1, 0), -0.2f);
+    EXPECT_FLOAT_EQ(tape.value(cr).at(3, 0), 0.7f);
+  }
+  // a appears twice, so its gradient accumulates over both blocks.
   expect_gradients_match({&a, &b}, [&](Tape& tape) {
-    const ValueId cc = tape.concat_cols(tape.param(a), tape.param(b));
-    const ValueId sl = tape.slice_cols(cc, 1, 2);
-    const ValueId cr = tape.concat_rows({tape.param(a), sl});
-    return tape.mse(tape.scale(tape.slice_cols(cr, 0, 1), 1.5f),
-                    Tensor(4, 1, 0.0f));
+    const ValueId cr =
+        tape.concat_rows({tape.param(a), tape.param(b), tape.param(a)});
+    return tape.mse(tape.scale(cr, 1.5f), Tensor(6, 1, 0.0f));
   });
 }
 
@@ -262,18 +249,9 @@ TEST(GradCheck, ReduceAndLossVariants) {
   expect_gradients_match({&a}, [&](Tape& tape) {
     const ValueId va = tape.param(a);
     const ValueId l1 = tape.mse(va, target);
-    const ValueId l2 = tape.huber(va, target, 1.0f);
-    const ValueId l3 = tape.scale(tape.reduce_sum(va), 0.01f);
-    return tape.add(tape.add(l1, l2), l3);
+    const ValueId l2 = tape.reduce_mean(tape.mul(va, va));
+    return tape.add(l1, l2);
   });
-}
-
-TEST(GradCheck, MaeAwayFromKinks) {
-  Parameter a("a", Tensor::from_rows({{0.5f, -1.2f}}));
-  const Tensor target = Tensor::from_rows({{0.0f, 1.0f}});
-  expect_gradients_match({&a}, [&](Tape& tape) {
-    return tape.mae(tape.param(a), target);
-  }, /*eps=*/1e-3f);
 }
 
 TEST(Dropout, ZeroRateIsIdentity) {
@@ -310,7 +288,7 @@ TEST(Dropout, BackwardUsesSameMask) {
   Parameter p("p", Tensor(1, 64, 2.0f));
   Tape tape;
   const ValueId dropped = tape.dropout(tape.param(p), 0.5f, rng);
-  const ValueId loss = tape.reduce_sum(dropped);
+  const ValueId loss = tape.reduce_mean(dropped);
   const Tensor y = tape.value(dropped);  // backward() frees it
   p.zero_grad();
   tape.backward(loss);
@@ -319,7 +297,7 @@ TEST(Dropout, BackwardUsesSameMask) {
     if (y[k] == 0.0f) {
       EXPECT_FLOAT_EQ(p.grad[k], 0.0f);
     } else {
-      EXPECT_FLOAT_EQ(p.grad[k], 2.0f);  // 1/(1-0.5)
+      EXPECT_FLOAT_EQ(p.grad[k], 2.0f / 64.0f);  // 1/(1-0.5) over 64 entries
     }
   }
 }
@@ -333,16 +311,16 @@ TEST(Dropout, RejectsBadRate) {
 }
 
 TEST(TapeBackward, ParameterUsedTwiceAccumulatesBothPaths) {
-  // loss = sum(p) + sum(2p) → dloss/dp = 3 everywhere.
+  // loss = mean(p) + mean(2p) over 2 entries → dloss/dp = 1.5 everywhere.
   Parameter p("p", Tensor::from_rows({{1.0f, 2.0f}}));
   Tape tape;
   const ValueId a = tape.param(p);
   const ValueId b = tape.scale(tape.param(p), 2.0f);
-  const ValueId loss = tape.add(tape.reduce_sum(a), tape.reduce_sum(b));
+  const ValueId loss = tape.add(tape.reduce_mean(a), tape.reduce_mean(b));
   p.zero_grad();
   tape.backward(loss);
-  EXPECT_FLOAT_EQ(p.grad.at(0, 0), 3.0f);
-  EXPECT_FLOAT_EQ(p.grad.at(0, 1), 3.0f);
+  EXPECT_FLOAT_EQ(p.grad.at(0, 0), 1.5f);
+  EXPECT_FLOAT_EQ(p.grad.at(0, 1), 1.5f);
 }
 
 TEST(GradCheck, SharedParameterAcrossBranches) {
@@ -364,7 +342,6 @@ TEST(TapeForward, IndexOutOfRangeThrows) {
   EXPECT_THROW(tape.segment_sum(a, {0, 1}, 3), std::runtime_error);  // size
   const ValueId rows = tape.constant(Tensor(1, 2));
   EXPECT_THROW(tape.scatter_rows(a, {4}, rows), std::runtime_error);
-  EXPECT_THROW(tape.slice_cols(a, 1, 3), std::runtime_error);
 }
 
 TEST(TapeForward, MatmulMismatchThrows) {
@@ -397,7 +374,7 @@ TEST(TapeBackward, OnlyTheRootIsReadableAfterBackward) {
   Tape tape;
   const ValueId x = tape.param(p);
   const ValueId y = tape.tanh(tape.mul(x, x));
-  const ValueId loss = tape.reduce_sum(y);
+  const ValueId loss = tape.reduce_mean(y);
   const ValueId after = tape.scale(loss, 2.0f);
   const float want = tape.value(loss).at(0, 0);
   tape.backward(loss);
@@ -407,11 +384,12 @@ TEST(TapeBackward, OnlyTheRootIsReadableAfterBackward) {
   }
 }
 
-// Each recorded op saves exactly the operands its backward reads, so a
+// Each recorded op saves exactly the values its kSaved row names, so a
 // release() between forward and backward frees everything else. Releasing
-// every intermediate must leave the gradients bitwise unchanged; an op that
-// failed to save an operand makes backward() throw here instead of reading
-// a freed buffer.
+// every intermediate must leave the gradients bitwise unchanged. There is
+// one graph per op whose row saves anything, and each releases every value
+// that row names, so a row missing a saved value makes backward() throw
+// ("did not save") instead of reading a freed buffer.
 TEST(TapeBackward, ReleasedIntermediatesBackpropagateBitwise) {
   Rng rng(71);
   GruCell cell(3, 4, rng, "gru");
@@ -447,27 +425,47 @@ TEST(TapeBackward, ReleasedIntermediatesBackpropagateBitwise) {
          drop(t, rel, {y});
          return loss;
        }},
-      {"mul+mae",
+      {"mul+mse",
        [&](Tape& t, bool rel) {
          const ValueId a = t.scale(t.param(ph), 1.5f);
          const ValueId b = t.scale(t.param(ph), -0.5f);
          const ValueId y = t.mul(a, b);
          drop(t, rel, {a, b});
-         const ValueId loss = t.mae(y, target);
+         const ValueId loss = t.mse(y, target);
          drop(t, rel, {y});
          return loss;
        }},
-      {"sigmoid+tanh+relu+huber",
+      {"sigmoid+mse",
        [&](Tape& t, bool rel) {
          const ValueId a = t.scale(t.param(ph), 2.0f);
          const ValueId s = t.sigmoid(a);
+         drop(t, rel, {a});
+         const ValueId y = t.scale(s, 1.0f);
+         drop(t, rel, {s});
+         const ValueId loss = t.mse(y, target);
+         drop(t, rel, {y});
+         return loss;
+       }},
+      {"tanh+mse",
+       [&](Tape& t, bool rel) {
+         const ValueId a = t.scale(t.param(ph), 2.0f);
          const ValueId th = t.tanh(a);
+         drop(t, rel, {a});
+         const ValueId y = t.scale(th, 1.0f);
+         drop(t, rel, {th});
+         const ValueId loss = t.mse(y, target);
+         drop(t, rel, {y});
+         return loss;
+       }},
+      {"relu+mse",
+       [&](Tape& t, bool rel) {
+         const ValueId a = t.scale(t.param(ph), 2.0f);
          const ValueId r = t.relu(a);
          drop(t, rel, {a});
-         const ValueId sum = t.add(t.add(s, th), r);
-         drop(t, rel, {s, th, r});
-         const ValueId loss = t.huber(sum, target, 0.5f);
-         drop(t, rel, {sum});
+         const ValueId y = t.scale(r, 1.0f);
+         drop(t, rel, {r});
+         const ValueId loss = t.mse(y, target);
+         drop(t, rel, {y});
          return loss;
        }},
       {"gru_step",

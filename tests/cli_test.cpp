@@ -41,6 +41,19 @@ TEST(Flags, RequireStringThrowsWhenMissing) {
 TEST(Flags, MalformedNumberThrows) {
   const Flags f = make_flags({"--count", "banana"});
   EXPECT_THROW(f.get_int("count", 0), std::runtime_error);
+  // A value must be consumed whole: no trailing characters, no wrapped sign.
+  EXPECT_THROW(make_flags({"--nodes", "6x"}).get_int("nodes", 0),
+               std::runtime_error);
+  EXPECT_THROW(make_flags({"--k", "1.5"}).get_int("k", 0),
+               std::runtime_error);
+  EXPECT_THROW(make_flags({"--count", "6x"}).get_int64("count", 0),
+               std::runtime_error);
+  EXPECT_THROW(make_flags({"--util", "0.6x"}).get_double("util", 0.0),
+               std::runtime_error);
+  EXPECT_THROW(make_flags({"--seed", "-1"}).get_seed("seed", 0),
+               std::runtime_error);
+  EXPECT_THROW(make_flags({"--seed", "7z"}).get_seed("seed", 0),
+               std::runtime_error);
 }
 
 TEST(Flags, MissingValueThrows) {

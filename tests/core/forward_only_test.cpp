@@ -233,7 +233,7 @@ TEST(ForwardOnly, RecordingTapeStillBackpropagatesThroughReleasedValues) {
     ag::Tape tape;
     const ag::ValueId x = tape.param(p);
     const ag::ValueId y = tape.mul(x, x);
-    const ag::ValueId loss = tape.reduce_sum(tape.sigmoid(y));
+    const ag::ValueId loss = tape.reduce_mean(tape.sigmoid(y));
     if (release) tape.release(y);
     tape.backward(loss);
     return p.grad;
@@ -249,7 +249,7 @@ TEST(ForwardOnly, RecordingTapeStillBackpropagatesThroughReleasedValues) {
 TEST(ForwardOnly, BackwardOnAForwardOnlyTapeThrows) {
   ag::Parameter p("p", ag::Tensor::from_rows({{1.0f, 2.0f}}));
   ag::Tape tape(ag::TapeMode::kForwardOnly);
-  const ag::ValueId loss = tape.reduce_sum(tape.param(p));
+  const ag::ValueId loss = tape.reduce_mean(tape.param(p));
   EXPECT_FALSE(tape.recording());
   EXPECT_THROW(tape.backward(loss), std::runtime_error);
 }

@@ -19,6 +19,7 @@
 #include "gradcheck.h"
 #include "par/thread_pool.h"
 #include "topology/generators.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace rn {
@@ -294,13 +295,16 @@ using rn::testing::ExecutionScope;
 // Parameters and Adam moments after a few training steps.
 struct TrainState {
   std::vector<ag::Tensor> params, adam_m, adam_v;
+  core::RouteNet::Prediction probe;  // the trained model on the probe sample
 };
 
 // Three full-batch Adam steps of a small RouteNet on delay + jitter MSE.
 // Path states are 32 wide and link states 16, so backward runs the 32-
 // and 8-column tiles of every matmul; the syn50 sample's 2450 paths put
-// the weight-gradient matmuls across several k panels.
-TrainState train_few_steps(const std::vector<dataset::Sample>& samples) {
+// the weight-gradient matmuls across several k panels. The trained model
+// then predicts `probe`.
+TrainState train_few_steps(const std::vector<dataset::Sample>& samples,
+                           const dataset::Sample& probe) {
   core::RouteNetConfig cfg;
   cfg.link_state_dim = 16;
   cfg.path_state_dim = 32;
@@ -326,11 +330,45 @@ TrainState train_few_steps(const std::vector<dataset::Sample>& samples) {
     tape.backward(loss);
     adam.step();
   }
-  TrainState state{{}, adam.moments_m(), adam.moments_v()};
+  TrainState state{{}, adam.moments_m(), adam.moments_v(),
+                   model.predict(probe)};
   for (const ag::Parameter* p : model.params()) {
     state.params.push_back(p->value);
   }
   return state;
+}
+
+std::uint32_t tensors_crc(const std::vector<ag::Tensor>& ts,
+                          std::uint32_t crc = 0) {
+  for (const ag::Tensor& t : ts) {
+    crc = util::crc32(t.data(),
+                      sizeof(float) * static_cast<std::size_t>(t.size()), crc);
+  }
+  return crc;
+}
+
+std::uint32_t prediction_crc(const core::RouteNet::Prediction& p) {
+  const std::uint32_t crc = util::crc32(
+      p.delay_s.data(), sizeof(double) * p.delay_s.size());
+  return util::crc32(p.jitter_s.data(), sizeof(double) * p.jitter_s.size(),
+                     crc);
+}
+
+// Golden values: committed CRC-32s of the trained parameters followed by
+// the Adam m and v moments, and of the trained model's Geant2 delay and
+// jitter predictions. Every backend and thread count must reproduce them.
+// A change to any shared numeric recipe (a gate polynomial, a matmul
+// accumulation order, the loss, Adam, the simulator feeding the samples)
+// moves them; recompute them only for a deliberate numerics change, and
+// say so.
+constexpr std::uint32_t kTrainedStateCrc = 0x1941985cu;
+constexpr std::uint32_t kGeant2PredictionCrc = 0x9a3311ebu;
+
+void expect_golden(const TrainState& s, const char* leg) {
+  EXPECT_EQ(tensors_crc(s.adam_v, tensors_crc(s.adam_m, tensors_crc(s.params))),
+            kTrainedStateCrc)
+      << leg;
+  EXPECT_EQ(prediction_crc(s.probe), kGeant2PredictionCrc) << leg;
 }
 
 void expect_tensors_bitwise_equal(const std::vector<ag::Tensor>& want,
@@ -346,12 +384,10 @@ void expect_tensors_bitwise_equal(const std::vector<ag::Tensor>& want,
   }
 }
 
-// The backend contract at training level: avx2 at 1 and 4 threads ends in
-// exactly scalar's 1-thread parameters and Adam moments.
+// The backend contract at training level: scalar at 1 thread and avx2 at 1
+// and 4 threads all end in the committed parameters, Adam moments and
+// Geant2 predictions. The scalar leg runs on every host.
 TEST(ParDeterminism, TrainingBitwiseEqualAcrossBackendsAndThreads) {
-  if (!ag::kern::backend_available(ag::kern::Backend::kAvx2)) {
-    GTEST_SKIP() << "avx2 backend not available on this build/CPU";
-  }
   par::set_global_threads(1);
   std::vector<dataset::Sample> samples =
       dataset::DatasetGenerator(fast_config(), 41)
@@ -360,18 +396,26 @@ TEST(ParDeterminism, TrainingBitwiseEqualAcrossBackendsAndThreads) {
   samples.push_back(dataset::DatasetGenerator(fast_config(), 43)
                         .generate(std::make_shared<const topo::Topology>(
                             topo::synthetic_ba(50, 2, topo_rng))));
+  const dataset::Sample geant2 =
+      dataset::DatasetGenerator(fast_config(), 47)
+          .generate(std::make_shared<const topo::Topology>(topo::geant2()));
 
   TrainState ref;
   {
     const ExecutionScope scope(ag::kern::Backend::kScalar, 1);
-    ref = train_few_steps(samples);
+    ref = train_few_steps(samples, geant2);
+  }
+  expect_golden(ref, "scalar");
+  if (!ag::kern::backend_available(ag::kern::Backend::kAvx2)) {
+    GTEST_SKIP() << "avx2 backend not available on this build/CPU";
   }
   for (const int threads : {1, 4}) {
     const ExecutionScope scope(ag::kern::Backend::kAvx2, threads);
-    const TrainState got = train_few_steps(samples);
+    const TrainState got = train_few_steps(samples, geant2);
     expect_tensors_bitwise_equal(ref.params, got.params, "param", threads);
     expect_tensors_bitwise_equal(ref.adam_m, got.adam_m, "adam m", threads);
     expect_tensors_bitwise_equal(ref.adam_v, got.adam_v, "adam v", threads);
+    expect_golden(got, threads == 1 ? "avx2 x1" : "avx2 x4");
   }
 }
 

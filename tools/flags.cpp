@@ -11,6 +11,21 @@ namespace {
   throw std::runtime_error(msg);
 }
 
+// Parses all of s with parse(s, &pos), a std::sto* call. A value with
+// characters left over ("6x", or "1.5" for an integer) fails like one with
+// no number at all.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& s,
+                 const char* expects, Parse parse) {
+  std::size_t pos = 0;
+  try {
+    const auto v = parse(s, &pos);
+    if (pos == s.size()) return v;
+  } catch (const std::exception&) {
+  }
+  fail("flag --" + name + " expects " + expects + ", got '" + s + "'");
+}
+
 }  // namespace
 
 Flags::Flags(int argc, const char* const* argv, int start,
@@ -63,30 +78,27 @@ std::string Flags::require_string(const std::string& name) const {
 
 int Flags::get_int(const std::string& name, int fallback) const {
   if (!has(name)) return fallback;
-  try {
-    return std::stoi(raw(name));
-  } catch (const std::exception&) {
-    fail("flag --" + name + " expects an integer, got '" + raw(name) + "'");
-  }
+  return parse_whole(name, raw(name), "an integer",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stoi(s, pos);
+                     });
 }
 
 std::int64_t Flags::get_int64(const std::string& name,
                               std::int64_t fallback) const {
   if (!has(name)) return fallback;
-  try {
-    return std::stoll(raw(name));
-  } catch (const std::exception&) {
-    fail("flag --" + name + " expects an integer, got '" + raw(name) + "'");
-  }
+  return parse_whole(name, raw(name), "an integer",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stoll(s, pos);
+                     });
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
   if (!has(name)) return fallback;
-  try {
-    return std::stod(raw(name));
-  } catch (const std::exception&) {
-    fail("flag --" + name + " expects a number, got '" + raw(name) + "'");
-  }
+  return parse_whole(name, raw(name), "a number",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stod(s, pos);
+                     });
 }
 
 bool Flags::get_bool(const std::string& name) const { return has(name); }
@@ -94,11 +106,14 @@ bool Flags::get_bool(const std::string& name) const { return has(name); }
 std::uint64_t Flags::get_seed(const std::string& name,
                               std::uint64_t fallback) const {
   if (!has(name)) return fallback;
-  try {
-    return std::stoull(raw(name));
-  } catch (const std::exception&) {
-    fail("flag --" + name + " expects a seed, got '" + raw(name) + "'");
-  }
+  return parse_whole(name, raw(name), "a seed",
+                     [](const std::string& s, std::size_t* pos) {
+                       // std::stoull would accept a minus sign and wrap.
+                       if (s.find('-') != std::string::npos) {
+                         throw std::invalid_argument(s);
+                       }
+                       return std::stoull(s, pos);
+                     });
 }
 
 void Flags::reject_unused() const {
