@@ -46,10 +46,8 @@ ValueId GruCell::step(Tape& tape, ValueId x, ValueId h) const {
   return tape.gru_step(x, h, weights());
 }
 
-ValueId GruCell::step_gathered(Tape& tape, ValueId x_src,
-                               const std::vector<int>& x_idx, ValueId h_src,
-                               const std::vector<int>& h_idx) const {
-  return tape.gru_step_gathered(x_src, x_idx, h_src, h_idx, weights());
+GruProjection GruCell::project(const Tape& tape, ValueId x_src) const {
+  return tape.gru_project(x_src, weights());
 }
 
 GruWeights GruCell::weights() const {

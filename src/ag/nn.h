@@ -49,12 +49,13 @@ class GruCell {
   // composed_gru_step().
   ValueId step(Tape& tape, ValueId x, ValueId h) const;
 
-  // step() with both inputs gathered from row-state tensors:
-  // x = x_src[x_idx], h = h_src[h_idx], folded into one gru_step node.
-  // RouteNet's per-hop path update. The indices are borrowed for the call.
-  ValueId step_gathered(Tape& tape, ValueId x_src,
-                        const std::vector<int>& x_idx, ValueId h_src,
-                        const std::vector<int>& h_idx) const;
+  // The input projections x_src·Wz, x_src·Wr, x_src·Wh, made once per
+  // x_src value and handed to every Tape::gru_step_gathered that reads it:
+  // one fused gru_step node per call, with x = x_src[x_idx] and
+  // h = h_src[h_idx], whose x-side gate terms are the x_idx rows of the
+  // projection. RouteNet's per-hop path update. Drop the projection once
+  // its last step has run.
+  GruProjection project(const Tape& tape, ValueId x_src) const;
 
   // The cell's nine parameters as fused-op references.
   GruWeights weights() const;

@@ -281,16 +281,28 @@ ValueId Tape::segment_sum(ValueId a, const std::vector<int>& seg,
 
 ValueId Tape::gru_step(ValueId x, ValueId h, const GruWeights& w) {
   static const std::vector<int> kNoGather;
-  return gru_step_impl(Op::kGruStep, x, h, w, kNoGather, kNoGather);
+  return gru_step_impl(Op::kGruStep, x, h, w, kNoGather, kNoGather, nullptr);
 }
 
-ValueId Tape::gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
-                                ValueId h_src, const std::vector<int>& h_idx,
-                                const GruWeights& w) {
+GruProjection Tape::gru_project(ValueId x_src, const GruWeights& w) const {
+  RN_CHECK(w.wz && w.wr && w.wh, "gru_project: incomplete GruWeights");
+  const Tensor& xs = input(x_src);
+  RN_CHECK(xs.cols() == w.wz->value.rows(),
+           "gru_project: x_src width does not match the weights");
+  return GruProjection(this, x_src, w, ag::matmul(xs, w.wz->value),
+                       ag::matmul(xs, w.wr->value),
+                       ag::matmul(xs, w.wh->value));
+}
+
+ValueId Tape::gru_step_gathered(const GruProjection& xw,
+                                const std::vector<int>& x_idx, ValueId h_src,
+                                const std::vector<int>& h_idx) {
+  RN_CHECK(xw.tape_ == this,
+           "gru_step_gathered: projection made on another tape");
   RN_CHECK(x_idx.size() == h_idx.size(),
            "gru_step_gathered: one x row per h row");
   RN_CHECK(!x_idx.empty(), "gru_step_gathered: no rows to gather");
-  const Tensor& xs = input(x_src);
+  const Tensor& xs = input(xw.x_src_);
   const Tensor& hs = input(h_src);
   for (int i : x_idx) {
     RN_CHECK(i >= 0 && i < xs.rows(), "gru_step x index out of range");
@@ -298,7 +310,8 @@ ValueId Tape::gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
   for (int i : h_idx) {
     RN_CHECK(i >= 0 && i < hs.rows(), "gru_step h index out of range");
   }
-  return gru_step_impl(Op::kGruStepGathered, x_src, h_src, w, x_idx, h_idx);
+  return gru_step_impl(Op::kGruStepGathered, xw.x_src_, h_src, xw.w_, x_idx,
+                       h_idx, &xw);
 }
 
 // The forward replicates the composed GruCell::step arithmetic exactly:
@@ -307,49 +320,55 @@ ValueId Tape::gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
 // separate tape nodes performed, so the fused value is bitwise identical.
 // The two matmuls per gate stay separate (summing the second result into
 // the first, not accumulating into one buffer) because that is the rounding
-// order the composed kAdd node produced. Both modes run this same code; a
+// order the composed kAdd node produced. The gathered variant takes the
+// x-side product as the x_idx rows of the projection xw, which are bitwise
+// the rows x[x_idx]·W would give. Both modes run this same code; a
 // recording tape then moves the activations and hg into the node's GruAux,
 // a forward-only tape lets them all return to the arena.
 ValueId Tape::gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
                             const std::vector<int>& x_idx,
-                            const std::vector<int>& h_idx) {
+                            const std::vector<int>& h_idx,
+                            const GruProjection* xw) {
   RN_CHECK(w.wz && w.uz && w.bz && w.wr && w.ur && w.br && w.wh && w.uh &&
                w.bh,
            "gru_step: incomplete GruWeights");
   const kern::Ops& K = kern::active();
-  auto gather = [&](ValueId src_id, const std::vector<int>& idx) {
-    if (idx.empty()) return Tensor();
-    const Tensor& src = input(src_id);
+  auto gather = [&](const Tensor& src, const std::vector<int>& idx) {
     Tensor out(static_cast<int>(idx.size()), src.cols());
     K.gather_rows(src.data(), idx.data(), static_cast<int>(idx.size()),
                   src.cols(), out.data());
     return out;
   };
-  Tensor xg = gather(a, x_idx);
-  Tensor hg = gather(b, h_idx);
-  const Tensor& x = x_idx.empty() ? input(a) : xg;
+  Tensor hg = h_idx.empty() ? Tensor() : gather(input(b), h_idx);
   const Tensor& h = h_idx.empty() ? input(b) : hg;
-  RN_CHECK(x.rows() == h.rows(), "gru_step row mismatch");
-  RN_CHECK(x.cols() == w.wz->value.rows() && h.cols() == w.uz->value.rows(),
-           "gru_step input dims do not match weights");
+  RN_CHECK(h.cols() == w.uz->value.rows(),
+           "gru_step hidden dim does not match weights");
   const int rows = h.rows(), cols = w.wz->value.cols();
+  if (xw == nullptr) {
+    const Tensor& x = input(a);
+    RN_CHECK(x.rows() == rows, "gru_step row mismatch");
+    RN_CHECK(x.cols() == w.wz->value.rows(),
+             "gru_step input dim does not match weights");
+  }
   const auto count = static_cast<std::size_t>(rows) * cols;
 
-  auto gate = [&](const Tensor& in, const Parameter& wp, const Parameter& up,
+  auto gate = [&](const Tensor* projected, const Tensor& in,
+                  const Parameter& wp, const Parameter& up,
                   const Parameter& bp) {
-    Tensor pre = ag::matmul(x, wp.value);
+    Tensor pre = projected != nullptr ? gather(*projected, x_idx)
+                                      : ag::matmul(input(a), wp.value);
     pre.add_scaled(ag::matmul(in, up.value), 1.0f);
     K.add_bias_rows(pre.data(), bp.value.data(), rows, cols);
     return pre;
   };
 
-  Tensor z = gate(h, *w.wz, *w.uz, *w.bz);
+  Tensor z = gate(xw ? &xw->xz_ : nullptr, h, *w.wz, *w.uz, *w.bz);
   K.sigmoid_inplace(z.data(), count);
-  Tensor r = gate(h, *w.wr, *w.ur, *w.br);
+  Tensor r = gate(xw ? &xw->xr_ : nullptr, h, *w.wr, *w.ur, *w.br);
   K.sigmoid_inplace(r.data(), count);
   Tensor rh = r;
   K.mul_inplace(rh.data(), h.data(), count);
-  Tensor hc = gate(rh, *w.wh, *w.uh, *w.bh);
+  Tensor hc = gate(xw ? &xw->xh_ : nullptr, rh, *w.wh, *w.uh, *w.bh);
   K.tanh_inplace(hc.data(), count);
 
   Tensor v(rows, cols);

@@ -38,6 +38,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ag/tensor.h"
@@ -76,6 +77,38 @@ struct GruWeights {
   Parameter* wh = nullptr;
   Parameter* uh = nullptr;
   Parameter* bh = nullptr;
+};
+
+class Tape;
+
+// The input projections x_src·Wz, x_src·Wr and x_src·Wh of one GRU cell over
+// every row of x_src, made by Tape::gru_project. gru_step_gathered reads its
+// x-side gate terms as rows of these products instead of gathering x and
+// multiplying it again, so a path update that visits each link state many
+// times per message-passing round multiplies each row once. A matmul output
+// row depends on its A row alone (ag/tensor.h), so the gathered product
+// rows are bitwise the products of the gathered rows.
+//
+// Not a tape node: it owns three plain tensors and frees them when it goes
+// out of scope. It carries the x_src value and the weights it was made
+// from, so gru_step_gathered reads both from it; it also remembers its
+// tape, and gru_step_gathered rejects it on any other.
+class GruProjection {
+ private:
+  friend class Tape;
+  GruProjection(const Tape* tape, ValueId x_src, const GruWeights& w,
+                Tensor xz, Tensor xr, Tensor xh)
+      : tape_(tape),
+        x_src_(x_src),
+        w_(w),
+        xz_(std::move(xz)),
+        xr_(std::move(xr)),
+        xh_(std::move(xh)) {}
+
+  const Tape* tape_;
+  ValueId x_src_;
+  GruWeights w_;
+  Tensor xz_, xr_, xh_;
 };
 
 enum class TapeMode : std::uint8_t { kRecord, kForwardOnly };
@@ -151,14 +184,20 @@ class Tape {
   // any optimizer step mutates them (the standard training order).
   ValueId gru_step(ValueId x, ValueId h, const GruWeights& w);
 
-  // gru_step with both inputs gathered inside the node:
-  // x = x_src[x_idx], h = h_src[h_idx], for at least one row. Fuses the two
-  // gather_rows nodes of the message-passing path update; the backward
-  // scatters dx/dh back into the source states' gradients (ascending-index
-  // accumulation).
-  ValueId gru_step_gathered(ValueId x_src, const std::vector<int>& x_idx,
-                            ValueId h_src, const std::vector<int>& h_idx,
-                            const GruWeights& w);
+  // x_src·Wz, x_src·Wr and x_src·Wh for the gru_step_gathered calls that
+  // read x_src with weights w. Records nothing.
+  GruProjection gru_project(ValueId x_src, const GruWeights& w) const;
+
+  // gru_step with both inputs gathered inside the node, on the x_src and
+  // weights of the projection xw (made on this tape):
+  // x = x_src[x_idx], h = h_src[h_idx], for at least one row. The x-side
+  // gate terms are the x_idx rows of xw. Fuses the two gather_rows nodes of
+  // the message-passing path update; the backward re-gathers x from the
+  // saved x_src and scatters dx/dh back into the source states' gradients
+  // (ascending-index accumulation). The indices are borrowed for the call.
+  ValueId gru_step_gathered(const GruProjection& xw,
+                            const std::vector<int>& x_idx, ValueId h_src,
+                            const std::vector<int>& h_idx);
 
   // --- Reductions & losses ---------------------------------------------------
   ValueId reduce_mean(ValueId a);  // -> 1×1
@@ -232,8 +271,9 @@ class Tape {
 
   // Fused-GRU node state: parameter references, the optional gather indices,
   // the gathered hidden input, and the three activations the backward pass
-  // needs (everything else is recomputed from them). The gathered x is
-  // re-gathered from the saved x_src in backward: x_src is the small link
+  // needs (everything else is recomputed from them). The forward never
+  // builds the gathered x (its gate terms come from a GruProjection); the
+  // backward re-gathers it from the saved x_src: x_src is the small link
   // state, while h_src is the full path state, so hg stays materialized.
   struct GruAux {
     GruWeights w;
@@ -270,7 +310,8 @@ class Tape {
   ValueId record(Node n);
   ValueId gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
                         const std::vector<int>& x_idx,
-                        const std::vector<int>& h_idx);
+                        const std::vector<int>& h_idx,
+                        const GruProjection* xw);
   Node& node(ValueId id);
   const Node& node(ValueId id) const;
   // An op operand's value; fails if it was released.

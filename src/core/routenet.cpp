@@ -91,19 +91,28 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
     mp_span.arg("iter", t);
     obs::Stopwatch phase;
     // Path update: vectorized RNN over hop positions. All paths that are at
-    // least s+1 hops long advance together at position s.
+    // least s+1 hops long advance together at position s. Every hop reads
+    // the same link states, so their input projections are computed once
+    // per round, over the links rather than the hops, and freed once the
+    // last hop has read them.
     std::vector<ag::ValueId> messages;
-    for (int s = 0; s < batch.max_path_length(); ++s) {
-      const std::vector<int>& paths = batch.pos_paths[static_cast<std::size_t>(s)];
-      const std::vector<int>& links = batch.pos_links[static_cast<std::size_t>(s)];
-      if (paths.empty()) continue;
-      const ag::ValueId h_next =
-          path_cell_.step_gathered(tape, h_links, links, h_paths, paths);
-      const ag::ValueId scattered = tape.scatter_rows(h_paths, paths, h_next);
-      tape.release(h_paths);
-      h_paths = scattered;
-      // The post-hop path state is the message this hop sends to its link.
-      messages.push_back(h_next);
+    {
+      const ag::GruProjection link_proj = path_cell_.project(tape, h_links);
+      for (int s = 0; s < batch.max_path_length(); ++s) {
+        const std::vector<int>& paths =
+            batch.pos_paths[static_cast<std::size_t>(s)];
+        const std::vector<int>& links =
+            batch.pos_links[static_cast<std::size_t>(s)];
+        if (paths.empty()) continue;
+        const ag::ValueId h_next =
+            tape.gru_step_gathered(link_proj, links, h_paths, paths);
+        const ag::ValueId scattered =
+            tape.scatter_rows(h_paths, paths, h_next);
+        tape.release(h_paths);
+        h_paths = scattered;
+        // The post-hop path state is the message this hop sends to its link.
+        messages.push_back(h_next);
+      }
     }
     path_phase_s += phase.elapsed_s();
     phase.restart();

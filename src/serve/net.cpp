@@ -43,6 +43,8 @@ struct NetMetrics {
       obs::Registry::global().counter("serve.net.rejected_total");
   obs::Counter& timeouts =
       obs::Registry::global().counter("serve.net.timeouts_total");
+  obs::Counter& refused =
+      obs::Registry::global().counter("serve.net.refused_connections_total");
   obs::Counter& bytes_rx =
       obs::Registry::global().counter("serve.net.bytes_rx_total");
   obs::Counter& bytes_tx =
@@ -338,12 +340,20 @@ void NetServer::accept_loop(int listen_fd) {
     }
     set_nodelay(fd, addr_);
     set_recv_timeout(fd, cfg_.read_timeout_s);
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (stopping_) {
       ::close(fd);
       return;
     }
     reap_finished_connections();
+    if (connections_.size() >= kMaxConnections) {
+      lock.unlock();
+      refused_connections_.fetch_add(1, std::memory_order_relaxed);
+      metrics().refused.add();
+      send_error(fd, wire::ErrorCode::kRejected, "connection limit reached");
+      ::close(fd);
+      continue;
+    }
     auto conn = std::make_unique<Connection>();
     Connection* raw = conn.get();
     raw->fd = fd;
@@ -628,6 +638,8 @@ NetStats NetServer::stats() const {
   s.errors = errors_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.timeouts = timeouts_.load(std::memory_order_relaxed);
+  s.refused_connections =
+      refused_connections_.load(std::memory_order_relaxed);
   s.bytes_rx = bytes_rx_.load(std::memory_order_relaxed);
   s.bytes_tx = bytes_tx_.load(std::memory_order_relaxed);
   return s;

@@ -35,9 +35,16 @@
 // SO_RCVTIMEO on each accepted socket turns the stall into one clean
 // kTimeout error frame followed by close (read_timeout_s, 0 disables).
 //
+// Connection cap: at most NetServer::kMaxConnections handler threads are
+// live at once. A connection accepted over the cap gets one kRejected error
+// frame ("connection limit reached") and is closed without a thread; it
+// counts as a refused connection, not as a connection. The client sees the
+// frame as the reply to its first request.
+//
 // Telemetry: counters serve.net.connections_total / requests_total /
 // responses_total / errors_total / rejected_total / timeouts_total /
-// bytes_rx_total / bytes_tx_total; gauge serve.net.active_connections;
+// refused_connections_total / bytes_rx_total / bytes_tx_total; gauge
+// serve.net.active_connections;
 // histogram serve.net.request_s; events serve.net.listen /
 // serve.net.shutdown; spans serve.net.request (arg: rid) with
 // serve.net.read / serve.net.write plus the InferenceServer's per-request
@@ -46,6 +53,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -92,12 +100,20 @@ struct NetStats {
   std::uint64_t errors = 0;
   std::uint64_t rejected = 0;
   std::uint64_t timeouts = 0;
+  std::uint64_t refused_connections = 0;  // accepted over kMaxConnections
   std::uint64_t bytes_rx = 0;
   std::uint64_t bytes_tx = 0;
 };
 
 class NetServer {
  public:
+  // Most connections served at once. A handler answers each frame before it
+  // reads the next, so a connection has at most one request in flight, and
+  // 256 is one model's default queue (ServerConfig::queue_capacity): past
+  // it, connections that all send at once could only add queue-full
+  // rejections, while each still costs a thread.
+  static constexpr std::size_t kMaxConnections = 256;
+
   // The registry (and policy, if any) must outlive the server. The policy,
   // when present, is started by start() and stopped by stop().
   NetServer(ModelRegistry& registry, NetServerConfig cfg,
@@ -169,6 +185,7 @@ class NetServer {
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> timeouts_{0};
+  std::atomic<std::uint64_t> refused_connections_{0};
   std::atomic<std::uint64_t> bytes_rx_{0};
   std::atomic<std::uint64_t> bytes_tx_{0};
 };

@@ -9,11 +9,14 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ag/kernels.h"
+#include "ag/tensor.h"
+#include "execution_scope.h"
 #include "util/rng.h"
 
 namespace kern = rn::ag::kern;
@@ -402,6 +405,56 @@ TEST(KernelsGateTest, SpecialValues) {
     ops.tanh_inplace(neg.data(), neg.size());
     for (std::size_t i = 0; i < pos.size(); ++i) {
       EXPECT_EQ(neg[i], -pos[i]) << name;
+    }
+  }
+}
+
+// Output row i of an nn matmul is computed from A's row i alone, so
+// multiplying a gather of X equals gathering rows of the full product, bit
+// for bit. The GRU path update relies on this to project link states once
+// and gather the product rows per hop. Covered: exact and negative zeros in
+// X (the zero skip), duplicate indices, k past one kTileK panel (the scalar
+// panel split), n off the 8-wide vector width (remainder columns), and 4
+// threads at threshold 0 (row chunking) on every available backend.
+TEST(KernelsMatmulTest, MatmulRowsIndependentOfOtherRows) {
+  const int m = 70;
+  std::vector<int> idx;
+  for (int i = 0; i < 110; ++i) idx.push_back((i * 13) % m);
+  idx[2] = idx[1];
+  auto gather = [&](const rn::ag::Tensor& src) {
+    rn::ag::Tensor out(static_cast<int>(idx.size()), src.cols());
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+      std::memcpy(out.row(static_cast<int>(i)), src.row(idx[i]),
+                  static_cast<std::size_t>(src.cols()) * sizeof(float));
+    }
+    return out;
+  };
+  auto tensor = [](int rows, int cols, std::uint64_t seed) {
+    const auto data = random_data(static_cast<std::size_t>(rows) * cols, seed);
+    rn::ag::Tensor t(rows, cols);
+    std::memcpy(t.data(), data.data(), data.size() * sizeof(float));
+    return t;
+  };
+  for (const kern::Backend backend :
+       {kern::Backend::kScalar, kern::Backend::kAvx2}) {
+    if (!kern::backend_available(backend)) continue;
+    for (const int threads : {1, 4}) {
+      rn::testing::ExecutionScope scope(backend, threads);
+      for (const auto& [k, n] : {std::pair{6, 13}, std::pair{257, 45},
+                                std::pair{481, 8}}) {
+        rn::ag::Tensor x = tensor(m, k, 11);
+        for (int p = 0; p < k; ++p) x.at(idx[0], p) = 0.0f;  // all-zero row
+        const rn::ag::Tensor w = tensor(k, n, 12);
+        const rn::ag::Tensor rows_of_product = gather(rn::ag::matmul(x, w));
+        const rn::ag::Tensor product_of_rows = rn::ag::matmul(gather(x), w);
+        EXPECT_EQ(std::memcmp(rows_of_product.data(), product_of_rows.data(),
+                              static_cast<std::size_t>(
+                                  rows_of_product.size()) *
+                                  sizeof(float)),
+                  0)
+            << kern::backend_name(backend) << " x" << threads << " k=" << k
+            << " n=" << n;
+      }
     }
   }
 }

@@ -2,12 +2,15 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ag/kernels.h"
 #include "ag/optim.h"
+#include "execution_scope.h"
 #include "gradcheck.h"
 #include "util/rng.h"
 
@@ -198,13 +201,21 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                      static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
 }
 
-// The reference for step_gathered: explicit gather_rows ops feeding the
+// The reference for gru_step_gathered: explicit gather_rows ops feeding the
 // composed GRU chain.
 ValueId gathered_reference(Tape& tape, const GruCell& cell, ValueId x_src,
                            const std::vector<int>& x_idx, ValueId h_src,
                            const std::vector<int>& h_idx) {
   return composed_gru_step(tape, tape.gather_rows(x_src, x_idx),
                            tape.gather_rows(h_src, h_idx), cell.weights());
+}
+
+// gru_step_gathered with the projection of x_src made for this one step.
+ValueId projected_step(Tape& tape, const GruCell& cell, ValueId x_src,
+                       const std::vector<int>& x_idx, ValueId h_src,
+                       const std::vector<int>& h_idx) {
+  return tape.gru_step_gathered(cell.project(tape, x_src), x_idx, h_src,
+                                h_idx);
 }
 
 TEST(FusedGru, ForwardBitwiseIdenticalToComposed) {
@@ -291,12 +302,11 @@ TEST(FusedGru, GatheredStepMatchesGatherThenStepBitwise) {
   const std::vector<int> h_idx = {6, 0, 2, 2, 5, 1, 4, 3};
   auto run = [&](bool fused) {
     Tape tape;
-    const ValueId out =
-        fused ? cell.step_gathered(tape, tape.constant(x_src), x_idx,
-                                   tape.constant(h_src), h_idx)
-              : gathered_reference(tape, cell, tape.constant(x_src), x_idx,
-                                   tape.constant(h_src), h_idx);
-    return tape.value(out);
+    const ValueId xs = tape.constant(x_src);
+    const ValueId hs = tape.constant(h_src);
+    return tape.value(fused ? projected_step(tape, cell, xs, x_idx, hs, h_idx)
+                            : gathered_reference(tape, cell, xs, x_idx, hs,
+                                                 h_idx));
   };
   const Tensor composed = run(false);
   EXPECT_EQ(composed.rows(), 8);
@@ -310,11 +320,85 @@ TEST(FusedGru, GatheredStepRejectsBadIndices) {
   Tape tape;
   const ValueId x = tape.constant(random_tensor(4, 2, 48));
   const ValueId h = tape.constant(random_tensor(4, 3, 49));
-  EXPECT_THROW(cell.step_gathered(tape, x, {}, h, {}), std::runtime_error);
-  EXPECT_THROW(cell.step_gathered(tape, x, {0}, h, {0, 1}),
-               std::runtime_error);
-  EXPECT_THROW(cell.step_gathered(tape, x, {4}, h, {0}), std::runtime_error);
-  EXPECT_THROW(cell.step_gathered(tape, x, {0}, h, {-1}), std::runtime_error);
+  const GruProjection xw = cell.project(tape, x);
+  EXPECT_THROW(tape.gru_step_gathered(xw, {}, h, {}), std::runtime_error);
+  EXPECT_THROW(tape.gru_step_gathered(xw, {0}, h, {0, 1}), std::runtime_error);
+  EXPECT_THROW(tape.gru_step_gathered(xw, {4}, h, {0}), std::runtime_error);
+  EXPECT_THROW(tape.gru_step_gathered(xw, {0}, h, {-1}), std::runtime_error);
+}
+
+// A projection carries its x_src and weights, so the step can only be
+// handed one from the wrong tape; the check is by identity, so the same
+// value id on another tape is still rejected.
+TEST(FusedGru, ProjectedStepRejectsProjectionFromAnotherTape) {
+  Rng rng(50);
+  GruCell cell(2, 3, rng, "gru");
+  const Tensor x_src = random_tensor(4, 2, 51);
+  const std::vector<int> idx = {0, 3, 3};
+  Tape tape;
+  const ValueId x = tape.constant(x_src);
+  const ValueId h = tape.constant(random_tensor(4, 3, 52));
+  Tape other_tape;
+  const ValueId other_x = other_tape.constant(x_src);
+  ASSERT_EQ(other_x, x);  // same id: only the tape tells them apart
+
+  EXPECT_NO_THROW(tape.gru_step_gathered(cell.project(tape, x), idx, h, idx));
+  EXPECT_THROW(
+      tape.gru_step_gathered(cell.project(other_tape, other_x), idx, h, idx),
+      std::runtime_error);
+}
+
+// The projected step against the explicit-gather reference, on both tape
+// modes, both backends and at 1 and 4 threads (4 with the matmul threshold
+// at 0, so the projection's rows really are split across chunks). x_src
+// has an all-zero row and scattered exact and negative zeros, so the
+// matmul zero-skip runs on projected and gathered rows alike; indices
+// repeat.
+TEST(FusedGru, ProjectedStepBitwiseInBothModesAndBackends) {
+  Rng rng(53);
+  GruCell cell(6, 13, rng, "gru");
+  Tensor x_src = random_tensor(70, 6, 54);
+  for (int c = 0; c < x_src.cols(); ++c) x_src.at(5, c) = 0.0f;
+  for (int r = 0; r < x_src.rows(); r += 3) {
+    x_src.at(r, r % 6) = (r % 2 == 0) ? 0.0f : -0.0f;
+  }
+  const Tensor h_src = random_tensor(90, 13, 55);
+  std::vector<int> x_idx, h_idx;
+  for (int i = 0; i < 120; ++i) {
+    x_idx.push_back((i * 7) % 70);
+    h_idx.push_back((i * 11) % 90);
+  }
+  x_idx[1] = x_idx[0] = 5;  // the all-zero row, twice
+
+  std::vector<Tensor> results;
+  std::vector<std::string> labels;
+  for (const kern::Backend backend :
+       {kern::Backend::kScalar, kern::Backend::kAvx2}) {
+    if (!kern::backend_available(backend)) continue;
+    for (const int threads : {1, 4}) {
+      rn::testing::ExecutionScope scope(backend, threads);
+      for (const TapeMode mode : {TapeMode::kRecord, TapeMode::kForwardOnly}) {
+        for (const bool projected : {false, true}) {
+          Tape tape(mode);
+          const ValueId xs = tape.constant(x_src);
+          const ValueId hs = tape.constant(h_src);
+          results.push_back(tape.value(
+              projected ? projected_step(tape, cell, xs, x_idx, hs, h_idx)
+                        : gathered_reference(tape, cell, xs, x_idx, hs,
+                                             h_idx)));
+          labels.push_back(std::string(kern::backend_name(backend)) + " x" +
+                           std::to_string(threads) +
+                           (mode == TapeMode::kRecord ? " record" : " fwd") +
+                           (projected ? " projected" : " reference"));
+        }
+      }
+    }
+  }
+  ASSERT_GE(results.size(), 8u);
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(results[0], results[i]))
+        << labels[i] << " differs from " << labels[0];
+  }
 }
 
 TEST(FusedGru, GradCheckThroughGatheredFusedStep) {
@@ -326,8 +410,8 @@ TEST(FusedGru, GradCheckThroughGatheredFusedStep) {
   const std::vector<int> h_idx = {2, 0, 0, 3, 1};
   const Tensor target(5, 3, 0.15f);
   expect_gradients_match(cell.params(), [&](Tape& tape) {
-    const ValueId out = cell.step_gathered(
-        tape, tape.constant(x_src), x_idx, tape.constant(h_src), h_idx);
+    const ValueId out = projected_step(tape, cell, tape.constant(x_src), x_idx,
+                                       tape.constant(h_src), h_idx);
     return tape.mse(out, target);
   });
 }
@@ -344,11 +428,11 @@ TEST(FusedGru, GatheredSourceGradientsMatchComposed) {
     x_src.zero_grad();
     h_src.zero_grad();
     Tape tape;
+    const ValueId xs = tape.param(x_src);
+    const ValueId hs = tape.param(h_src);
     const ValueId out =
-        fused ? cell.step_gathered(tape, tape.param(x_src), x_idx,
-                                   tape.param(h_src), h_idx)
-              : gathered_reference(tape, cell, tape.param(x_src), x_idx,
-                                   tape.param(h_src), h_idx);
+        fused ? projected_step(tape, cell, xs, x_idx, hs, h_idx)
+              : gathered_reference(tape, cell, xs, x_idx, hs, h_idx);
     tape.backward(tape.mse(out, target));
     return std::pair<Tensor, Tensor>(x_src.grad, h_src.grad);
   };

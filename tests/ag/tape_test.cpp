@@ -482,7 +482,8 @@ TEST(TapeBackward, ReleasedIntermediatesBackpropagateBitwise) {
        [&](Tape& t, bool rel) {
          const ValueId x = t.scale(t.param(pa), 1.0f);
          const ValueId h = t.scale(t.param(ph), 1.0f);
-         const ValueId y = cell.step_gathered(t, x, x_idx, h, h_idx);
+         const ValueId y =
+             t.gru_step_gathered(cell.project(t, x), x_idx, h, h_idx);
          drop(t, rel, {x, h});
          const ValueId loss = t.mse(y, gathered_target);
          drop(t, rel, {y});

@@ -3,6 +3,8 @@
 // make-topology → … → train → predict pipeline at miniature scale.
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,8 @@
 #include "dataset/shard.h"
 #include "dataset/stream.h"
 #include "legacy_dataset.h"
+#include "serve/net.h"
+#include "serve/registry.h"
 #include "topology/text_io.h"
 #include "traffic/text_io.h"
 #include "util/bytes.h"
@@ -188,6 +192,50 @@ TEST_F(CliCommands, QueryLoadGenToDeadAddressThrows) {
                           path("n.routes"), "--traffic", path("n.traffic"),
                           "--requests", "4", "--clients", "2"})),
       std::runtime_error);
+}
+
+TEST_F(CliCommands, QueryLoadGenOverTheServerConnectionCapThrows) {
+  // One client more than the server serves at once: the connection it
+  // refuses must fail the run on the caller, with the server's reason,
+  // before any load is sent, not count as backpressure in the summary.
+  ASSERT_EQ(cmd_make_topology(flags_of(
+                {"--kind", "ring", "--nodes", "5", "--out", path("n.topo")})),
+            0);
+  ASSERT_EQ(cmd_make_routing(flags_of({"--topology", path("n.topo"), "--k",
+                                       "1", "--out", path("n.routes")})),
+            0);
+  ASSERT_EQ(cmd_make_traffic(flags_of(
+                {"--topology", path("n.topo"), "--routing", path("n.routes"),
+                 "--kind", "gravity", "--util", "0.5", "--out",
+                 path("n.traffic")})),
+            0);
+  core::RouteNetConfig mcfg;
+  mcfg.link_state_dim = 4;
+  mcfg.path_state_dim = 4;
+  mcfg.iterations = 1;
+  mcfg.readout_hidden = 4;
+  serve::ModelRegistry registry(serve::ServerConfig{});
+  registry.install("default", std::make_unique<core::RouteNet>(mcfg));
+  serve::NetServerConfig ncfg;
+  ncfg.listen = "tcp:127.0.0.1:0";
+  serve::NetServer server(registry, ncfg);
+  server.start();
+  const std::string clients =
+      std::to_string(serve::NetServer::kMaxConnections + 1);
+  try {
+    cmd_query(flags_of({"--connect", server.address(), "--topology",
+                        path("n.topo"), "--routing", path("n.routes"),
+                        "--traffic", path("n.traffic"), "--requests", "2",
+                        "--clients", clients}));
+    ADD_FAILURE() << "query over the connection cap did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("connection limit reached"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(server.stats().requests, 0u);
+  EXPECT_EQ(server.stats().refused_connections, 1u);
+  server.stop();
 }
 
 TEST_F(CliCommands, TrainRejectsMissingDataset) {

@@ -20,6 +20,10 @@
 //     and a shutdown with remote shutdown disabled gets kRejected. Each
 //     leaves the connection serving and moves NetStats and the
 //     serve.net.{rejected,errors}_total counters by exactly one.
+//   - The connection cap: with NetServer::kMaxConnections clients
+//     connected, one more idle connection gets one kRejected frame and EOF
+//     and counts as refused, not as a connection; once one of the others
+//     closes, a new one is served.
 #include "serve/net.h"
 
 #include <arpa/inet.h>
@@ -382,6 +386,58 @@ TEST(NetObs, ErrorFramesKeepTheConnectionAndAreCounted) {
   EXPECT_EQ(net_rejected.value() - rejected0, 1u);
   EXPECT_EQ(net_errors.value() - errors0, 3u);
 
+  server.stop();
+}
+
+TEST(NetObs, ConnectionsOverTheCapAreRefusedUntilOneCloses) {
+  ModelRegistry registry(fast_config());
+  registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));
+  NetServer server(registry, loopback_config());
+  server.start();
+
+  // A stats round trip on each proves it has a handler thread, and keeps
+  // the connects inside the listen backlog.
+  std::vector<std::unique_ptr<NetClient>> clients;
+  for (std::size_t i = 0; i < NetServer::kMaxConnections; ++i) {
+    clients.push_back(std::make_unique<NetClient>(server.address()));
+    clients.back()->stats();
+  }
+  const std::uint64_t cap = NetServer::kMaxConnections;
+  EXPECT_EQ(server.stats().connections, cap);
+
+  const int fd = raw_connect(server.port());
+  const wire::Frame reply = read_frame(fd);
+  ASSERT_EQ(reply.type, wire::FrameType::kError);
+  const wire::ErrorFrame err = wire::decode_error(reply.payload);
+  EXPECT_EQ(err.code, wire::ErrorCode::kRejected);
+  EXPECT_EQ(err.message, "connection limit reached");
+  EXPECT_TRUE(read_upto(fd, 1).empty());
+  ::close(fd);
+  EXPECT_EQ(server.stats().refused_connections, 1u);
+  EXPECT_EQ(server.stats().connections, cap);
+
+  // The server learns of the close asynchronously, so a connection made
+  // right after it may still meet the cap; retry until one is served.
+  clients.front().reset();
+  std::uint64_t refused = 1;
+  bool served = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!served && std::chrono::steady_clock::now() < deadline) {
+    try {
+      NetClient next(server.address());
+      next.stats();
+      served = true;
+    } catch (const std::runtime_error&) {
+      ++refused;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_TRUE(served);
+  EXPECT_EQ(server.stats().refused_connections, refused);
+  EXPECT_EQ(server.stats().connections, cap + 1);
+  clients.back()->stats();  // the survivors still serve
+  clients.clear();
   server.stop();
 }
 

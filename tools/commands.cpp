@@ -680,10 +680,14 @@ int cmd_query(const Flags& flags) {
                                       0.0);
   // Connect on this thread: a dead address throws here, through the
   // CLI's error path, instead of escaping a client thread; and connection
-  // setup stays out of the timed window.
+  // setup stays out of the timed window. One stats round trip per
+  // connection does the same for a server over its connection cap, which
+  // answers a refused connection's first frame with an error; in the load
+  // loop that error would read as queue-full backpressure.
   std::vector<std::unique_ptr<serve::NetClient>> conns;
   for (int c = 0; c < clients; ++c) {
     conns.push_back(std::make_unique<serve::NetClient>(connect));
+    conns.back()->stats();
   }
   obs::Stopwatch wall;
   std::vector<std::thread> load;
