@@ -86,14 +86,22 @@ ExperimentScale scale_from_env() {
   ExperimentScale s;
   const char* env = std::getenv("RN_BENCH_SCALE");
   const std::string mode = env != nullptr ? env : "standard";
+  // Columns: paper setup (train NSFNET / syn50, eval NSFNET / syn50 /
+  // Geant2, epochs, pkts/flow), sweep {train, eval, epochs} and its
+  // pkts/flow, baseline {train, eval, epochs}, timing reps, dataset_io
+  // corpus, serving {warmup, main, fixed, overload}.
   if (mode == "smoke") {
-    // Minutes-to-seconds tier for CI smokes (obs_diff_smoke): just enough
-    // work to populate every BENCH_*.json key, no statistical value.
-    s = ExperimentScale{"smoke", 6, 2, 2, 1, 2, 2, 30.0};
+    // Seconds tier for CI smokes (obs_diff_smoke): just enough work to
+    // populate every BENCH_*.json key, no statistical value.
+    s = ExperimentScale{"smoke", 6, 2, 2, 1, 2, 2, 30.0, {2, 1, 1}, 30.0,
+                        {2, 1, 1}, 1, 8, {200, 600, 64, 128}};
   } else if (mode == "quick") {
-    s = ExperimentScale{"quick", 24, 4, 6, 2, 5, 10, 80.0};
+    s = ExperimentScale{"quick", 24, 4, 6, 2, 5, 10, 80.0, {10, 3, 8}, 60.0,
+                        {12, 4, 15}, 3, 16, {1500, 10000, 200, 512}};
   } else if (mode == "large") {
-    s = ExperimentScale{"large", 400, 60, 40, 12, 40, 40, 150.0};
+    s = ExperimentScale{"large", 400, 60, 40, 12, 40, 40, 150.0,
+                        {28, 6, 15}, 100.0, {32, 8, 30}, 5, 128,
+                        {1500, 10000, 200, 512}};
   } else {
     s.name = "standard";
   }
@@ -146,6 +154,9 @@ std::shared_ptr<const topo::Topology> geant2_topology() {
 
 namespace {
 
+constexpr std::uint64_t kTrainSeed = 101;
+constexpr std::uint64_t kEvalSeed = 202;
+
 // The `count` samples at global indices [first_index, first_index + count)
 // of the corpus (cfg, seed) on `topology`. Read back from the RNDS1 cache
 // at `path` when its header records exactly that request; otherwise
@@ -182,13 +193,28 @@ std::vector<dataset::Sample> load_or_generate(
 
 }  // namespace
 
+std::vector<dataset::Sample> load_or_generate_train_set(
+    const ExperimentScale& scale) {
+  const std::string prefix = cache_dir() + "/train_";
+  const std::string tag = "_" + scale.name;
+  const dataset::GeneratorConfig gcfg = paper_generator_config(scale);
+  const auto train_nsfnet = static_cast<std::uint64_t>(scale.train_nsfnet);
+  std::vector<dataset::Sample> train = load_or_generate(
+      prefix + "nsfnet" + tag + ".rnds", gcfg, kTrainSeed, nsfnet_topology(),
+      0, train_nsfnet, "train-NSFNET");
+  std::vector<dataset::Sample> syn = load_or_generate(
+      prefix + "syn50" + tag + ".rnds", gcfg, kTrainSeed, syn50_topology(),
+      train_nsfnet, static_cast<std::uint64_t>(scale.train_syn50),
+      "train-50node");
+  for (dataset::Sample& s : syn) train.push_back(std::move(s));
+  return train;
+}
+
 PaperSetup load_or_train_paper_setup(const ExperimentScale& scale) {
   const std::string dir = cache_dir();
   const std::string tag = "_" + scale.name;
   const std::string model_path = dir + "/routenet" + tag + ".model";
   const dataset::GeneratorConfig gcfg = paper_generator_config(scale);
-  constexpr std::uint64_t kTrainSeed = 101;
-  constexpr std::uint64_t kEvalSeed = 202;
 
   // Each seed's corpus is laid out topology after topology, so every cache
   // file owns a fixed index range and a cache hit never shifts the next.
@@ -219,18 +245,7 @@ PaperSetup load_or_train_paper_setup(const ExperimentScale& scale) {
     return setup;
   }
 
-  const auto train_nsfnet = static_cast<std::uint64_t>(scale.train_nsfnet);
-  std::vector<dataset::Sample> train = load_or_generate(
-      dir + "/train_nsfnet" + tag + ".rnds", gcfg, kTrainSeed,
-      nsfnet_topology(), 0, train_nsfnet, "train-NSFNET");
-  {
-    std::vector<dataset::Sample> syn = load_or_generate(
-        dir + "/train_syn50" + tag + ".rnds", gcfg, kTrainSeed,
-        syn50_topology(), train_nsfnet,
-        static_cast<std::uint64_t>(scale.train_syn50), "train-50node");
-    for (dataset::Sample& s : syn) train.push_back(std::move(s));
-  }
-
+  const std::vector<dataset::Sample> train = load_or_generate_train_set(scale);
   core::TrainConfig tcfg;
   tcfg.epochs = scale.epochs;
   tcfg.batch_size = 4;

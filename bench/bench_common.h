@@ -1,13 +1,14 @@
-// Shared experiment pipeline for the figure/table benches.
+// Shared experiment pipeline for the benches (bench/repro prints the
+// paper's figures and tables from it).
 //
 // The paper's setup (§2.1): train RouteNet on samples from the 14-node
 // NSFNET and a 50-node synthetic topology, evaluate on unseen samples from
 // those two plus the 24-node Geant2. The public datasets hold 480k/120k/300k
 // samples; one laptop core cannot regenerate that, so the scale below is a
-// CLI/env-tunable miniature (RN_BENCH_SCALE=quick|standard|large) that
+// env-tunable miniature (RN_BENCH_SCALE=smoke|quick|standard|large) that
 // preserves the experiment's structure. Training artifacts are cached under
-// RN_BENCH_CACHE (default ./bench_cache) so the three figure benches share
-// one trained model.
+// RN_BENCH_CACHE (default ./bench_cache) so repeated runs share one trained
+// model.
 #pragma once
 
 #include <memory>
@@ -20,6 +21,21 @@
 
 namespace rn::bench {
 
+// Size of a side study that trains its own models on generated data.
+struct StudySize {
+  int train = 0;   // NSFNET training scenarios
+  int eval = 0;    // scenarios per evaluation set
+  int epochs = 0;
+};
+
+// Serving-bench request counts per phase.
+struct ServeLoad {
+  int warmup = 0;
+  int main = 0;
+  int fixed = 0;
+  int overload = 0;
+};
+
 struct ExperimentScale {
   std::string name = "standard";
   int train_nsfnet = 150;
@@ -29,11 +45,20 @@ struct ExperimentScale {
   int eval_geant2 = 16;
   int epochs = 30;
   double pkts_per_flow = 120.0;
+  // Hyperparameter sweep and design ablations (train NSFNET, eval GBN).
+  StudySize sweep{28, 6, 15};
+  double sweep_pkts_per_flow = 100.0;
+  // Baseline contrast, per traffic model (train NSFNET, eval NSFNET+Geant2).
+  StudySize baseline{32, 8, 30};
+  int timing_reps = 5;   // stopwatch runs per cost cell; the median is shown
+  int io_corpus = 48;    // dataset_io samples
+  ServeLoad serve{1500, 10000, 200, 512};
 };
 
 // Reads RN_BENCH_SCALE (smoke | quick | standard | large); standard by
 // default. "smoke" is a seconds-scale tier for CI smokes that only needs
-// to populate every BENCH_*.json key.
+// to populate every BENCH_*.json key. Benches size their work from the
+// fields, never from the name.
 ExperimentScale scale_from_env();
 
 // Cache directory (created if missing).
@@ -48,6 +73,12 @@ struct PaperSetup {
   std::vector<dataset::Sample> eval_syn50;
   std::vector<dataset::Sample> eval_geant2;
 };
+
+// The paper setup's seed-101 training corpus: train_nsfnet NSFNET samples,
+// then train_syn50 synthetic-50 ones. Read from the cache files that
+// load_or_train_paper_setup fills; generated and cached when missing.
+std::vector<dataset::Sample> load_or_generate_train_set(
+    const ExperimentScale& scale);
 
 // Trains (or loads from cache) the paper's experiment and returns the model
 // plus the three evaluation sets. Prints progress to stdout. Training wall

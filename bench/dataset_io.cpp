@@ -27,13 +27,6 @@
 
 namespace {
 
-std::uint64_t corpus_size(const rn::bench::ExperimentScale& scale) {
-  if (scale.name == "smoke") return 8;
-  if (scale.name == "quick") return 16;
-  if (scale.name == "large") return 128;
-  return 48;
-}
-
 bool params_bitwise_equal(rn::core::RouteNet& a, rn::core::RouteNet& b) {
   const std::vector<rn::ag::Parameter*> pa = a.params();
   const std::vector<rn::ag::Parameter*> pb = b.params();
@@ -54,7 +47,7 @@ int main(int argc, char** argv) {
   rn::bench::init_bench_telemetry(argc, argv);
   const rn::bench::ExperimentScale scale = rn::bench::scale_from_env();
   const std::string dir = rn::bench::cache_dir();
-  const std::uint64_t total = corpus_size(scale);
+  const auto total = static_cast<std::uint64_t>(scale.io_corpus);
   const rn::dataset::GeneratorConfig cfg =
       rn::bench::paper_generator_config(scale);
   const auto topology = rn::bench::nsfnet_topology();

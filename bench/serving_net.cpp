@@ -173,11 +173,10 @@ int main(int argc, char** argv) {
   rn::bench::init_bench_telemetry(argc, argv);
   rn::obs::Registry& reg = rn::obs::Registry::global();
   const rn::bench::ExperimentScale scale = rn::bench::scale_from_env();
-  const bool smoke = scale.name == "smoke";
-  const int kWarmup = smoke ? 200 : 1500;
-  const int kMain = smoke ? 600 : 10000;
-  const int kFixed = smoke ? 64 : 200;
-  const int kOverload = smoke ? 128 : 512;
+  const int kWarmup = scale.serve.warmup;
+  const int kMain = scale.serve.main;
+  const int kFixed = scale.serve.fixed;
+  const int kOverload = scale.serve.overload;
   const int kClients = 8;
 
   // Compact model + request pool: the regime network serving batches for —

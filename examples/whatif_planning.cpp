@@ -106,6 +106,6 @@ int main() {
   }
   std::printf("\neach row above cost one GNN forward pass; simulating all "
               "of them would take ~100x longer (see "
-              "bench/cost_inference_vs_sim).\n");
+              "the cost section of bench/repro).\n");
   return 0;
 }

@@ -273,7 +273,9 @@ PredictRequest decode_predict_request(std::string_view payload) {
       std::move(model),
       dataset::make_inference_sample(
           std::shared_ptr<const topo::Topology>(std::move(topology)),
-          std::move(scheme), std::move(tm))};
+          std::move(scheme), std::move(tm)),
+      /*has_trace=*/false,
+      TraceContext{}};
   // Version tolerance: old clients end here; new clients append exactly a
   // TraceContext. Any other trailing length is malformed, not ignorable —
   // silently skipping unknown bytes would mask corruption the CRC already

@@ -1,9 +1,9 @@
-# Bench-regression-gate smoke test (ctest -R obs_diff_smoke): runs one
-# report bench twice at the seconds-scale "smoke" tier (the second run hits
+# Bench-regression-gate smoke test (ctest -R obs_diff_smoke): runs
+# bench/repro twice at the seconds-scale "smoke" tier (the second run hits
 # the model/dataset cache), then drives `routenet obs diff` over the
-# resulting BENCH_*.json reports — rc 0 on an identical pair, rc 1 on a
-# doctored copy with a regressed wall time, rc 2 on bad usage. Invoked with
-# -DRN_CLI=<routenet> -DBENCH_BIN=<fig2_regression> -DWORK_DIR=<dir>.
+# resulting BENCH_repro.json reports — rc 0 on an identical pair, rc 1
+# on a doctored copy with a regressed wall time, rc 2 on bad usage. Invoked
+# with -DRN_CLI=<routenet> -DBENCH_BIN=<repro> -DWORK_DIR=<dir>.
 
 if(NOT DEFINED RN_CLI OR NOT DEFINED BENCH_BIN OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR
@@ -39,7 +39,7 @@ function(run_diff expected_rc)
   set(diff_out "${out}" PARENT_SCOPE)
 endfunction()
 
-set(report "${WORK_DIR}/cache/BENCH_fig2_regression.json")
+set(report "${WORK_DIR}/cache/BENCH_repro.json")
 
 # First run trains the tiny model; its report becomes the baseline.
 run_bench()

@@ -36,8 +36,12 @@ void* operator new(std::size_t size) {
   return p;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// noinline: once inlined, GCC pairs the free() with a new-expression and
+// reports a -Wmismatched-new-delete that does not exist.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
@@ -110,7 +114,9 @@ TEST_F(TraceTest, ExplicitParentWinsOverThreadStack) {
   a.end();
   const std::vector<TraceRecord> records = Tracer::global().collect();
   for (const TraceRecord& r : records) {
-    if (std::string(r.name) == "b") EXPECT_EQ(r.parent, 12345u);
+    if (std::string(r.name) == "b") {
+      EXPECT_EQ(r.parent, 12345u);
+    }
   }
 }
 
