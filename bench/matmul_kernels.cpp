@@ -1,8 +1,8 @@
 // Microbenchmark for the kernel layer.
 //
-// Three jobs:
-//   1. The original single-threaded regression guard — no blocked kernel
-//      may be >10% slower than its naive counterpart (median of 5; WARNING
+// Two jobs:
+//   1. The single-threaded regression guard — no blocked kernel may be
+//      >10% slower than its naive counterpart (median of 5; WARNING
 //      always, exit 1 under RN_BENCH_ENFORCE).
 //   2. A backend report: every compiled-in kernel backend
 //      (scalar / avx2) timed on the matmul shapes at paper sizes (state
@@ -17,17 +17,19 @@
 //      the dx nt at every dim; every avx2 result must be bitwise identical
 //      to scalar, and the fused GRU step must match the composed one
 //      bitwise.
-//   3. The google-benchmark tables (skipped at RN_BENCH_SCALE=smoke, where
-//      only the guard + report run so CI stays seconds-scale).
 //
-//   ./matmul_kernels [--benchmark_filter=...]
-#include <benchmark/benchmark.h>
-
+// Every timing sample is a batch of calls lasting at least kMinSampleS of
+// the thread's CPU time, so a sample of a 50 µs kernel is neither one call
+// nor stretched by the time the scheduler takes the thread away.
+//
+//   ./matmul_kernels
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,7 +40,6 @@
 #include "bench_common.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
 #include "par/thread_pool.h"
 #include "util/rng.h"
 
@@ -75,12 +76,6 @@ const Tensor& At() {
 const Tensor& Bt() {
   static const Tensor t = random_tensor(kN, kK, 4);
   return t;
-}
-
-void set_flops(benchmark::State& state) {
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * kM * kK * kN * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
 }
 
 // The pre-blocking kernels, kept verbatim as the baseline.
@@ -132,83 +127,62 @@ Tensor naive_matmul_nt(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void BM_naive_matmul(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(naive_matmul(A(), B()));
-  set_flops(state);
+// Keeps a timed call's result observable, so the compiler cannot drop the
+// call.
+volatile float g_sink = 0.0f;
+void sink(const Tensor& t) {
+  if (!t.empty()) g_sink = t[0];
+}
+void sink(const float* p) { g_sink = p[0]; }
+
+// Seconds of CPU time the calling thread has used. Every timing here runs
+// on one thread (par::set_global_threads(1)), so this is the kernels' own
+// time; unlike wall time it stops while the thread is preempted, which a
+// loaded host (a parallel ctest) does for milliseconds at a time.
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-void BM_naive_matmul_tn(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(naive_matmul_tn(At(), B()));
-  set_flops(state);
-}
+// A sample's minimum duration: long enough to swamp timer resolution and
+// cache and frequency noise, short enough that a full report stays
+// seconds-scale.
+constexpr double kMinSampleS = 2e-3;
 
-void BM_naive_matmul_nt(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(naive_matmul_nt(A(), Bt()));
-  set_flops(state);
-}
-
-// Blocked kernels pinned to one thread: compare directly against BM_naive_*
-// — the regression bound is 1.10x.
-void BM_blocked_matmul_1t(benchmark::State& state) {
-  rn::par::set_global_threads(1);
-  for (auto _ : state) benchmark::DoNotOptimize(rn::ag::matmul(A(), B()));
-  set_flops(state);
-}
-
-void BM_blocked_matmul_tn_1t(benchmark::State& state) {
-  rn::par::set_global_threads(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rn::ag::matmul_tn(At(), B()));
+// Calls per sample of fn: doubled from one until a batch lasts
+// kMinSampleS. The first call warms caches.
+template <typename Fn>
+int calls_per_sample(const Fn& fn) {
+  sink(fn());
+  for (int calls = 1;; calls *= 2) {
+    const double t0 = thread_cpu_s();
+    for (int i = 0; i < calls; ++i) sink(fn());
+    if (thread_cpu_s() - t0 >= kMinSampleS) return calls;
   }
-  set_flops(state);
 }
 
-void BM_blocked_matmul_nt_1t(benchmark::State& state) {
-  rn::par::set_global_threads(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rn::ag::matmul_nt(A(), Bt()));
-  }
-  set_flops(state);
+// CPU seconds per call over one batch of `calls` calls.
+template <typename Fn>
+double sample_s(const Fn& fn, int calls) {
+  const double t0 = thread_cpu_s();
+  for (int i = 0; i < calls; ++i) sink(fn());
+  return (thread_cpu_s() - t0) / calls;
 }
 
-// Blocked kernels on the full pool (RN_THREADS / hardware width).
-void BM_blocked_matmul_nt_pool(benchmark::State& state) {
-  rn::par::set_global_threads(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rn::ag::matmul_nt(A(), Bt()));
-  }
-  set_flops(state);
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
-
-void BM_blocked_matmul_pool(benchmark::State& state) {
-  rn::par::set_global_threads(0);
-  for (auto _ : state) benchmark::DoNotOptimize(rn::ag::matmul(A(), B()));
-  set_flops(state);
-}
-
-BENCHMARK(BM_naive_matmul);
-BENCHMARK(BM_blocked_matmul_1t);
-BENCHMARK(BM_blocked_matmul_pool);
-BENCHMARK(BM_naive_matmul_tn);
-BENCHMARK(BM_blocked_matmul_tn_1t);
-BENCHMARK(BM_naive_matmul_nt);
-BENCHMARK(BM_blocked_matmul_nt_1t);
-BENCHMARK(BM_blocked_matmul_nt_pool);
 
 // Median-of-reps seconds per call; the median shrugs off one-off scheduler
 // blips that would make a guard on the mean flaky.
 template <typename Fn>
 double median_time_s(const Fn& fn, int reps = 5) {
-  fn();  // warm caches (and the pool, for the blocked kernels)
+  const int calls = calls_per_sample(fn);
   std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    rn::obs::Stopwatch watch;
-    benchmark::DoNotOptimize(fn());
-    times.push_back(watch.elapsed_s());
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  for (int r = 0; r < reps; ++r) times.push_back(sample_s(fn, calls));
+  return median(std::move(times));
 }
 
 // The guarded expectation: every blocked kernel stays within 10% of its
@@ -269,6 +243,7 @@ constexpr kern::Backend kBackends[kNumBackends] = {kern::Backend::kScalar,
 // the summed k; `nt` is backward's dx.
 struct ShapeReport {
   int m, k, n;
+  Tensor a{}, b{}, at{}, bt{}, g{};  // operands
   // [backend] -> gflops, in kBackends order; -1 = unavailable.
   double nn[kNumBackends] = {-1, -1};
   double tn[kNumBackends] = {-1, -1};
@@ -280,22 +255,42 @@ struct ShapeReport {
   double nt_speedup = -1;
 };
 
-// avx2/scalar speedup of fn as the median of interleaved scalar/avx2
-// pairs — pairing cancels the clock drift and scheduler noise that two
-// separately-timed sweeps pick up (this also runs under a parallel ctest).
-// Leaves the avx2 backend active.
-template <typename Fn>
-double paired_speedup(const Fn& fn) {
-  std::vector<double> ratios;
-  for (int rep = 0; rep < 5; ++rep) {
+// One gated avx2/scalar cell: the timed call and where its speedup goes.
+struct SpeedupCell {
+  std::function<Tensor()> fn;
+  double* speedup;
+};
+
+// Each cell's avx2/scalar speedup as the median ratio over nine pairs of
+// samples, a scalar batch and an avx2 batch back to back: pairing cancels
+// clock drift. The pairs run round-robin over the cells, so every cell's
+// pairs span the whole measurement, and a burst of host noise (this also
+// runs under a parallel ctest) lands on a pair or two of each cell rather
+// than on every pair of one. Leaves the avx2 backend active.
+void paired_speedups(const std::vector<SpeedupCell>& cells) {
+  struct Pairs {
+    int scalar_calls, avx2_calls;
+    std::vector<double> ratios;
+  };
+  std::vector<Pairs> pairs;
+  for (const SpeedupCell& cell : cells) {
     kern::set_kernel_backend(kern::Backend::kScalar);
-    const double ts = median_time_s(fn, 3);
+    const int scalar_calls = calls_per_sample(cell.fn);
     kern::set_kernel_backend(kern::Backend::kAvx2);
-    const double tv = median_time_s(fn, 3);
-    ratios.push_back(tv > 0.0 ? ts / tv : 0.0);
+    pairs.push_back({scalar_calls, calls_per_sample(cell.fn), {}});
   }
-  std::sort(ratios.begin(), ratios.end());
-  return ratios[ratios.size() / 2];
+  for (int round = 0; round < 9; ++round) {
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      kern::set_kernel_backend(kern::Backend::kScalar);
+      const double ts = sample_s(cells[c].fn, pairs[c].scalar_calls);
+      kern::set_kernel_backend(kern::Backend::kAvx2);
+      const double tv = sample_s(cells[c].fn, pairs[c].avx2_calls);
+      pairs[c].ratios.push_back(tv > 0.0 ? ts / tv : 0.0);
+    }
+  }
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    *cells[c].speedup = median(std::move(pairs[c].ratios));
+  }
 }
 
 bool tensors_bitwise_equal(const Tensor& a, const Tensor& b) {
@@ -335,16 +330,18 @@ int run_backend_report() {
   }
 
   std::printf("\n== kernel backends (1 thread, %d rows) ==\n", rows);
+  std::vector<SpeedupCell> cells;
   for (ShapeReport& shape : shapes) {
-    const Tensor a = random_tensor(shape.m, shape.k, 11);
-    const Tensor b = random_tensor(shape.k, shape.n, 12);
-    const Tensor at = random_tensor(shape.k, shape.m, 13);
-    const Tensor bt = random_tensor(shape.n, shape.k, 14);
-    const Tensor g = random_tensor(shape.m, shape.n, 15);
-    auto nn = [&] { return rn::ag::matmul(a, b); };
-    auto tn = [&] { return rn::ag::matmul_tn(at, b); };
-    auto tn_wgrad = [&] { return rn::ag::matmul_tn(a, g); };
-    auto nt = [&] { return rn::ag::matmul_nt(a, bt); };
+    shape.a = random_tensor(shape.m, shape.k, 11);
+    shape.b = random_tensor(shape.k, shape.n, 12);
+    shape.at = random_tensor(shape.k, shape.m, 13);
+    shape.bt = random_tensor(shape.n, shape.k, 14);
+    shape.g = random_tensor(shape.m, shape.n, 15);
+    const ShapeReport& in = shape;
+    auto nn = [&in] { return rn::ag::matmul(in.a, in.b); };
+    auto tn = [&in] { return rn::ag::matmul_tn(in.at, in.b); };
+    auto tn_wgrad = [&in] { return rn::ag::matmul_tn(in.a, in.g); };
+    auto nt = [&in] { return rn::ag::matmul_nt(in.a, in.bt); };
     const double gflop =
         2.0 * shape.m * shape.k * shape.n / 1e9;
     Tensor ref_nn, ref_tn, ref_tn_wgrad, ref_nt;
@@ -377,30 +374,35 @@ int run_backend_report() {
         bitwise = false;
       }
     }
-    // The acceptance gates: avx2 over scalar on the forward nn and on
-    // backward's two matmuls, from interleaved pairs. Weight-gradient tn
-    // at dim 16 is only reported: with two 8-column tiles per row, the
-    // per-p scalar loads and zero tests dominate (it measures 1.1–1.4x).
     if (shape.nn[1] > 0.0) {
-      shape.nn_speedup = paired_speedup(nn);
-      shape.tn_wgrad_speedup = paired_speedup(tn_wgrad);
-      shape.nt_speedup = paired_speedup(nt);
-      const struct {
-        const char* name;
-        double speedup;
-        double min;  // 0 = reported, not gated
-      } gates[] = {
-          {"nn", shape.nn_speedup, 1.5},
-          {"tn_wgrad", shape.tn_wgrad_speedup, shape.k >= 32 ? 1.5 : 0.0},
-          {"nt", shape.nt_speedup, 2.5},
-      };
-      for (const auto& gate : gates) {
-        const bool below = gate.speedup < gate.min;
-        std::printf("  %4dx%2dx%2d avx2/scalar %s speedup: %.2fx%s\n",
-                    shape.m, shape.k, shape.n, gate.name, gate.speedup,
-                    below ? "  <-- BELOW GATE" : "");
-        if (below) ++violations;
-      }
+      cells.push_back({nn, &shape.nn_speedup});
+      cells.push_back({tn_wgrad, &shape.tn_wgrad_speedup});
+      cells.push_back({nt, &shape.nt_speedup});
+    }
+  }
+
+  // The acceptance gates: avx2 over scalar on the forward nn and on
+  // backward's two matmuls, from interleaved pairs. Weight-gradient tn at
+  // dim 16 is only reported: with two 8-column tiles per row, the per-p
+  // scalar loads and zero tests dominate (it measures 1.0–1.6x).
+  paired_speedups(cells);
+  for (const ShapeReport& shape : shapes) {
+    if (shape.nn_speedup < 0.0) continue;
+    const struct {
+      const char* name;
+      double speedup;
+      double min;  // 0 = reported, not gated
+    } gates[] = {
+        {"nn", shape.nn_speedup, 1.5},
+        {"tn_wgrad", shape.tn_wgrad_speedup, shape.k >= 32 ? 1.5 : 0.0},
+        {"nt", shape.nt_speedup, 2.5},
+    };
+    for (const auto& gate : gates) {
+      const bool below = gate.speedup < gate.min;
+      std::printf("  %4dx%2dx%2d avx2/scalar %s speedup: %.2fx%s\n",
+                  shape.m, shape.k, shape.n, gate.name, gate.speedup,
+                  below ? "  <-- BELOW GATE" : "");
+      if (below) ++violations;
     }
   }
 
@@ -431,10 +433,16 @@ int run_backend_report() {
   for (int i = 0; i < idx_rows; ++i) {
     idx[static_cast<std::size_t>(i)] = idx_rng.uniform_int(0, idx_rows - 1);
   }
-  std::vector<float> factors(static_cast<std::size_t>(idx_rows));
-  for (auto& f : factors) {
-    f = static_cast<float>(idx_rng.uniform(0.25, 4.0));
+  // A batch applies scale_rows many times to one buffer, so calls
+  // alternate between the factors and their reciprocals: the values stay
+  // in range instead of drifting into infinities and subnormals.
+  std::vector<float> factors[2];
+  for (int i = 0; i < idx_rows; ++i) {
+    const auto f = static_cast<float>(idx_rng.uniform(0.25, 4.0));
+    factors[0].push_back(f);
+    factors[1].push_back(1.0f / f);
   }
+  int scale_calls = 0;
   const double bytes =
       2.0 * idx_rows * idx_cols * sizeof(float);  // read + write
   struct IndexRow {
@@ -461,7 +469,8 @@ int run_backend_report() {
         });
     index_rows[2].gb_per_s[bi] =
         bytes / 1e9 / median_time_s([&] {
-          ops.scale_rows(dst.data(), factors.data(), idx_rows, idx_cols);
+          ops.scale_rows(dst.data(), factors[scale_calls++ % 2].data(),
+                         idx_rows, idx_cols);
           return dst.data();
         });
   }
@@ -482,12 +491,11 @@ int run_backend_report() {
     std::vector<double> times;
     for (int rep = 0; rep < 5; ++rep) {
       std::memcpy(dst.data(), gate_src.data(), gate_n * sizeof(float));
-      rn::obs::Stopwatch watch;
+      const double t0 = thread_cpu_s();
       fn(dst.data(), gate_n);
-      times.push_back(watch.elapsed_s());
+      times.push_back(thread_cpu_s() - t0);
     }
-    std::sort(times.begin(), times.end());
-    return bytes / 1e9 / times[times.size() / 2];
+    return bytes / 1e9 / median(std::move(times));
   };
   IndexRow gate_rows[] = {{"sigmoid"}, {"tanh"}};
   std::vector<float> gate_ref[2];
@@ -599,14 +607,8 @@ int run_backend_report() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   int rc = check_blocked_vs_naive();
   rc += run_backend_report();
-  if (rc != 0) return 1;
-  if (smoke_scale()) return 0;  // CI smoke: guard + report only
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return rc != 0 ? 1 : 0;
 }

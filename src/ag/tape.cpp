@@ -1,6 +1,7 @@
 #include "ag/tape.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "ag/kernels.h"
 #include "obs/trace.h"
@@ -183,12 +184,14 @@ ValueId Tape::tanh(ValueId a) {
   return record({.op = Op::kTanh, .a = a, .value = std::move(v)});
 }
 
+// Selects, not branches, so both loops vectorize. −0.0 and NaN fail
+// `< 0`, so they pass through the forward unchanged; the backward leaves a
+// masked entry's gradient exactly as it was rather than adding +0 to it.
 ValueId Tape::relu(ValueId a) {
   Tensor v = input(a);
-  for (int i = 0; i < v.size(); ++i) {
-    auto idx = static_cast<std::size_t>(i);
-    if (v[idx] < 0.0f) v[idx] = 0.0f;
-  }
+  float* p = v.data();
+  const auto n = static_cast<std::size_t>(v.size());
+  for (std::size_t i = 0; i < n; ++i) p[i] = p[i] < 0.0f ? 0.0f : p[i];
   return record({.op = Op::kRelu, .a = a, .value = std::move(v)});
 }
 
@@ -203,7 +206,7 @@ ValueId Tape::concat_rows(const std::vector<ValueId>& xs) {
     RN_CHECK(xv.cols() == cols, "concat_rows column mismatch");
     rows += xv.rows();
   }
-  Tensor v(rows, cols);
+  Tensor v = Tensor::uninitialized(rows, cols);  // every row is copied in
   int r0 = 0;
   for (ValueId x : xs) {
     const Tensor& xv = input(x);
@@ -248,10 +251,15 @@ ValueId Tape::scatter_rows(ValueId base, const std::vector<int>& idx,
              "scatter_rows indices must be unique");
     seen[static_cast<std::size_t>(i)] = true;
   }
-  Tensor v = bv;
+  // The base is consumed: its buffer becomes the output unless a recorded
+  // backward reads it (or it is also the rows operand), and then it is
+  // copied.
+  Node& bn = node(base);
+  Tensor v = bn.saved || base == rows ? bv : std::move(bn.value);
   kern::active().scatter_rows(v.data(), idx.data(),
-                              static_cast<int>(idx.size()), bv.cols(),
+                              static_cast<int>(idx.size()), v.cols(),
                               rv.data());
+  release(base);
   return record({.op = Op::kScatterRows,
                  .a = base,
                  .b = rows,
@@ -322,9 +330,16 @@ ValueId Tape::gru_step_gathered(const GruProjection& xw,
 // the first, not accumulating into one buffer) because that is the rounding
 // order the composed kAdd node produced. The gathered variant takes the
 // x-side product as the x_idx rows of the projection xw, which are bitwise
-// the rows x[x_idx]·W would give. Both modes run this same code; a
-// recording tape then moves the activations and hg into the node's GruAux,
-// a forward-only tape lets them all return to the arena.
+// the rows x[x_idx]·W would give.
+//
+// The rows run in kern::kTileRows-row tiles, each carried from its gathers
+// to its output rows before the next starts, so a tile's intermediates stay
+// in one chunk-sized scratch tensor instead of a dozen rows×cols
+// temporaries. A matmul output row depends on its own A row alone and every
+// other kernel here is elementwise, so no element's operation sequence
+// depends on the tiling, and parallel_rows may split the tiles across the
+// pool. Both modes run this same code; a recording tape writes z, r, hc and
+// the gathered h straight into the node's GruAux rows instead of scratch.
 ValueId Tape::gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
                             const std::vector<int>& x_idx,
                             const std::vector<int>& h_idx,
@@ -332,52 +347,100 @@ ValueId Tape::gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
   RN_CHECK(w.wz && w.uz && w.bz && w.wr && w.ur && w.br && w.wh && w.uh &&
                w.bh,
            "gru_step: incomplete GruWeights");
-  const kern::Ops& K = kern::active();
-  auto gather = [&](const Tensor& src, const std::vector<int>& idx) {
-    Tensor out(static_cast<int>(idx.size()), src.cols());
-    K.gather_rows(src.data(), idx.data(), static_cast<int>(idx.size()),
-                  src.cols(), out.data());
-    return out;
+  const int in_dim = w.wz->value.rows(), cols = w.wz->value.cols();
+  auto shaped = [](const Parameter* p, int r, int c) {
+    return p->value.rows() == r && p->value.cols() == c;
   };
-  Tensor hg = h_idx.empty() ? Tensor() : gather(input(b), h_idx);
-  const Tensor& h = h_idx.empty() ? input(b) : hg;
-  RN_CHECK(h.cols() == w.uz->value.rows(),
-           "gru_step hidden dim does not match weights");
-  const int rows = h.rows(), cols = w.wz->value.cols();
-  if (xw == nullptr) {
-    const Tensor& x = input(a);
-    RN_CHECK(x.rows() == rows, "gru_step row mismatch");
-    RN_CHECK(x.cols() == w.wz->value.rows(),
-             "gru_step input dim does not match weights");
+  for (const Parameter* p : {w.wr, w.wh}) {
+    RN_CHECK(shaped(p, in_dim, cols), "gru_step: input weight shape mismatch");
   }
-  const auto count = static_cast<std::size_t>(rows) * cols;
+  for (const Parameter* p : {w.uz, w.ur, w.uh}) {
+    RN_CHECK(shaped(p, cols, cols), "gru_step: recurrent weight not square");
+  }
+  for (const Parameter* p : {w.bz, w.br, w.bh}) {
+    RN_CHECK(shaped(p, 1, cols), "gru_step: bias shape mismatch");
+  }
+  const Tensor& hs = input(b);
+  RN_CHECK(hs.cols() == cols, "gru_step hidden dim does not match weights");
+  const bool gathered = !h_idx.empty();
+  const int rows = gathered ? static_cast<int>(h_idx.size()) : hs.rows();
+  const Tensor* x = nullptr;
+  if (xw == nullptr) {
+    x = &input(a);
+    RN_CHECK(x->rows() == rows, "gru_step row mismatch");
+    RN_CHECK(x->cols() == in_dim, "gru_step input dim does not match weights");
+  }
 
-  auto gate = [&](const Tensor* projected, const Tensor& in,
-                  const Parameter& wp, const Parameter& up,
-                  const Parameter& bp) {
-    Tensor pre = projected != nullptr ? gather(*projected, x_idx)
-                                      : ag::matmul(input(a), wp.value);
-    pre.add_scaled(ag::matmul(in, up.value), 1.0f);
-    K.add_bias_rows(pre.data(), bp.value.data(), rows, cols);
-    return pre;
-  };
-
-  Tensor z = gate(xw ? &xw->xz_ : nullptr, h, *w.wz, *w.uz, *w.bz);
-  K.sigmoid_inplace(z.data(), count);
-  Tensor r = gate(xw ? &xw->xr_ : nullptr, h, *w.wr, *w.ur, *w.br);
-  K.sigmoid_inplace(r.data(), count);
-  Tensor rh = r;
-  K.mul_inplace(rh.data(), h.data(), count);
-  Tensor hc = gate(xw ? &xw->xh_ : nullptr, rh, *w.wh, *w.uh, *w.bh);
-  K.tanh_inplace(hc.data(), count);
-
-  Tensor v(rows, cols);
-  K.gru_blend(z.data(), h.data(), hc.data(), v.data(), count);
+  // The tiles write every row of v and of the kept activations.
+  Tensor v = Tensor::uninitialized(rows, cols);
   std::unique_ptr<GruAux> aux;
   if (recording()) {
-    aux = std::make_unique<GruAux>(w, x_idx, h_idx, std::move(hg),
-                                   std::move(z), std::move(r), std::move(hc));
+    auto full = [&] { return Tensor::uninitialized(rows, cols); };
+    aux = std::make_unique<GruAux>(w, x_idx, h_idx,
+                                   gathered ? full() : Tensor(), full(),
+                                   full(), full());
   }
+  const kern::Ops& K = kern::active();
+  const auto tile_block = static_cast<std::size_t>(kern::kTileRows) * cols;
+  // Per tile: the h-side product and r∘h, plus z, r, hc and the gathered h
+  // wherever the node does not keep them.
+  const int blocks = 2 + (aux ? 0 : 3 + (gathered ? 1 : 0));
+
+  auto tiles = [&](int r0, int r1) {
+    Tensor scratch = Tensor::uninitialized(blocks * kern::kTileRows, cols);
+    float* next = scratch.data();
+    auto take = [&] {
+      float* block = next;
+      next += tile_block;
+      return block;
+    };
+    float* const hu = take();
+    float* const rh = take();
+    float* const z_tile = aux ? nullptr : take();
+    float* const r_tile = aux ? nullptr : take();
+    float* const hc_tile = aux ? nullptr : take();
+    float* const hg_tile = aux || !gathered ? nullptr : take();
+    for (int t0 = r0; t0 < r1; t0 += kern::kTileRows) {
+      const int n = std::min(r1, t0 + kern::kTileRows) - t0;
+      const std::size_t count = static_cast<std::size_t>(n) * cols;
+      const std::size_t offset = static_cast<std::size_t>(t0) * cols;
+      float* z = aux ? aux->z.data() + offset : z_tile;
+      float* r = aux ? aux->r.data() + offset : r_tile;
+      float* hc = aux ? aux->hc.data() + offset : hc_tile;
+      const float* h = hs.data() + offset;
+      if (gathered) {
+        float* hg = aux ? aux->hg.data() + offset : hg_tile;
+        K.gather_rows(hs.data(), h_idx.data() + t0, n, cols, hg);
+        h = hg;
+      }
+      auto gate = [&](float* pre, const Tensor* projected, const Parameter& wp,
+                      const float* in, const Parameter& up,
+                      const Parameter& bp) {
+        if (projected != nullptr) {
+          K.gather_rows(projected->data(), x_idx.data() + t0, n, cols, pre);
+        } else {
+          std::memset(pre, 0, count * sizeof(float));
+          K.matmul_block(x->row(t0), wp.value.data(), pre, 0, n, in_dim,
+                         cols);
+        }
+        std::memset(hu, 0, count * sizeof(float));
+        K.matmul_block(in, up.value.data(), hu, 0, n, cols, cols);
+        K.axpy(pre, hu, 1.0f, count);
+        K.add_bias_rows(pre, bp.value.data(), n, cols);
+      };
+      gate(z, xw ? &xw->xz_ : nullptr, *w.wz, h, *w.uz, *w.bz);
+      K.sigmoid_inplace(z, count);
+      gate(r, xw ? &xw->xr_ : nullptr, *w.wr, h, *w.ur, *w.br);
+      K.sigmoid_inplace(r, count);
+      std::memcpy(rh, r, count * sizeof(float));
+      K.mul_inplace(rh, h, count);
+      gate(hc, xw ? &xw->xh_ : nullptr, *w.wh, rh, *w.uh, *w.bh);
+      K.tanh_inplace(hc, count);
+      K.gru_blend(z, h, hc, v.data() + offset, count);
+    }
+  };
+  const long long macs = 3LL * rows * cols * (cols + (x ? in_dim : 0));
+  parallel_rows(rows, macs, tiles);
   return record({.op = op,
                  .a = a,
                  .b = b,
@@ -548,10 +611,12 @@ void Tape::backward_node(ValueId id) {
     }
     case Op::kRelu: {
       if (Tensor* ga = propagate(n.a)) {
-        const Tensor& out = saved_value(id);
-        for (int i = 0; i < g.size(); ++i) {
-          auto k = static_cast<std::size_t>(i);
-          if (out[k] > 0.0f) (*ga)[k] += g[k];
+        const float* out = saved_value(id).data();
+        const float* gp = g.data();
+        float* gap = ga->data();
+        const auto n = static_cast<std::size_t>(g.size());
+        for (std::size_t k = 0; k < n; ++k) {
+          gap[k] = out[k] > 0.0f ? gap[k] + gp[k] : gap[k];
         }
       }
       break;

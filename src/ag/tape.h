@@ -25,7 +25,8 @@
 // table below; a recording tape marks them saved as the op is recorded, a
 // forward-only tape marks nothing. In both modes any later read of a
 // released value fails, so training enforces the same release discipline
-// inference relies on.
+// inference relies on. scatter_rows releases its base itself, and takes the
+// base's buffer for its output whenever that release would free it.
 //
 // backward() consumes the tape: it frees each node's value, gradient and
 // saved state as soon as the node has run, and afterwards only the root's
@@ -163,7 +164,11 @@ class Tape {
 
   // out = base with out[idx[i]] = rows[i]. Indices must be unique: each row
   // of the result has exactly one source, which keeps the backward pass a
-  // disjoint split of the incoming gradient.
+  // disjoint split of the incoming gradient. Consumes base: it is released
+  // as if by release(base), so reading it afterwards fails. When no
+  // recorded backward reads base (it is not saved, and it is not also the
+  // rows operand) the output takes base's buffer and only the idx rows are
+  // written; otherwise base is copied and kept for backward.
   ValueId scatter_rows(ValueId base, const std::vector<int>& idx,
                        ValueId rows);
 
@@ -179,9 +184,12 @@ class Tape {
   // in GruCell::step with a single node whose forward replicates the
   // composed per-element arithmetic order exactly (bitwise-identical
   // values) while materializing only the three saved activations the
-  // backward needs (none on a forward-only tape). Gradients accumulate
-  // directly into the GruWeights parameters, so backward() must run before
-  // any optimizer step mutates them (the standard training order).
+  // backward needs (none on a forward-only tape). The forward runs in
+  // kern::kTileRows-row tiles, split across the pool like a matmul's rows
+  // (see parallel_rows in ag/tensor.h), so its results do not depend on
+  // the thread count. Gradients accumulate directly into the GruWeights
+  // parameters, so backward() must run before any optimizer step mutates
+  // them (the standard training order).
   ValueId gru_step(ValueId x, ValueId h, const GruWeights& w);
 
   // x_src·Wz, x_src·Wr and x_src·Wh for the gru_step_gathered calls that
@@ -275,6 +283,9 @@ class Tape {
   // builds the gathered x (its gate terms come from a GruProjection); the
   // backward re-gathers it from the saved x_src: x_src is the small link
   // state, while h_src is the full path state, so hg stays materialized.
+  // Only a recording tape builds one: its forward allocates hg, z, r and hc
+  // at full size up front and each row tile writes its rows of them in
+  // place, where a forward-only tape keeps them in per-chunk tile scratch.
   struct GruAux {
     GruWeights w;
     std::vector<int> x_idx, h_idx;  // empty → the input id is used directly

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 
 #include "ag/kernels.h"
 #include "obs/metrics.h"
@@ -10,13 +11,20 @@
 
 namespace rn::ag {
 
-Tensor::Tensor(int rows, int cols)
+Tensor::Tensor(int rows, int cols, NoFill)
     : rows_(rows), cols_(cols),
       buf_(static_cast<std::size_t>(rows) * cols) {
   RN_CHECK(rows >= 0 && cols >= 0, "negative tensor dimension");
+}
+
+Tensor::Tensor(int rows, int cols) : Tensor(rows, cols, NoFill{}) {
   // Pooled buffers come back dirty; the zero-filled contract stands.
   std::memset(buf_.data(), 0,
               static_cast<std::size_t>(rows) * cols * sizeof(float));
+}
+
+Tensor Tensor::uninitialized(int rows, int cols) {
+  return Tensor(rows, cols, NoFill{});
 }
 
 Tensor::Tensor(int rows, int cols, float fill)
@@ -112,42 +120,45 @@ KernelMetrics& kernel_metrics() {
   return m;
 }
 
-// Runs body over C's row range [0, rows), threaded when the kernel is big
-// enough. Every kernel computes a C row entirely within its chunk, in the
-// serial accumulation order, so chunking never changes results.
-//
+// Counts one matmul kernel call, then runs body over C's row range
+// [0, rows) through parallel_rows.
+template <typename Body>
+void run_rows(int rows, long long macs, const Body& body) {
+  KernelMetrics& m = kernel_metrics();
+  m.calls.add(1);
+  m.flops.add(static_cast<std::uint64_t>(2 * macs));
+  if (parallel_rows(rows, macs, body)) m.parallel.add(1);
+}
+
+}  // namespace
+
 // The grain is shape-aware: wide-but-short operands (k·n per row large)
 // split fine, while tall-skinny ones (the paper shapes — thousands of rows,
 // 16–64 state dims) coarsen so each chunk still carries at least a
 // threshold's worth of multiply-adds. Capping chunk count at the pool width
 // stops the old failure mode where 4096 rows fanned out as 128 tile-sized
 // tasks whose enqueue/steal overhead outweighed the 2-thread speedup.
-template <typename Body>
-void run_rows(int rows, long long macs, const Body& body) {
-  KernelMetrics& m = kernel_metrics();
-  m.calls.add(1);
-  m.flops.add(static_cast<std::uint64_t>(2 * macs));
+bool parallel_rows(int rows, long long macs,
+                   const std::function<void(int, int)>& body) {
   const long long threshold = g_parallel_macs.load(std::memory_order_relaxed);
   const int threads = par::global_threads();
-  if (macs >= threshold && threads > 1 && rows > 0) {
-    const long long macs_per_row = std::max(1LL, macs / rows);
-    const long long rows_per_threshold =
-        (threshold + macs_per_row - 1) / macs_per_row;
-    const long long rows_per_thread = (rows + threads - 1) / threads;
-    long long grain = std::max<long long>(
-        {kern::kTileRows, rows_per_threshold, rows_per_thread});
-    grain = (grain + kern::kTileRows - 1) / kern::kTileRows * kern::kTileRows;
-    m.parallel.add(1);
-    par::parallel_for(0, rows, grain,
-                      [&body](std::int64_t lo, std::int64_t hi) {
-                        body(static_cast<int>(lo), static_cast<int>(hi));
-                      });
-  } else {
+  if (macs < threshold || threads <= 1 || rows <= 0) {
     body(0, rows);
+    return false;
   }
+  const long long macs_per_row = std::max(1LL, macs / rows);
+  const long long rows_per_threshold =
+      (threshold + macs_per_row - 1) / macs_per_row;
+  const long long rows_per_thread = (rows + threads - 1) / threads;
+  long long grain = std::max<long long>(
+      {kern::kTileRows, rows_per_threshold, rows_per_thread});
+  grain = (grain + kern::kTileRows - 1) / kern::kTileRows * kern::kTileRows;
+  par::parallel_for(0, rows, grain,
+                    [&body](std::int64_t lo, std::int64_t hi) {
+                      body(static_cast<int>(lo), static_cast<int>(hi));
+                    });
+  return true;
 }
-
-}  // namespace
 
 long long matmul_parallel_threshold() {
   return g_parallel_macs.load(std::memory_order_relaxed);

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstring>
+#include <functional>
 #include <initializer_list>
 #include <vector>
 
@@ -52,6 +53,9 @@ class Tensor {
     return Tensor(rows, cols, v);
   }
   static Tensor scalar(float v) { return Tensor(1, 1, v); }
+  // A rows×cols matrix with unspecified contents, for a caller that writes
+  // every element before it reads any: skips the zero fill.
+  static Tensor uninitialized(int rows, int cols);
 
   // Row-literal constructor for tests: Tensor::from_rows({{1,2},{3,4}}).
   static Tensor from_rows(
@@ -105,6 +109,9 @@ class Tensor {
   double squared_norm() const;
 
  private:
+  struct NoFill {};
+  Tensor(int rows, int cols, NoFill);
+
   int rows_ = 0;
   int cols_ = 0;
   detail::Buffer buf_;
@@ -136,5 +143,15 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 // it costs.
 long long matmul_parallel_threshold();
 void set_matmul_parallel_threshold(long long macs);
+
+// Runs body(r0, r1) over row ranges covering [0, rows), as the matmuls
+// split their output rows: on the global pool, in chunks of whole
+// kern::kTileRows tiles and the grain described above, once `macs` reaches
+// matmul_parallel_threshold(); otherwise inline as the single range
+// [0, rows). Callers must make each row's result independent of the chunk
+// that computes it, which keeps them bitwise at any thread count. Returns
+// whether the range went to the pool.
+bool parallel_rows(int rows, long long macs,
+                   const std::function<void(int, int)>& body);
 
 }  // namespace rn::ag

@@ -106,10 +106,9 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
         if (paths.empty()) continue;
         const ag::ValueId h_next =
             tape.gru_step_gathered(link_proj, links, h_paths, paths);
-        const ag::ValueId scattered =
-            tape.scatter_rows(h_paths, paths, h_next);
-        tape.release(h_paths);
-        h_paths = scattered;
+        // The scatter consumes the old path state and, since no recorded
+        // backward reads it, writes the hop's rows into its buffer.
+        h_paths = tape.scatter_rows(h_paths, paths, h_next);
         // The post-hop path state is the message this hop sends to its link.
         messages.push_back(h_next);
       }

@@ -218,20 +218,66 @@ ValueId projected_step(Tape& tape, const GruCell& cell, ValueId x_src,
                                 h_idx);
 }
 
+// Row counts around the fused step's kern::kTileRows-row tiles: a lone
+// row, a tile short by one, one tile, one past it, and enough rows that
+// four threads split the range into multi-tile chunks with a ragged tail.
+const std::vector<int>& tile_edge_rows() {
+  static const std::vector<int> rows = {
+      1, kern::kTileRows - 1, kern::kTileRows, kern::kTileRows + 1,
+      4 * kern::kTileRows + 5};
+  return rows;
+}
+
+// Runs make(mode) on both tape modes, every available backend, and 1 and 4
+// threads (4 with the matmul threshold at 0, so the fused step's tiles
+// really are split across chunks), and expects every result bitwise equal
+// to the first.
+template <typename Make>
+void expect_bitwise_everywhere(const Make& make, const std::string& what) {
+  std::vector<Tensor> results;
+  std::vector<std::string> labels;
+  for (const kern::Backend backend :
+       {kern::Backend::kScalar, kern::Backend::kAvx2}) {
+    if (!kern::backend_available(backend)) continue;
+    for (const int threads : {1, 4}) {
+      rn::testing::ExecutionScope scope(backend, threads);
+      for (const TapeMode mode : {TapeMode::kRecord, TapeMode::kForwardOnly}) {
+        for (const bool fused : {false, true}) {
+          results.push_back(make(mode, fused));
+          labels.push_back(std::string(kern::backend_name(backend)) + " x" +
+                           std::to_string(threads) +
+                           (mode == TapeMode::kRecord ? " record" : " fwd") +
+                           (fused ? " fused" : " reference"));
+        }
+      }
+    }
+  }
+  ASSERT_GE(results.size(), 8u);
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(results[0], results[i]))
+        << what << ": " << labels[i] << " differs from " << labels[0];
+  }
+}
+
 TEST(FusedGru, ForwardBitwiseIdenticalToComposed) {
   Rng rng(30);
   GruCell cell(5, 7, rng, "gru");
-  const Tensor x = random_tensor(11, 5, 31);
-  const Tensor h = random_tensor(11, 7, 32);
-  auto run = [&](bool fused) {
-    Tape tape;
-    const ValueId xv = tape.constant(x);
-    const ValueId hv = tape.constant(h);
-    return tape.value(fused ? cell.step(tape, xv, hv)
-                            : composed_gru_step(tape, xv, hv, cell.weights()));
-  };
-  EXPECT_TRUE(bitwise_equal(run(false), run(true)))
-      << "fused gru_step diverges from the composed op chain";
+  for (const int rows : tile_edge_rows()) {
+    Tensor x = random_tensor(rows, 5, 31);
+    x.at(0, 2) = 0.0f;  // the matmul zero skip, on both operands' paths
+    x.at(rows - 1, 4) = -0.0f;
+    const Tensor h = random_tensor(rows, 7, 32);
+    expect_bitwise_everywhere(
+        [&](TapeMode mode, bool fused) {
+          Tape tape(mode);
+          const ValueId xv = tape.constant(x);
+          const ValueId hv = tape.constant(h);
+          return tape.value(
+              fused ? cell.step(tape, xv, hv)
+                    : composed_gru_step(tape, xv, hv, cell.weights()));
+        },
+        std::to_string(rows) + " rows");
+  }
 }
 
 TEST(FusedGru, SingleNodeReplacesComposedChain) {
@@ -349,11 +395,10 @@ TEST(FusedGru, ProjectedStepRejectsProjectionFromAnotherTape) {
 }
 
 // The projected step against the explicit-gather reference, on both tape
-// modes, both backends and at 1 and 4 threads (4 with the matmul threshold
-// at 0, so the projection's rows really are split across chunks). x_src
-// has an all-zero row and scattered exact and negative zeros, so the
-// matmul zero-skip runs on projected and gathered rows alike; indices
-// repeat.
+// modes, both backends and at 1 and 4 threads, at every tile-edge row
+// count. x_src has an all-zero row and scattered exact and negative zeros,
+// so the matmul zero-skip runs on projected and gathered rows alike;
+// indices repeat.
 TEST(FusedGru, ProjectedStepBitwiseInBothModesAndBackends) {
   Rng rng(53);
   GruCell cell(6, 13, rng, "gru");
@@ -363,41 +408,24 @@ TEST(FusedGru, ProjectedStepBitwiseInBothModesAndBackends) {
     x_src.at(r, r % 6) = (r % 2 == 0) ? 0.0f : -0.0f;
   }
   const Tensor h_src = random_tensor(90, 13, 55);
-  std::vector<int> x_idx, h_idx;
-  for (int i = 0; i < 120; ++i) {
-    x_idx.push_back((i * 7) % 70);
-    h_idx.push_back((i * 11) % 90);
-  }
-  x_idx[1] = x_idx[0] = 5;  // the all-zero row, twice
-
-  std::vector<Tensor> results;
-  std::vector<std::string> labels;
-  for (const kern::Backend backend :
-       {kern::Backend::kScalar, kern::Backend::kAvx2}) {
-    if (!kern::backend_available(backend)) continue;
-    for (const int threads : {1, 4}) {
-      rn::testing::ExecutionScope scope(backend, threads);
-      for (const TapeMode mode : {TapeMode::kRecord, TapeMode::kForwardOnly}) {
-        for (const bool projected : {false, true}) {
+  for (const int rows : tile_edge_rows()) {
+    std::vector<int> x_idx, h_idx;
+    for (int i = 0; i < rows; ++i) {
+      x_idx.push_back((i * 7) % 70);
+      h_idx.push_back((i * 11) % 90);
+    }
+    x_idx[0] = 5;  // the all-zero row
+    if (rows > 1) x_idx[1] = 5;  // twice
+    expect_bitwise_everywhere(
+        [&](TapeMode mode, bool fused) {
           Tape tape(mode);
           const ValueId xs = tape.constant(x_src);
           const ValueId hs = tape.constant(h_src);
-          results.push_back(tape.value(
-              projected ? projected_step(tape, cell, xs, x_idx, hs, h_idx)
-                        : gathered_reference(tape, cell, xs, x_idx, hs,
-                                             h_idx)));
-          labels.push_back(std::string(kern::backend_name(backend)) + " x" +
-                           std::to_string(threads) +
-                           (mode == TapeMode::kRecord ? " record" : " fwd") +
-                           (projected ? " projected" : " reference"));
-        }
-      }
-    }
-  }
-  ASSERT_GE(results.size(), 8u);
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(results[0], results[i]))
-        << labels[i] << " differs from " << labels[0];
+          return tape.value(
+              fused ? projected_step(tape, cell, xs, x_idx, hs, h_idx)
+                    : gathered_reference(tape, cell, xs, x_idx, hs, h_idx));
+        },
+        std::to_string(rows) + " rows");
   }
 }
 

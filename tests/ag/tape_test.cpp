@@ -66,15 +66,86 @@ TEST(TapeForward, GatherScatterSegment) {
   EXPECT_FLOAT_EQ(tape.value(g).at(0, 0), 3.0f);
   EXPECT_FLOAT_EQ(tape.value(g).at(2, 0), 3.0f);
 
+  // Before the scatter, which consumes a.
+  const ValueId seg = tape.segment_sum(a, {1, 0, 1}, 2);
+  EXPECT_FLOAT_EQ(tape.value(seg).at(0, 0), 2.0f);
+  EXPECT_FLOAT_EQ(tape.value(seg).at(1, 0), 4.0f);
+
   const ValueId rows = tape.constant(Tensor::from_rows({{10.0f}, {20.0f}}));
   const ValueId sc = tape.scatter_rows(a, {0, 2}, rows);
   EXPECT_FLOAT_EQ(tape.value(sc).at(0, 0), 10.0f);
   EXPECT_FLOAT_EQ(tape.value(sc).at(1, 0), 2.0f);
   EXPECT_FLOAT_EQ(tape.value(sc).at(2, 0), 20.0f);
+}
 
-  const ValueId seg = tape.segment_sum(a, {1, 0, 1}, 2);
-  EXPECT_FLOAT_EQ(tape.value(seg).at(0, 0), 2.0f);
-  EXPECT_FLOAT_EQ(tape.value(seg).at(1, 0), 4.0f);
+// scatter_rows consumes its base in both modes: an unsaved base lends its
+// buffer to the output, and any later read or release of it fails.
+TEST(TapeForward, ScatterConsumesItsBase) {
+  for (const TapeMode mode : {TapeMode::kRecord, TapeMode::kForwardOnly}) {
+    Tape tape(mode);
+    const ValueId a = tape.constant(
+        Tensor::from_rows({{1.0f, -1.0f}, {2.0f, -2.0f}, {3.0f, -3.0f}}));
+    const float* base_buffer = tape.value(a).data();
+    const ValueId rows = tape.constant(Tensor::from_rows({{7.0f, 8.0f}}));
+    const ValueId sc = tape.scatter_rows(a, {1}, rows);
+    EXPECT_EQ(tape.value(sc).data(), base_buffer) << "base was copied";
+    EXPECT_FLOAT_EQ(tape.value(sc).at(0, 1), -1.0f);
+    EXPECT_FLOAT_EQ(tape.value(sc).at(1, 0), 7.0f);
+    EXPECT_FLOAT_EQ(tape.value(sc).at(2, 1), -3.0f);
+    EXPECT_THROW(tape.value(a), std::runtime_error);
+    EXPECT_THROW(tape.gather_rows(a, {0}), std::runtime_error);
+    EXPECT_THROW(tape.release(a), std::runtime_error);
+    EXPECT_THROW(tape.scatter_rows(a, {0}, rows), std::runtime_error);
+  }
+}
+
+// A base the recorded backward reads (here mul's operand) is copied, not
+// taken: the mul's gradient needs the pre-scatter values.
+TEST(TapeBackward, ScatterCopiesASavedBase) {
+  Parameter base("base", Tensor::from_rows({{0.5f, -0.3f}, {-0.2f, 0.9f},
+                                            {0.8f, 0.1f}, {0.0f, -0.7f}}));
+  Parameter rows("rows", Tensor::from_rows({{1.5f, 0.4f}, {-1.0f, 0.6f}}));
+  {
+    Tape tape;
+    const ValueId b = tape.param(base);
+    const ValueId sq = tape.mul(b, b);
+    const float* base_buffer = tape.value(b).data();
+    const ValueId sc = tape.scatter_rows(b, {3, 1}, tape.param(rows));
+    EXPECT_NE(tape.value(sc).data(), base_buffer) << "saved base was taken";
+    EXPECT_FLOAT_EQ(tape.value(sc).at(0, 0), 0.5f);
+    EXPECT_FLOAT_EQ(tape.value(sc).at(3, 1), 0.4f);
+    EXPECT_FLOAT_EQ(tape.value(sq).at(1, 1), 0.9f * 0.9f);
+    EXPECT_THROW(tape.value(b), std::runtime_error);
+  }
+  const Tensor target(4, 2, 0.2f);
+  expect_gradients_match({&base, &rows}, [&](Tape& tape) {
+    const ValueId b = tape.param(base);
+    const ValueId sq = tape.mul(b, b);
+    const ValueId sc = tape.scatter_rows(b, {3, 1}, tape.param(rows));
+    return tape.mse(tape.add(sc, sq), target);
+  });
+}
+
+// relu passes −0.0 and NaN through bit for bit, and its backward leaves the
+// gradient of every masked entry untouched even when the incoming gradient
+// there is NaN.
+TEST(TapeForward, ReluIsBitwiseOnSignedZeroAndNaN) {
+  const float nan = std::nanf("");
+  Parameter p("p", Tensor::from_rows({{-0.0f, nan, -1.0f, 2.0f}}));
+  p.zero_grad();
+  Tape tape;
+  const ValueId x = tape.param(p);
+  const ValueId y = tape.relu(x);
+  const Tensor expected = Tensor::from_rows({{-0.0f, nan, 0.0f, 2.0f}});
+  EXPECT_EQ(std::memcmp(tape.value(y).data(), expected.data(),
+                        4 * sizeof(float)),
+            0);
+  // d loss / d y = c / 4: NaN on the three masked entries, 0.75 on the
+  // live one.
+  const ValueId c = tape.constant(Tensor::from_rows({{nan, nan, nan, 3.0f}}));
+  tape.backward(tape.reduce_mean(tape.mul(y, c)));
+  const Tensor want = Tensor::from_rows({{0.0f, 0.0f, 0.0f, 0.75f}});
+  EXPECT_EQ(std::memcmp(p.grad.data(), want.data(), 4 * sizeof(float)), 0);
 }
 
 TEST(TapeForward, ScatterDuplicateIndexThrows) {
