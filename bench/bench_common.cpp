@@ -175,7 +175,7 @@ std::vector<dataset::Sample> load_or_generate(
         have.config_fingerprint == want.config_fingerprint &&
         have.first_index == want.first_index && have.count == count) {
       std::printf("  [cache] %-18s <- %s\n", label, path.c_str());
-      return dataset::load_any_dataset(path);
+      return dataset::load_dataset(path);
     }
     std::printf("  [stale] %-18s    %s\n", label, path.c_str());
   }

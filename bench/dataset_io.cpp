@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   rn::core::RouteNet in_ram_model(mcfg);
   {
     std::vector<rn::dataset::Sample> samples =
-        rn::dataset::load_any_dataset(single);
+        rn::dataset::load_dataset(single);
     rn::dataset::VectorSampleSource source(samples);
     rn::core::Trainer trainer(in_ram_model, tcfg);
     trainer.fit(source);

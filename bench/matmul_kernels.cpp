@@ -241,6 +241,14 @@ constexpr kern::Backend kBackends[kNumBackends] = {kern::Backend::kScalar,
 // isolate the kernel, not the chunking. `tn` is (k×m)ᵀ·(k×n) with the
 // rows on m; `tn_wgrad` is backward's weight gradient, with the rows on
 // the summed k; `nt` is backward's dx.
+// One gated avx2/scalar cell's paired measurement: the median ratio, and
+// the samples it came from, printed when the cell misses its bound.
+struct Speedup {
+  double median = -1;  // -1 = no avx2
+  int scalar_calls = 0, avx2_calls = 0;  // calls per sample
+  std::vector<double> ratios;            // one per pair, in run order
+};
+
 struct ShapeReport {
   int m, k, n;
   Tensor a{}, b{}, at{}, bt{}, g{};  // operands
@@ -249,16 +257,13 @@ struct ShapeReport {
   double tn[kNumBackends] = {-1, -1};
   double tn_wgrad[kNumBackends] = {-1, -1};
   double nt[kNumBackends] = {-1, -1};
-  // Paired avx2/scalar medians, -1 = no avx2.
-  double nn_speedup = -1;
-  double tn_wgrad_speedup = -1;
-  double nt_speedup = -1;
+  Speedup nn_speedup{}, tn_wgrad_speedup{}, nt_speedup{};
 };
 
 // One gated avx2/scalar cell: the timed call and where its speedup goes.
 struct SpeedupCell {
   std::function<Tensor()> fn;
-  double* speedup;
+  Speedup* out;
 };
 
 // Each cell's avx2/scalar speedup as the median ratio over nine pairs of
@@ -268,28 +273,23 @@ struct SpeedupCell {
 // runs under a parallel ctest) lands on a pair or two of each cell rather
 // than on every pair of one. Leaves the avx2 backend active.
 void paired_speedups(const std::vector<SpeedupCell>& cells) {
-  struct Pairs {
-    int scalar_calls, avx2_calls;
-    std::vector<double> ratios;
-  };
-  std::vector<Pairs> pairs;
   for (const SpeedupCell& cell : cells) {
     kern::set_kernel_backend(kern::Backend::kScalar);
-    const int scalar_calls = calls_per_sample(cell.fn);
+    cell.out->scalar_calls = calls_per_sample(cell.fn);
     kern::set_kernel_backend(kern::Backend::kAvx2);
-    pairs.push_back({scalar_calls, calls_per_sample(cell.fn), {}});
+    cell.out->avx2_calls = calls_per_sample(cell.fn);
   }
   for (int round = 0; round < 9; ++round) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (const SpeedupCell& cell : cells) {
       kern::set_kernel_backend(kern::Backend::kScalar);
-      const double ts = sample_s(cells[c].fn, pairs[c].scalar_calls);
+      const double ts = sample_s(cell.fn, cell.out->scalar_calls);
       kern::set_kernel_backend(kern::Backend::kAvx2);
-      const double tv = sample_s(cells[c].fn, pairs[c].avx2_calls);
-      pairs[c].ratios.push_back(tv > 0.0 ? ts / tv : 0.0);
+      const double tv = sample_s(cell.fn, cell.out->avx2_calls);
+      cell.out->ratios.push_back(tv > 0.0 ? ts / tv : 0.0);
     }
   }
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    *cells[c].speedup = median(std::move(pairs[c].ratios));
+  for (const SpeedupCell& cell : cells) {
+    cell.out->median = median(cell.out->ratios);
   }
 }
 
@@ -387,10 +387,10 @@ int run_backend_report() {
   // scalar loads and zero tests dominate (it measures 1.0–1.6x).
   paired_speedups(cells);
   for (const ShapeReport& shape : shapes) {
-    if (shape.nn_speedup < 0.0) continue;
+    if (shape.nn_speedup.median < 0.0) continue;
     const struct {
       const char* name;
-      double speedup;
+      const Speedup& speedup;
       double min;  // 0 = reported, not gated
     } gates[] = {
         {"nn", shape.nn_speedup, 1.5},
@@ -398,11 +398,19 @@ int run_backend_report() {
         {"nt", shape.nt_speedup, 2.5},
     };
     for (const auto& gate : gates) {
-      const bool below = gate.speedup < gate.min;
+      const Speedup& sp = gate.speedup;
+      const bool below = sp.median < gate.min;
       std::printf("  %4dx%2dx%2d avx2/scalar %s speedup: %.2fx%s\n",
-                  shape.m, shape.k, shape.n, gate.name, gate.speedup,
+                  shape.m, shape.k, shape.n, gate.name, sp.median,
                   below ? "  <-- BELOW GATE" : "");
-      if (below) ++violations;
+      if (!below) continue;
+      ++violations;
+      // Whether one pair or all of them read low tells host noise from a
+      // slow kernel.
+      std::printf("    pair ratios:");
+      for (const double r : sp.ratios) std::printf(" %.2f", r);
+      std::printf("\n    calls per sample: scalar %d, avx2 %d\n",
+                  sp.scalar_calls, sp.avx2_calls);
     }
   }
 
@@ -551,13 +559,13 @@ int run_backend_report() {
               << rn::obs::json_number(shape.tn_wgrad[bi]) << ",\"" << name
               << "_nt_gflops\":" << rn::obs::json_number(shape.nt[bi]);
         }
-        if (shape.nn_speedup > 0.0) {
+        if (shape.nn_speedup.median > 0.0) {
           out << ",\"avx2_nn_speedup\":"
-              << rn::obs::json_number(shape.nn_speedup)
+              << rn::obs::json_number(shape.nn_speedup.median)
               << ",\"avx2_tn_wgrad_speedup\":"
-              << rn::obs::json_number(shape.tn_wgrad_speedup)
+              << rn::obs::json_number(shape.tn_wgrad_speedup.median)
               << ",\"avx2_nt_speedup\":"
-              << rn::obs::json_number(shape.nt_speedup);
+              << rn::obs::json_number(shape.nt_speedup.median);
         }
         out << "}";
       }

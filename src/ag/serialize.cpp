@@ -88,13 +88,6 @@ void put_parameters(std::string& out, const std::vector<Parameter*>& params) {
   }
 }
 
-void save_parameters(const std::string& path,
-                     const std::vector<Parameter*>& params) {
-  std::string bytes;
-  put_parameters(bytes, params);
-  util::atomic_write_file(path, bytes);
-}
-
 void apply_named_tensors(
     const std::vector<std::pair<std::string, Tensor>>& named,
     const std::vector<Parameter*>& params, const std::string& context) {
@@ -124,14 +117,6 @@ void load_parameters(util::Reader& in,
     in.fail("bad checkpoint magic");
   }
   apply_named_tensors(get_named_tensors(in), params, "checkpoint");
-}
-
-void load_parameters(const std::string& path,
-                     const std::vector<Parameter*>& params) {
-  const std::string bytes = util::read_file(path, "checkpoint");
-  util::Reader r(bytes, path);
-  load_parameters(r, params);
-  r.expect_done("parameter block");
 }
 
 std::string train_checkpoint_bytes(const TrainCheckpoint& ckpt) {
@@ -189,14 +174,9 @@ std::string train_checkpoint_bytes(const TrainCheckpoint& ckpt) {
 TrainCheckpoint parse_train_checkpoint(const std::string& bytes) {
   util::Reader in(bytes, "checkpoint");
   TrainCheckpoint ckpt;
-  const std::string_view magic = in.bytes(kMagicLen, "checkpoint magic");
-  if (magic == kMagicV1) {
-    // Bare RNCKPT1 parameter block: params only, no CRC to validate.
-    ckpt.params = get_named_tensors(in);
-    in.expect_done("parameter block");
-    return ckpt;
+  if (in.bytes(kMagicLen, "checkpoint magic") != kMagicV2) {
+    in.fail("bad checkpoint magic");
   }
-  if (magic != kMagicV2) in.fail("bad checkpoint magic");
   const auto payload_len = in.pod<std::uint64_t>("payload length");
   if (in.remaining() < sizeof(std::uint32_t) ||
       payload_len != in.remaining() - sizeof(std::uint32_t)) {

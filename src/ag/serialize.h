@@ -1,21 +1,16 @@
-// Binary checkpointing of parameter sets and full training state.
+// Binary serialization of parameter sets and full training state.
 //
-// Two container formats, both versioned by magic string:
-//
-//  * "RNCKPT1\n" — a bare parameter block: uint32 count, then per parameter
+//  * "RNCKPT1\n" — a parameter block: uint32 count, then per parameter
 //    uint32 name_len, name bytes, int32 rows, int32 cols, float payload.
-//    Model files embed one after their config header (put_parameters /
-//    load_parameters on a util::Reader).
-//  * "RNCKPT2\n" — a full training-state checkpoint: the parameter block
-//    plus optimizer state (Adam first/second moments and step count), named
+//    It exists only embedded in model files, after their config header
+//    (put_parameters / load_parameters); no file is one on its own.
+//  * "RNCKPT2\n" — a training-state checkpoint file: the parameters plus
+//    optimizer state (Adam first/second moments and step count), named
 //    RNG engine states, and a trainer cursor (epoch, batch offset, best-eval
 //    tracking, the epoch's shuffled sample order). The payload is length-
 //    prefixed and CRC32-protected, and files are written atomically
 //    (temp file + rename), so a crash mid-write can never leave a torn
 //    file that later loads. See docs/file-formats.md for the byte layout.
-//
-// `load_train_checkpoint*` also accepts RNCKPT1 files, yielding a
-// params-only checkpoint (no optimizer/RNG/cursor sections).
 #pragma once
 
 #include <cstdint>
@@ -35,17 +30,12 @@ using util::crc32;
 
 // Appends an RNCKPT1 parameter block (magic included) to `out`.
 void put_parameters(std::string& out, const std::vector<Parameter*>& params);
-void save_parameters(const std::string& path,
-                     const std::vector<Parameter*>& params);
 
-// Loads by name into the given parameters; shapes must match exactly.
-// Throws if a parameter is missing from the block, naming the parameter
-// and (on shape mismatch) both shapes. The Reader overload parses one
-// RNCKPT1 block at the reader's position (model files embed one); the path
-// overload also rejects trailing bytes.
+// Parses one RNCKPT1 block at the reader's position and loads it by name
+// into the given parameters; shapes must match exactly. Throws if a
+// parameter is missing from the block, naming the parameter and (on shape
+// mismatch) both shapes.
 void load_parameters(util::Reader& in,
-                     const std::vector<Parameter*>& params);
-void load_parameters(const std::string& path,
                      const std::vector<Parameter*>& params);
 
 // Assigns `named` tensors onto `params` by name. Error messages name the
@@ -61,7 +51,8 @@ struct TrainCheckpoint {
   // Model parameters, by name.
   std::vector<std::pair<std::string, Tensor>> params;
 
-  // Adam state; absent when loading a bare RNCKPT1 parameter block.
+  // Adam state, present when the optimizer flag byte is set (the trainer
+  // always sets it; a params-only checkpoint leaves it clear).
   bool has_optimizer = false;
   std::int64_t adam_step = 0;
   float lr = 0.0f;

@@ -215,12 +215,8 @@ std::size_t RouteNet::num_parameters() const {
 }
 
 namespace {
-// v1 lacked the aggregation / log_space ablation fields (defaults: sum
-// aggregation, log-space targets); v2 added them; v3 adds the readout
-// dropout rate. All load.
-constexpr std::string_view kModelMagicV1("RNMODEL1", 8);
-constexpr std::string_view kModelMagicV2("RNMODEL2", 8);
-constexpr std::string_view kModelMagicV3("RNMODEL3", 8);
+// The one model format, written and read: see docs/file-formats.md.
+constexpr std::string_view kModelMagic("RNMODEL3", 8);
 
 int read_count(util::Reader& in, const char* what, std::int32_t max) {
   const auto v = in.pod<std::int32_t>(what);
@@ -244,7 +240,7 @@ void RouteNet::save(const std::string& path) const {
   // crash mid-save — e.g. during the trainer's best-model checkpoint —
   // never leaves a torn file behind.
   using util::put_pod;
-  std::string out(kModelMagicV3);
+  std::string out(kModelMagic);
   put_pod(out, config_.link_state_dim);
   put_pod(out, config_.path_state_dim);
   put_pod(out, config_.iterations);
@@ -268,34 +264,25 @@ RouteNet RouteNet::load(const std::string& path) {
   // field is range-checked before the model is constructed.
   const std::string bytes = util::read_file(path, "model file");
   util::Reader in(bytes, path);
-  const std::string_view magic = in.bytes(kModelMagicV1.size(), "model magic");
-  if (magic != kModelMagicV1 && magic != kModelMagicV2 &&
-      magic != kModelMagicV3) {
+  if (in.bytes(kModelMagic.size(), "model magic") != kModelMagic) {
     in.fail("bad model magic");
   }
-  const bool v2 = magic != kModelMagicV1;
-  const bool v3 = magic == kModelMagicV3;
   RouteNetConfig config;
   config.link_state_dim = read_count(in, "link state dim", kMaxModelStateDim);
   config.path_state_dim = read_count(in, "path state dim", kMaxModelStateDim);
   config.iterations = read_count(in, "iterations", kMaxModelIterations);
   config.readout_hidden =
       read_count(in, "readout hidden width", kMaxModelReadoutHidden);
-  if (v2) {
-    const auto agg = in.pod<std::int32_t>("aggregation");
-    if (agg != static_cast<std::int32_t>(Aggregation::kSum) &&
-        agg != static_cast<std::int32_t>(Aggregation::kMean)) {
-      in.fail("unknown aggregation " + std::to_string(agg));
-    }
-    config.aggregation = static_cast<Aggregation>(agg);
+  const auto agg = in.pod<std::int32_t>("aggregation");
+  if (agg != static_cast<std::int32_t>(Aggregation::kSum) &&
+      agg != static_cast<std::int32_t>(Aggregation::kMean)) {
+    in.fail("unknown aggregation " + std::to_string(agg));
   }
-  if (v3) {
-    config.dropout = in.pod<float>("dropout");
-    // Written negated so NaN fails too.
-    if (!(config.dropout >= 0.0f && config.dropout < 1.0f)) {
-      in.fail("dropout " + std::to_string(config.dropout) +
-              " outside [0, 1)");
-    }
+  config.aggregation = static_cast<Aggregation>(agg);
+  config.dropout = in.pod<float>("dropout");
+  // Written negated so NaN fails too.
+  if (!(config.dropout >= 0.0f && config.dropout < 1.0f)) {
+    in.fail("dropout " + std::to_string(config.dropout) + " outside [0, 1)");
   }
   config.seed = in.pod<std::uint64_t>("weight-init seed");
   dataset::Normalizer norm;
@@ -304,11 +291,9 @@ RouteNet RouteNet::load(const std::string& path) {
   if (norm.capacity_scale <= 0.0 || norm.traffic_scale <= 0.0) {
     in.fail("capacity and traffic scales must be positive");
   }
-  if (v2) {
-    const auto log_space = in.pod<std::uint8_t>("log-space flag");
-    if (log_space > 1) in.fail("log-space flag out of {0, 1}");
-    norm.log_space = log_space != 0;
-  }
+  const auto log_space = in.pod<std::uint8_t>("log-space flag");
+  if (log_space > 1) in.fail("log-space flag out of {0, 1}");
+  norm.log_space = log_space != 0;
   norm.log_delay_mean = read_finite(in, "delay mean");
   norm.log_delay_std = read_finite(in, "delay std");
   norm.log_jitter_mean = read_finite(in, "jitter mean");

@@ -104,8 +104,9 @@ class RouteNet {
 
   std::vector<ag::Parameter*> params();
 
-  // Model file = config + normalizer header, then the parameter block.
-  // load range-checks every header field (dims and iterations against the
+  // Model file (RNMODEL3, the one model format) = config + normalizer
+  // header, then the parameter block; load rejects any other magic.
+  // It also range-checks every header field (dims and iterations against the
   // ceilings above, a known aggregation, dropout in [0, 1), finite
   // normalizer constants with positive input scales) and throws
   // std::runtime_error naming the field on any violation or truncation.

@@ -127,26 +127,4 @@ Sample decode_sample(util::Reader& in) {
   return s;
 }
 
-std::vector<Sample> parse_dataset_bytes(std::string_view bytes,
-                                        const std::string& context) {
-  util::Reader in(bytes, context);
-  const std::string_view magic = in.bytes(kDatasetMagicLen, "dataset magic");
-  if (magic != std::string_view(kDatasetMagic, kDatasetMagicLen)) {
-    in.fail("bad dataset magic");
-  }
-  const auto count = in.pod<std::uint32_t>("sample count");
-  if (count > in.remaining() / kMinSampleBytes) {
-    in.fail("declared sample count " + std::to_string(count) +
-            " exceeds what " + std::to_string(in.remaining()) +
-            " remaining bytes can hold");
-  }
-  std::vector<Sample> samples;
-  samples.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    samples.push_back(decode_sample(in));
-  }
-  in.expect_done("dataset samples");
-  return samples;
-}
-
 }  // namespace rn::dataset

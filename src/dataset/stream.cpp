@@ -5,7 +5,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "dataset/codec.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/stats.h"
@@ -111,11 +110,8 @@ bool is_shard_file(const std::string& path) {
          std::memcmp(magic, kShardMagic, sizeof(magic)) == 0;
 }
 
-std::vector<Sample> load_any_dataset(const std::string& path) {
-  if (!is_shard_file(path)) {
-    return parse_dataset_bytes(util::read_file(path, "dataset"), path);
-  }
-  ShardReader reader(path);
+std::vector<Sample> load_dataset(const std::string& path) {
+  const ShardReader reader(path);
   std::vector<Sample> out;
   out.reserve(static_cast<std::size_t>(reader.size()));
   for (std::uint64_t i = 0; i < reader.size(); ++i) {

@@ -86,9 +86,8 @@ Normalizer fit_normalizer(SampleSource& source, bool log_space = true);
 // True when the file at `path` starts with the RNDS1 magic.
 bool is_shard_file(const std::string& path);
 
-// The one whole-file loader: reads either container fully into RAM —
-// RNDS1 shards via a CRC-checked sweep, anything else as read-only
-// RNDATA1 (codec.h's parse_dataset_bytes).
-std::vector<Sample> load_any_dataset(const std::string& path);
+// Reads a whole RNDS1 shard into RAM, CRC-checking every record. Any
+// other file throws, naming `path` and the RNDS1 magic.
+std::vector<Sample> load_dataset(const std::string& path);
 
 }  // namespace rn::dataset

@@ -1,6 +1,6 @@
 // The one bounds-checked byte codec behind every binary format in the repo:
-// RNCKPT1/2 checkpoints, RNMODEL1-3 model files, RNDATA1 and RNDS1 datasets,
-// and the RNP/1 wire protocol.
+// RNCKPT2 checkpoints, RNMODEL3 model files (with their embedded RNCKPT1
+// parameter block), RNDS1 datasets, and the RNP/1 wire protocol.
 //
 // Conventions all of those formats share:
 //   * fixed-width fields are host-endian PODs, copied byte for byte;

@@ -134,20 +134,24 @@ TEST(Checkpoint, AtomicSaveLeavesNoTempFile) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
-TEST(Checkpoint, Rnckpt1ReadsAsParamsOnlyV1) {
+TEST(Checkpoint, BareRnckpt1IsRejected) {
+  // RNCKPT1 exists only as the block embedded in model files; a file that
+  // holds nothing else is not a training checkpoint.
   Parameter a("layer.w", Tensor::from_rows({{1.0f, 2.0f}}));
   Parameter b("layer.b", Tensor::scalar(-4.0f));
-  const std::string path = temp_path("v1_compat.ckpt");
-  save_parameters(path, {&a, &b});
-
-  const TrainCheckpoint got = load_train_checkpoint(path);
-  EXPECT_FALSE(got.has_optimizer);
-  EXPECT_FALSE(got.has_cursor);
-  EXPECT_TRUE(got.rng_streams.empty());
-  ASSERT_EQ(got.params.size(), 2u);
-  EXPECT_EQ(got.params[0].first, "layer.w");
-  expect_tensors_bitwise_equal(got.params[0].second, a.value);
-  expect_tensors_bitwise_equal(got.params[1].second, b.value);
+  std::string bytes;
+  put_parameters(bytes, {&a, &b});
+  try {
+    parse_train_checkpoint(bytes);
+    FAIL() << "a bare RNCKPT1 block parsed as a checkpoint";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad checkpoint magic"),
+              std::string::npos)
+        << e.what();
+  }
+  const std::string path = temp_path("bare_v1.ckpt");
+  atomic_write_file(path, bytes);
+  EXPECT_THROW(load_train_checkpoint(path), std::runtime_error);
 }
 
 TEST(Checkpoint, RotationNamesAndListsNewestFirst) {

@@ -1,6 +1,7 @@
 // Command-level tests of the routenet CLI: each cmd_* is driven through
 // its real flag interface against temp-file artifacts, covering the full
 // make-topology → … → train → predict pipeline at miniature scale.
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -14,7 +15,6 @@
 #include "core/routenet.h"
 #include "dataset/shard.h"
 #include "dataset/stream.h"
-#include "legacy_dataset.h"
 #include "serve/net.h"
 #include "serve/registry.h"
 #include "topology/text_io.h"
@@ -93,7 +93,7 @@ TEST_F(CliCommands, FullPipelineEndToEnd) {
                                          path("train.rnds")})),
             0);
   const std::vector<dataset::Sample> ds =
-      dataset::load_any_dataset(path("train.rnds"));
+      dataset::load_dataset(path("train.rnds"));
   EXPECT_EQ(ds.size(), 8u);
 
   ASSERT_EQ(cmd_train(flags_of(
@@ -129,40 +129,58 @@ TEST_F(CliCommands, DatasetGenBurstyFlag) {
                                          "--pkts-per-flow", "30", "--bursty",
                                          "--out", path("b.rnds")})),
             0);
-  EXPECT_EQ(dataset::load_any_dataset(path("b.rnds")).size(), 2u);
+  EXPECT_EQ(dataset::load_dataset(path("b.rnds")).size(), 2u);
 }
 
-TEST_F(CliCommands, LegacyRndata1TrainsToTheShardModel) {
-  // RNDATA1 stays a supported input: the same records in the legacy
-  // container must train (in RAM) to the same model bytes as the streamed
-  // shard, and eval/info must read the file.
+TEST_F(CliCommands, Rndata1CorpusIsRejected) {
+  // RNDS1 is the one dataset format. A file in the retired RNDATA1
+  // container (magic, u32 count, the same records back to back) must be
+  // refused by every command that reads a corpus, naming the file and the
+  // magic it lacks.
   ASSERT_EQ(cmd_make_topology(flags_of(
                 {"--kind", "ring", "--nodes", "6", "--out", path("n.topo")})),
             0);
   ASSERT_EQ(cmd_dataset("gen", flags_of({"--topology", path("n.topo"),
-                                         "--count", "8", "--seed", "5",
+                                         "--count", "2", "--seed", "5",
                                          "--pkts-per-flow", "30", "--out",
                                          path("train.rnds")})),
             0);
-  util::atomic_write_file(
-      path("legacy.ds"),
-      dataset::rndata1_image(dataset::ShardReader(path("train.rnds"))));
+  const dataset::ShardReader shard(path("train.rnds"));
+  std::string rndata1("RNDATA1\n");
+  util::put_pod(rndata1, static_cast<std::uint32_t>(shard.size()));
+  for (std::uint64_t i = 0; i < shard.size(); ++i) rndata1 += shard.record(i);
+  const std::string legacy = path("legacy.ds");
+  util::atomic_write_file(legacy, rndata1);
+  core::RouteNetConfig mcfg;
+  mcfg.link_state_dim = mcfg.path_state_dim = 8;
+  mcfg.iterations = 2;
+  mcfg.readout_hidden = 8;
+  core::RouteNet(mcfg).save(path("m.model"));
 
-  for (const char* corpus : {"train.rnds", "legacy.ds"}) {
-    ASSERT_EQ(cmd_train(flags_of({"--dataset", path(corpus), "--epochs", "1",
-                                  "--batch", "4", "--dim", "8",
-                                  "--iterations", "2", "--threads", "1",
-                                  "--out", path(std::string(corpus) +
-                                                ".model")})),
-              0)
-        << corpus;
-  }
-  EXPECT_EQ(util::read_file(path("train.rnds.model"), "model"),
-            util::read_file(path("legacy.ds.model"), "model"));
-  EXPECT_EQ(cmd_eval(flags_of({"--model", path("legacy.ds.model"),
-                               "--dataset", path("legacy.ds")})),
-            0);
-  EXPECT_EQ(cmd_info(flags_of({"--dataset", path("legacy.ds")})), 0);
+  const auto expect_rejected = [&](const char* what, auto&& run) {
+    try {
+      run();
+      ADD_FAILURE() << what << " accepted an RNDATA1 file";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(legacy), std::string::npos) << what << ": " << msg;
+      EXPECT_NE(msg.find("RNDS1 magic"), std::string::npos)
+          << what << ": " << msg;
+    }
+  };
+  expect_rejected("train --dataset", [&] {
+    cmd_train(flags_of({"--dataset", legacy, "--epochs", "1", "--dim", "8",
+                        "--iterations", "2", "--out", path("t.model")}));
+  });
+  expect_rejected("train --eval", [&] {
+    cmd_train(flags_of({"--dataset", path("train.rnds"), "--eval", legacy,
+                        "--epochs", "1", "--dim", "8", "--iterations", "2",
+                        "--out", path("t.model")}));
+  });
+  expect_rejected("eval", [&] {
+    cmd_eval(flags_of({"--model", path("m.model"), "--dataset", legacy}));
+  });
+  expect_rejected("info", [&] { cmd_info(flags_of({"--dataset", legacy})); });
 }
 
 TEST_F(CliCommands, NamedTopologiesResolve) {

@@ -1,9 +1,11 @@
-// Hostile-input sweeps over both dataset containers. The legacy RNDATA1
-// blob has no checksums, so a flipped byte may still parse — but it must
+// Hostile-input sweeps over the dataset decoders. The record decoder
+// (decode_sample, the layout every RNDS1 record uses) is swept on its own,
+// with no CRC in front of it: a flipped byte may still decode, but it must
 // NEVER crash, over-allocate, or read out of bounds (every outcome is
-// either a clean std::runtime_error or a structurally valid load). The
-// RNDS1 shard container is CRC-indexed end to end, so the bar is higher:
-// every truncation AND every byte flip anywhere in the file must throw.
+// either a clean std::runtime_error or a sample that re-encodes to the
+// bytes it was read from), and every truncation must throw. The RNDS1
+// shard container is CRC-indexed end to end, so the bar is higher: every
+// truncation AND every byte flip anywhere in the file must throw.
 // Runs under -DRN_SANITIZE=address via the `asan` ctest label.
 #include "dataset/codec.h"
 
@@ -19,7 +21,6 @@
 #include "ag/serialize.h"
 #include "dataset/shard.h"
 #include "dataset/stream.h"
-#include "legacy_dataset.h"
 #include "topology/generators.h"
 
 namespace rn::dataset {
@@ -37,11 +38,13 @@ std::shared_ptr<const topo::Topology> shared_ring() {
   return std::make_shared<const topo::Topology>(topo::ring(6));
 }
 
-// One small-but-real legacy dataset image, built once for the whole suite.
-const std::string& legacy_image() {
+// One small-but-real encoded record, built once for the whole suite.
+const std::string& record_image() {
   static const std::string bytes = [] {
     DatasetGenerator gen(fast_config(), 51);
-    return rndata1_image(gen.generate_many(shared_ring(), 2));
+    std::string out;
+    encode_sample(out, gen.generate(shared_ring()));
+    return out;
   }();
   return bytes;
 }
@@ -58,58 +61,114 @@ const std::string& shard_image() {
   return bytes;
 }
 
-TEST(LegacyFuzz, ImageIsValidBaseline) {
-  EXPECT_EQ(parse_dataset_bytes(legacy_image(), "baseline").size(), 2u);
+// Decodes one record from `bytes`. On success `consumed` is the number of
+// bytes the decoder read.
+Sample decode_record(std::string_view bytes, std::size_t& consumed) {
+  util::Reader in(bytes, "record");
+  Sample s = decode_sample(in);
+  consumed = bytes.size() - in.remaining();
+  return s;
+}
+
+// The message decode_record throws for `bytes` ("" when it decodes).
+std::string decode_error(const std::string& bytes) {
+  std::size_t consumed = 0;
+  try {
+    decode_record(bytes, consumed);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RecordFuzz, ImageIsValidBaseline) {
+  const std::string& bytes = record_image();
+  std::size_t consumed = 0;
+  const Sample s = decode_record(bytes, consumed);
+  EXPECT_EQ(consumed, bytes.size());
+  std::string again;
+  encode_sample(again, s);
+  EXPECT_EQ(again, bytes);
   verify_shard_bytes(shard_image(), "baseline");
 }
 
-TEST(LegacyFuzz, EveryTruncationThrows) {
-  const std::string& bytes = legacy_image();
+TEST(RecordFuzz, EveryTruncationThrows) {
+  const std::string& bytes = record_image();
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(
-        parse_dataset_bytes(std::string_view(bytes.data(), len), "trunc"),
-        std::runtime_error)
-        << "prefix of " << len << " bytes parsed";
+    std::size_t consumed = 0;
+    EXPECT_THROW(decode_record(std::string_view(bytes.data(), len), consumed),
+                 std::runtime_error)
+        << "prefix of " << len << " bytes decoded";
   }
 }
 
-TEST(LegacyFuzz, EveryByteFlipNeverCrashes) {
-  // No checksums in RNDATA1: a flip may survive validation (e.g. in a
-  // float payload). Both outcomes are fine; crashing / sanitizer faults
-  // are not — which is exactly what this sweep exists to prove.
-  std::string bytes = legacy_image();
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    const char orig = bytes[i];
-    bytes[i] = static_cast<char>(orig ^ 0xff);
-    try {
-      const std::vector<Sample> loaded = parse_dataset_bytes(bytes, "flip");
-      EXPECT_LE(loaded.size(), 2u);
-    } catch (const std::runtime_error&) {
+TEST(RecordFuzz, EveryByteFlipThrowsOrDecodes) {
+  // No CRC in front of the decoder here: a flip may survive validation
+  // (e.g. in a float payload). Then the decoded sample must be exactly
+  // what the bytes say, so re-encoding it reproduces what was read.
+  // Crashes and sanitizer faults are what this sweep exists to rule out.
+  std::string bytes = record_image();
+  int decoded = 0;
+  for (const unsigned char mask : {0x01, 0xff}) {
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      const char orig = bytes[i];
+      bytes[i] = static_cast<char>(orig ^ mask);
+      try {
+        std::size_t consumed = 0;
+        const Sample s = decode_record(bytes, consumed);
+        std::string again;
+        encode_sample(again, s);
+        EXPECT_EQ(again, bytes.substr(0, consumed))
+            << "flip 0x" << std::hex << int{mask} << " at byte " << std::dec
+            << i;
+        ++decoded;
+      } catch (const std::runtime_error&) {
+      }
+      bytes[i] = orig;
     }
-    bytes[i] = orig;
   }
+  // Flips in the float payload decode; the sweep must reach that path.
+  EXPECT_GT(decoded, 0);
 }
 
-TEST(LegacyFuzz, AbsurdDeclaredCountsThrowBeforeAllocating) {
-  // Sample count claims 4 billion records in a few-KB file.
-  std::string bytes = legacy_image();
-  const std::uint32_t huge = 0xffffffffu;
-  std::memcpy(bytes.data() + kDatasetMagicLen, &huge, sizeof(huge));
-  EXPECT_THROW(parse_dataset_bytes(bytes, "huge-count"), std::runtime_error);
+TEST(RecordFuzz, DoctoredCountsThrowBeforeAllocating) {
+  // Record layout: u32 name_len, name, i32 num_nodes, i32 num_links,
+  // num_links x 24-byte links, then per pair u32 path_len + link ids.
+  const std::string& bytes = record_image();
+  std::uint32_t name_len = 0;
+  std::memcpy(&name_len, bytes.data(), sizeof(name_len));
+  const std::size_t nodes_at = 4 + name_len;
+  const std::size_t links_at = nodes_at + 4;
+  std::int32_t num_links = 0;
+  std::memcpy(&num_links, bytes.data() + links_at, sizeof(num_links));
+  const std::size_t path_len_at =
+      links_at + 4 + static_cast<std::size_t>(num_links) * 24;
+  const auto patched = [&](std::size_t at, auto value) {
+    std::string out = bytes;
+    std::memcpy(out.data() + at, &value, sizeof(value));
+    return out;
+  };
+  const auto expect_error = [](const std::string& doctored,
+                               const std::string& needle) {
+    const std::string what = decode_error(doctored);
+    EXPECT_NE(what.find(needle), std::string::npos)
+        << "want '" << needle << "', got '" << what << "'";
+  };
 
-  // First record's name_len claims more bytes than the file holds.
-  bytes = legacy_image();
-  std::memcpy(bytes.data() + kDatasetMagicLen + 4, &huge, sizeof(huge));
-  EXPECT_THROW(parse_dataset_bytes(bytes, "huge-name"), std::runtime_error);
-}
-
-TEST(LegacyFuzz, BadMagicAndEmptyInputThrow) {
-  EXPECT_THROW(parse_dataset_bytes("", "empty"), std::runtime_error);
-  EXPECT_THROW(parse_dataset_bytes("RNDATA2\n\0\0\0\0", "magic"),
-               std::runtime_error);
-  std::string bytes = legacy_image();
-  bytes[0] = 'X';
-  EXPECT_THROW(parse_dataset_bytes(bytes, "flip-magic"), std::runtime_error);
+  // Each claim exceeds its cap or the bytes that follow it, so the
+  // decoder must refuse it before sizing anything from it.
+  expect_error(patched(0, std::uint32_t{0xffffffffu}), "topology name");
+  expect_error(patched(nodes_at, std::int32_t{0}), "node count");
+  expect_error(patched(nodes_at, std::int32_t{1 << 30}), "node count");
+  expect_error(patched(links_at, std::int32_t{0x7fffffff}), "link count");
+  expect_error(patched(links_at, std::int32_t{-1}), "link count");
+  expect_error(patched(path_len_at, std::uint32_t{0xffffffffu}),
+               "path length");
+  // A path length within the link count, but cut off right after the
+  // length field: the id read is refused as a whole, up front.
+  std::string cut = patched(path_len_at, static_cast<std::uint32_t>(num_links));
+  cut.resize(path_len_at + 4);
+  expect_error(cut, "path link ids");
 }
 
 TEST(ShardFuzz, EveryTruncationThrows) {

@@ -3,9 +3,8 @@
 # independent `dataset gen --shard i/4` runs, `dataset verify`, `dataset
 # merge` — and proves the merged file is byte-for-byte identical to one
 # unsharded run. Then trains from the streamed RNDS1 corpus, checking the
-# dataset.stream.* telemetry (cli_commands_test byte-compares that model
-# with one trained on the same records in the read-only RNDATA1
-# container). Finally corrupts a shard and demands `dataset verify` fail.
+# dataset.stream.* telemetry. Finally corrupts a shard and demands
+# `dataset verify` fail.
 # Invoked with -DRN_CLI=<binary> -DWORK_DIR=<dir>.
 
 if(NOT DEFINED RN_CLI OR NOT DEFINED WORK_DIR)

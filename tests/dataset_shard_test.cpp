@@ -11,7 +11,7 @@
 //     in-RAM vector path, with resident bytes bounded by the
 //     dataset.stream.* gauges,
 //   - ShardWriter's temp-file + rename write is atomic, and
-//     load_any_dataset reads both RNDS1 and read-only RNDATA1.
+//     load_dataset reads RNDS1 and refuses anything else.
 #include "dataset/shard.h"
 
 #include <cstdint>
@@ -26,7 +26,7 @@
 
 #include "core/trainer.h"
 #include "dataset/stream.h"
-#include "legacy_dataset.h"
+#include "dataset/codec.h"
 #include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "topology/generators.h"
@@ -348,24 +348,35 @@ TEST(ShardWriter, WriteIsAtomic) {
   EXPECT_EQ(read_file(path), before);
 }
 
-TEST(LoadAnyDataset, ReadsBothContainers) {
+TEST(LoadDataset, ReadsShardsAndRejectsRndata1) {
   const GeneratorConfig cfg = fast_config();
   const auto topology = shared_ring();
   DatasetGenerator gen(cfg, 45);
   const std::vector<Sample> samples = gen.generate_many(topology, 2);
-  const std::string legacy = ::testing::TempDir() + "any_legacy.ds";
   const std::string shard = ::testing::TempDir() + "any_shard.rnds";
-  util::atomic_write_file(legacy, rndata1_image(samples));
   generate_shard(shard, cfg, 45, topology, 2, 0, 1);
-  EXPECT_FALSE(is_shard_file(legacy));
   EXPECT_TRUE(is_shard_file(shard));
-  const std::vector<Sample> from_legacy = load_any_dataset(legacy);
-  const std::vector<Sample> from_shard = load_any_dataset(shard);
-  ASSERT_EQ(from_legacy.size(), 2u);
+  const std::vector<Sample> from_shard = load_dataset(shard);
   ASSERT_EQ(from_shard.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(from_legacy[i].delay_s, from_shard[i].delay_s);
-    EXPECT_EQ(from_legacy[i].valid, from_shard[i].valid);
+    EXPECT_EQ(from_shard[i].delay_s, samples[i].delay_s);
+    EXPECT_EQ(from_shard[i].valid, samples[i].valid);
+  }
+
+  // The retired RNDATA1 container: magic, u32 count, records back to back.
+  std::string rndata1("RNDATA1\n");
+  util::put_pod(rndata1, static_cast<std::uint32_t>(samples.size()));
+  for (const Sample& s : samples) encode_sample(rndata1, s);
+  const std::string legacy = ::testing::TempDir() + "any_legacy.ds";
+  util::atomic_write_file(legacy, rndata1);
+  EXPECT_FALSE(is_shard_file(legacy));
+  try {
+    load_dataset(legacy);
+    FAIL() << "an RNDATA1 file loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(legacy), std::string::npos) << msg;
+    EXPECT_NE(msg.find("RNDS1 magic"), std::string::npos) << msg;
   }
 }
 

@@ -8,9 +8,7 @@
 
 #include "dataset/shard.h"
 #include "dataset/stream.h"
-#include "legacy_dataset.h"
 #include "topology/generators.h"
-#include "util/bytes.h"
 
 namespace rn::dataset {
 namespace {
@@ -105,7 +103,7 @@ TEST(Serialization, SaveIsAtomic) {
   save();  // overwrite must also succeed
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());
-  EXPECT_EQ(load_any_dataset(path).size(), 1u);
+  EXPECT_EQ(load_dataset(path).size(), 1u);
 }
 
 TEST(DatasetGenerator, UtilizationStaysInConfiguredRange) {
@@ -232,9 +230,11 @@ TEST(SplitDataset, DeterministicForSeed) {
 TEST(Serialization, RoundTripPreservesSamples) {
   DatasetGenerator gen(fast_config(), 10);
   const std::vector<Sample> samples = gen.generate_many(shared_nsfnet(), 2);
-  const std::string path = ::testing::TempDir() + "ds.bin";
-  util::atomic_write_file(path, rndata1_image(samples));
-  const std::vector<Sample> loaded = load_any_dataset(path);
+  const std::string path = ::testing::TempDir() + "round_trip.rnds";
+  ShardWriter writer(path, ShardHeader{});
+  for (const Sample& s : samples) writer.add(s);
+  writer.finish();
+  const std::vector<Sample> loaded = load_dataset(path);
   ASSERT_EQ(loaded.size(), samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(loaded[i].delay_s, samples[i].delay_s);
@@ -252,7 +252,7 @@ TEST(Serialization, RoundTripPreservesSamples) {
 }
 
 TEST(Serialization, MissingFileThrows) {
-  EXPECT_THROW(load_any_dataset("/nonexistent/ds.bin"), std::runtime_error);
+  EXPECT_THROW(load_dataset("/nonexistent/ds.rnds"), std::runtime_error);
 }
 
 TEST(GeneratorConfig, RejectsBadUtilizationRange) {

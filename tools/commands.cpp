@@ -90,29 +90,6 @@ Scenario load_scenario(const Flags& flags) {
   return {std::move(topology), std::move(scheme), std::move(tm)};
 }
 
-// The corpus behind --dataset. An RNDS1 shard streams from disk through
-// the mmap-backed source, so it never has to fit in RAM; a read-only
-// RNDATA1 blob has no record index and loads whole. Not movable: the
-// vector-backed source refers to `in_ram`.
-struct Corpus {
-  explicit Corpus(const std::string& path) {
-    if (dataset::is_shard_file(path)) {
-      auto streamed = std::make_unique<dataset::StreamingDataset>(path);
-      shard = streamed.get();
-      source = std::move(streamed);
-    } else {
-      in_ram = dataset::load_any_dataset(path);
-      source = std::make_unique<dataset::VectorSampleSource>(in_ram);
-    }
-  }
-  Corpus(const Corpus&) = delete;
-  Corpus& operator=(const Corpus&) = delete;
-
-  std::vector<dataset::Sample> in_ram;  // RNDATA1 only
-  std::unique_ptr<dataset::SampleSource> source;
-  const dataset::StreamingDataset* shard = nullptr;  // RNDS1 only
-};
-
 }  // namespace
 
 int cmd_make_topology(const Flags& flags) {
@@ -359,10 +336,11 @@ int cmd_dataset(const std::string& sub, const Flags& flags) {
 }
 
 int cmd_train(const Flags& flags) {
-  Corpus train(flags.require_string("dataset"));
+  // The corpus streams from disk (mmap), so it never has to fit in RAM.
+  dataset::StreamingDataset train(flags.require_string("dataset"));
   std::vector<dataset::Sample> eval_set;
   if (flags.has("eval")) {
-    eval_set = dataset::load_any_dataset(flags.require_string("eval"));
+    eval_set = dataset::load_dataset(flags.require_string("eval"));
   }
   core::RouteNetConfig mcfg;
   mcfg.link_state_dim = flags.get_int("dim", 32);
@@ -389,13 +367,12 @@ int cmd_train(const Flags& flags) {
   flags.reject_unused();
 
   core::RouteNet model(mcfg);
-  std::printf("training on %llu samples%s (%zu parameters)...\n",
-              static_cast<unsigned long long>(train.source->size()),
-              train.shard != nullptr ? " [streamed]" : "",
+  std::printf("training on %llu samples [streamed] (%zu parameters)...\n",
+              static_cast<unsigned long long>(train.size()),
               model.num_parameters());
   core::Trainer trainer(model, tcfg);
   const core::TrainReport report =
-      trainer.fit(*train.source, eval_set.empty() ? nullptr : &eval_set);
+      trainer.fit(train, eval_set.empty() ? nullptr : &eval_set);
   if (report.interrupted) {
     if (tcfg.state_path.empty()) {
       std::printf("training interrupted; no --ckpt-state was set, so no "
@@ -420,7 +397,7 @@ int cmd_eval(const Flags& flags) {
   const core::RouteNet model =
       core::RouteNet::load(flags.require_string("model"));
   const std::vector<dataset::Sample> samples =
-      dataset::load_any_dataset(flags.require_string("dataset"));
+      dataset::load_dataset(flags.require_string("dataset"));
   flags.reject_unused();
   const eval::PairedSeries series = eval::collect_delay_pairs(
       samples,
@@ -833,8 +810,7 @@ int cmd_info(const Flags& flags) {
   if (flags.has("dataset")) {
     const std::string path = flags.require_string("dataset");
     flags.reject_unused();
-    Corpus corpus(path);
-    dataset::SampleSource& source = *corpus.source;
+    dataset::StreamingDataset source(path);
     RN_CHECK(source.size() > 0, "dataset is empty");
     // One sample at a time: a shard's stats stream, so info works on
     // corpora that don't fit in RAM.
@@ -855,16 +831,14 @@ int cmd_info(const Flags& flags) {
         }
       }
     }
-    if (corpus.shard != nullptr) {
-      const dataset::ShardHeader& h = corpus.shard->header();
-      std::printf("RNDS1 shard %u/%u: global [%llu, %llu), seed %llu, "
-                  "%llu bytes\n",
-                  h.shard_index, h.shard_count,
-                  static_cast<unsigned long long>(h.first_index),
-                  static_cast<unsigned long long>(h.first_index + h.count),
-                  static_cast<unsigned long long>(h.seed),
-                  static_cast<unsigned long long>(corpus.shard->file_bytes()));
-    }
+    const dataset::ShardHeader& h = source.header();
+    std::printf("RNDS1 shard %u/%u: global [%llu, %llu), seed %llu, "
+                "%llu bytes\n",
+                h.shard_index, h.shard_count,
+                static_cast<unsigned long long>(h.first_index),
+                static_cast<unsigned long long>(h.first_index + h.count),
+                static_cast<unsigned long long>(h.seed),
+                static_cast<unsigned long long>(source.file_bytes()));
     std::printf("dataset: %llu samples on %s (%d nodes); %zu valid paths, "
                 "mean delay %.3f ms\n",
                 static_cast<unsigned long long>(source.size()),

@@ -40,8 +40,7 @@ int cmd_dataset(const std::string& sub, const Flags& flags);
 
 // Trains RouteNet: --dataset FILE [--eval FILE] [--epochs N] [--batch N]
 // [--lr F] [--dim N] [--iterations N] [--seed S] --out MODEL.
-// An RNDS1 --dataset streams from disk (mmap); a read-only RNDATA1 file
-// loads into RAM.
+// The RNDS1 --dataset streams from disk (mmap); --eval loads into RAM.
 int cmd_train(const Flags& flags);
 
 // Evaluates a model on a dataset: --model FILE --dataset FILE

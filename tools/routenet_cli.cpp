@@ -55,10 +55,9 @@ int usage() {
       "                 header coherence + every record CRC;\n"
       "                 `dataset merge --inputs a,b,... --out F` combines\n"
       "                 a complete shard set\n"
-      "  train          train RouteNet on a dataset (RNDS1 files stream\n"
-      "                 from disk; read-only RNDATA1 files load whole);\n"
-      "                 --ckpt-state BASE + --ckpt-every N checkpoint\n"
-      "                 full training state\n"
+      "  train          train RouteNet on an RNDS1 dataset streamed from\n"
+      "                 disk; --ckpt-state BASE + --ckpt-every N\n"
+      "                 checkpoint full training state\n"
       "                 (params, Adam moments, RNG streams, cursor) with\n"
       "                 keep-last-K rotation; --resume BASE continues a\n"
       "                 killed run to a bitwise-identical final model;\n"
