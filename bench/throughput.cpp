@@ -1,5 +1,6 @@
-// Throughput bench: dataset-generation samples/s, matmul-kernel GFLOP/s,
-// and training step time at 1, 2, and N worker threads. Writes
+// Throughput bench: dataset-generation samples/s and training step time at
+// 1, 2, and N worker threads, plus the matmul kernels' 2-thread/1-thread
+// ratio (per-backend GFLOP/s lives in bench/matmul_kernels). Writes
 // BENCH_throughput.json so the perf trajectory (and the determinism
 // contract) is tracked across PRs.
 //
@@ -45,7 +46,7 @@ Tensor random_tensor(int rows, int cols, rn::Rng& rng) {
 
 // Times fn until it has run for at least min_wall_s; returns seconds/call.
 template <typename Fn>
-double time_per_call(const Fn& fn, double min_wall_s = 0.15) {
+double time_per_call(const Fn& fn, double min_wall_s) {
   fn();  // warm caches and the pool
   int reps = 0;
   rn::obs::Stopwatch watch;
@@ -58,7 +59,7 @@ double time_per_call(const Fn& fn, double min_wall_s = 0.15) {
 
 struct Series {
   std::vector<int> threads;
-  std::vector<double> value;  // samples/s or GFLOP/s or step seconds
+  std::vector<double> value;  // samples/s or step seconds
 
   std::string to_json(const char* value_key) const {
     std::string out = "{\"threads\":[";
@@ -126,33 +127,15 @@ int main(int argc, char** argv) {
   std::printf("  gen  deterministic across thread counts: %s\n",
               gen_deterministic ? "yes" : "NO — BUG");
 
-  // --- Phase 2: matmul kernel GFLOP/s ----------------------------------
+  // --- Phase 2: matmul parallel grain ----------------------------------
   // RouteNet-batch-shaped operands: thousands of path/link rows times
   // 32/64-wide states.
   const int m = 4096, k = 64, n = 64;
-  const double gflop = 2.0 * m * k * n / 1e9;
   rn::Rng rng(17);
   const Tensor a = random_tensor(m, k, rng);
   const Tensor b = random_tensor(k, n, rng);
   const Tensor at = random_tensor(k, m, rng);
   const Tensor bt = random_tensor(n, k, rng);
-
-  Series mm, mm_tn, mm_nt;
-  for (int t : sweep) {
-    rn::par::set_global_threads(t);
-    mm.threads.push_back(t);
-    mm_tn.threads.push_back(t);
-    mm_nt.threads.push_back(t);
-    mm.value.push_back(gflop /
-                       time_per_call([&] { rn::ag::matmul(a, b); }));
-    mm_tn.value.push_back(gflop /
-                          time_per_call([&] { rn::ag::matmul_tn(at, b); }));
-    mm_nt.value.push_back(gflop /
-                          time_per_call([&] { rn::ag::matmul_nt(a, bt); }));
-    std::printf("  mm   %2d thread(s): nn %6.2f / tn %6.2f / nt %6.2f "
-                "GFLOP/s\n",
-                t, mm.value.back(), mm_tn.value.back(), mm_nt.value.back());
-  }
 
   // Multi-thread regression: adding a second worker must never cost
   // throughput. The shape-aware matmul grain gives 2 threads 2 halves
@@ -239,9 +222,6 @@ int main(int argc, char** argv) {
           << rn::obs::json_number(gen_series.speedup())
           << ",\"dataset_gen_deterministic\":"
           << (gen_deterministic ? "true" : "false")
-          << ",\"matmul_gflops\":" << mm.to_json("gflops")
-          << ",\"matmul_tn_gflops\":" << mm_tn.to_json("gflops")
-          << ",\"matmul_nt_gflops\":" << mm_nt.to_json("gflops")
           << ",\"two_thread_speedup\":{\"nn\":"
           << rn::obs::json_number(scale_nn)
           << ",\"tn\":" << rn::obs::json_number(scale_tn)

@@ -6,7 +6,6 @@
 #include <functional>
 
 #include "ag/kernels.h"
-#include "obs/metrics.h"
 #include "par/thread_pool.h"
 
 namespace rn::ag {
@@ -106,30 +105,6 @@ namespace {
 
 std::atomic<long long> g_parallel_macs{1LL << 18};
 
-struct KernelMetrics {
-  obs::Counter& calls =
-      obs::Registry::global().counter("ag.matmul.calls_total");
-  obs::Counter& flops =
-      obs::Registry::global().counter("ag.matmul.flops_total");
-  obs::Counter& parallel =
-      obs::Registry::global().counter("ag.matmul.parallel_total");
-};
-
-KernelMetrics& kernel_metrics() {
-  static KernelMetrics m;
-  return m;
-}
-
-// Counts one matmul kernel call, then runs body over C's row range
-// [0, rows) through parallel_rows.
-template <typename Body>
-void run_rows(int rows, long long macs, const Body& body) {
-  KernelMetrics& m = kernel_metrics();
-  m.calls.add(1);
-  m.flops.add(static_cast<std::uint64_t>(2 * macs));
-  if (parallel_rows(rows, macs, body)) m.parallel.add(1);
-}
-
 }  // namespace
 
 // The grain is shape-aware: wide-but-short operands (k·n per row large)
@@ -138,13 +113,13 @@ void run_rows(int rows, long long macs, const Body& body) {
 // threshold's worth of multiply-adds. Capping chunk count at the pool width
 // stops the old failure mode where 4096 rows fanned out as 128 tile-sized
 // tasks whose enqueue/steal overhead outweighed the 2-thread speedup.
-bool parallel_rows(int rows, long long macs,
+void parallel_rows(int rows, long long macs,
                    const std::function<void(int, int)>& body) {
   const long long threshold = g_parallel_macs.load(std::memory_order_relaxed);
   const int threads = par::global_threads();
   if (macs < threshold || threads <= 1 || rows <= 0) {
     body(0, rows);
-    return false;
+    return;
   }
   const long long macs_per_row = std::max(1LL, macs / rows);
   const long long rows_per_threshold =
@@ -157,7 +132,6 @@ bool parallel_rows(int rows, long long macs,
                     [&body](std::int64_t lo, std::int64_t hi) {
                       body(static_cast<int>(lo), static_cast<int>(hi));
                     });
-  return true;
 }
 
 long long matmul_parallel_threshold() {
@@ -173,7 +147,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   Tensor c(a.rows(), b.cols());
   const int m = a.rows(), k = a.cols(), n = b.cols();
   const kern::Ops& ops = kern::active();
-  run_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
+  parallel_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
     ops.matmul_block(a.row(0), b.row(0), c.row(0), r0, r1, k, n);
   });
   return c;
@@ -184,7 +158,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   Tensor c(a.cols(), b.cols());
   const int m = a.cols(), k = a.rows(), n = b.cols();
   const kern::Ops& ops = kern::active();
-  run_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
+  parallel_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
     ops.matmul_tn_block(a.row(0), b.row(0), c.row(0), r0, r1, m, k, n);
   });
   return c;
@@ -195,7 +169,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   Tensor c(a.rows(), b.rows());
   const int m = a.rows(), k = a.cols(), n = b.rows();
   const kern::Ops& ops = kern::active();
-  run_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
+  parallel_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
     ops.matmul_nt_block(a.row(0), b.row(0), c.row(0), r0, r1, k, n);
   });
   return c;

@@ -149,9 +149,8 @@ void set_matmul_parallel_threshold(long long macs);
 // kern::kTileRows tiles and the grain described above, once `macs` reaches
 // matmul_parallel_threshold(); otherwise inline as the single range
 // [0, rows). Callers must make each row's result independent of the chunk
-// that computes it, which keeps them bitwise at any thread count. Returns
-// whether the range went to the pool.
-bool parallel_rows(int rows, long long macs,
+// that computes it, which keeps them bitwise at any thread count.
+void parallel_rows(int rows, long long macs,
                    const std::function<void(int, int)>& body);
 
 }  // namespace rn::ag

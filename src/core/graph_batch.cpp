@@ -2,17 +2,12 @@
 
 #include <algorithm>
 
-#include "obs/timer.h"
-
 namespace rn::core {
 
 GraphBatch GraphBatch::from_samples(
     const std::vector<const dataset::Sample*>& samples,
     const dataset::Normalizer& norm, bool with_targets) {
   RN_CHECK(!samples.empty(), "empty batch");
-  static obs::Histogram& h_build =
-      obs::Registry::global().histogram("graph_batch.build_s");
-  obs::ScopedTimer build_timer(h_build);
   GraphBatch batch;
   batch.link_offset.reserve(samples.size());
   batch.path_offset.reserve(samples.size());

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "ag/serialize.h"
-#include "obs/timer.h"
 #include "obs/trace.h"
 #include "util/bytes.h"
 
@@ -46,21 +45,7 @@ RouteNet::RouteNet(const RouteNetConfig& config)
 RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
                                    Rng* dropout_rng) const {
   RN_CHECK(batch.num_links > 0 && batch.num_paths > 0, "empty graph batch");
-  // Message-passing phase timings. References are looked up once per
-  // process (function-local statics); per-forward cost is a handful of
-  // steady_clock reads — negligible against the tensor work they bracket.
-  static obs::Histogram& h_forward =
-      obs::Registry::global().histogram("routenet.forward_s");
-  static obs::Histogram& h_path_phase =
-      obs::Registry::global().histogram("routenet.mp.path_update_s");
-  static obs::Histogram& h_link_phase =
-      obs::Registry::global().histogram("routenet.mp.link_update_s");
-  static obs::Histogram& h_readout =
-      obs::Registry::global().histogram("routenet.readout_s");
-  obs::ScopedTimer forward_timer(h_forward);
   obs::TraceSpan forward_span("routenet.forward");
-  double path_phase_s = 0.0;
-  double link_phase_s = 0.0;
 
   ag::ValueId h_links = tape.constant(
       pad_initial_state(batch.link_features, config_.link_state_dim));
@@ -89,7 +74,6 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
   for (int t = 0; t < config_.iterations; ++t) {
     obs::TraceSpan mp_span("routenet.mp");
     mp_span.arg("iter", t);
-    obs::Stopwatch phase;
     // Path update: vectorized RNN over hop positions. All paths that are at
     // least s+1 hops long advance together at position s. Every hop reads
     // the same link states, so their input projections are computed once
@@ -113,8 +97,6 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
         messages.push_back(h_next);
       }
     }
-    path_phase_s += phase.elapsed_s();
-    phase.restart();
     // Link update: combine the messages that crossed each link, GRU step.
     RN_CHECK(!messages.empty(), "batch has no path traversals");
     const ag::ValueId stacked = tape.concat_rows(messages);
@@ -131,12 +113,8 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
     tape.release(aggregated);
     tape.release(h_links);
     h_links = next_links;
-    link_phase_s += phase.elapsed_s();
   }
-  h_path_phase.record(path_phase_s);
-  h_link_phase.record(link_phase_s);
 
-  obs::ScopedTimer readout_timer(h_readout);
   obs::TraceSpan readout_span("routenet.readout");
   if (dropout_rng != nullptr && config_.dropout > 0.0f) {
     h_paths = tape.dropout(h_paths, config_.dropout, *dropout_rng);

@@ -215,25 +215,11 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
     order[i] = static_cast<int>(i);
   }
 
-  // Telemetry: histograms always aggregate (lock-free, a few ns per batch);
-  // structured events are only built when a sink is attached, and the
-  // console line for verbose mode is rendered from the same Event so both
-  // outputs share one code path.
+  // Telemetry: the phase timings are always measured (a few steady_clock
+  // reads per batch); structured events carrying them are only built when
+  // a sink is attached, and the console line for verbose mode is rendered
+  // from the same Event so both outputs share one code path.
   obs::EventSink& sink = obs::EventSink::global();
-  obs::Registry& reg = obs::Registry::global();
-  obs::Histogram& h_forward = reg.histogram("trainer.batch.forward_s");
-  obs::Histogram& h_backward = reg.histogram("trainer.batch.backward_s");
-  obs::Histogram& h_step = reg.histogram("trainer.batch.step_s");
-  obs::Histogram& h_epoch = reg.histogram("trainer.epoch_s");
-  obs::Counter& c_batches = reg.counter("trainer.batches_total");
-  obs::Counter& c_samples = reg.counter("trainer.samples_total");
-  obs::Histogram& h_ckpt_save = reg.histogram("ckpt.save_s");
-  obs::Histogram& h_ckpt_load = reg.histogram("ckpt.load_s");
-  obs::Counter& c_ckpt_saves = reg.counter("ckpt.saves_total");
-  obs::Counter& c_ckpt_bytes = reg.counter("ckpt.bytes_written_total");
-  obs::Counter& c_ckpt_resumes = reg.counter("ckpt.resumes_total");
-  obs::Counter& c_ckpt_fallbacks = reg.counter("ckpt.fallbacks_total");
-  obs::Gauge& g_ckpt_seq = reg.gauge("ckpt.last_seq");
 
   TrainReport report;
   // Best-eval tracking lives in locals so a resumed run continues the
@@ -313,9 +299,6 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
       report.resumed_epoch = start_epoch;
     }
     const double load_s = load_watch.elapsed_s();
-    h_ckpt_load.record(load_s);
-    c_ckpt_resumes.add(1);
-    c_ckpt_fallbacks.add(static_cast<std::uint64_t>(fallbacks));
     if (sink.enabled() || cfg_.verbose) {
       obs::Event ev("ckpt.resume");
       ev.f("path", loaded_path)
@@ -380,10 +363,6 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
       }
     }
     const double save_s = save_watch.elapsed_s();
-    h_ckpt_save.record(save_s);
-    c_ckpt_saves.add(1);
-    c_ckpt_bytes.add(bytes);
-    g_ckpt_seq.set(static_cast<double>(ckpt_seq));
     if (sink.enabled()) {
       obs::Event ev("ckpt.save");
       ev.f("path", path)
@@ -467,7 +446,6 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
       }
       forward_span.end();
       const double forward_s = phase.elapsed_s();
-      h_forward.record(forward_s);
 
       phase.restart();
       obs::TraceSpan backward_span("trainer.backward");
@@ -495,7 +473,6 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
       }
       backward_span.end();
       const double backward_s = phase.elapsed_s();
-      h_backward.record(backward_s);
 
       const double batch_loss = tape.value(loss).at(0, 0);
       if (cfg_.health_checks &&
@@ -545,14 +522,11 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
       optimizer.step();
       step_span.end();
       const double step_s = phase.elapsed_s();
-      h_step.record(step_s);
 
       loss_sum += batch_loss;
       ++batches;
       samples_seen += end - start;
       ++total_batches;
-      c_batches.add(1);
-      c_samples.add(end - start);
       if (sink.enabled()) {
         obs::Event ev("trainer.batch");
         ev.f("epoch", epoch)
@@ -613,7 +587,6 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
       }
     }
     const double epoch_s = epoch_watch.elapsed_s();
-    h_epoch.record(epoch_s);
     if (sink.enabled() || cfg_.verbose) {
       obs::Event ev("trainer.epoch");
       ev.f("epoch", epoch)

@@ -8,7 +8,6 @@
 
 #include "dataset/stream.h"
 #include "obs/event.h"
-#include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
@@ -128,10 +127,6 @@ std::vector<Sample> DatasetGenerator::generate_range(
   RN_CHECK(count <= static_cast<std::uint64_t>(
                         std::numeric_limits<std::int64_t>::max()),
            "sample count overflows the scheduler range");
-  obs::Registry& reg = obs::Registry::global();
-  obs::Histogram& h_sample = reg.histogram("dataset.sample_gen_s");
-  obs::Counter& c_samples = reg.counter("dataset.samples_total");
-
   // Simulations are independent given their index-derived seeds; one task
   // per sample (simulations are seconds-long, so task overhead is noise).
   obs::Stopwatch watch;
@@ -143,12 +138,10 @@ std::vector<Sample> DatasetGenerator::generate_range(
   par::parallel_for(0, static_cast<std::int64_t>(count), /*grain=*/1,
                     [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) {
-      obs::ScopedTimer timer(h_sample);
       obs::TraceSpan sample_span("dataset.sample");
       sample_span.arg("index", i);
       slots[static_cast<std::size_t>(i)] =
           generate_at(topology, first_index + static_cast<std::uint64_t>(i));
-      c_samples.add(1);
       if (progress) {
         std::lock_guard<std::mutex> lock(progress_mu);
         progress(++completed, count);

@@ -51,8 +51,6 @@ void StreamingDataset::materialize(const std::uint64_t* indices,
   }
   for (const Sample& s : batch_) out.push_back(&s);
   reg.counter("dataset.stream.records_read_total").add(n);
-  reg.counter("dataset.stream.bytes_read_total").add(bytes);
-  reg.gauge("dataset.stream.resident_bytes").set(static_cast<double>(bytes));
   reg.gauge("dataset.stream.resident_peak_bytes")
       .set_max(static_cast<double>(bytes));
 }

@@ -1,11 +1,12 @@
 // Process-wide metrics registry: lock-free counters/gauges/histograms that
-// hot paths (trainer batches, simulator events, message-passing phases)
+// hot paths (the thread pool, the serve batcher, the network front end)
 // update in a few nanoseconds, and that benches/CLI snapshot into the
-// `telemetry` section of their JSON reports.
+// `telemetry` section of their JSON reports. Every registered metric has a
+// reader (docs/observability.md lists them).
 //
 // Naming convention (see docs/observability.md): dot-separated
-// `<layer>.<scope>.<metric>[_<unit>]`, e.g. `trainer.batch.forward_s`,
-// `sim.events_total`, `routenet.mp.link_update_s`.
+// `<layer>.<scope>.<metric>[_<unit>]`, e.g. `par.task_s`,
+// `serve.net.bytes_rx_total`, `dataset.stream.resident_peak_bytes`.
 #pragma once
 
 #include <atomic>

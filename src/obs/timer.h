@@ -5,7 +5,6 @@
 #pragma once
 
 #include <chrono>
-#include <string_view>
 
 #include "obs/metrics.h"
 
@@ -31,10 +30,6 @@ class Stopwatch {
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& hist) : hist_(&hist) {}
-  // Looks the histogram up by name (takes the registry mutex; prefer the
-  // Histogram& overload with a cached reference inside loops).
-  explicit ScopedTimer(std::string_view name)
-      : hist_(&Registry::global().histogram(name)) {}
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;

@@ -20,8 +20,6 @@ struct PoolMetrics {
   obs::Counter& loops =
       obs::Registry::global().counter("par.parallel_for_total");
   obs::Gauge& threads = obs::Registry::global().gauge("par.pool.threads");
-  obs::Gauge& peak_queue =
-      obs::Registry::global().gauge("par.queue.peak_depth");
   obs::Histogram& task_s = obs::Registry::global().histogram("par.task_s");
 };
 
@@ -60,14 +58,11 @@ void ThreadPool::enqueue(std::function<void()> fn) {
     fn();
     return;
   }
-  std::size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
     RN_CHECK(!stop_, "submit on a stopped ThreadPool");
     queue_.push(std::move(fn));
-    depth = queue_.size();
   }
-  metrics().peak_queue.set_max(static_cast<double>(depth));
   cv_.notify_one();
 }
 

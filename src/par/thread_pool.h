@@ -14,8 +14,7 @@
 // par_determinism_test).
 //
 // Telemetry (see docs/performance.md): `par.pool.threads`,
-// `par.tasks_total`, `par.parallel_for_total`, `par.queue.peak_depth`,
-// and the per-task busy-time histogram `par.task_s` whose sum over the run
+// `par.tasks_total`, `par.parallel_for_total`, and the per-task busy-time histogram `par.task_s` whose sum over the run
 // divided by (wall seconds x threads) is the pool utilization.
 #pragma once
 

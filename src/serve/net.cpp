@@ -28,11 +28,9 @@ namespace rn::serve {
 
 namespace {
 
+// The process-wide counters that net_obs_test and serve_net_smoke read;
+// every other per-server figure lives in NetStats.
 struct NetMetrics {
-  obs::Counter& connections =
-      obs::Registry::global().counter("serve.net.connections_total");
-  obs::Gauge& active =
-      obs::Registry::global().gauge("serve.net.active_connections");
   obs::Counter& requests =
       obs::Registry::global().counter("serve.net.requests_total");
   obs::Counter& responses =
@@ -41,16 +39,8 @@ struct NetMetrics {
       obs::Registry::global().counter("serve.net.errors_total");
   obs::Counter& rejected =
       obs::Registry::global().counter("serve.net.rejected_total");
-  obs::Counter& timeouts =
-      obs::Registry::global().counter("serve.net.timeouts_total");
-  obs::Counter& refused =
-      obs::Registry::global().counter("serve.net.refused_connections_total");
   obs::Counter& bytes_rx =
       obs::Registry::global().counter("serve.net.bytes_rx_total");
-  obs::Counter& bytes_tx =
-      obs::Registry::global().counter("serve.net.bytes_tx_total");
-  obs::Histogram& request_s =
-      obs::Registry::global().histogram("serve.net.request_s");
 };
 
 NetMetrics& metrics() {
@@ -349,7 +339,6 @@ void NetServer::accept_loop(int listen_fd) {
     if (connections_.size() >= kMaxConnections) {
       lock.unlock();
       refused_connections_.fetch_add(1, std::memory_order_relaxed);
-      metrics().refused.add();
       send_error(fd, wire::ErrorCode::kRejected, "connection limit reached");
       ::close(fd);
       continue;
@@ -359,9 +348,7 @@ void NetServer::accept_loop(int listen_fd) {
     raw->fd = fd;
     connections_.push_back(std::move(conn));
     connections_total_.fetch_add(1, std::memory_order_relaxed);
-    metrics().connections.add();
-    metrics().active.set(static_cast<double>(
-        active_connections_.fetch_add(1, std::memory_order_relaxed) + 1));
+    active_connections_.fetch_add(1, std::memory_order_relaxed);
     raw->thread = std::thread([this, raw] { serve_connection(raw); });
   }
 }
@@ -399,7 +386,6 @@ void NetServer::serve_connection(Connection* conn) {
       bytes_rx_.fetch_add(rx, std::memory_order_relaxed);
       metrics().bytes_rx.add(rx);
       timeouts_.fetch_add(1, std::memory_order_relaxed);
-      metrics().timeouts.add();
       send_error(fd, wire::ErrorCode::kTimeout, e.what());
       break;
     } catch (const wire::ProtocolError& e) {
@@ -411,8 +397,7 @@ void NetServer::serve_connection(Connection* conn) {
     if (!handle_frame(fd, frame)) break;
   }
   ::shutdown(fd, SHUT_RDWR);
-  metrics().active.set(static_cast<double>(
-      active_connections_.fetch_sub(1, std::memory_order_relaxed) - 1));
+  active_connections_.fetch_sub(1, std::memory_order_relaxed);
   // Mark the slot before close: once closed, the kernel may hand the same
   // fd number to a newly accepted connection.
   {
@@ -473,10 +458,6 @@ bool NetServer::handle_frame(int fd, const wire::Frame& frame) {
         }
         responses_.fetch_add(1, std::memory_order_relaxed);
         metrics().responses.add();
-        metrics().request_s.record(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          started)
-                .count());
         return true;
       } catch (const wire::ProtocolError& e) {
         send_error(fd, wire::ErrorCode::kMalformed, e.what());
@@ -558,7 +539,6 @@ void NetServer::send_frame(int fd, wire::FrameType type,
   std::uint64_t tx = 0;
   (void)write_all(fd, bytes.data(), bytes.size(), &tx);
   bytes_tx_.fetch_add(tx, std::memory_order_relaxed);
-  metrics().bytes_tx.add(tx);
 }
 
 void NetServer::send_error(int fd, wire::ErrorCode code,

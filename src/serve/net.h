@@ -41,11 +41,9 @@
 // counts as a refused connection, not as a connection. The client sees the
 // frame as the reply to its first request.
 //
-// Telemetry: counters serve.net.connections_total / requests_total /
-// responses_total / errors_total / rejected_total / timeouts_total /
-// refused_connections_total / bytes_rx_total / bytes_tx_total; gauge
-// serve.net.active_connections;
-// histogram serve.net.request_s; events serve.net.listen /
+// Telemetry: counters serve.net.requests_total / responses_total /
+// errors_total / rejected_total / bytes_rx_total (stats() holds the rest
+// of this server's figures); events serve.net.listen /
 // serve.net.shutdown; spans serve.net.request (arg: rid) with
 // serve.net.read / serve.net.write plus the InferenceServer's per-request
 // decomposition nested by parent id.

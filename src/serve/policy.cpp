@@ -10,28 +10,6 @@
 
 namespace rn::serve {
 
-namespace {
-
-struct PolicyMetrics {
-  obs::Gauge& deadline_s =
-      obs::Registry::global().gauge("serve.policy.deadline_s");
-  obs::Counter& ticks =
-      obs::Registry::global().counter("serve.policy.ticks_total");
-  obs::Counter& increases =
-      obs::Registry::global().counter("serve.policy.increases_total");
-  obs::Counter& decreases =
-      obs::Registry::global().counter("serve.policy.decreases_total");
-  obs::Counter& holds =
-      obs::Registry::global().counter("serve.policy.holds_total");
-};
-
-PolicyMetrics& metrics() {
-  static PolicyMetrics m;
-  return m;
-}
-
-}  // namespace
-
 AdaptiveBatchPolicy::AdaptiveBatchPolicy(PolicyConfig cfg, SampleFn sample,
                                          ApplyFn apply)
     : cfg_(cfg), sample_(std::move(sample)), apply_(std::move(apply)) {
@@ -49,7 +27,6 @@ AdaptiveBatchPolicy::AdaptiveBatchPolicy(PolicyConfig cfg, SampleFn sample,
            "decrease factor must be in (0, 1)");
   RN_CHECK(cfg_.interval_s > 0.0, "tick interval must be positive");
   deadline_s_.store(cfg_.initial_deadline_s, std::memory_order_relaxed);
-  metrics().deadline_s.set(cfg_.initial_deadline_s);
 }
 
 AdaptiveBatchPolicy::~AdaptiveBatchPolicy() { stop(); }
@@ -59,13 +36,14 @@ double AdaptiveBatchPolicy::tick() {
   const WindowSample obs_sample = sample_();
   const double before = deadline_s_.load(std::memory_order_relaxed);
   ticks_.fetch_add(1, std::memory_order_relaxed);
-  metrics().ticks.add();
+  static obs::Counter& ticks_total =
+      obs::Registry::global().counter("serve.policy.ticks_total");
+  ticks_total.add();
 
   // No signal, no actuation: an idle (or just-started) window would read
   // p99 = 0 and ratchet the deadline to max.
   if (obs_sample.count < cfg_.min_samples) {
     holds_.fetch_add(1, std::memory_order_relaxed);
-    metrics().holds.add();
     return before;
   }
 
@@ -74,14 +52,11 @@ double AdaptiveBatchPolicy::tick() {
   if (breach) {
     after = std::max(cfg_.min_deadline_s, before * cfg_.decrease_factor);
     decreases_.fetch_add(1, std::memory_order_relaxed);
-    metrics().decreases.add();
   } else {
     after = std::min(cfg_.max_deadline_s, before + cfg_.increase_step_s);
     increases_.fetch_add(1, std::memory_order_relaxed);
-    metrics().increases.add();
   }
   deadline_s_.store(after, std::memory_order_relaxed);
-  metrics().deadline_s.set(after);
   apply_(after);
 
   if (after != before && obs::EventSink::global().enabled()) {

@@ -23,9 +23,9 @@
 // always produces the identical deadline sequence, which policy_test locks
 // in along with convergence-below-SLO and the clamps.
 //
-// Telemetry: gauge serve.policy.deadline_s; counters
-// serve.policy.ticks_total / increases_total / decreases_total /
-// holds_total; one serve.policy.adjust event per deadline change.
+// Telemetry: counter serve.policy.ticks_total; stats() keeps the
+// per-policy tick, increase, decrease and hold counts; one
+// serve.policy.adjust event per deadline change.
 #pragma once
 
 #include <atomic>

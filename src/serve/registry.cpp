@@ -3,29 +3,9 @@
 #include <utility>
 
 #include "obs/event.h"
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace rn::serve {
-
-namespace {
-
-struct RegistryMetrics {
-  obs::Gauge& models = obs::Registry::global().gauge("serve.registry.models");
-  obs::Counter& loads =
-      obs::Registry::global().counter("serve.registry.loads_total");
-  obs::Counter& reloads =
-      obs::Registry::global().counter("serve.registry.reloads_total");
-  obs::Counter& misses =
-      obs::Registry::global().counter("serve.registry.misses_total");
-};
-
-RegistryMetrics& metrics() {
-  static RegistryMetrics m;
-  return m;
-}
-
-}  // namespace
 
 ModelRegistry::Entry::Entry(std::string name, std::string source,
                             std::unique_ptr<core::RouteNet> model,
@@ -73,8 +53,6 @@ std::uint64_t ModelRegistry::swap_in(const std::string& name,
   (*next)[name] = std::move(entry);
   snapshot_.store(std::shared_ptr<const Snapshot>(std::move(next)));
 
-  metrics().models.set(static_cast<double>(snapshot_.load()->size()));
-  metrics().loads.add();
   if (obs::EventSink::global().enabled()) {
     obs::Event ev("serve.registry.swap");
     ev.f("model", name)
@@ -104,9 +82,7 @@ std::uint64_t ModelRegistry::reload(const std::string& name) {
   const Handle entry = acquire(name);
   RN_CHECK(!entry->source().empty(),
            "model '" + name + "' was installed in-memory; nothing to reload");
-  const std::uint64_t version = load(name, entry->source());
-  metrics().reloads.add();
-  return version;
+  return load(name, entry->source());
 }
 
 void ModelRegistry::remove(const std::string& name) {
@@ -116,16 +92,12 @@ void ModelRegistry::remove(const std::string& name) {
   auto next = std::make_shared<Snapshot>(*old);
   next->erase(name);
   snapshot_.store(std::shared_ptr<const Snapshot>(std::move(next)));
-  metrics().models.set(static_cast<double>(snapshot_.load()->size()));
 }
 
 ModelRegistry::Handle ModelRegistry::acquire(const std::string& name) const {
   const std::shared_ptr<const Snapshot> snap = snapshot_.load();
   const auto it = snap->find(name);
-  if (it == snap->end()) {
-    metrics().misses.add();
-    throw UnknownModelError(name);
-  }
+  if (it == snap->end()) throw UnknownModelError(name);
   return it->second;
 }
 

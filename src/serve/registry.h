@@ -14,10 +14,8 @@
 // tilt through 100 swaps, every response bitwise equal to one of the two
 // snapshots' single-request predict(), clean under -DRN_SANITIZE=thread.
 //
-// Telemetry: gauge serve.registry.models, counters
-// serve.registry.loads_total / serve.registry.reloads_total /
-// serve.registry.misses_total, and one serve.registry.swap event per
-// successful load/install/reload.
+// Telemetry: one serve.registry.swap event per successful
+// load/install/reload.
 #pragma once
 
 #include <atomic>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "ag/arena.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/window.h"
@@ -14,38 +13,17 @@ namespace rn::serve {
 namespace {
 
 // Metric references are resolved once per process; the serve hot path only
-// touches lock-free counters/histograms.
+// touches lock-free counters and the latency window. The window is what
+// the p99-adaptive batcher (and `obs.snapshot`) reads.
 struct ServeMetrics {
-  obs::Histogram& queue_depth =
-      obs::Registry::global().histogram("serve.queue_depth");
-  obs::Histogram& batch_size =
-      obs::Registry::global().histogram("serve.batch_size");
-  obs::Histogram& latency_s =
-      obs::Registry::global().histogram("serve.latency_s");
-  // Sliding-window twins of the two load-sensitive histograms: the
-  // all-time view flattens a latency ramp, the window view is what a
-  // p99-adaptive batcher (and `obs.snapshot`) needs to see.
-  obs::WindowedHistogram& queue_depth_window =
-      obs::Registry::global().windowed("serve.queue_depth");
   obs::WindowedHistogram& latency_window =
       obs::Registry::global().windowed("serve.latency_s");
   obs::Counter& requests =
       obs::Registry::global().counter("serve.requests_total");
   obs::Counter& rejected =
       obs::Registry::global().counter("serve.rejected_total");
-  obs::Counter& served = obs::Registry::global().counter("serve.served_total");
   obs::Counter& batches =
       obs::Registry::global().counter("serve.batches_total");
-  obs::Gauge& workers = obs::Registry::global().gauge("serve.workers");
-  // Tensor-arena health, published per batch: a warm server keeps
-  // fresh_allocs flat (all buffers recycled) while reuses climbs —
-  // fresh_allocs growing under steady load means shapes are churning
-  // through the size classes.
-  obs::Gauge& arena_fresh =
-      obs::Registry::global().gauge("ag.arena.fresh_allocs");
-  obs::Gauge& arena_reuses = obs::Registry::global().gauge("ag.arena.reuses");
-  obs::Gauge& arena_bytes_held =
-      obs::Registry::global().gauge("ag.arena.bytes_held");
 };
 
 ServeMetrics& metrics() {
@@ -75,7 +53,6 @@ InferenceServer::InferenceServer(const core::RouteNet& model, ServerConfig cfg)
   for (int i = pool_backed; i < workers; ++i) {
     thread_workers_.emplace_back([this] { worker_loop(); });
   }
-  metrics().workers.set(static_cast<double>(workers));
 }
 
 InferenceServer::~InferenceServer() { stop(); }
@@ -83,7 +60,6 @@ InferenceServer::~InferenceServer() { stop(); }
 std::future<core::RouteNet::Prediction> InferenceServer::submit(
     dataset::Sample sample, std::shared_ptr<RequestTrace> trace) {
   std::future<core::RouteNet::Prediction> fut;
-  std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
@@ -101,11 +77,8 @@ std::future<core::RouteNet::Prediction> InferenceServer::submit(
     if (req.trace != nullptr) req.enqueued_trace_s = obs::trace_now_s();
     fut = req.promise.get_future();
     queue_.push_back(std::move(req));
-    depth = queue_.size();
   }
   metrics().requests.add();
-  metrics().queue_depth.record(static_cast<double>(depth));
-  metrics().queue_depth_window.record(static_cast<double>(depth));
   cv_.notify_one();
   return fut;
 }
@@ -147,7 +120,6 @@ void InferenceServer::worker_loop() {
 void InferenceServer::run_batch(std::vector<Request>& batch) {
   obs::TraceSpan span("serve.batch");
   span.arg("size", static_cast<std::int64_t>(batch.size()));
-  metrics().batch_size.record(static_cast<double>(batch.size()));
   // Stage boundaries, on both clocks: the steady clock feeds the timing
   // attribution echoed to the client; the trace timeline feeds the
   // backdated per-request spans (queue.wait started on the handler thread,
@@ -174,7 +146,6 @@ void InferenceServer::run_batch(std::vector<Request>& batch) {
       req_span.arg("id", static_cast<std::int64_t>(batch[i].id));
       const double latency =
           std::chrono::duration<double>(now - batch[i].enqueued).count();
-      metrics().latency_s.record(latency);
       const RequestTrace* trace = batch[i].trace.get();
       if (trace != nullptr && trace->request_id != 0) {
         metrics().latency_window.record_tagged(latency, trace->request_id);
@@ -208,13 +179,8 @@ void InferenceServer::run_batch(std::vector<Request>& batch) {
       batch[i].promise.set_value(std::move(preds[i]));
     }
     served_.fetch_add(batch.size(), std::memory_order_relaxed);
-    metrics().served.add(batch.size());
     batches_.fetch_add(1, std::memory_order_relaxed);
     metrics().batches.add();
-    const ag::ArenaStats arena = ag::arena_stats();
-    metrics().arena_fresh.set(static_cast<double>(arena.fresh_allocs));
-    metrics().arena_reuses.set(static_cast<double>(arena.reuses));
-    metrics().arena_bytes_held.set(static_cast<double>(arena.bytes_held));
   } catch (...) {
     // A failed forward fails every request in the batch; the server keeps
     // serving subsequent batches.

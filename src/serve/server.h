@@ -21,15 +21,12 @@
 // already-queued request is still served, then workers are joined. The
 // destructor calls stop().
 //
-// Telemetry (docs/observability.md): histograms serve.queue_depth /
-// serve.batch_size / serve.latency_s, with sliding-window twins of
-// serve.queue_depth and serve.latency_s (the adaptive policy and
-// obs.snapshot read the latency window); counters
-// serve.requests_total / serve.rejected_total / serve.served_total /
-// serve.batches_total, process-wide across every server (stats() keeps
-// this server's own served/batches); gauges serve.workers and
-// ag.arena.*; trace spans serve.batch (arg: size) with one serve.request
-// (arg: id) child per coalesced request.
+// Telemetry (docs/observability.md): the serve.latency_s window (the
+// adaptive policy and obs.snapshot read it); counters
+// serve.requests_total / serve.rejected_total / serve.batches_total,
+// process-wide across every server (stats() keeps this server's own
+// served/batches); trace spans serve.batch (arg: size) with one
+// serve.request (arg: id) child per coalesced request.
 #pragma once
 
 #include <atomic>

@@ -561,28 +561,6 @@ SimResult Run::execute() {
   result.packets_in_flight =
       packets_created_ - packets_delivered_ - result.packets_dropped;
 
-  // Run-end accounting fires once per simulation, which during threaded
-  // dataset generation is hot enough to care about the registry mutex:
-  // resolve the references once per process, update lock-free after.
-  struct RunMetrics {
-    obs::Registry& reg = obs::Registry::global();
-    obs::Counter& events = reg.counter("sim.events_total");
-    obs::Counter& created = reg.counter("sim.packets_created_total");
-    obs::Counter& delivered = reg.counter("sim.packets_delivered_total");
-    obs::Counter& dropped = reg.counter("sim.packets_dropped_total");
-    obs::Counter& runs = reg.counter("sim.runs_total");
-    obs::Histogram& wall = reg.histogram("sim.run_wall_s");
-    obs::Gauge& peak_queue = reg.gauge("sim.peak_queue_pkts");
-  };
-  static RunMetrics metrics;
-  metrics.events.add(processed_);
-  metrics.created.add(packets_created_);
-  metrics.delivered.add(packets_delivered_);
-  metrics.dropped.add(result.packets_dropped);
-  metrics.runs.add(1);
-  metrics.wall.record(wall_s);
-  metrics.peak_queue.set_max(static_cast<double>(result.peak_queue_pkts));
-
   obs::EventSink& sink = obs::EventSink::global();
   if (sink.enabled()) {
     obs::Event ev("sim.run");

@@ -60,9 +60,12 @@ foreach(t 1 4)
                    "kill-and-resume at ${t} thread(s)")
 
   # The resume run must report its telemetry: a ckpt.resume event for the
-  # restart and ckpt.save events for its own rotation.
+  # restart and ckpt.save events for its own rotation. Their fields are the
+  # only record of checkpoint cost: save_s and bytes per save, load_s and
+  # fallbacks per resume.
   file(READ "${WORK_DIR}/resume${t}.jsonl" resume_log)
-  foreach(needle "\"kind\":\"ckpt.resume\"" "\"kind\":\"ckpt.save\"")
+  foreach(needle "\"kind\":\"ckpt.resume\"" "\"kind\":\"ckpt.save\""
+          "\"save_s\"" "\"bytes\"" "\"load_s\"" "\"fallbacks\"")
     string(FIND "${resume_log}" "${needle}" found)
     if(found EQUAL -1)
       message(FATAL_ERROR "resume${t}.jsonl is missing ${needle}")

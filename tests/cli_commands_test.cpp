@@ -29,6 +29,9 @@ class CliCommands : public ::testing::Test {
   void SetUp() override {
     dir_ = ::testing::TempDir() + "cli_cmd_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    // Start empty: an earlier run's files must not satisfy (or trip) this
+    // run's assertions.
+    std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
 
@@ -279,6 +282,9 @@ TEST_F(CliCommands, ObsTraceSummarizesValidFile) {
   }
   EXPECT_EQ(cmd_obs({"trace", path("ok.trace.json")}), 0);
   EXPECT_EQ(cmd_obs({"trace", path("ok.trace.json"), "5"}), 0);
+  // The file is valid, so only the top_n's leftover characters can fail.
+  EXPECT_EQ(cmd_obs({"trace", path("ok.trace.json"), "5x"}), 1);
+  EXPECT_EQ(cmd_obs({"trace", path("ok.trace.json"), "1.5"}), 1);
 }
 
 TEST_F(CliCommands, ObsTraceErrorsAreOneLineNonzeroExits) {
@@ -291,6 +297,19 @@ TEST_F(CliCommands, ObsTraceErrorsAreOneLineNonzeroExits) {
   }
   EXPECT_EQ(cmd_obs({"trace", path("garbage.json")}), 1);
   EXPECT_EQ(cmd_obs({"trace", path("garbage.json"), "soon"}), 1);
+}
+
+TEST_F(CliCommands, ObsTopRejectsBadOptionsBeforeConnecting) {
+  // Nothing listens on port 1; a value that parsed would reach the scrape
+  // and fail it with rc 1, so rc 2 shows the option was refused first.
+  const std::string addr = "tcp:127.0.0.1:1";
+  EXPECT_EQ(cmd_obs({"top", addr, "--count", "2x"}), 2);
+  EXPECT_EQ(cmd_obs({"top", addr, "--count", "-1"}), 2);
+  EXPECT_EQ(cmd_obs({"top", addr, "--every-s", "inf"}), 2);
+  EXPECT_EQ(cmd_obs({"top", addr, "--every-s", "nan"}), 2);
+  EXPECT_EQ(cmd_obs({"top", addr, "--every-s", "0"}), 2);
+  EXPECT_EQ(cmd_obs({"top", addr, "--every-s", "0.5s"}), 2);
+  EXPECT_EQ(cmd_obs({"top", addr, "--count", "1"}), 1);
 }
 
 TEST_F(CliCommands, ObsSummarizeMissingFileReturnsError) {
@@ -343,6 +362,16 @@ TEST_F(CliCommands, ObsDiffErrorAndUsageExits) {
             1);
   EXPECT_EQ(cmd_obs({"diff", path("ok.json"), path("ok.json"), "--threshold",
                      "-5"}),
+            1);
+  // The whole value must be the number: "10%" is not 10.
+  EXPECT_EQ(cmd_obs({"diff", path("ok.json"), path("ok.json"), "--threshold",
+                     "10"}),
+            0);
+  EXPECT_EQ(cmd_obs({"diff", path("ok.json"), path("ok.json"), "--threshold",
+                     "10%"}),
+            1);
+  EXPECT_EQ(cmd_obs({"diff", path("ok.json"), path("ok.json"), "--threshold",
+                     "nan"}),
             1);
   // Unknown extra flag is a usage error.
   EXPECT_EQ(cmd_obs({"diff", path("ok.json"), path("ok.json"), "--frob"}), 2);

@@ -41,10 +41,12 @@ run_step("${RN_CLI}" train --dataset mini.rnds --epochs 2 --batch 2 --dim 8
 run_step("${RN_CLI}" obs summarize sim.jsonl)
 run_step("${RN_CLI}" obs summarize train.jsonl)
 
-# The trainer file must actually contain per-batch and per-epoch events.
+# The trainer file must actually contain per-batch and per-epoch events,
+# with the phase timings that only those events record.
 file(READ "${WORK_DIR}/train.jsonl" train_log)
 foreach(needle "\"kind\":\"trainer.batch\"" "\"kind\":\"trainer.epoch\""
-        "\"kind\":\"metrics.snapshot\"")
+        "\"kind\":\"metrics.snapshot\"" "\"forward_s\"" "\"backward_s\""
+        "\"step_s\"" "\"epoch_s\"")
   string(FIND "${train_log}" "${needle}" found)
   if(found EQUAL -1)
     message(FATAL_ERROR "train.jsonl is missing ${needle}")
@@ -56,5 +58,12 @@ string(FIND "${sim_log}" "\"kind\":\"sim.run\"" found)
 if(found EQUAL -1)
   message(FATAL_ERROR "sim.jsonl is missing the sim.run event")
 endif()
+# The sim.run event is telemetry's record of the run's packet accounting.
+foreach(needle "\"packets_created\"" "\"peak_queue_pkts\"")
+  string(FIND "${sim_log}" "${needle}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "sim.jsonl is missing ${needle}")
+  endif()
+endforeach()
 
 message(STATUS "telemetry smoke OK")

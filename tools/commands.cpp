@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "core/trainer.h"
@@ -879,9 +881,24 @@ int cmd_obs_top(const std::vector<std::string>& args) {
   long count = 0;  // 0 = until interrupted
   for (std::size_t i = 1; i < args.size(); i += 2) {
     if (args[i] == "--every-s" && i + 1 < args.size()) {
-      every_s = std::stod(args[i + 1]);
+      const std::optional<double> v = parse_whole_double(args[i + 1]);
+      if (!v || !std::isfinite(*v) || *v <= 0.0) {
+        std::fprintf(stderr,
+                     "error: --every-s must be a finite number > 0, got "
+                     "'%s'\n",
+                     args[i + 1].c_str());
+        return 2;
+      }
+      every_s = *v;
     } else if (args[i] == "--count" && i + 1 < args.size()) {
-      count = std::stol(args[i + 1]);
+      const std::optional<int> v = parse_whole_int(args[i + 1]);
+      if (!v || *v < 0) {
+        std::fprintf(stderr,
+                     "error: --count must be an integer >= 0, got '%s'\n",
+                     args[i + 1].c_str());
+        return 2;
+      }
+      count = *v;
     } else {
       std::fprintf(stderr,
                    "error: unknown obs top option '%s' (want --every-s N "
@@ -890,7 +907,6 @@ int cmd_obs_top(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  RN_CHECK(every_s > 0.0, "--every-s must be positive");
 
   const bool tty = ::isatty(STDOUT_FILENO) == 1;
   std::map<std::string, std::uint64_t> prev_counters;
@@ -994,13 +1010,13 @@ int cmd_obs(const std::vector<std::string>& args) {
     if ((args.size() == 2 || args.size() == 3) && args[0] == "trace") {
       int top_n = 12;
       if (args.size() == 3) {
-        try {
-          top_n = std::stoi(args[2]);
-        } catch (const std::exception&) {
+        const std::optional<int> v = parse_whole_int(args[2]);
+        if (!v) {
           std::fprintf(stderr, "error: top_n must be an integer, got '%s'\n",
                        args[2].c_str());
           return 1;
         }
+        top_n = *v;
       }
       std::fputs(obs::summarize_trace_file(args[1], top_n).c_str(), stdout);
       return 0;
@@ -1014,15 +1030,15 @@ int cmd_obs(const std::vector<std::string>& args) {
       bool usage_error = false;
       for (std::size_t i = 3; i < args.size(); i += 2) {
         if (args[i] == "--threshold" && i + 1 < args.size()) {
-          try {
-            opts.threshold_pct = std::stod(args[i + 1]);
-          } catch (const std::exception&) {
+          const std::optional<double> v = parse_whole_double(args[i + 1]);
+          if (!v) {
             std::fprintf(stderr,
                          "error: --threshold must be a number, got '%s'\n",
                          args[i + 1].c_str());
             return 1;
           }
-          if (opts.threshold_pct < 0.0) {
+          opts.threshold_pct = *v;
+          if (!(opts.threshold_pct >= 0.0)) {
             std::fprintf(stderr, "error: --threshold must be >= 0\n");
             return 1;
           }

@@ -1,6 +1,7 @@
 #include "flags.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace rn::cli {
@@ -15,18 +16,37 @@ namespace {
 // characters left over ("6x", or "1.5" for an integer) fails like one with
 // no number at all.
 template <typename Parse>
-auto parse_whole(const std::string& name, const std::string& s,
-                 const char* expects, Parse parse) {
+auto parse_whole(const std::string& s, Parse parse)
+    -> std::optional<decltype(parse(s, nullptr))> {
   std::size_t pos = 0;
   try {
     const auto v = parse(s, &pos);
     if (pos == s.size()) return v;
   } catch (const std::exception&) {
   }
-  fail("flag --" + name + " expects " + expects + ", got '" + s + "'");
+  return std::nullopt;
+}
+
+template <typename T>
+T require_whole(const std::string& name, const std::string& s,
+                const char* expects, const std::optional<T>& v) {
+  if (!v) fail("flag --" + name + " expects " + expects + ", got '" + s + "'");
+  return *v;
 }
 
 }  // namespace
+
+std::optional<int> parse_whole_int(const std::string& s) {
+  return parse_whole(s, [](const std::string& v, std::size_t* pos) {
+    return std::stoi(v, pos);
+  });
+}
+
+std::optional<double> parse_whole_double(const std::string& s) {
+  return parse_whole(s, [](const std::string& v, std::size_t* pos) {
+    return std::stod(v, pos);
+  });
+}
 
 Flags::Flags(int argc, const char* const* argv, int start,
              const std::vector<std::string>& bool_names) {
@@ -78,27 +98,24 @@ std::string Flags::require_string(const std::string& name) const {
 
 int Flags::get_int(const std::string& name, int fallback) const {
   if (!has(name)) return fallback;
-  return parse_whole(name, raw(name), "an integer",
-                     [](const std::string& s, std::size_t* pos) {
-                       return std::stoi(s, pos);
-                     });
+  return require_whole(name, raw(name), "an integer",
+                       parse_whole_int(raw(name)));
 }
 
 std::int64_t Flags::get_int64(const std::string& name,
                               std::int64_t fallback) const {
   if (!has(name)) return fallback;
-  return parse_whole(name, raw(name), "an integer",
-                     [](const std::string& s, std::size_t* pos) {
-                       return std::stoll(s, pos);
-                     });
+  return require_whole(
+      name, raw(name), "an integer",
+      parse_whole(raw(name), [](const std::string& s, std::size_t* pos) {
+        return std::stoll(s, pos);
+      }));
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
   if (!has(name)) return fallback;
-  return parse_whole(name, raw(name), "a number",
-                     [](const std::string& s, std::size_t* pos) {
-                       return std::stod(s, pos);
-                     });
+  return require_whole(name, raw(name), "a number",
+                       parse_whole_double(raw(name)));
 }
 
 bool Flags::get_bool(const std::string& name) const { return has(name); }
@@ -106,14 +123,15 @@ bool Flags::get_bool(const std::string& name) const { return has(name); }
 std::uint64_t Flags::get_seed(const std::string& name,
                               std::uint64_t fallback) const {
   if (!has(name)) return fallback;
-  return parse_whole(name, raw(name), "a seed",
-                     [](const std::string& s, std::size_t* pos) {
-                       // std::stoull would accept a minus sign and wrap.
-                       if (s.find('-') != std::string::npos) {
-                         throw std::invalid_argument(s);
-                       }
-                       return std::stoull(s, pos);
-                     });
+  return require_whole(
+      name, raw(name), "a seed",
+      parse_whole(raw(name), [](const std::string& s, std::size_t* pos) {
+        // std::stoull would accept a minus sign and wrap.
+        if (s.find('-') != std::string::npos) {
+          throw std::invalid_argument(s);
+        }
+        return std::stoull(s, pos);
+      }));
 }
 
 void Flags::reject_unused() const {

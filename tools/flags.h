@@ -7,10 +7,17 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace rn::cli {
+
+// The whole-string rule every numeric flag follows, for commands that read
+// positional arguments themselves: all of s must be the number, so "5x"
+// (or "1.5" for an integer) is nullopt like "x" is.
+std::optional<int> parse_whole_int(const std::string& s);
+std::optional<double> parse_whole_double(const std::string& s);
 
 class Flags {
  public:
