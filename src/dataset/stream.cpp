@@ -11,6 +11,24 @@
 
 namespace rn::dataset {
 
+namespace {
+
+// Resolved once per process: materialize() runs on every minibatch, and a
+// by-name lookup takes the registry mutex.
+struct StreamMetrics {
+  obs::Counter& records_read =
+      obs::Registry::global().counter("dataset.stream.records_read_total");
+  obs::Gauge& resident_peak =
+      obs::Registry::global().gauge("dataset.stream.resident_peak_bytes");
+};
+
+StreamMetrics& metrics() {
+  static StreamMetrics m;
+  return m;
+}
+
+}  // namespace
+
 void VectorSampleSource::materialize(const std::uint64_t* indices,
                                      std::size_t n,
                                      std::vector<const Sample*>& out) {
@@ -33,7 +51,6 @@ StreamingDataset::StreamingDataset(const std::string& path,
 void StreamingDataset::materialize(const std::uint64_t* indices,
                                    std::size_t n,
                                    std::vector<const Sample*>& out) {
-  obs::Registry& reg = obs::Registry::global();
   batch_.clear();
   batch_.reserve(n);
   out.clear();
@@ -50,9 +67,8 @@ void StreamingDataset::materialize(const std::uint64_t* indices,
     batch_.push_back(reader_.sample(idx));
   }
   for (const Sample& s : batch_) out.push_back(&s);
-  reg.counter("dataset.stream.records_read_total").add(n);
-  reg.gauge("dataset.stream.resident_peak_bytes")
-      .set_max(static_cast<double>(bytes));
+  metrics().records_read.add(n);
+  metrics().resident_peak.set_max(static_cast<double>(bytes));
 }
 
 namespace {

@@ -2,12 +2,12 @@
 //
 // A ModelRegistry routes requests by model name across several loaded
 // RouteNets, each fronted by its own micro-batching InferenceServer. The
-// name → model map lives behind an atomic shared_ptr snapshot, so lookups
-// are one atomic load and hot reload follows the temp+rename checkpoint
+// name → model map lives behind a shared_ptr snapshot, so a lookup copies
+// one pointer and hot reload follows the temp+rename checkpoint
 // discipline translated to memory: load the new model off to the side,
 // validate it (RouteNet::load CRC-checks the file and the parameter
 // shapes; install() re-counts parameters), then swap the snapshot pointer
-// in one atomic store. Readers that grabbed the old snapshot — or hold an
+// in one step. Readers that grabbed the old snapshot — or hold an
 // Entry handle — finish their in-flight requests on the old model; the old
 // entry's server drains and its workers join when the last reference
 // drops. registry_soak_test hammers exactly this: clients querying at full
@@ -95,7 +95,7 @@ class ModelRegistry {
   // Removes `name` from the snapshot; in-flight handles keep serving.
   void remove(const std::string& name);
 
-  // Snapshot lookup: one atomic load + one shared_ptr copy. Throws
+  // Snapshot lookup: one pointer copy plus a map find. Throws
   // UnknownModelError for absent names.
   Handle acquire(const std::string& name) const;
 
@@ -120,11 +120,33 @@ class ModelRegistry {
   std::uint64_t swap_in(const std::string& name, const std::string& source,
                         std::unique_ptr<core::RouteNet> model);
 
+  // The current snapshot, behind a mutex held only to copy or swap the
+  // pointer; a replaced snapshot is released after the mutex. Not
+  // std::atomic<std::shared_ptr>: libstdc++ 12's load() drops its inner
+  // lock with a relaxed store, so ThreadSanitizer reports its pointer
+  // read racing the next store().
+  class SnapshotSlot {
+   public:
+    std::shared_ptr<const Snapshot> load() const {
+      std::lock_guard<std::mutex> lock(mu_);
+      return ptr_;
+    }
+    // `next` leaves holding the old snapshot and drops it unlocked.
+    void store(std::shared_ptr<const Snapshot> next) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ptr_.swap(next);
+    }
+
+   private:
+    mutable std::mutex mu_;
+    std::shared_ptr<const Snapshot> ptr_;
+  };
+
   ServerConfig server_cfg_;
-  // Writers serialize on mu_ (copy map → mutate → atomic store); readers
-  // never take it.
+  // Writers serialize on mu_ (copy map → mutate → store); readers never
+  // take it.
   mutable std::mutex mu_;
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
+  SnapshotSlot snapshot_;
   std::atomic<double> deadline_s_;
 };
 

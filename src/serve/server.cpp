@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "par/thread_pool.h"
 #include "util/check.h"
 
 namespace rn::serve {
@@ -39,19 +40,10 @@ InferenceServer::InferenceServer(const core::RouteNet& model, ServerConfig cfg)
   RN_CHECK(cfg_.batch_deadline_s >= 0.0, "batch deadline must be >= 0");
   RN_CHECK(cfg_.queue_capacity >= 1, "queue capacity must be positive");
   set_batch_deadline(cfg_.batch_deadline_s);
-  pool_ = par::global_pool();
-  const int workers = std::max(1, cfg_.workers > 0 ? cfg_.workers
-                                                  : pool_->size());
-  // A 1-thread pool runs submit() inline on the caller, which would execute
-  // a serve loop right here and never return — those workers (and any beyond
-  // the pool's width) get dedicated threads instead.
-  const int pool_backed =
-      pool_->size() > 1 ? std::min(workers, pool_->size()) : 0;
-  for (int i = 0; i < pool_backed; ++i) {
-    pool_workers_.push_back(pool_->submit([this] { worker_loop(); }));
-  }
-  for (int i = pool_backed; i < workers; ++i) {
-    thread_workers_.emplace_back([this] { worker_loop(); });
+  const int workers = std::max(
+      1, cfg_.workers > 0 ? cfg_.workers : par::global_pool()->size());
+  for (int i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -225,10 +217,8 @@ void InferenceServer::stop() {
     joined_ = true;
   }
   cv_.notify_all();
-  for (std::future<void>& f : pool_workers_) f.get();
-  for (std::thread& t : thread_workers_) t.join();
-  pool_workers_.clear();
-  thread_workers_.clear();
+  for (std::thread& t : workers_) t.join();
+  workers_.clear();
 }
 
 ServerStats InferenceServer::stats() const {

@@ -10,12 +10,9 @@
 // Merged graphs are disjoint, so batched results are bitwise identical to
 // per-request predict() (serve_test locks this in).
 //
-// Worker threads come from the global `par` pool when it has dedicated
-// workers (capped at pool width; a pool worker running forward() executes
-// its matmul parallel_for chunks inline, so occupying the pool is safe).
-// A 1-thread pool runs submit() inline on the caller — a serve loop would
-// block it forever — so any workers beyond the pool's capacity run on
-// dedicated std::threads instead.
+// Every worker loop runs on its own std::thread for the server's lifetime,
+// so a forward pass's parallel_for chunks fan out to the global `par` pool
+// like any other caller's.
 //
 // stop() drains: accepting stops immediately (further submits reject), every
 // already-queued request is still served, then workers are joined. The
@@ -44,7 +41,6 @@
 
 #include "core/routenet.h"
 #include "dataset/dataset.h"
-#include "par/thread_pool.h"
 
 namespace rn::serve {
 
@@ -165,10 +161,7 @@ class InferenceServer {
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> batches_{0};
 
-  // Keeps the pool backing pool_workers_ alive for the server's lifetime.
-  std::shared_ptr<par::ThreadPool> pool_;
-  std::vector<std::future<void>> pool_workers_;
-  std::vector<std::thread> thread_workers_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace rn::serve

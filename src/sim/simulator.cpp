@@ -17,8 +17,8 @@ struct Packet {
   double created_s = 0.0;
   std::int32_t pair_idx = 0;
   std::int32_t hop = 0;   // index into the path's link sequence
-  std::int32_t cls = 0;   // scheduling class (0 = highest priority)
 };
+static_assert(sizeof(Packet) == 24, "a hop copies the packet; keep it small");
 
 enum class EventKind : std::uint8_t {
   kFlowArrival,   // a flow emits its next packet (and reschedules itself)
@@ -87,14 +87,9 @@ struct FlowState {
 };
 
 struct LinkState {
-  // One FIFO per scheduling class (FIFO mode uses only queues[0]).
-  std::vector<PacketRing> queues;
-  std::size_t total_queued = 0;
+  PacketRing queue;  // waiting packets, excluding the one in service
   bool busy = false;
   Packet serving;
-  // Deficit-round-robin state.
-  std::vector<double> deficit;
-  int drr_pos = 0;
   // Time-weighted accounting (post-warmup).
   double busy_since = 0.0;
   double busy_accum = 0.0;
@@ -228,54 +223,9 @@ class Run {
   void note_queue_change(LinkState& ls, double now) {
     const double from = std::max(ls.last_q_change, cfg_.warmup_s);
     if (now > from) {
-      ls.q_integral += static_cast<double>(ls.total_queued) * (now - from);
+      ls.q_integral += static_cast<double>(ls.queue.size()) * (now - from);
     }
     ls.last_q_change = now;
-  }
-
-  // Dequeues the next packet according to the scheduling discipline;
-  // returns false when all class queues are empty.
-  bool dequeue_next(LinkState& ls, Packet* out) {
-    if (ls.total_queued == 0) return false;
-    switch (cfg_.scheduling) {
-      case Scheduling::kFifo:
-      case Scheduling::kStrictPriority: {
-        // FIFO stores everything in queues[0]; strict priority serves the
-        // lowest-index (highest-priority) non-empty class.
-        for (auto& q : ls.queues) {
-          if (q.empty()) continue;
-          *out = q.front();
-          q.pop_front();
-          --ls.total_queued;
-          return true;
-        }
-        return false;
-      }
-      case Scheduling::kDeficitRoundRobin: {
-        const int classes = static_cast<int>(ls.queues.size());
-        for (;;) {
-          auto& q = ls.queues[static_cast<std::size_t>(ls.drr_pos)];
-          double& deficit = ls.deficit[static_cast<std::size_t>(ls.drr_pos)];
-          if (q.empty()) {
-            deficit = 0.0;  // standard DRR: empty queues lose their deficit
-            ls.drr_pos = (ls.drr_pos + 1) % classes;
-            continue;
-          }
-          if (deficit >= q.front().size_bits) {
-            *out = q.front();
-            q.pop_front();
-            --ls.total_queued;
-            deficit -= out->size_bits;
-            return true;
-          }
-          deficit += cfg_.drr_quantum_bits;
-          if (deficit < q.front().size_bits) {
-            ls.drr_pos = (ls.drr_pos + 1) % classes;
-          }
-        }
-      }
-    }
-    return false;
   }
 
   void start_service(topo::LinkId id, LinkState& ls, const Packet& pkt,
@@ -294,22 +244,15 @@ class Run {
       start_service(id, ls, pkt, now);
       return;
     }
-    // FIFO keeps one shared queue; schedulers queue per class.
-    const std::size_t qi =
-        cfg_.scheduling == Scheduling::kFifo
-            ? 0
-            : static_cast<std::size_t>(pkt.cls);
-    PacketRing& q = ls.queues[qi];
     if (cfg_.link_buffer_pkts > 0 &&
-        static_cast<int>(q.size()) >= cfg_.link_buffer_pkts) {
+        static_cast<int>(ls.queue.size()) >= cfg_.link_buffer_pkts) {
       ++ls.drops;
       ++path_drops_[static_cast<std::size_t>(pkt.pair_idx)];
       return;
     }
     note_queue_change(ls, now);
-    q.push_back(pkt);
-    ++ls.total_queued;
-    ls.peak_queue = std::max(ls.peak_queue, ls.total_queued);
+    ls.queue.push_back(pkt);
+    ls.peak_queue = std::max(ls.peak_queue, ls.queue.size());
   }
 
   void deliver(const Packet& pkt, double now) {
@@ -365,8 +308,9 @@ class Run {
     }
     // Close the queue-length integral at the pre-dequeue length.
     note_queue_change(ls, now);
-    Packet next;
-    if (dequeue_next(ls, &next)) {
+    if (!ls.queue.empty()) {
+      const Packet next = ls.queue.front();
+      ls.queue.pop_front();
       start_service(id, ls, next, now);
     }
   }
@@ -378,7 +322,6 @@ class Run {
     pkt.created_s = now;
     pkt.pair_idx = flow_idx;
     pkt.hop = 0;
-    pkt.cls = flow_class_[static_cast<std::size_t>(flow_idx)];
     ++packets_created_;
     deliver(pkt, now);
     const double next = next_arrival_time(f, now);
@@ -406,7 +349,6 @@ class Run {
   std::vector<double> capacity_bps_;
   std::vector<double> prop_delay_s_;
   std::vector<FlowState> flows_;
-  std::vector<std::int32_t> flow_class_;
   std::vector<LinkState> links_;
   std::vector<Welford> path_delay_;
   std::vector<std::size_t> path_drops_;
@@ -418,18 +360,8 @@ class Run {
 
 SimResult Run::execute() {
   obs::TraceSpan run_span("sim.run");
-  RN_CHECK(cfg_.horizon_s > cfg_.warmup_s, "horizon must exceed warmup");
   const int num_pairs = topo_.num_pairs();
   flows_.resize(static_cast<std::size_t>(num_pairs));
-  flow_class_.resize(static_cast<std::size_t>(num_pairs), 0);
-  for (int idx = 0; idx < num_pairs; ++idx) {
-    if (cfg_.class_of_flow) {
-      const int cls = cfg_.class_of_flow(idx);
-      RN_CHECK(cls >= 0 && cls < cfg_.num_classes,
-               "class_of_flow returned an out-of-range class");
-      flow_class_[static_cast<std::size_t>(idx)] = cls;
-    }
-  }
   const int num_links = topo_.num_links();
   route_begin_.assign(1, 0);
   route_begin_.reserve(static_cast<std::size_t>(num_pairs) + 1);
@@ -449,14 +381,6 @@ SimResult Run::execute() {
   }
   heap_.reserve(static_cast<std::size_t>(num_pairs + num_links));
   links_.resize(static_cast<std::size_t>(num_links));
-  const std::size_t queue_count =
-      cfg_.scheduling == Scheduling::kFifo
-          ? 1
-          : static_cast<std::size_t>(cfg_.num_classes);
-  for (LinkState& ls : links_) {
-    ls.queues.resize(queue_count);
-    ls.deficit.assign(queue_count, 0.0);
-  }
   path_delay_.resize(static_cast<std::size_t>(num_pairs));
   path_drops_.assign(static_cast<std::size_t>(num_pairs), 0);
   if (cfg_.collect_samples) {
@@ -595,10 +519,6 @@ PacketSimulator::PacketSimulator(SimConfig cfg) : cfg_(std::move(cfg)) {
   RN_CHECK(cfg_.warmup_s >= 0.0, "warmup must be non-negative");
   RN_CHECK(cfg_.horizon_s > cfg_.warmup_s, "horizon must exceed warmup");
   RN_CHECK(cfg_.link_buffer_pkts >= 0, "buffer size must be non-negative");
-  RN_CHECK(cfg_.num_classes >= 1, "need at least one traffic class");
-  RN_CHECK(cfg_.scheduling == Scheduling::kFifo || cfg_.num_classes >= 1,
-           "non-FIFO scheduling needs classes");
-  RN_CHECK(cfg_.drr_quantum_bits > 0.0, "DRR quantum must be positive");
 }
 
 SimResult PacketSimulator::run(const topo::Topology& topo,

@@ -11,14 +11,13 @@
 // sequence), a total order, so a run is a pure function of its inputs and
 // seed. A handler's first new event replaces the root it was popped from.
 // With zero propagation delay a hop costs one event, the service
-// completion; a packet in propagation waits in a slot pool. Link queues
-// are power-of-two rings, one per class, shared by all three disciplines,
-// and each run flattens the routing and link attributes it reads into
-// arrays. docs/performance.md ("Packet simulator") has the numbers.
+// completion; a packet in propagation waits in a slot pool. Each link's
+// queue is one power-of-two ring, and each run flattens the routing and
+// link attributes it reads into arrays. docs/performance.md ("Packet
+// simulator") has the numbers.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "routing/routing.h"
@@ -27,16 +26,6 @@
 #include "util/rng.h"
 
 namespace rn::sim {
-
-// Output-queue scheduling discipline per link. kFifo is the paper's
-// setting; the other two are QoS extensions (the direction later RouteNet
-// variants explored) used by the scheduling tests and examples.
-enum class Scheduling {
-  kFifo,            // single queue, arrival order
-  kStrictPriority,  // class 0 always preempts class 1 (non-preemptive of
-                    // the packet in service)
-  kDeficitRoundRobin,  // byte-fair service between classes
-};
 
 struct SimConfig {
   // Statistics only count packets created at or after warmup_s.
@@ -48,20 +37,11 @@ struct SimConfig {
   std::uint64_t seed = 1;
   traffic::TrafficModel model;
   // Per-link queue capacity in packets (excluding the one in service);
-  // 0 means infinite (pure delay, no loss). With multiple classes the cap
-  // applies per class queue.
+  // 0 means infinite (pure delay, no loss).
   int link_buffer_pkts = 0;
   // Keep up to max_samples_per_path raw delays (reservoir) for percentiles.
   bool collect_samples = false;
   std::size_t max_samples_per_path = 256;
-
-  Scheduling scheduling = Scheduling::kFifo;
-  int num_classes = 1;  // >1 only meaningful with non-FIFO scheduling
-  // Maps a flow (pair index) to its class in [0, num_classes); null means
-  // every flow is class 0.
-  std::function<int(int pair_idx)> class_of_flow;
-  // DRR quantum in bits added to a class's deficit per visit.
-  double drr_quantum_bits = 1500.0;
 };
 
 struct PathStats {
@@ -75,7 +55,7 @@ struct PathStats {
 struct LinkStats {
   double utilization = 0.0;      // busy fraction of post-warmup time
   double mean_queue_pkts = 0.0;  // time-averaged waiting-queue length
-  std::size_t peak_queue_pkts = 0;  // max waiting packets (all classes)
+  std::size_t peak_queue_pkts = 0;  // max waiting packets
   std::size_t tx_pkts = 0;
   std::size_t drops = 0;
 };
@@ -90,7 +70,7 @@ struct SimResult {
 
   // Whole-run packet accounting (warmup included, unlike PathStats):
   // packets_created == packets_delivered + packets_dropped +
-  // packets_in_flight holds for every scheduling discipline.
+  // packets_in_flight.
   std::size_t packets_delivered = 0;
   std::size_t packets_dropped = 0;
   // Neither delivered nor dropped at the end. The run drains after the

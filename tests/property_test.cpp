@@ -192,59 +192,6 @@ TEST_P(SimInvariants, ConservationAndBounds) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimInvariants,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
-// --- Scheduling disciplines preserve core invariants --------------------------
-
-class SchedulerSweep : public ::testing::TestWithParam<sim::Scheduling> {};
-
-TEST_P(SchedulerSweep, ConservationHoldsUnderEveryDiscipline) {
-  const topo::Topology t = topo::gbn();
-  Rng rng(31);
-  const routing::RoutingScheme scheme =
-      routing::random_k_shortest_routing(t, 2, rng);
-  traffic::TrafficMatrix tm =
-      traffic::uniform_traffic(t.num_nodes(), 20.0, 120.0, rng);
-  traffic::scale_to_max_utilization(tm, t, scheme, 0.7);
-  sim::SimConfig cfg;
-  cfg.warmup_s = 0.5;
-  cfg.horizon_s = 20.5;
-  cfg.scheduling = GetParam();
-  cfg.num_classes = 2;
-  cfg.class_of_flow = [](int idx) { return idx % 2; };
-  const sim::SimResult res = sim::PacketSimulator(cfg).run(t, scheme, tm);
-  std::size_t delivered = 0;
-  for (const sim::PathStats& ps : res.paths) delivered += ps.delivered;
-  EXPECT_GT(delivered, 0u);
-  EXPECT_LE(delivered, res.packets_created);
-  for (const sim::LinkStats& ls : res.links) {
-    EXPECT_LE(ls.utilization, 1.0);
-    EXPECT_GE(ls.mean_queue_pkts, 0.0);
-  }
-}
-
-TEST_P(SchedulerSweep, LowLoadAllDisciplinesAgree) {
-  // With no queueing contention the discipline is irrelevant: delays are
-  // transmission-time dominated and must match across schedulers.
-  const topo::Topology t = topo::ring(5, 100'000.0);
-  const routing::RoutingScheme scheme = routing::shortest_path_routing(t);
-  traffic::TrafficMatrix tm(5);
-  tm.set_rate_bps(0, 2, 500.0);  // ρ ≈ 0.005
-  sim::SimConfig cfg;
-  cfg.warmup_s = 1.0;
-  cfg.horizon_s = 2'001.0;
-  cfg.scheduling = GetParam();
-  cfg.num_classes = 2;
-  const sim::SimResult res = sim::PacketSimulator(cfg).run(t, scheme, tm);
-  const auto idx = static_cast<std::size_t>(topo::pair_index(0, 2, 5));
-  // Two hops at 100 kbps, 1000-bit mean packets → ~20 ms.
-  EXPECT_NEAR(res.paths[idx].mean_delay_s, 0.020, 0.004);
-}
-
-INSTANTIATE_TEST_SUITE_P(Disciplines, SchedulerSweep,
-                         ::testing::Values(
-                             sim::Scheduling::kFifo,
-                             sim::Scheduling::kStrictPriority,
-                             sim::Scheduling::kDeficitRoundRobin));
-
 // --- BA generator across attachment counts ------------------------------------
 
 class BaSweep : public ::testing::TestWithParam<int> {};
