@@ -46,7 +46,7 @@ ValueId GruCell::step(Tape& tape, ValueId x, ValueId h) const {
   return tape.gru_step(x, h, weights());
 }
 
-GruProjection GruCell::project(const Tape& tape, ValueId x_src) const {
+GruProjection GruCell::project(Tape& tape, ValueId x_src) const {
   return tape.gru_project(x_src, weights());
 }
 

@@ -49,13 +49,13 @@ class GruCell {
   // composed_gru_step().
   ValueId step(Tape& tape, ValueId x, ValueId h) const;
 
-  // The input projections x_src·Wz, x_src·Wr, x_src·Wh, made once per
-  // x_src value and handed to every Tape::gru_step_gathered that reads it:
-  // one fused gru_step node per call, with x = x_src[x_idx] and
-  // h = h_src[h_idx], whose x-side gate terms are the x_idx rows of the
-  // projection. RouteNet's per-hop path update. Drop the projection once
-  // its last step has run.
-  GruProjection project(const Tape& tape, ValueId x_src) const;
+  // The input projections x_src·Wz, x_src·Wr, x_src·Wh, recorded once per
+  // x_src value as one node and handed to every Tape::gru_step_gathered
+  // that reads it: one fused gru_step node per call, with x = x_src[x_idx]
+  // and h = h_src[h_idx], whose x-side gate terms are the x_idx rows of the
+  // projection. RouteNet's per-hop path update. Release the projection's
+  // id() once its last step has run.
+  GruProjection project(Tape& tape, ValueId x_src) const;
 
   // The cell's nine parameters as fused-op references.
   GruWeights weights() const;

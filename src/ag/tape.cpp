@@ -13,7 +13,8 @@ ValueId Tape::record(Node n) {
     return id != kInvalidValue && node(id).needs_grad;
   };
   n.needs_grad = n.op == Op::kParam || n.op == Op::kGruStep ||
-                 n.op == Op::kGruStepGathered || needs(n.a) || needs(n.b);
+                 n.op == Op::kGruProject || n.op == Op::kGruStepGathered ||
+                 needs(n.a) || needs(n.b);
   for (ValueId src : n.srcs) n.needs_grad = n.needs_grad || needs(src);
   if (recording()) {
     const Saved& s = kSaved[static_cast<std::size_t>(n.op)];
@@ -289,17 +290,30 @@ ValueId Tape::segment_sum(ValueId a, const std::vector<int>& seg,
 
 ValueId Tape::gru_step(ValueId x, ValueId h, const GruWeights& w) {
   static const std::vector<int> kNoGather;
-  return gru_step_impl(Op::kGruStep, x, h, w, kNoGather, kNoGather, nullptr);
+  return gru_step_impl(Op::kGruStep, x, h, w, kNoGather, kNoGather);
 }
 
-GruProjection Tape::gru_project(ValueId x_src, const GruWeights& w) const {
+// Each row block of the value is what ag::matmul(x_src, W) would return:
+// the same zeroed rows and the same row-chunked kernel calls.
+GruProjection Tape::gru_project(ValueId x_src, const GruWeights& w) {
   RN_CHECK(w.wz && w.wr && w.wh, "gru_project: incomplete GruWeights");
   const Tensor& xs = input(x_src);
-  RN_CHECK(xs.cols() == w.wz->value.rows(),
-           "gru_project: x_src width does not match the weights");
-  return GruProjection(this, x_src, w, ag::matmul(xs, w.wz->value),
-                       ag::matmul(xs, w.wr->value),
-                       ag::matmul(xs, w.wh->value));
+  const int links = xs.rows(), cols = w.wz->value.cols();
+  for (const Parameter* p : {w.wz, w.wr, w.wh}) {
+    RN_CHECK(p->value.rows() == xs.cols() && p->value.cols() == cols,
+             "gru_project: x_src width does not match the weights");
+  }
+  Tensor v(3 * links, cols);
+  matmul_into(xs, w.wz->value, v.row(0));
+  matmul_into(xs, w.wr->value, v.row(links));
+  matmul_into(xs, w.wh->value, v.row(2 * links));
+  std::unique_ptr<GruAux> aux;
+  if (recording()) aux = std::make_unique<GruAux>(w);
+  const ValueId id = record({.op = Op::kGruProject,
+                             .a = x_src,
+                             .value = std::move(v),
+                             .gru = std::move(aux)});
+  return GruProjection(this, id, w);
 }
 
 ValueId Tape::gru_step_gathered(const GruProjection& xw,
@@ -310,16 +324,16 @@ ValueId Tape::gru_step_gathered(const GruProjection& xw,
   RN_CHECK(x_idx.size() == h_idx.size(),
            "gru_step_gathered: one x row per h row");
   RN_CHECK(!x_idx.empty(), "gru_step_gathered: no rows to gather");
-  const Tensor& xs = input(xw.x_src_);
+  const int links = input(xw.id_).rows() / 3;
   const Tensor& hs = input(h_src);
   for (int i : x_idx) {
-    RN_CHECK(i >= 0 && i < xs.rows(), "gru_step x index out of range");
+    RN_CHECK(i >= 0 && i < links, "gru_step x index out of range");
   }
   for (int i : h_idx) {
     RN_CHECK(i >= 0 && i < hs.rows(), "gru_step h index out of range");
   }
-  return gru_step_impl(Op::kGruStepGathered, xw.x_src_, h_src, xw.w_, x_idx,
-                       h_idx, &xw);
+  return gru_step_impl(Op::kGruStepGathered, xw.id_, h_src, xw.w_, x_idx,
+                       h_idx);
 }
 
 // The forward replicates the composed GruCell::step arithmetic exactly:
@@ -328,9 +342,10 @@ ValueId Tape::gru_step_gathered(const GruProjection& xw,
 // separate tape nodes performed, so the fused value is bitwise identical.
 // The two matmuls per gate stay separate (summing the second result into
 // the first, not accumulating into one buffer) because that is the rounding
-// order the composed kAdd node produced. The gathered variant takes the
-// x-side product as the x_idx rows of the projection xw, which are bitwise
-// the rows x[x_idx]·W would give.
+// order the composed kAdd node produced. The gathered variant's operand a
+// is a kGruProject node, and it takes each x-side product as the x_idx rows
+// of that node's block for the gate, which are bitwise the rows x[x_idx]·W
+// would give.
 //
 // The rows run in kern::kTileRows-row tiles, each carried from its gathers
 // to its output rows before the next starts, so a tile's intermediates stay
@@ -342,8 +357,7 @@ ValueId Tape::gru_step_gathered(const GruProjection& xw,
 // the gathered h straight into the node's GruAux rows instead of scratch.
 ValueId Tape::gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
                             const std::vector<int>& x_idx,
-                            const std::vector<int>& h_idx,
-                            const GruProjection* xw) {
+                            const std::vector<int>& h_idx) {
   RN_CHECK(w.wz && w.uz && w.bz && w.wr && w.ur && w.br && w.wh && w.uh &&
                w.bh,
            "gru_step: incomplete GruWeights");
@@ -362,10 +376,15 @@ ValueId Tape::gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
   }
   const Tensor& hs = input(b);
   RN_CHECK(hs.cols() == cols, "gru_step hidden dim does not match weights");
-  const bool gathered = !h_idx.empty();
+  const bool gathered = op == Op::kGruStepGathered;
   const int rows = gathered ? static_cast<int>(h_idx.size()) : hs.rows();
   const Tensor* x = nullptr;
-  if (xw == nullptr) {
+  const float* projected[3] = {};  // the z, r and h blocks of a projection
+  if (gathered) {
+    const Tensor& p = input(a);
+    const auto block = static_cast<std::size_t>(p.rows() / 3) * cols;
+    for (int k = 0; k < 3; ++k) projected[k] = p.data() + k * block;
+  } else {
     x = &input(a);
     RN_CHECK(x->rows() == rows, "gru_step row mismatch");
     RN_CHECK(x->cols() == in_dim, "gru_step input dim does not match weights");
@@ -413,11 +432,11 @@ ValueId Tape::gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
         K.gather_rows(hs.data(), h_idx.data() + t0, n, cols, hg);
         h = hg;
       }
-      auto gate = [&](float* pre, const Tensor* projected, const Parameter& wp,
+      auto gate = [&](float* pre, const float* xw, const Parameter& wp,
                       const float* in, const Parameter& up,
                       const Parameter& bp) {
-        if (projected != nullptr) {
-          K.gather_rows(projected->data(), x_idx.data() + t0, n, cols, pre);
+        if (xw != nullptr) {
+          K.gather_rows(xw, x_idx.data() + t0, n, cols, pre);
         } else {
           std::memset(pre, 0, count * sizeof(float));
           K.matmul_block(x->row(t0), wp.value.data(), pre, 0, n, in_dim,
@@ -428,13 +447,13 @@ ValueId Tape::gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
         K.axpy(pre, hu, 1.0f, count);
         K.add_bias_rows(pre, bp.value.data(), n, cols);
       };
-      gate(z, xw ? &xw->xz_ : nullptr, *w.wz, h, *w.uz, *w.bz);
+      gate(z, projected[0], *w.wz, h, *w.uz, *w.bz);
       K.sigmoid_inplace(z, count);
-      gate(r, xw ? &xw->xr_ : nullptr, *w.wr, h, *w.ur, *w.br);
+      gate(r, projected[1], *w.wr, h, *w.ur, *w.br);
       K.sigmoid_inplace(r, count);
       std::memcpy(rh, r, count * sizeof(float));
       K.mul_inplace(rh, h, count);
-      gate(hc, xw ? &xw->xh_ : nullptr, *w.wh, rh, *w.uh, *w.bh);
+      gate(hc, projected[2], *w.wh, rh, *w.uh, *w.bh);
       K.tanh_inplace(hc, count);
       K.gru_blend(z, h, hc, v.data() + offset, count);
     }
@@ -507,6 +526,28 @@ void Tape::backward(ValueId root) {
     }
   }
 }
+
+namespace {
+
+// The x side of a GRU backward, over the rows of x: with da_z, da_r and
+// da_h the x.rows()×d gate pre-activation gradients, adds xᵀ·da into Wz,
+// Wr and Wh's gradients and, when gx is given, dx = da_h·Whᵀ + da_r·Wrᵀ +
+// da_z·Wzᵀ into *gx.
+void gru_input_backward(const GruWeights& w, const Tensor& x,
+                        const float* da_z, const float* da_r,
+                        const float* da_h, Tensor* gx) {
+  const int d = w.wz->value.cols();
+  w.wh->grad.add_scaled(matmul_tn(x, da_h, d), 1.0f);
+  w.wr->grad.add_scaled(matmul_tn(x, da_r, d), 1.0f);
+  w.wz->grad.add_scaled(matmul_tn(x, da_z, d), 1.0f);
+  if (gx == nullptr) return;
+  Tensor dx = matmul_nt(da_h, x.rows(), w.wh->value);
+  dx.add_scaled(matmul_nt(da_r, x.rows(), w.wr->value), 1.0f);
+  dx.add_scaled(matmul_nt(da_z, x.rows(), w.wz->value), 1.0f);
+  gx->add_scaled(dx, 1.0f);
+}
+
+}  // namespace
 
 void Tape::backward_node(ValueId id) {
   Node& n = node(id);
@@ -701,28 +742,27 @@ void Tape::backward_node(ValueId id) {
       //   h' = (1−z)∘h + z∘hc,  hc = tanh(a_h),  z = σ(a_z),  r = σ(a_r),
       // the chain gives
       //   dz = g∘(hc−h),  dhc = g∘z,  dh += g∘(1−z)
-      //   da_h = dhc∘(1−hc²) → Wh/Uh/bh grads, dx += da_h·Whᵀ,
-      //     drh = da_h·Uhᵀ → dr = drh∘h, dh += drh∘r
-      //   da_r = dr∘r∘(1−r),  da_z = dz∘z∘(1−z) → remaining grads.
+      //   da_h = dhc∘(1−hc²) → Uh/bh grads, drh = da_h·Uhᵀ → dr = drh∘h,
+      //     dh += drh∘r
+      //   da_r = dr∘r∘(1−r),  da_z = dz∘z∘(1−z) → remaining h-side grads
+      //   and the x side: Wz/Wr/Wh grads and dx, from da_z, da_r and da_h.
+      // A gathered step hands its x side to its kGruProject node instead,
+      // which runs it once over the link rows.
       // Parameter gradients accumulate straight into the live Parameters,
       // so backward() must precede the optimizer step.
       GruAux& A = *n.gru;
       const kern::Ops& K = kern::active();
+      const bool gathered = n.op == Op::kGruStepGathered;
       const int rows = g.rows(), cols = g.cols();
-      Tensor xg;  // x re-gathered from the saved x_src: a plain row copy
-      if (!A.x_idx.empty()) {
-        const Tensor& xs = saved_value(n.a);
-        xg = Tensor(rows, xs.cols());
-        K.gather_rows(xs.data(), A.x_idx.data(), rows, xs.cols(), xg.data());
-      }
-      const Tensor& x = A.x_idx.empty() ? saved_value(n.a) : xg;
-      const Tensor& h = A.h_idx.empty() ? saved_value(n.b) : A.hg;
+      const Tensor& h = gathered ? A.hg : saved_value(n.b);
       const auto count = static_cast<std::size_t>(g.size());
 
-      Tensor dh(rows, cols);    // grad wrt the (gathered) previous hidden
-      Tensor da_h(rows, cols);  // grad wrt the candidate pre-activation
-      Tensor da_r(rows, cols);
-      Tensor da_z(rows, cols);
+      // The loops below write every element of these before any is read.
+      auto full = [&] { return Tensor::uninitialized(rows, cols); };
+      Tensor dh = full();    // grad wrt the (gathered) previous hidden
+      Tensor da_h = full();  // grad wrt the candidate pre-activation
+      Tensor da_r = full();
+      Tensor da_z = full();
       for (std::size_t i = 0; i < count; ++i) {
         const float gv = g[i];
         const float z = A.z[i];
@@ -734,10 +774,8 @@ void Tape::backward_node(ValueId id) {
 
       Tensor rh = A.r;
       K.mul_inplace(rh.data(), h.data(), count);
-      A.w.wh->grad.add_scaled(matmul_tn(x, da_h), 1.0f);
       A.w.uh->grad.add_scaled(matmul_tn(rh, da_h), 1.0f);
       K.colsum_add(A.w.bh->grad.data(), da_h.data(), rows, cols);
-      Tensor dx = matmul_nt(da_h, A.w.wh->value);
       const Tensor drh = matmul_nt(da_h, A.w.uh->value);
       for (std::size_t i = 0; i < count; ++i) {
         const float r = A.r[i];
@@ -745,36 +783,43 @@ void Tape::backward_node(ValueId id) {
         da_r[i] = drh[i] * h[i] * r * (1.0f - r);
       }
 
-      A.w.wr->grad.add_scaled(matmul_tn(x, da_r), 1.0f);
       A.w.ur->grad.add_scaled(matmul_tn(h, da_r), 1.0f);
       K.colsum_add(A.w.br->grad.data(), da_r.data(), rows, cols);
-      dx.add_scaled(matmul_nt(da_r, A.w.wr->value), 1.0f);
       dh.add_scaled(matmul_nt(da_r, A.w.ur->value), 1.0f);
 
-      A.w.wz->grad.add_scaled(matmul_tn(x, da_z), 1.0f);
       A.w.uz->grad.add_scaled(matmul_tn(h, da_z), 1.0f);
       K.colsum_add(A.w.bz->grad.data(), da_z.data(), rows, cols);
-      dx.add_scaled(matmul_nt(da_z, A.w.wz->value), 1.0f);
       dh.add_scaled(matmul_nt(da_z, A.w.uz->value), 1.0f);
 
-      if (node(n.a).needs_grad) {
-        Tensor& ga = grad_buffer(n.a);
-        if (A.x_idx.empty()) {
-          ga.add_scaled(dx, 1.0f);
-        } else {
-          K.indexed_row_add(ga.data(), A.x_idx.data(), rows, dx.cols(),
-                            dx.data());
-        }
+      if (gathered) {
+        // The projection's gradient stacks one L×cols block per gate.
+        Tensor& gp = grad_buffer(n.a);
+        const auto block = static_cast<std::size_t>(gp.rows() / 3) * cols;
+        K.indexed_row_add(gp.data(), A.x_idx.data(), rows, cols,
+                          da_z.data());
+        K.indexed_row_add(gp.data() + block, A.x_idx.data(), rows, cols,
+                          da_r.data());
+        K.indexed_row_add(gp.data() + 2 * block, A.x_idx.data(), rows, cols,
+                          da_h.data());
+      } else {
+        gru_input_backward(A.w, saved_value(n.a), da_z.data(), da_r.data(),
+                           da_h.data(), propagate(n.a));
       }
-      if (node(n.b).needs_grad) {
-        Tensor& gb = grad_buffer(n.b);
-        if (A.h_idx.empty()) {
-          gb.add_scaled(dh, 1.0f);
-        } else {
-          K.indexed_row_add(gb.data(), A.h_idx.data(), rows, cols,
+      if (Tensor* gb = propagate(n.b)) {
+        if (gathered) {
+          K.indexed_row_add(gb->data(), A.h_idx.data(), rows, cols,
                             dh.data());
+        } else {
+          gb->add_scaled(dh, 1.0f);
         }
       }
+      break;
+    }
+    case Op::kGruProject: {
+      const Tensor& x = saved_value(n.a);
+      const auto block = static_cast<std::size_t>(x.rows()) * g.cols();
+      gru_input_backward(n.gru->w, x, g.data(), g.data() + block,
+                         g.data() + 2 * block, propagate(n.a));
       break;
     }
   }

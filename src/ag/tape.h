@@ -83,33 +83,32 @@ struct GruWeights {
 class Tape;
 
 // The input projections x_src·Wz, x_src·Wr and x_src·Wh of one GRU cell over
-// every row of x_src, made by Tape::gru_project. gru_step_gathered reads its
-// x-side gate terms as rows of these products instead of gathering x and
-// multiplying it again, so a path update that visits each link state many
-// times per message-passing round multiplies each row once. A matmul output
-// row depends on its A row alone (ag/tensor.h), so the gathered product
-// rows are bitwise the products of the gathered rows.
+// every row of x_src, recorded by Tape::gru_project as one kGruProject node
+// whose value stacks the three L×d products as row blocks [z; r; h].
+// gru_step_gathered reads its x-side gate terms as rows of these products
+// instead of gathering x and multiplying it again, so a path update that
+// visits each link state many times per message-passing round multiplies
+// each row once. A matmul output row depends on its A row alone
+// (ag/tensor.h), so the gathered product rows are bitwise the products of
+// the gathered rows. The backward mirrors this: each step adds its gate
+// gradients into the x_idx rows of the node's gradient, and the node runs
+// the x-side weight gradients and dx_src once, over the L rows of x_src.
 //
-// Not a tape node: it owns three plain tensors and frees them when it goes
-// out of scope. It carries the x_src value and the weights it was made
-// from, so gru_step_gathered reads both from it; it also remembers its
-// tape, and gru_step_gathered rejects it on any other.
+// The handle names the node, the weights it was made from, and its tape;
+// gru_step_gathered reads the weights from it and rejects it on any other
+// tape. Release id() once the last step that reads it has run.
 class GruProjection {
+ public:
+  ValueId id() const { return id_; }
+
  private:
   friend class Tape;
-  GruProjection(const Tape* tape, ValueId x_src, const GruWeights& w,
-                Tensor xz, Tensor xr, Tensor xh)
-      : tape_(tape),
-        x_src_(x_src),
-        w_(w),
-        xz_(std::move(xz)),
-        xr_(std::move(xr)),
-        xh_(std::move(xh)) {}
+  GruProjection(const Tape* tape, ValueId id, const GruWeights& w)
+      : tape_(tape), id_(id), w_(w) {}
 
   const Tape* tape_;
-  ValueId x_src_;
+  ValueId id_;
   GruWeights w_;
-  Tensor xz_, xr_, xh_;
 };
 
 enum class TapeMode : std::uint8_t { kRecord, kForwardOnly };
@@ -193,16 +192,17 @@ class Tape {
   ValueId gru_step(ValueId x, ValueId h, const GruWeights& w);
 
   // x_src·Wz, x_src·Wr and x_src·Wh for the gru_step_gathered calls that
-  // read x_src with weights w. Records nothing.
-  GruProjection gru_project(ValueId x_src, const GruWeights& w) const;
+  // read x_src with weights w, recorded as one node (see GruProjection).
+  GruProjection gru_project(ValueId x_src, const GruWeights& w);
 
   // gru_step with both inputs gathered inside the node, on the x_src and
   // weights of the projection xw (made on this tape):
   // x = x_src[x_idx], h = h_src[h_idx], for at least one row. The x-side
   // gate terms are the x_idx rows of xw. Fuses the two gather_rows nodes of
-  // the message-passing path update; the backward re-gathers x from the
-  // saved x_src and scatters dx/dh back into the source states' gradients
-  // (ascending-index accumulation). The indices are borrowed for the call.
+  // the message-passing path update; the backward adds the gate gradients
+  // into the x_idx rows of xw's gradient and dh into the h_idx rows of
+  // h_src's (ascending-index accumulation). The indices are borrowed for
+  // the call.
   ValueId gru_step_gathered(const GruProjection& xw,
                             const std::vector<int>& x_idx, ValueId h_src,
                             const std::vector<int>& h_idx);
@@ -237,7 +237,7 @@ class Tape {
     kConstant, kParam, kMatmul, kAdd, kSub, kMul, kAddBias, kScale,
     kScaleRows, kOneMinus, kSigmoid, kTanh, kRelu, kConcatRows, kGatherRows,
     kScatterRows, kSegmentSum, kReduceMean, kMse, kDropout, kGruStep,
-    kGruStepGathered,
+    kGruProject, kGruStepGathered,
     kLast = kGruStepGathered,
   };
 
@@ -271,21 +271,23 @@ class Tape {
       {true, false, false},   // kMse: pred
       {false, false, false},  // kDropout
       {true, true, false},    // kGruStep: x and h
-      {true, false, false},   // kGruStepGathered: x_src (h is gathered into
-                              // GruAux::hg)
+      {true, false, false},   // kGruProject: x_src
+      {false, false, false},  // kGruStepGathered: h is gathered into
+                              // GruAux::hg, and x enters through the
+                              // projection's gradient
   };
   static_assert(std::size(kSaved) == static_cast<std::size_t>(Op::kLast) + 1,
                 "one kSaved row per Op");
 
   // Fused-GRU node state: parameter references, the optional gather indices,
   // the gathered hidden input, and the three activations the backward pass
-  // needs (everything else is recomputed from them). The forward never
-  // builds the gathered x (its gate terms come from a GruProjection); the
-  // backward re-gathers it from the saved x_src: x_src is the small link
-  // state, while h_src is the full path state, so hg stays materialized.
-  // Only a recording tape builds one: its forward allocates hg, z, r and hc
-  // at full size up front and each row tile writes its rows of them in
-  // place, where a forward-only tape keeps them in per-chunk tile scratch.
+  // needs (everything else is recomputed from them). A gathered step builds
+  // no gathered x in either pass: its x-side terms are rows of a
+  // kGruProject node, whose own GruAux holds only the weights. h_src is the
+  // full path state, so hg stays materialized. Only a recording tape builds
+  // one: its step forward allocates hg, z, r and hc at full size up front
+  // and each row tile writes its rows of them in place, where a
+  // forward-only tape keeps them in per-chunk tile scratch.
   struct GruAux {
     GruWeights w;
     std::vector<int> x_idx, h_idx;  // empty → the input id is used directly
@@ -312,7 +314,7 @@ class Tape {
     // Loss target / dropout mask / kScaleRows factors as an N×1 column
     // (recording).
     Tensor aux_tensor{};
-    std::unique_ptr<GruAux> gru{};  // kGruStep* on a recording tape only
+    std::unique_ptr<GruAux> gru{};  // kGru* on a recording tape only
   };
 
   // Appends n: the one place a node enters the tape. It needs a gradient
@@ -321,8 +323,7 @@ class Tape {
   ValueId record(Node n);
   ValueId gru_step_impl(Op op, ValueId a, ValueId b, const GruWeights& w,
                         const std::vector<int>& x_idx,
-                        const std::vector<int>& h_idx,
-                        const GruProjection* xw);
+                        const std::vector<int>& h_idx);
   Node& node(ValueId id);
   const Node& node(ValueId id) const;
   // An op operand's value; fails if it was released.

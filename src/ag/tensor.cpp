@@ -142,37 +142,49 @@ void set_matmul_parallel_threshold(long long macs) {
   g_parallel_macs.store(std::max(0LL, macs), std::memory_order_relaxed);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
+void matmul_into(const Tensor& a, const Tensor& b, float* c) {
   RN_CHECK(a.cols() == b.rows(), "matmul inner-dimension mismatch");
-  Tensor c(a.rows(), b.cols());
   const int m = a.rows(), k = a.cols(), n = b.cols();
   const kern::Ops& ops = kern::active();
   parallel_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
-    ops.matmul_block(a.row(0), b.row(0), c.row(0), r0, r1, k, n);
+    ops.matmul_block(a.data(), b.data(), c, r0, r1, k, n);
+  });
+}
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  Tensor c(a.rows(), b.cols());
+  matmul_into(a, b, c.data());
+  return c;
+}
+
+Tensor matmul_tn(const Tensor& a, const float* b, int b_cols) {
+  Tensor c(a.cols(), b_cols);
+  const int m = a.cols(), k = a.rows(), n = b_cols;
+  const kern::Ops& ops = kern::active();
+  parallel_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
+    ops.matmul_tn_block(a.data(), b, c.data(), r0, r1, m, k, n);
   });
   return c;
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   RN_CHECK(a.rows() == b.rows(), "matmul_tn dimension mismatch");
-  Tensor c(a.cols(), b.cols());
-  const int m = a.cols(), k = a.rows(), n = b.cols();
+  return matmul_tn(a, b.data(), b.cols());
+}
+
+Tensor matmul_nt(const float* a, int a_rows, const Tensor& b) {
+  Tensor c(a_rows, b.rows());
+  const int m = a_rows, k = b.cols(), n = b.rows();
   const kern::Ops& ops = kern::active();
   parallel_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
-    ops.matmul_tn_block(a.row(0), b.row(0), c.row(0), r0, r1, m, k, n);
+    ops.matmul_nt_block(a, b.data(), c.data(), r0, r1, k, n);
   });
   return c;
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   RN_CHECK(a.cols() == b.cols(), "matmul_nt dimension mismatch");
-  Tensor c(a.rows(), b.rows());
-  const int m = a.rows(), k = a.cols(), n = b.rows();
-  const kern::Ops& ops = kern::active();
-  parallel_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
-    ops.matmul_nt_block(a.row(0), b.row(0), c.row(0), r0, r1, k, n);
-  });
-  return c;
+  return matmul_nt(a.data(), a.rows(), b);
 }
 
 }  // namespace rn::ag

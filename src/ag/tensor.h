@@ -134,6 +134,15 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b);
 // C = A Bᵀ.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
+// The same kernels with one row-major operand given as a pointer, for an
+// operand that is a row block of a larger tensor (the fused GRU's stacked
+// input projection). matmul_into adds A B into the a.rows()×b.cols() block
+// at c, which the caller zeroes. matmul_tn's B is a.rows()×b_cols, and
+// matmul_nt's A is a_rows×b.cols().
+void matmul_into(const Tensor& a, const Tensor& b, float* c);
+Tensor matmul_tn(const Tensor& a, const float* b, int b_cols);
+Tensor matmul_nt(const float* a, int a_rows, const Tensor& b);
+
 // Multiply-add count (m*n*k) above which the kernels go parallel. The
 // default amortizes task overhead on realistic batch shapes; tests lower it
 // to force the threaded path on small matrices. The chunk grain is

@@ -77,26 +77,25 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
     // Path update: vectorized RNN over hop positions. All paths that are at
     // least s+1 hops long advance together at position s. Every hop reads
     // the same link states, so their input projections are computed once
-    // per round, over the links rather than the hops, and freed once the
-    // last hop has read them.
+    // per round, over the links rather than the hops (and so is their
+    // backward), and released once the last hop has read them.
     std::vector<ag::ValueId> messages;
-    {
-      const ag::GruProjection link_proj = path_cell_.project(tape, h_links);
-      for (int s = 0; s < batch.max_path_length(); ++s) {
-        const std::vector<int>& paths =
-            batch.pos_paths[static_cast<std::size_t>(s)];
-        const std::vector<int>& links =
-            batch.pos_links[static_cast<std::size_t>(s)];
-        if (paths.empty()) continue;
-        const ag::ValueId h_next =
-            tape.gru_step_gathered(link_proj, links, h_paths, paths);
-        // The scatter consumes the old path state and, since no recorded
-        // backward reads it, writes the hop's rows into its buffer.
-        h_paths = tape.scatter_rows(h_paths, paths, h_next);
-        // The post-hop path state is the message this hop sends to its link.
-        messages.push_back(h_next);
-      }
+    const ag::GruProjection link_proj = path_cell_.project(tape, h_links);
+    for (int s = 0; s < batch.max_path_length(); ++s) {
+      const std::vector<int>& paths =
+          batch.pos_paths[static_cast<std::size_t>(s)];
+      const std::vector<int>& links =
+          batch.pos_links[static_cast<std::size_t>(s)];
+      if (paths.empty()) continue;
+      const ag::ValueId h_next =
+          tape.gru_step_gathered(link_proj, links, h_paths, paths);
+      // The scatter consumes the old path state and, since no recorded
+      // backward reads it, writes the hop's rows into its buffer.
+      h_paths = tape.scatter_rows(h_paths, paths, h_next);
+      // The post-hop path state is the message this hop sends to its link.
+      messages.push_back(h_next);
     }
+    tape.release(link_proj.id());
     // Link update: combine the messages that crossed each link, GRU step.
     RN_CHECK(!messages.empty(), "batch has no path traversals");
     const ag::ValueId stacked = tape.concat_rows(messages);

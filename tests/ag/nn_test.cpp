@@ -478,6 +478,49 @@ TEST(FusedGru, GatheredSourceGradientsMatchComposed) {
   }
 }
 
+// RouteNet's message passing over a tiny graph for T = 2 rounds, with the
+// link states a Parameter. Paths 0 = [0, 1, 2], 1 = [3, 1, 0] and 2 = [1]:
+// link 0 is hop 0 of path 0 and hop 2 of path 1, and link 1 is read twice
+// by hop 1. So each round's projection gathers its gradient from several
+// steps and from duplicate rows within one step, and x_src's gradient sums
+// over the hops of both rounds (the second through the link update).
+TEST(GruProjection, GradCheckSumsOverHopsAndIterations) {
+  Rng rng(53);
+  GruCell path_cell(2, 3, rng, "path");
+  GruCell link_cell(3, 2, rng, "link");
+  Parameter x_src("x_src", random_tensor(4, 2, 54));
+  const Tensor h_paths0 = random_tensor(3, 3, 55);
+  const std::vector<std::vector<int>> hop_paths = {{0, 1, 2}, {0, 1}, {0, 1}};
+  const std::vector<std::vector<int>> hop_links = {{0, 3, 1}, {1, 1}, {2, 0}};
+  std::vector<int> message_links;
+  for (const std::vector<int>& links : hop_links) {
+    message_links.insert(message_links.end(), links.begin(), links.end());
+  }
+  const Tensor target(3, 3, 0.1f);
+  std::vector<Parameter*> params = path_cell.params();
+  for (Parameter* p : link_cell.params()) params.push_back(p);
+  params.push_back(&x_src);
+  expect_gradients_match(params, [&](Tape& tape) {
+    ValueId h_links = tape.param(x_src);
+    ValueId h_paths = tape.constant(h_paths0);
+    for (int t = 0; t < 2; ++t) {
+      const GruProjection proj = path_cell.project(tape, h_links);
+      std::vector<ValueId> messages;
+      for (std::size_t s = 0; s < hop_paths.size(); ++s) {
+        const ValueId h_next = tape.gru_step_gathered(proj, hop_links[s],
+                                                      h_paths, hop_paths[s]);
+        h_paths = tape.scatter_rows(h_paths, hop_paths[s], h_next);
+        messages.push_back(h_next);
+      }
+      tape.release(proj.id());
+      const ValueId aggregated =
+          tape.segment_sum(tape.concat_rows(messages), message_links, 4);
+      h_links = link_cell.step(tape, aggregated, h_links);
+    }
+    return tape.mse(h_paths, target);
+  });
+}
+
 TEST(Mlp, CanOverfitTinyRegression) {
   // y = 2*x0 - x1 on 8 points; a small MLP must drive MSE near zero.
   Rng rng(11);

@@ -1,6 +1,12 @@
 #include "flags.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "commands.h"
 
 namespace rn::cli {
 namespace {
@@ -78,6 +84,57 @@ TEST(Flags, RejectUnusedPassesWhenAllRead) {
 TEST(Flags, SeedParsesLargeValues) {
   const Flags f = make_flags({"--seed", "18446744073709551615"});
   EXPECT_EQ(f.get_seed("seed", 0), 18446744073709551615ull);
+}
+
+// The routenet command line on argv {"routenet", args...}: its exit code and
+// what it wrote to stdout.
+std::pair<int, std::string> run_cli(std::vector<const char*> args) {
+  args.insert(args.begin(), "routenet");
+  ::testing::internal::CaptureStdout();
+  const int rc = run(static_cast<int>(args.size()), args.data());
+  return {rc, ::testing::internal::GetCapturedStdout()};
+}
+
+bool is_usage(const std::string& out) {
+  return out.rfind("routenet — ", 0) == 0 &&
+         out.find("\ncommands:\n") != std::string::npos;
+}
+
+TEST(Cli, DashDashHelpPrintsUsageAndSucceeds) {
+  const auto [rc, out] = run_cli({"--help"});
+  EXPECT_EQ(rc, 0);
+  EXPECT_TRUE(is_usage(out)) << out;
+}
+
+TEST(Cli, HelpCommandPrintsUsageAndSucceeds) {
+  const auto [rc, out] = run_cli({"help"});
+  EXPECT_EQ(rc, 0);
+  EXPECT_TRUE(is_usage(out)) << out;
+}
+
+// --help takes no value and wins over every other argument, including a
+// command's missing required flags and the dataset subcommand slot.
+TEST(Cli, CommandHelpPrintsUsageAndSucceeds) {
+  for (const std::vector<const char*>& args :
+       {std::vector<const char*>{"simulate", "--help"},
+        {"train", "--epochs", "3", "--help"},
+        {"dataset", "gen", "--help"},
+        {"dataset", "--help"}}) {
+    const auto [rc, out] = run_cli(args);
+    EXPECT_EQ(rc, 0) << args.front();
+    EXPECT_TRUE(is_usage(out)) << args.front() << ": " << out;
+  }
+}
+
+// A usage error keeps its exit code and sends the usage to stderr, so
+// stdout carries nothing a script could mistake for output.
+TEST(Cli, UsageErrorsExitTwoWithEmptyStdout) {
+  for (const std::vector<const char*>& args :
+       {std::vector<const char*>{}, {"frobnicate"}, {"dataset"}}) {
+    const auto [rc, out] = run_cli(args);
+    EXPECT_EQ(rc, 2);
+    EXPECT_EQ(out, "");
+  }
 }
 
 }  // namespace

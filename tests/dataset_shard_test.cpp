@@ -4,8 +4,10 @@
 //     single-process run (at 1 and 4 threads — generation is thread-count
 //     invariant),
 //   - small NSFNET and ba50 shards hash to committed CRC-32s,
-//   - verify/merge refuse incoherent sets (seed / config-fingerprint
-//     mismatch, missing or duplicated shards),
+//   - verify/merge refuse incoherent sets (seed / config-fingerprint /
+//     shard-count mismatch, missing or duplicated shards, index gaps),
+//     and every structural reject of the reader fires on a file that
+//     differs from a written one only in the field under test,
 //   - StreamingDataset decodes exactly the generate_many samples,
 //   - Trainer::fit over a streamed shard is bitwise identical to the
 //     in-RAM vector path, with resident bytes bounded by the
@@ -20,6 +22,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,6 +228,139 @@ TEST(ShardReaderSuite, DetectsFlippedRecordByteOnAccess) {
   EXPECT_THROW(reader.sample(0), std::runtime_error);
   EXPECT_THROW(reader.verify_all(), std::runtime_error);
   EXPECT_THROW(verify_shards({bad}), std::runtime_error);
+}
+
+// Byte edits of a written shard (layout in dataset/shard.h). Each edit
+// re-stamps the CRC that covers the edited field, so the only thing wrong
+// with the file is the field under test.
+constexpr std::size_t kShardIndexAt = 28;
+constexpr std::size_t kShardCountAt = 32;
+constexpr std::size_t kFirstIndexAt = 36;
+constexpr std::size_t kCountAt = 44;
+constexpr std::size_t kPayloadLenAt = 52;
+constexpr std::size_t kHeaderCrcAt = 60;
+constexpr std::size_t kIndexEntryBytes = 16;
+
+template <typename T>
+T get_at(const std::string& bytes, std::size_t at) {
+  T v;
+  std::memcpy(&v, bytes.data() + at, sizeof(T));
+  return v;
+}
+
+template <typename T>
+void put_at(std::string& bytes, std::size_t at, T v) {
+  std::memcpy(bytes.data() + at, &v, sizeof(T));
+}
+
+template <typename T>
+void edit_header(std::string& bytes, std::size_t at, T v) {
+  put_at(bytes, at, v);
+  put_at(bytes, kHeaderCrcAt, util::crc32(bytes.data(), kHeaderCrcAt));
+}
+
+// Sets the length of the last record's index entry, then the index CRC.
+void edit_last_record_length(std::string& bytes, std::int64_t delta) {
+  const auto count = get_at<std::uint64_t>(bytes, kCountAt);
+  const std::size_t index_at =
+      kShardHeaderBytes + get_at<std::uint64_t>(bytes, kPayloadLenAt);
+  const std::size_t len_at = index_at + (count - 1) * kIndexEntryBytes + 8;
+  put_at(bytes, len_at,
+         static_cast<std::uint32_t>(get_at<std::uint32_t>(bytes, len_at) +
+                                    delta));
+  const std::size_t index_len = count * kIndexEntryBytes;
+  put_at(bytes, index_at + index_len,
+         util::crc32(bytes.data() + index_at, index_len));
+}
+
+std::string write_edited(const std::string& name, const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+// f must throw a std::runtime_error whose message contains `needle`: the
+// message names the check, so a different reject cannot stand in for it.
+template <typename F>
+void expect_reject(const F& f, const std::string& needle) {
+  try {
+    f();
+    ADD_FAILURE() << "accepted; expected \"" << needle << "\"";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+// A two-record, one-shard file and its bytes.
+std::string two_record_shard(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  generate_shard(path, fast_config(), 13, shared_ring(), 2, 0, 1);
+  return read_file(path);
+}
+
+TEST(ShardReaderSuite, RejectsShardIndexOutOfRange) {
+  std::string bytes = two_record_shard("index_range.rnds");
+  edit_header(bytes, kShardIndexAt, std::uint32_t{1});  // of 1 shard
+  const std::string bad = write_edited("index_range_bad.rnds", bytes);
+  expect_reject([&] { ShardReader r(bad); },
+                "shard index 1 out of range for shard count 1");
+}
+
+TEST(ShardReaderSuite, RejectsRecordOverrunningPayload) {
+  std::string bytes = two_record_shard("overrun.rnds");
+  edit_last_record_length(bytes, +1);
+  const std::string bad = write_edited("overrun_bad.rnds", bytes);
+  expect_reject([&] { ShardReader r(bad); }, "record 1 overruns payload");
+}
+
+TEST(ShardReaderSuite, RejectsIndexNotCoveringPayload) {
+  std::string bytes = two_record_shard("cover.rnds");
+  edit_last_record_length(bytes, -1);
+  const std::string bad = write_edited("cover_bad.rnds", bytes);
+  expect_reject([&] { ShardReader r(bad); },
+                "shard index does not cover payload");
+}
+
+// Two shards of one run, 0/2 and 1/2, as bytes.
+std::pair<std::string, std::string> two_shard_set(const std::string& name) {
+  const std::string a = ::testing::TempDir() + name + "_0.rnds";
+  const std::string b = ::testing::TempDir() + name + "_1.rnds";
+  generate_shard(a, fast_config(), 17, shared_ring(), 4, 0, 2);
+  generate_shard(b, fast_config(), 17, shared_ring(), 4, 1, 2);
+  return {a, read_file(b)};
+}
+
+// Shard 1 claims a run of 3 shards: valid on its own, and the set still has
+// as many files as shard 0 declares.
+TEST(ShardGeneration, VerifyRejectsShardCountMismatch) {
+  auto [a, b] = two_shard_set("count");
+  edit_header(b, kShardCountAt, std::uint32_t{3});
+  const std::string bad = write_edited("count_1_bad.rnds", b);
+  expect_reject([&] { verify_shards({a, bad}); }, "shard count mismatch");
+  expect_reject([&] { merge_shards(::testing::TempDir() + "count_m.rnds",
+                                   {a, bad}); },
+                "shard count mismatch");
+}
+
+TEST(ShardGeneration, VerifyRejectsFirstIndexGap) {
+  auto [a, b] = two_shard_set("gap");
+  edit_header(b, kFirstIndexAt, get_at<std::uint64_t>(b, kFirstIndexAt) + 1);
+  const std::string bad = write_edited("gap_1_bad.rnds", b);
+  expect_reject([&] { verify_shards({a, bad}); }, "leaves a gap (expected 2)");
+}
+
+// merge copies records raw, so it checks each record's CRC itself.
+TEST(ShardGeneration, MergeRejectsRecordCrcMismatch) {
+  std::string bytes = two_record_shard("merge_crc.rnds");
+  bytes[kShardHeaderBytes + 5] =
+      static_cast<char>(bytes[kShardHeaderBytes + 5] ^ 0x01);
+  const std::string bad = write_edited("merge_crc_bad.rnds", bytes);
+  const std::string out = ::testing::TempDir() + "merge_crc_out.rnds";
+  std::filesystem::remove(out);
+  expect_reject([&] { merge_shards(out, {bad}); }, "record 0 CRC mismatch");
+  EXPECT_FALSE(std::filesystem::exists(out));
 }
 
 core::RouteNetConfig small_model() {

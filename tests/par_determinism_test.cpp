@@ -361,8 +361,8 @@ std::uint32_t prediction_crc(const core::RouteNet::Prediction& p) {
 // accumulation order, the loss, Adam, the simulator feeding the samples)
 // moves them; recompute them only for a deliberate numerics change, and
 // say so.
-constexpr std::uint32_t kTrainedStateCrc = 0x1941985cu;
-constexpr std::uint32_t kGeant2PredictionCrc = 0x9a3311ebu;
+constexpr std::uint32_t kTrainedStateCrc = 0x8ac1a156u;
+constexpr std::uint32_t kGeant2PredictionCrc = 0x4a433c7cu;
 
 void expect_golden(const TrainState& s, const char* leg) {
   EXPECT_EQ(tensors_crc(s.adam_v, tensors_crc(s.adam_m, tensors_crc(s.params))),

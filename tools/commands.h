@@ -9,6 +9,12 @@
 
 namespace rn::cli {
 
+// The whole command line, argv[0] included; returns the process exit code.
+// `routenet --help`, `routenet help` and `routenet <command> --help` print
+// the usage to stdout and return 0; a usage error prints it to stderr and
+// returns 2.
+int run(int argc, const char* const* argv);
+
 // Writes a topology text file: --kind nsfnet|geant2|gbn|ba|er|ring|line|star
 // [--nodes N] [--seed S] [--edges M] [--prob P] --out FILE
 int cmd_make_topology(const Flags& flags);
