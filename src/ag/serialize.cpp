@@ -152,7 +152,7 @@ std::string train_checkpoint_bytes(const TrainCheckpoint& ckpt) {
     put_pod(payload, ckpt.total_batches);
     put_pod(payload, ckpt.best_eval_mre);
     put_pod(payload, ckpt.best_epoch);
-    put_pod(payload, ckpt.epochs_since_best);
+    put_pod(payload, std::int32_t{0});  // reserved; keeps the cursor layout
     put_pod(payload, ckpt.epoch_loss_sum);
     put_pod(payload, ckpt.epoch_batches);
     put_pod(payload, ckpt.epoch_samples);
@@ -223,7 +223,7 @@ TrainCheckpoint parse_train_checkpoint(const std::string& bytes) {
     ckpt.total_batches = r.pod<std::uint64_t>("total batches");
     ckpt.best_eval_mre = r.pod<double>("best eval mre");
     ckpt.best_epoch = r.pod<std::int32_t>("best epoch");
-    ckpt.epochs_since_best = r.pod<std::int32_t>("epochs since best");
+    r.pod<std::int32_t>("reserved cursor field");
     ckpt.epoch_loss_sum = r.pod<double>("epoch loss sum");
     ckpt.epoch_batches = r.pod<std::int32_t>("epoch batches");
     ckpt.epoch_samples = r.pod<std::uint64_t>("epoch samples");

@@ -71,7 +71,6 @@ struct TrainCheckpoint {
   std::uint64_t total_batches = 0;
   double best_eval_mre = -1.0;
   std::int32_t best_epoch = -1;
-  std::int32_t epochs_since_best = 0;
   double epoch_loss_sum = 0.0;
   std::int32_t epoch_batches = 0;
   std::uint64_t epoch_samples = 0;

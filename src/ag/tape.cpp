@@ -542,8 +542,8 @@ void gru_input_backward(const GruWeights& w, const Tensor& x,
   w.wz->grad.add_scaled(matmul_tn(x, da_z, d), 1.0f);
   if (gx == nullptr) return;
   Tensor dx = matmul_nt(da_h, x.rows(), w.wh->value);
-  dx.add_scaled(matmul_nt(da_r, x.rows(), w.wr->value), 1.0f);
-  dx.add_scaled(matmul_nt(da_z, x.rows(), w.wz->value), 1.0f);
+  matmul_nt_into(da_r, x.rows(), w.wr->value, dx.data());
+  matmul_nt_into(da_z, x.rows(), w.wz->value, dx.data());
   gx->add_scaled(dx, 1.0f);
 }
 
@@ -785,11 +785,11 @@ void Tape::backward_node(ValueId id) {
 
       A.w.ur->grad.add_scaled(matmul_tn(h, da_r), 1.0f);
       K.colsum_add(A.w.br->grad.data(), da_r.data(), rows, cols);
-      dh.add_scaled(matmul_nt(da_r, A.w.ur->value), 1.0f);
+      matmul_nt_into(da_r.data(), rows, A.w.ur->value, dh.data());
 
       A.w.uz->grad.add_scaled(matmul_tn(h, da_z), 1.0f);
       K.colsum_add(A.w.bz->grad.data(), da_z.data(), rows, cols);
-      dh.add_scaled(matmul_nt(da_z, A.w.uz->value), 1.0f);
+      matmul_nt_into(da_z.data(), rows, A.w.uz->value, dh.data());
 
       if (gathered) {
         // The projection's gradient stacks one L×cols block per gate.

@@ -17,9 +17,10 @@ Tensor::Tensor(int rows, int cols, NoFill)
 }
 
 Tensor::Tensor(int rows, int cols) : Tensor(rows, cols, NoFill{}) {
-  // Pooled buffers come back dirty; the zero-filled contract stands.
-  std::memset(buf_.data(), 0,
-              static_cast<std::size_t>(rows) * cols * sizeof(float));
+  // Pooled buffers come back dirty; the zero-filled contract stands. An
+  // empty tensor has no buffer, and memset must not see its null pointer.
+  const std::size_t n = static_cast<std::size_t>(rows) * cols;
+  if (n != 0) std::memset(buf_.data(), 0, n * sizeof(float));
 }
 
 Tensor Tensor::uninitialized(int rows, int cols) {
@@ -172,13 +173,17 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   return matmul_tn(a, b.data(), b.cols());
 }
 
-Tensor matmul_nt(const float* a, int a_rows, const Tensor& b) {
-  Tensor c(a_rows, b.rows());
+void matmul_nt_into(const float* a, int a_rows, const Tensor& b, float* c) {
   const int m = a_rows, k = b.cols(), n = b.rows();
   const kern::Ops& ops = kern::active();
   parallel_rows(m, static_cast<long long>(m) * k * n, [&](int r0, int r1) {
-    ops.matmul_nt_block(a, b.data(), c.data(), r0, r1, k, n);
+    ops.matmul_nt_block(a, b.data(), c, r0, r1, k, n);
   });
+}
+
+Tensor matmul_nt(const float* a, int a_rows, const Tensor& b) {
+  Tensor c(a_rows, b.rows());
+  matmul_nt_into(a, a_rows, b, c.data());
   return c;
 }
 

@@ -137,9 +137,10 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 // The same kernels with one row-major operand given as a pointer, for an
 // operand that is a row block of a larger tensor (the fused GRU's stacked
 // input projection). matmul_into adds A B into the a.rows()×b.cols() block
-// at c, which the caller zeroes. matmul_tn's B is a.rows()×b_cols, and
-// matmul_nt's A is a_rows×b.cols().
+// at c, and matmul_nt_into adds A Bᵀ into the a_rows×b.rows() block at c.
+// matmul_tn's B is a.rows()×b_cols, and matmul_nt's A is a_rows×b.cols().
 void matmul_into(const Tensor& a, const Tensor& b, float* c);
+void matmul_nt_into(const float* a, int a_rows, const Tensor& b, float* c);
 Tensor matmul_tn(const Tensor& a, const float* b, int b_cols);
 Tensor matmul_nt(const float* a, int a_rows, const Tensor& b);
 

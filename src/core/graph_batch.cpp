@@ -73,10 +73,4 @@ GraphBatch GraphBatch::from_samples(
   return batch;
 }
 
-GraphBatch GraphBatch::from_sample(const dataset::Sample& sample,
-                                   const dataset::Normalizer& norm,
-                                   bool with_targets) {
-  return from_samples({&sample}, norm, with_targets);
-}
-
 }  // namespace rn::core

@@ -46,10 +46,6 @@ struct GraphBatch {
   static GraphBatch from_samples(
       const std::vector<const dataset::Sample*>& samples,
       const dataset::Normalizer& norm, bool with_targets);
-
-  static GraphBatch from_sample(const dataset::Sample& sample,
-                                const dataset::Normalizer& norm,
-                                bool with_targets);
 };
 
 }  // namespace rn::core

@@ -22,6 +22,10 @@ namespace rn::core {
 
 namespace {
 
+// Trend watchdog: a module whose grad/param norm ratio grows past this
+// multiple of its first observed ratio emits `trainer.health.drift`.
+constexpr double kHealthDriftFactor = 50.0;
+
 // Set by the SIGINT/SIGTERM handler; polled once per batch, and only when
 // fit() installed the handler, so a signal turns into "finish the batch,
 // checkpoint, return" instead of a torn run.
@@ -140,8 +144,6 @@ Trainer::Trainer(RouteNet& model, const TrainConfig& config)
   RN_CHECK(cfg_.max_batches >= 0, "max_batches cannot be negative");
   RN_CHECK(cfg_.inject_nan_at_batch >= 0,
            "inject_nan_at_batch cannot be negative");
-  RN_CHECK(cfg_.health_drift_factor >= 0.0,
-           "health_drift_factor cannot be negative");
   RN_CHECK(cfg_.inject_grad_scale > 0.0f,
            "inject_grad_scale must be positive");
 }
@@ -223,10 +225,9 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
 
   TrainReport report;
   // Best-eval tracking lives in locals so a resumed run continues the
-  // original run's early-stopping and best-model bookkeeping.
+  // original run's best-model bookkeeping.
   double best_eval = -1.0;
   int best_epoch = -1;
-  int epochs_since_best = 0;
   int start_epoch = 0;
   std::size_t resume_offset = 0;
   bool resume_epoch_pending = false;
@@ -291,7 +292,6 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
       resume_epoch_pending = true;
       best_eval = st.best_eval_mre;
       best_epoch = st.best_epoch;
-      epochs_since_best = st.epochs_since_best;
       resumed_loss_sum = st.epoch_loss_sum;
       resumed_batches = st.epoch_batches;
       resumed_samples = st.epoch_samples;
@@ -345,7 +345,6 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
     st.total_batches = total_batches;
     st.best_eval_mre = best_eval;
     st.best_epoch = best_epoch;
-    st.epochs_since_best = epochs_since_best;
     st.epoch_loss_sum = loss_sum;
     st.epoch_batches = batches;
     st.epoch_samples = samples_seen;
@@ -475,8 +474,7 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
       const double backward_s = phase.elapsed_s();
 
       const double batch_loss = tape.value(loss).at(0, 0);
-      if (cfg_.health_checks &&
-          (!std::isfinite(batch_loss) || !std::isfinite(grad_norm))) {
+      if (!std::isfinite(batch_loss) || !std::isfinite(grad_norm)) {
         // Watchdog: the check runs before the optimizer step, so the
         // parameters (and Adam moments) are still finite — the emergency
         // checkpoint is a valid resume point at this batch's start.
@@ -578,12 +576,9 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
       if (best_epoch < 0 || log.eval_delay_mre < best_eval) {
         best_eval = log.eval_delay_mre;
         best_epoch = epoch;
-        epochs_since_best = 0;
         if (!cfg_.checkpoint_path.empty()) {
           model_.save(cfg_.checkpoint_path);
         }
-      } else {
-        ++epochs_since_best;
       }
     }
     const double epoch_s = epoch_watch.elapsed_s();
@@ -607,7 +602,7 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
         std::fflush(stdout);
       }
     }
-    if (cfg_.health_checks && (sink.enabled() || cfg_.verbose)) {
+    if (sink.enabled() || cfg_.verbose) {
       // Per-module norm breakdown once per epoch: cheap relative to an
       // epoch, and gives divergence trends before anything goes non-finite.
       const std::map<std::string, ModuleNorms> norms_by_module =
@@ -620,31 +615,29 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
             .f("grad_norm." + module, std::sqrt(norms.grad_sq));
       }
       sink.emit(health);
-      if (cfg_.health_drift_factor > 0.0) {
-        // Trend watchdog: a module whose grad/param ratio has grown past
-        // baseline × factor is diverging even while every value is still
-        // finite — warn now, while a checkpoint is still worth keeping.
-        for (const auto& [module, norms] : norms_by_module) {
-          const double param_norm = std::sqrt(norms.param_sq);
-          const double grad_norm_m = std::sqrt(norms.grad_sq);
-          if (param_norm <= 0.0 || grad_norm_m <= 0.0) continue;
-          const double ratio = grad_norm_m / param_norm;
-          const auto [it, inserted] = drift_baseline.emplace(module, ratio);
-          if (inserted) continue;
-          if (ratio > cfg_.health_drift_factor * it->second) {
-            obs::Event drift("trainer.health.drift");
-            drift.f("module", module)
-                .f("epoch", epoch)
-                .f("ratio", ratio)
-                .f("baseline_ratio", it->second)
-                .f("factor", cfg_.health_drift_factor);
-            sink.emit(drift);
-            if (cfg_.verbose) {
-              const std::string line = drift.console_line();
-              std::fwrite(line.data(), 1, line.size(), stdout);
-              std::fputc('\n', stdout);
-              std::fflush(stdout);
-            }
+      // Trend watchdog: a module whose grad/param ratio has grown past
+      // baseline × factor is diverging even while every value is still
+      // finite — warn now, while a checkpoint is still worth keeping.
+      for (const auto& [module, norms] : norms_by_module) {
+        const double param_norm = std::sqrt(norms.param_sq);
+        const double grad_norm_m = std::sqrt(norms.grad_sq);
+        if (param_norm <= 0.0 || grad_norm_m <= 0.0) continue;
+        const double ratio = grad_norm_m / param_norm;
+        const auto [it, inserted] = drift_baseline.emplace(module, ratio);
+        if (inserted) continue;
+        if (ratio > kHealthDriftFactor * it->second) {
+          obs::Event drift("trainer.health.drift");
+          drift.f("module", module)
+              .f("epoch", epoch)
+              .f("ratio", ratio)
+              .f("baseline_ratio", it->second)
+              .f("factor", kHealthDriftFactor);
+          sink.emit(drift);
+          if (cfg_.verbose) {
+            const std::string line = drift.console_line();
+            std::fwrite(line.data(), 1, line.size(), stdout);
+            std::fputc('\n', stdout);
+            std::fflush(stdout);
           }
         }
       }
@@ -652,10 +645,6 @@ TrainReport Trainer::fit(dataset::SampleSource& train,
     report.epochs.push_back(log);
     report.final_train_loss = log.train_loss;
     optimizer.set_lr(optimizer.lr() * cfg_.lr_decay);
-    if (cfg_.patience > 0 && eval != nullptr &&
-        epochs_since_best >= cfg_.patience) {
-      break;
-    }
   }
 
   report.best_eval_mre = best_eval;

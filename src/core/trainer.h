@@ -1,5 +1,5 @@
 // Mini-batch training loop for RouteNet: Adam with exponential LR decay,
-// per-epoch shuffling, gradient clipping, optional early stopping on an
+// per-epoch shuffling, gradient clipping, best-model tracking on an
 // evaluation set, and periodic checkpointing.
 #pragma once
 
@@ -25,9 +25,6 @@ struct TrainConfig {
   // Ablation: z-score targets in log space (default, matches the paper's
   // relative-error metric) or in raw seconds.
   bool log_space_targets = true;
-  // Early stopping: stop after `patience` epochs without eval improvement
-  // (0 disables; requires an eval set).
-  int patience = 0;
   // Worker threads for the matmul kernels (0 = leave the global pool as
   // configured by --threads / RN_THREADS / hardware_concurrency).
   int threads = 0;
@@ -60,23 +57,19 @@ struct TrainConfig {
   // (0: unlimited).
   long max_batches = 0;
 
-  // --- Training-health watchdog ------------------------------------------
-  // Fail fast on a non-finite loss or gradient norm: emit a
-  // `trainer.health` event naming the offending tensor, save an emergency
-  // state checkpoint (parameters are still finite — the check runs before
-  // the optimizer step), and throw. The checkpoint lands in the normal
-  // rotation, so `--resume <state_path>` picks it up.
-  bool health_checks = true;
+  // --- Training-health watchdog (always on) ------------------------------
+  // A non-finite loss or gradient norm emits a `trainer.health` event
+  // naming the offending tensor, saves an emergency state checkpoint
+  // (parameters are still finite — the check runs before the optimizer
+  // step), and throws. The checkpoint lands in the normal rotation, so
+  // `--resume <state_path>` picks it up. Each epoch, every module's
+  // grad/param norm ratio drifting past 50× its first observed ratio emits
+  // a `trainer.health.drift` warning, long before anything goes
+  // non-finite.
   // Testing hook: poison one gradient entry with NaN just before gradient
   // clipping on this 1-based optimizer step (0: never), to drive the
   // watchdog path deterministically.
   long inject_nan_at_batch = 0;
-  // Trend watchdog: each epoch, every module's grad/param norm ratio is
-  // compared against its first observed (baseline) ratio; drifting past
-  // baseline × this factor emits a `trainer.health.drift` warning event.
-  // Catches slow divergence long before anything goes non-finite.
-  // 0 disables; requires health_checks.
-  double health_drift_factor = 50.0;
   // Testing hook: from this 0-based epoch on, multiply every gradient by
   // `inject_grad_scale` right after clipping (1.0: never), to drive the
   // drift detector deterministically.

@@ -103,11 +103,6 @@ double mean_delay(const std::vector<double>& delays) {
   return total / static_cast<double>(delays.size());
 }
 
-double max_delay(const std::vector<double>& delays) {
-  RN_CHECK(!delays.empty(), "no delays to aggregate");
-  return *std::max_element(delays.begin(), delays.end());
-}
-
 WhatIfEngine::WhatIfEngine(Scenario scenario, PredictDelaysFn predictor)
     : scenario_(std::move(scenario)), predictor_(std::move(predictor)) {
   RN_CHECK(predictor_ != nullptr, "null predictor");

@@ -58,9 +58,6 @@ Scenario fail_and_reroute(const Scenario& scenario, topo::LinkId link_id);
 // Mean per-pair delay, the default planning objective.
 double mean_delay(const std::vector<double>& delays);
 
-// Worst per-pair delay.
-double max_delay(const std::vector<double>& delays);
-
 // --- The engine ----------------------------------------------------------------------
 
 struct UpgradeOption {

@@ -28,6 +28,10 @@ namespace rn::serve {
 
 namespace {
 
+// Pending connections the kernel queues before accept(); the handler cap
+// (NetServer::kMaxConnections) bounds what is served.
+constexpr int kListenBacklog = 64;
+
 // The process-wide counters that net_obs_test and serve_net_smoke read;
 // every other per-server figure lives in NetStats.
 struct NetMetrics {
@@ -295,6 +299,7 @@ void NetServer::start() {
     }
     bound_port_ = ntohs(bound.sin_port);
     addr_.port = bound_port_;
+    local_listen_ = (ntohl(bound.sin_addr.s_addr) >> 24) == 127;
   } else {
     listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (listen_fd_ < 0) throw_errno("socket");
@@ -305,8 +310,9 @@ void NetServer::start() {
         0) {
       throw_errno("bind " + format_address(addr_));
     }
+    local_listen_ = true;
   }
-  if (::listen(listen_fd_, cfg_.backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     throw_errno("listen " + format_address(addr_));
   }
 
@@ -514,7 +520,7 @@ bool NetServer::handle_frame(int fd, const wire::Frame& frame) {
                    "shutdown request carries no payload");
         return false;
       }
-      if (!cfg_.allow_remote_shutdown) {
+      if (!local_listen_) {
         send_error(fd, wire::ErrorCode::kRejected,
                    "remote shutdown is disabled");
         return true;

@@ -80,11 +80,9 @@ Address parse_address(const std::string& spec);
 std::string format_address(const Address& addr);
 
 struct NetServerConfig {
+  // A kShutdownRequest frame stops the server only on a unix socket or a
+  // 127/8 bind; any other listen answers it with kRejected.
   std::string listen = "tcp:127.0.0.1:0";
-  int backlog = 64;
-  // Whether a kShutdownRequest frame may stop the server (the smoke test
-  // and load tools use it; set false to ignore remote shutdown).
-  bool allow_remote_shutdown = true;
   // Per-connection receive timeout (SO_RCVTIMEO). A connection whose read
   // blocks this long — idle or stalled mid-frame — gets one kTimeout error
   // frame and is closed. 0 disables.
@@ -167,6 +165,8 @@ class NetServer {
   Address addr_;
   int listen_fd_ = -1;
   std::uint16_t bound_port_ = 0;
+  // Set by start() from the bound address: unix socket or 127/8.
+  bool local_listen_ = false;
   std::thread accept_thread_;
 
   std::mutex mu_;

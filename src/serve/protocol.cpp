@@ -363,10 +363,6 @@ PredictResponse decode_predict_response_full(std::string_view payload) {
   return resp;
 }
 
-core::RouteNet::Prediction decode_predict_response(std::string_view payload) {
-  return std::move(decode_predict_response_full(payload).prediction);
-}
-
 // --- Error -----------------------------------------------------------------
 
 std::string encode_error(ErrorCode code, std::string_view message) {
@@ -446,7 +442,7 @@ namespace {
 template <typename Vec>
 std::uint32_t stats_count(const Vec& v, const char* what) {
   if (v.size() > kMaxStatsEntries) {
-    throw ProtocolError(std::string(what) + " count " +
+    throw ProtocolError(std::string(what) + " " +
                         std::to_string(v.size()) + " exceeds cap " +
                         std::to_string(kMaxStatsEntries));
   }

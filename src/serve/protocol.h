@@ -238,8 +238,6 @@ std::string encode_predict_response(const core::RouteNet::Prediction& pred,
                                     double queue_wait_s, double server_s);
 // Accepts both forms; has_trace reports which arrived.
 PredictResponse decode_predict_response_full(std::string_view payload);
-// Convenience for callers that only want the prediction.
-core::RouteNet::Prediction decode_predict_response(std::string_view payload);
 
 std::string encode_error(ErrorCode code, std::string_view message);
 ErrorFrame decode_error(std::string_view payload);

@@ -185,8 +185,11 @@ class Run {
     schedule(t, EventKind::kPacketArrive, slot);
   }
 
-  // Places `ev` into the hole at the root.
-  void sift_down(const Event& ev) {
+  // Places `ev` into the hole at the root. One out-of-line copy serves
+  // schedule() and pop_root(): GCC 12 otherwise inlines the loop into both
+  // once deliver() is small, and `dataset gen` on NSFNET ran about 2% slower
+  // in CPU time.
+  [[gnu::noinline]] void sift_down(const Event& ev) {
     const std::size_t n = heap_.size();
     std::size_t hole = 0;
     for (;;) {
@@ -263,19 +266,7 @@ class Run {
       ++packets_delivered_;
       if (pkt.created_s >= cfg_.warmup_s) {
         const double delay = now - pkt.created_s;
-        auto& acc = path_delay_[pair];
-        acc.add(delay);
-        if (cfg_.collect_samples) {
-          auto& samples = path_samples_[pair];
-          if (samples.size() < cfg_.max_samples_per_path) {
-            samples.push_back(delay);
-          } else {
-            // Reservoir sampling keeps an unbiased subset.
-            const std::size_t j = static_cast<std::size_t>(rng_.uniform_int(
-                0, static_cast<int>(acc.count()) - 1));
-            if (j < samples.size()) samples[j] = delay;
-          }
-        }
+        path_delay_[pair].add(delay);
       }
       return;
     }
@@ -352,7 +343,6 @@ class Run {
   std::vector<LinkState> links_;
   std::vector<Welford> path_delay_;
   std::vector<std::size_t> path_drops_;
-  std::vector<std::vector<double>> path_samples_;
   std::size_t packets_created_ = 0;
   std::size_t packets_delivered_ = 0;  // all deliveries, warmup included
   std::size_t processed_ = 0;
@@ -383,9 +373,6 @@ SimResult Run::execute() {
   links_.resize(static_cast<std::size_t>(num_links));
   path_delay_.resize(static_cast<std::size_t>(num_pairs));
   path_drops_.assign(static_cast<std::size_t>(num_pairs), 0);
-  if (cfg_.collect_samples) {
-    path_samples_.resize(static_cast<std::size_t>(num_pairs));
-  }
 
   // Seed each active flow with its first arrival.
   for (int idx = 0; idx < num_pairs; ++idx) {
@@ -454,11 +441,6 @@ SimResult Run::execute() {
     ps.dropped = path_drops_[static_cast<std::size_t>(idx)];
     ps.mean_delay_s = acc.count() > 0 ? acc.mean() : 0.0;
     ps.jitter_s = acc.stddev();
-    if (cfg_.collect_samples &&
-        !path_samples_[static_cast<std::size_t>(idx)].empty()) {
-      ps.p99_delay_s =
-          quantile(path_samples_[static_cast<std::size_t>(idx)], 0.99);
-    }
   }
   const double window = std::max(1e-12, now - cfg_.warmup_s);
   result.links.resize(static_cast<std::size_t>(num_links));

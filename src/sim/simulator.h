@@ -39,9 +39,6 @@ struct SimConfig {
   // Per-link queue capacity in packets (excluding the one in service);
   // 0 means infinite (pure delay, no loss).
   int link_buffer_pkts = 0;
-  // Keep up to max_samples_per_path raw delays (reservoir) for percentiles.
-  bool collect_samples = false;
-  std::size_t max_samples_per_path = 256;
 };
 
 struct PathStats {
@@ -49,7 +46,6 @@ struct PathStats {
   std::size_t dropped = 0;
   double mean_delay_s = 0.0;
   double jitter_s = 0.0;  // standard deviation of per-packet delay
-  double p99_delay_s = 0.0;  // 0 unless collect_samples
 };
 
 struct LinkStats {

@@ -140,58 +140,6 @@ Topology synthetic_er(int n, double p, Rng& rng,
   return topo;
 }
 
-Topology grid(int w, int h, double capacity_bps) {
-  RN_CHECK(w >= 2 && h >= 2, "grid needs at least 2x2");
-  Topology topo("grid" + std::to_string(w) + "x" + std::to_string(h), w * h);
-  const auto at = [w](int x, int y) { return y * w + x; };
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (x + 1 < w) topo.add_duplex_link(at(x, y), at(x + 1, y), capacity_bps);
-      if (y + 1 < h) topo.add_duplex_link(at(x, y), at(x, y + 1), capacity_bps);
-    }
-  }
-  return topo;
-}
-
-Topology torus(int w, int h, double capacity_bps) {
-  RN_CHECK(w >= 3 && h >= 3, "torus needs at least 3x3");
-  Topology topo("torus" + std::to_string(w) + "x" + std::to_string(h), w * h);
-  const auto at = [w](int x, int y) { return y * w + x; };
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      topo.add_duplex_link(at(x, y), at((x + 1) % w, y), capacity_bps);
-      topo.add_duplex_link(at(x, y), at(x, (y + 1) % h), capacity_bps);
-    }
-  }
-  return topo;
-}
-
-Topology fat_tree(int k, double capacity_bps, double core_capacity_bps) {
-  RN_CHECK(k >= 2 && k % 2 == 0, "fat-tree arity must be even and >= 2");
-  const int half = k / 2;
-  const int num_core = half * half;
-  const int num_nodes = num_core + k * k;  // k pods × (k/2 agg + k/2 edge)
-  Topology topo("fattree" + std::to_string(k), num_nodes);
-  const auto agg_of = [&](int pod, int i) { return num_core + pod * k + i; };
-  const auto edge_of = [&](int pod, int i) {
-    return num_core + pod * k + half + i;
-  };
-  for (int pod = 0; pod < k; ++pod) {
-    for (int a = 0; a < half; ++a) {
-      // Aggregation switch a of this pod uplinks to core group a.
-      for (int c = 0; c < half; ++c) {
-        topo.add_duplex_link(agg_of(pod, a), a * half + c,
-                             core_capacity_bps);
-      }
-      // Full bipartite agg ↔ edge inside the pod.
-      for (int e = 0; e < half; ++e) {
-        topo.add_duplex_link(agg_of(pod, a), edge_of(pod, e), capacity_bps);
-      }
-    }
-  }
-  return topo;
-}
-
 Topology line(int n, double capacity_bps) {
   RN_CHECK(n >= 2, "line needs at least 2 nodes");
   Topology topo("line" + std::to_string(n), n);
@@ -216,22 +164,6 @@ Topology star(int leaves, double capacity_bps) {
   for (int i = 1; i <= leaves; ++i) {
     topo.add_duplex_link(0, i, capacity_bps);
   }
-  return topo;
-}
-
-Topology dumbbell(int hosts, double edge_capacity_bps,
-                  double bottleneck_capacity_bps) {
-  RN_CHECK(hosts >= 1, "dumbbell needs at least one host per side");
-  // Layout: [0..hosts-1] left hosts, hosts = left router,
-  // hosts+1 = right router, [hosts+2 .. 2*hosts+1] right hosts.
-  Topology topo("dumbbell" + std::to_string(hosts), 2 * hosts + 2);
-  const int left_router = hosts;
-  const int right_router = hosts + 1;
-  for (int i = 0; i < hosts; ++i) {
-    topo.add_duplex_link(i, left_router, edge_capacity_bps);
-    topo.add_duplex_link(right_router, hosts + 2 + i, edge_capacity_bps);
-  }
-  topo.add_duplex_link(left_router, right_router, bottleneck_capacity_bps);
   return topo;
 }
 

@@ -44,27 +44,9 @@ Topology synthetic_ba(int n, int m, Rng& rng,
 Topology synthetic_er(int n, double p, Rng& rng,
                       const GeneratorOptions& opts = {});
 
-// w×h mesh; node (x, y) is index y*w + x.
-Topology grid(int w, int h, double capacity_bps = 10'000.0);
-
-// w×h mesh with wraparound links in both dimensions (requires w, h >= 3 so
-// wrap links are not parallel duplicates of mesh links).
-Topology torus(int w, int h, double capacity_bps = 10'000.0);
-
-// k-ary fat-tree switch fabric (k even, >= 2): (k/2)² core switches, k pods
-// of k/2 aggregation + k/2 edge switches. Edge switches are the traffic
-// endpoints. Core links get core_capacity_bps, pod links capacity_bps.
-// Node order: cores, then per pod aggregation then edge.
-Topology fat_tree(int k, double capacity_bps = 10'000.0,
-                  double core_capacity_bps = 40'000.0);
-
 // Small deterministic shapes used heavily by tests and examples.
 Topology line(int n, double capacity_bps = 10'000.0);
 Topology ring(int n, double capacity_bps = 10'000.0);
 Topology star(int leaves, double capacity_bps = 10'000.0);
-// Classic two-router bottleneck: `hosts` sources on the left, `hosts` sinks
-// on the right, one shared middle link.
-Topology dumbbell(int hosts, double edge_capacity_bps,
-                  double bottleneck_capacity_bps);
 
 }  // namespace rn::topo

@@ -66,10 +66,6 @@ class Rng {
                                                    weights.end())(engine_);
   }
 
-  // Derives an independent child stream; used to give each dataset sample
-  // its own deterministic stream regardless of generation order.
-  Rng fork() { return Rng(engine_()); }
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -1,8 +1,8 @@
 // Workspace-arena contract tests: warm loops allocate nothing fresh,
 // pooled (dirty) memory is re-zeroed by the zero ctor, trim drops the
 // free lists (so does a thread's exit), disabled mode still behaves, and
-// buffers may be freed from threads other than the one that allocated them
-// (tsan-labelled).
+// buffers may be freed from threads other than the one that allocated
+// them.
 #include <thread>
 #include <utility>
 #include <vector>
@@ -125,7 +125,7 @@ TEST_F(ArenaTest, OversizedAllocationsBypassPoolSafely) {
 
 // Tensors may be created on one thread and destroyed on another (tape
 // values crossing the pool, server batches). The origin arena takes the
-// return under its mutex; nothing may race or leak. Runs under -L tsan.
+// return under its mutex; nothing may race or leak under TSan.
 TEST_F(ArenaTest, CrossThreadFreeIsSafeUnderContention) {
   constexpr int kThreads = 4;
   constexpr int kRounds = 50;

@@ -1,8 +1,8 @@
 // Hostile-input tests for the checkpoint readers: every truncation, every
 // single-byte flip, wrong magic, and absurd header fields must raise a
 // clean std::runtime_error — never crash, hang, or allocate unbounded
-// memory. Runs under the `ckpt`, `tsan`, and `asan` ctest labels so the
-// sanitizer builds exercise exactly these paths.
+// memory. Carries the `ckpt` ctest label; the sanitizer sweep runs it
+// under ASan, UBSan and TSan.
 #include "ag/serialize.h"
 
 #include <cstdint>
@@ -162,7 +162,7 @@ TEST(CheckpointFuzz, AbsurdOrderLenThrows) {
   put_pod(payload, static_cast<std::uint64_t>(0));  // total_batches
   put_pod(payload, 0.0);                            // best_eval_mre
   put_pod(payload, static_cast<std::int32_t>(-1));  // best_epoch
-  put_pod(payload, static_cast<std::int32_t>(0));   // epochs_since_best
+  put_pod(payload, static_cast<std::int32_t>(0));   // reserved
   put_pod(payload, 0.0);                            // epoch_loss_sum
   put_pod(payload, static_cast<std::int32_t>(0));   // epoch_batches
   put_pod(payload, static_cast<std::uint64_t>(0));  // epoch_samples

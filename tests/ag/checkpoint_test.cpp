@@ -56,7 +56,6 @@ TrainCheckpoint sample_checkpoint() {
   ck.total_batches = 23;
   ck.best_eval_mre = 0.181;
   ck.best_epoch = 1;
-  ck.epochs_since_best = 1;
   ck.epoch_loss_sum = 3.25;
   ck.epoch_batches = 2;
   ck.epoch_samples = 4;
@@ -100,7 +99,6 @@ TEST(Checkpoint, FullRoundTrip) {
   EXPECT_EQ(got.total_batches, ck.total_batches);
   EXPECT_EQ(got.best_eval_mre, ck.best_eval_mre);
   EXPECT_EQ(got.best_epoch, ck.best_epoch);
-  EXPECT_EQ(got.epochs_since_best, ck.epochs_since_best);
   EXPECT_EQ(got.epoch_loss_sum, ck.epoch_loss_sum);
   EXPECT_EQ(got.epoch_batches, ck.epoch_batches);
   EXPECT_EQ(got.epoch_samples, ck.epoch_samples);

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "dataset/stream.h"
 #include "serve/net.h"
 #include "serve/registry.h"
+#include "routing/text_io.h"
 #include "topology/text_io.h"
 #include "traffic/text_io.h"
 #include "util/bytes.h"
@@ -114,7 +116,35 @@ TEST_F(CliCommands, FullPipelineEndToEnd) {
                  "--routing", path("n.routes"), "--traffic",
                  path("n.traffic"), "--top", "3", "--out", path("pred.csv")})),
             0);
-  EXPECT_TRUE(std::filesystem::exists(path("pred.csv")));
+  // The CSV carries every double at max_digits10, so each value parses
+  // back to exactly what the model predicts for the same scenario.
+  {
+    auto topology = std::make_shared<const topo::Topology>(
+        topo::load_topology_file(path("n.topo")));
+    routing::RoutingScheme scheme =
+        routing::load_routing_file(path("n.routes"), *topology);
+    traffic::TrafficMatrix tm = traffic::load_traffic_csv_file(
+        path("n.traffic"), topology->num_nodes());
+    const core::RouteNet::Prediction want =
+        model.predict(dataset::make_inference_sample(
+            topology, std::move(scheme), std::move(tm)));
+    std::ifstream csv(path("pred.csv"));
+    std::string line;
+    ASSERT_TRUE(std::getline(csv, line));  // header
+    std::size_t idx = 0;
+    for (; std::getline(csv, line); ++idx) {
+      ASSERT_LT(idx, want.delay_s.size());
+      std::istringstream row(line);
+      std::string src, dst, delay, jitter;
+      std::getline(row, src, ',');
+      std::getline(row, dst, ',');
+      std::getline(row, delay, ',');
+      std::getline(row, jitter, ',');
+      EXPECT_EQ(std::stod(delay), want.delay_s[idx]) << line;
+      EXPECT_EQ(std::stod(jitter), want.jitter_s[idx]) << line;
+    }
+    EXPECT_EQ(idx, want.delay_s.size());
+  }
 
   EXPECT_EQ(cmd_whatif(flags_of(
                 {"--model", path("m.model"), "--topology", path("n.topo"),

@@ -1,4 +1,4 @@
-// Forward-only tape suite (labels: core, asan).
+// Forward-only tape suite (label: core).
 //
 // predict_merged runs RouteNet on a forward-only tape: no saved GRU
 // activations, no copied indices, and every intermediate released as soon

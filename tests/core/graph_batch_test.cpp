@@ -32,7 +32,7 @@ dataset::Sample tiny_sample(double delay = 0.01) {
 TEST(GraphBatch, SingleSampleShapes) {
   const dataset::Sample s = tiny_sample();
   const dataset::Normalizer norm;
-  const GraphBatch b = GraphBatch::from_sample(s, norm, true);
+  const GraphBatch b = GraphBatch::from_samples({&s}, norm, true);
   EXPECT_EQ(b.num_links, 4);   // line(3): 2 duplex
   EXPECT_EQ(b.num_paths, 6);
   EXPECT_EQ(b.max_path_length(), 2);  // 0→2 goes through 1
@@ -45,7 +45,7 @@ TEST(GraphBatch, SingleSampleShapes) {
 TEST(GraphBatch, PositionScheduleCoversEveryHop) {
   const dataset::Sample s = tiny_sample();
   const dataset::Normalizer norm;
-  const GraphBatch b = GraphBatch::from_sample(s, norm, true);
+  const GraphBatch b = GraphBatch::from_samples({&s}, norm, true);
   std::size_t hops = 0;
   for (const auto& bucket : b.pos_paths) hops += bucket.size();
   std::size_t expected = 0;
@@ -58,7 +58,7 @@ TEST(GraphBatch, PositionScheduleCoversEveryHop) {
 TEST(GraphBatch, PathsUniqueWithinPosition) {
   const dataset::Sample s = tiny_sample();
   const dataset::Normalizer norm;
-  const GraphBatch b = GraphBatch::from_sample(s, norm, true);
+  const GraphBatch b = GraphBatch::from_samples({&s}, norm, true);
   for (const auto& bucket : b.pos_paths) {
     std::set<int> unique(bucket.begin(), bucket.end());
     EXPECT_EQ(unique.size(), bucket.size());
@@ -90,7 +90,7 @@ TEST(GraphBatch, InvalidPathsExcludedFromTargetsOnly) {
   s.valid[0] = 0;
   s.valid[3] = 0;
   const dataset::Normalizer norm;
-  const GraphBatch b = GraphBatch::from_sample(s, norm, true);
+  const GraphBatch b = GraphBatch::from_samples({&s}, norm, true);
   EXPECT_EQ(b.num_paths, 6);  // still in the graph
   EXPECT_EQ(static_cast<int>(b.valid_paths.size()), 4);
   EXPECT_EQ(b.delay_targets.rows(), 4);
@@ -99,7 +99,7 @@ TEST(GraphBatch, InvalidPathsExcludedFromTargetsOnly) {
 TEST(GraphBatch, WithoutTargetsLeavesTensorsEmpty) {
   const dataset::Sample s = tiny_sample();
   const dataset::Normalizer norm;
-  const GraphBatch b = GraphBatch::from_sample(s, norm, false);
+  const GraphBatch b = GraphBatch::from_samples({&s}, norm, false);
   EXPECT_TRUE(b.valid_paths.empty());
   EXPECT_EQ(b.delay_targets.size(), 0);
 }
@@ -109,7 +109,7 @@ TEST(GraphBatch, FeaturesUseNormalizerScales) {
   dataset::Normalizer norm;
   norm.capacity_scale = 1e-4;
   norm.traffic_scale = 1e-2;
-  const GraphBatch b = GraphBatch::from_sample(s, norm, false);
+  const GraphBatch b = GraphBatch::from_samples({&s}, norm, false);
   EXPECT_NEAR(b.link_features.at(0, 0),
               s.topology->link(0).capacity_bps * 1e-4, 1e-6);
   EXPECT_NEAR(b.path_features.at(0, 0), s.tm.rate_by_index(0) * 1e-2, 1e-5);
@@ -120,7 +120,7 @@ TEST(GraphBatch, TargetsAreNormalizedLogDelays) {
   dataset::Normalizer norm;
   norm.log_delay_mean = -4.0;
   norm.log_delay_std = 0.5;
-  const GraphBatch b = GraphBatch::from_sample(s, norm, true);
+  const GraphBatch b = GraphBatch::from_samples({&s}, norm, true);
   EXPECT_NEAR(b.delay_targets.at(0, 0),
               (std::log(0.02) + 4.0) / 0.5, 1e-5);
 }
@@ -137,7 +137,7 @@ TEST(GraphBatch, TargetsAlignWithValidPathOrder) {
   dataset::Normalizer norm;  // identity transform parameters
   norm.log_delay_mean = 0.0;
   norm.log_delay_std = 1.0;
-  const GraphBatch b = GraphBatch::from_sample(s, norm, true);
+  const GraphBatch b = GraphBatch::from_samples({&s}, norm, true);
   ASSERT_EQ(b.valid_paths.size(), 4u);
   for (std::size_t i = 0; i < b.valid_paths.size(); ++i) {
     const int pair = b.valid_paths[i];

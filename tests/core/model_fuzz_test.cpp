@@ -1,4 +1,4 @@
-// Hostile-input tests for the RNMODEL reader (labels: core, asan). Model
+// Hostile-input tests for the RNMODEL reader (label: core). Model
 // files reach RouteNet::load from disk and, through ModelRegistry::reload,
 // on a remote command, so the bar matches the other decoders:
 //   - every truncation throws;

@@ -53,7 +53,7 @@ TEST(RouteNet, ForwardShapes) {
   const dataset::Sample s = make_sample(topology, 1);
   RouteNet model(tiny_config());
   const GraphBatch batch =
-      GraphBatch::from_sample(s, model.normalizer(), false);
+      GraphBatch::from_samples({&s}, model.normalizer(), false);
   ag::Tape tape;
   const RouteNet::Output out = model.forward(tape, batch);
   EXPECT_EQ(tape.value(out.delay).rows(), batch.num_paths);
@@ -156,7 +156,7 @@ TEST(RouteNet, GradCheckThroughMessagePassing) {
   cfg.readout_hidden = 4;
   RouteNet model(cfg);
   const GraphBatch batch =
-      GraphBatch::from_sample(s, model.normalizer(), true);
+      GraphBatch::from_samples({&s}, model.normalizer(), true);
   rn::testing::expect_gradients_match(
       model.params(),
       [&](ag::Tape& tape) {
@@ -284,7 +284,7 @@ TEST(RouteNet, MeanAggregationGradCheck) {
   cfg.aggregation = Aggregation::kMean;
   RouteNet model(cfg);
   const GraphBatch batch =
-      GraphBatch::from_sample(s, model.normalizer(), true);
+      GraphBatch::from_samples({&s}, model.normalizer(), true);
   rn::testing::expect_gradients_match(
       model.params(),
       [&](ag::Tape& tape) {

@@ -82,19 +82,6 @@ TEST(Trainer, ReportsEvalMreWhenEvalGiven) {
   }
 }
 
-TEST(Trainer, EarlyStoppingHonorsPatience) {
-  const std::vector<dataset::Sample> train = tiny_dataset(6, 6);
-  const std::vector<dataset::Sample> eval = tiny_dataset(2, 7);
-  RouteNet model(small_model());
-  TrainConfig cfg;
-  cfg.epochs = 50;
-  cfg.patience = 3;
-  cfg.learning_rate = 0.5f;  // diverges → eval stops improving → early stop
-  Trainer trainer(model, cfg);
-  const TrainReport report = trainer.fit(train, &eval);
-  EXPECT_LT(static_cast<int>(report.epochs.size()), 50);
-}
-
 TEST(Trainer, CheckpointWritesBestModel) {
   const std::vector<dataset::Sample> train = tiny_dataset(6, 8);
   const std::vector<dataset::Sample> eval = tiny_dataset(2, 9);

@@ -6,7 +6,7 @@
 // bytes it was read from), and every truncation must throw. The RNDS1
 // shard container is CRC-indexed end to end, so the bar is higher: every
 // truncation AND every byte flip anywhere in the file must throw.
-// Runs under -DRN_SANITIZE=address via the `asan` ctest label.
+// The sanitizer sweep (`obs_net_sanity`) also runs it under ASan.
 #include "dataset/codec.h"
 
 #include <cstdint>

@@ -115,7 +115,6 @@ TEST(ScenarioEdits, FailAndReroutePreservesUnaffectedPaths) {
 
 TEST(Objectives, MeanAndMax) {
   EXPECT_DOUBLE_EQ(mean_delay({0.1, 0.2, 0.3}), 0.2);
-  EXPECT_DOUBLE_EQ(max_delay({0.1, 0.5, 0.3}), 0.5);
   EXPECT_THROW(mean_delay({}), std::runtime_error);
 }
 

@@ -1,4 +1,4 @@
-// NetServer start/stop lifecycle (labels: serve, net, tsan).
+// NetServer start/stop lifecycle (labels: serve, net).
 //
 // stop() must hand the listening socket back only after the accept thread
 // has finished with it: the accept thread works on its own copy of the fd,

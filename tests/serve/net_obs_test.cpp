@@ -17,9 +17,10 @@
 //     belong to traced requests this process actually issued.
 //   - Error frames over a real socket: a predict against a full queue gets
 //     kRejected, one for a model that is not loaded gets kUnknownModel,
-//     and a shutdown with remote shutdown disabled gets kRejected. Each
+//     and a shutdown sent to a server bound to 0.0.0.0 gets kRejected. Each
 //     leaves the connection serving and moves NetStats and the
 //     serve.net.{rejected,errors}_total counters by exactly one.
+//   - Remote shutdown is acked on a 127/8 listen and on a unix socket.
 //   - The connection cap: with NetServer::kMaxConnections clients
 //     connected, one more idle connection gets one kRejected frame and EOF
 //     and counts as refused, not as a connection; once one of the others
@@ -332,9 +333,11 @@ TEST(NetObs, ErrorFramesKeepTheConnectionAndAreCounted) {
   ModelRegistry registry(cfg);
   registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));
   NetServerConfig ncfg = loopback_config();
-  ncfg.allow_remote_shutdown = false;
+  ncfg.listen = "tcp:0.0.0.0:0";  // not a local listen: no remote shutdown
   NetServer server(registry, ncfg);
   server.start();
+  const std::string address =
+      "tcp:127.0.0.1:" + std::to_string(server.port());
   obs::Counter& net_rejected =
       obs::Registry::global().counter("serve.net.rejected_total");
   obs::Counter& net_errors =
@@ -343,8 +346,8 @@ TEST(NetObs, ErrorFramesKeepTheConnectionAndAreCounted) {
   const std::uint64_t errors0 = net_errors.value();
 
   const ModelRegistry::Handle entry = registry.acquire("m");
-  NetClient a(server.address());
-  NetClient b(server.address());
+  NetClient a(address);
+  NetClient b(address);
   const dataset::Sample sample = make_request(7);
 
   // Rejected: with the batcher paused, A's predict takes the only queue
@@ -375,7 +378,8 @@ TEST(NetObs, ErrorFramesKeepTheConnectionAndAreCounted) {
                       wire::ErrorCode::kUnknownModel);
   EXPECT_EQ(b.predict("m", sample).delay_s, want.delay_s);
 
-  // Remote shutdown disabled: refused, and the server keeps serving.
+  // Remote shutdown on a 0.0.0.0 bind: refused, and the server keeps
+  // serving.
   expect_remote_error([&] { b.shutdown_server(); },
                       wire::ErrorCode::kRejected);
   EXPECT_EQ(b.predict("m", sample).delay_s, want.delay_s);
@@ -387,6 +391,24 @@ TEST(NetObs, ErrorFramesKeepTheConnectionAndAreCounted) {
   EXPECT_EQ(net_errors.value() - errors0, 3u);
 
   server.stop();
+}
+
+TEST(NetObs, RemoteShutdownIsAckedOnLoopbackAndUnixListens) {
+  ModelRegistry registry(fast_config());
+  registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));
+  const std::string sock = ::testing::TempDir() + "net_obs_shutdown.sock";
+  for (const std::string& listen :
+       {std::string("tcp:127.0.0.1:0"), "unix:" + sock}) {
+    NetServerConfig ncfg;
+    ncfg.listen = listen;
+    NetServer server(registry, ncfg);
+    server.start();
+    NetClient client(server.address());
+    client.shutdown_server();  // throws on anything but kShutdownAck
+    server.wait();             // returns only once the request is in
+    EXPECT_EQ(server.stats().errors, 0u) << listen;
+    server.stop();
+  }
 }
 
 TEST(NetObs, ConnectionsOverTheCapAreRefusedUntilOneCloses) {

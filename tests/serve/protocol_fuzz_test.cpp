@@ -1,4 +1,4 @@
-// RNP/1 wire-protocol fuzz suite (labels: serve, net, asan).
+// RNP/1 wire-protocol fuzz suite (labels: serve, net).
 //
 // The serving frontend reads frames off sockets from arbitrary peers, so
 // the parser gets the RNCKPT2 hostile-input treatment: round-trips must be
@@ -9,7 +9,8 @@
 // with absurd counts — name lengths, node/link counts, path lengths, pair
 // counts — must be rejected before anything is allocated. Routes that
 // are empty, discontinuous, looping or miss their destination are rejected
-// too, with the offending pair named. Runs under
+// too, with the offending pair named, and every reject branch that no
+// sweep reaches has a case matching its message. Runs under
 // -DRN_SANITIZE=address so an over-read would crash loudly.
 #include "serve/protocol.h"
 
@@ -77,7 +78,7 @@ TEST(ProtocolRoundTrip, PredictResponsePreservesEveryBit) {
   pred.jitter_s = {0.5, 0.0, 3e-7, 1.0, 2.0};
   const std::string payload = encode_predict_response(pred);
   const core::RouteNet::Prediction decoded =
-      decode_predict_response(payload);
+      decode_predict_response_full(payload).prediction;
   ASSERT_EQ(decoded.delay_s.size(), pred.delay_s.size());
   for (std::size_t i = 0; i < pred.delay_s.size(); ++i) {
     EXPECT_EQ(decoded.delay_s[i], pred.delay_s[i]);
@@ -127,11 +128,11 @@ TEST(ProtocolRoundTrip, TracedPredictResponseRoundTrips) {
   EXPECT_EQ(encode_predict_response(decoded.prediction, decoded.request_id,
                                     decoded.queue_wait_s, decoded.server_s),
             payload);
-  // The prediction-only convenience decoder accepts both forms.
-  EXPECT_EQ(decode_predict_response(payload).delay_s, pred.delay_s);
+  // The decoder accepts the legacy form too.
   const PredictResponse legacy =
       decode_predict_response_full(encode_predict_response(pred));
   EXPECT_FALSE(legacy.has_trace);
+  EXPECT_EQ(legacy.prediction.delay_s, pred.delay_s);
 }
 
 TEST(ProtocolFuzz, TraceContextValidationRejectsHostileTails) {
@@ -448,11 +449,11 @@ TEST(ProtocolFuzz, TrailingPayloadBytesThrow) {
 TEST(ProtocolFuzz, AbsurdPairCountInResponseThrows) {
   std::string p;
   put_pod(p, std::numeric_limits<std::uint32_t>::max());
-  EXPECT_THROW(decode_predict_response(p), ProtocolError);
+  EXPECT_THROW(decode_predict_response_full(p), ProtocolError);
   // In-cap count, no rows behind it.
   std::string q;
   put_pod(q, std::uint32_t{1000});
-  EXPECT_THROW(decode_predict_response(q), ProtocolError);
+  EXPECT_THROW(decode_predict_response_full(q), ProtocolError);
 }
 
 TEST(ProtocolFuzz, UnknownErrorCodeThrows) {
@@ -482,7 +483,7 @@ TEST(ProtocolFuzz, EmptyAndGarbagePayloadsThrowEverywhere) {
   const std::string garbage(64, '\xA5');
   EXPECT_THROW(decode_predict_request({}), ProtocolError);
   EXPECT_THROW(decode_predict_request(garbage), ProtocolError);
-  EXPECT_THROW(decode_predict_response({}), ProtocolError);
+  EXPECT_THROW(decode_predict_response_full({}), ProtocolError);
   EXPECT_THROW(decode_error({}), ProtocolError);
   EXPECT_THROW(decode_reload_request({}), ProtocolError);
   EXPECT_THROW(decode_reload_response({}), ProtocolError);
@@ -589,6 +590,81 @@ TEST(ProtocolFuzz, HostileStatsCountsThrow) {
   const std::uint64_t zero = 0;
   std::memcpy(enc.data() + rid_off, &zero, sizeof(zero));
   EXPECT_THROW(decode_stats_response(enc), ProtocolError);
+}
+
+// --- Reject branches, each matched by its message -------------------------
+
+// f must throw a ProtocolError whose message contains `needle`, so a
+// different reject cannot stand in for the one under test.
+template <typename F>
+void expect_protocol_error(const F& f, const std::string& needle) {
+  try {
+    f();
+    ADD_FAILURE() << "accepted; expected \"" << needle << "\"";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ProtocolReject, EncodedNameOverTheCap) {
+  expect_protocol_error(
+      [] { encode_reload_request(std::string(kMaxNameLen + 1, 'm')); },
+      "model name length 257 exceeds cap 256");
+}
+
+TEST(ProtocolReject, EncodedPathWithMoreHopsThanNodes) {
+  // Six hops on a 4-node ring: no simple path is that long.
+  expect_protocol_error(
+      [] {
+        ring4_request_with_path_0_2(
+            {{0, 1}, {1, 0}, {0, 1}, {1, 0}, {0, 1}, {1, 2}});
+      },
+      "has 6 hops on a topology of 4 nodes");
+}
+
+TEST(ProtocolReject, EncodedPredictionSizesDisagree) {
+  core::RouteNet::Prediction pred;
+  pred.delay_s = {0.1, 0.2};
+  pred.jitter_s = {0.01};
+  expect_protocol_error([&] { encode_predict_response(pred); },
+                        "prediction delay/jitter sizes disagree");
+}
+
+TEST(ProtocolReject, DecodedResponseWithZeroRequestId) {
+  core::RouteNet::Prediction pred;
+  pred.delay_s = {0.1};
+  pred.jitter_s = {0.01};
+  std::string p = encode_predict_response(pred, 7, 0.001, 0.002);
+  // The attribution block is the trailing rid:u64 wait:f64 server:f64.
+  const std::uint64_t zero = 0;
+  std::memcpy(p.data() + p.size() - 3 * sizeof(double), &zero, sizeof(zero));
+  expect_protocol_error([&] { decode_predict_response_full(p); },
+                        "response request id must be non-zero");
+}
+
+TEST(ProtocolReject, EncodedStatsCountOverTheCap) {
+  StatsSnapshot snap = make_snapshot();
+  snap.counters.assign(kMaxStatsEntries + 1,
+                       StatsSnapshot::CounterEntry{"c", 1});
+  expect_protocol_error([&] { encode_stats_response(snap); },
+                        "counter count 4097 exceeds cap 4096");
+}
+
+TEST(ProtocolReject, DecodedExemplarCountOverTheCap) {
+  StatsSnapshot snap = make_snapshot();
+  snap.windows[0].exemplars.clear();
+  std::string enc = encode_stats_response(snap);
+  // With no exemplars, the window's u16 exemplar count sits just before
+  // the model section (count + name len + name + version + parameters).
+  const std::size_t model_section =
+      sizeof(std::uint32_t) + sizeof(std::uint16_t) +
+      std::string("default").size() + 2 * sizeof(std::uint64_t);
+  const auto over = static_cast<std::uint16_t>(kMaxExemplars + 1);
+  std::memcpy(enc.data() + enc.size() - model_section - sizeof(over), &over,
+              sizeof(over));
+  expect_protocol_error([&] { decode_stats_response(enc); },
+                        "exemplar count 257 exceeds cap 256");
 }
 
 }  // namespace

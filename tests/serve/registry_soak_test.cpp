@@ -1,4 +1,4 @@
-// ModelRegistry contract + hot-reload race soak (labels: serve, net, tsan).
+// ModelRegistry contract + hot-reload race soak (labels: serve, net).
 //
 // Unit half: name routing, version bumps, misses throwing, removal,
 // file-backed load/reload picking up new weights, and the batch-deadline

@@ -2,7 +2,7 @@
 // request predict() returns (merged graphs are disjoint, so coalescing must
 // not change a single bit), backpressure rejects deterministically and is
 // counted, and stop() drains every queued request. The whole suite also runs
-// under -DRN_SANITIZE=thread (label `tsan`): concurrent submitters + worker
+// under -DRN_SANITIZE=thread: concurrent submitters + worker
 // loops + the shared model must be race-free.
 #include "serve/server.h"
 

@@ -166,58 +166,6 @@ TEST(Generators, SmallShapes) {
   EXPECT_EQ(line(5).num_links(), 8);
   EXPECT_EQ(star(4).num_nodes(), 5);
   EXPECT_EQ(star(4).num_links(), 8);
-  const Topology d = dumbbell(3, 100.0, 40.0);
-  EXPECT_EQ(d.num_nodes(), 8);
-  EXPECT_TRUE(d.is_strongly_connected());
-  EXPECT_DOUBLE_EQ(d.min_capacity_bps(), 40.0);
-  EXPECT_DOUBLE_EQ(d.max_capacity_bps(), 100.0);
-}
-
-TEST(Generators, GridShapeAndDegrees) {
-  const Topology t = grid(3, 4);
-  EXPECT_EQ(t.num_nodes(), 12);
-  // Edges: horizontal 2*4 + vertical 3*3 = 17 duplex.
-  EXPECT_EQ(t.num_links(), 34);
-  EXPECT_TRUE(t.is_strongly_connected());
-  EXPECT_EQ(t.out_degree(0), 2);      // corner
-  EXPECT_EQ(t.out_degree(4), 4);      // interior (x=1, y=1)
-}
-
-TEST(Generators, TorusIsDegreeRegular) {
-  const Topology t = torus(4, 3);
-  EXPECT_EQ(t.num_nodes(), 12);
-  EXPECT_EQ(t.num_links(), 2 * 2 * 12);  // 2 duplex links added per node
-  EXPECT_TRUE(t.is_strongly_connected());
-  for (NodeId n = 0; n < t.num_nodes(); ++n) {
-    EXPECT_EQ(t.out_degree(n), 4);
-  }
-}
-
-TEST(Generators, TorusDiameterBeatsGrid) {
-  // Wraparound halves the worst-case hop distance along each dimension.
-  const Topology g = grid(6, 6);
-  const Topology t = torus(6, 6);
-  const std::vector<int> gd = g.bfs_hops(0);
-  const std::vector<int> td = t.bfs_hops(0);
-  EXPECT_GT(*std::max_element(gd.begin(), gd.end()),
-            *std::max_element(td.begin(), td.end()));
-}
-
-TEST(Generators, FatTreeShape) {
-  const Topology t = fat_tree(4);
-  // 4 core + 4 pods × (2 agg + 2 edge) = 20 nodes.
-  EXPECT_EQ(t.num_nodes(), 20);
-  // Links: per pod, 2 agg × (2 core uplinks + 2 edge downlinks) = 8 duplex
-  // → 32 duplex total.
-  EXPECT_EQ(t.num_links(), 64);
-  EXPECT_TRUE(t.is_strongly_connected());
-  // Core links faster than pod links by default.
-  EXPECT_DOUBLE_EQ(t.max_capacity_bps(), 40'000.0);
-  EXPECT_DOUBLE_EQ(t.min_capacity_bps(), 10'000.0);
-}
-
-TEST(Generators, FatTreeRejectsOddArity) {
-  EXPECT_THROW(fat_tree(3), std::runtime_error);
 }
 
 TEST(Generators, BaDegreeSkew) {

@@ -1,6 +1,6 @@
 // Tests for the src/obs hierarchical span tracer: automatic nesting via
 // thread-local stacks, cross-thread propagation through parallel_for (1 and
-// 4 threads, tsan-labeled), the Chrome trace-event exporter re-parsed with
+// 4 threads), the Chrome trace-event exporter re-parsed with
 // the strict JSON parser, merge-on-resume, the spill path under sustained
 // span volume, and the zero-allocation guarantee of the disabled path.
 #include "obs/trace.h"

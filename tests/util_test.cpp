@@ -110,13 +110,6 @@ TEST(Rng, WeightedPickRespectsWeights) {
   EXPECT_GT(counts[2], counts[0]);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(7);
-  Rng child = a.fork();
-  // Child stream differs from the parent's continued stream.
-  EXPECT_NE(child.uniform(0.0, 1.0), a.uniform(0.0, 1.0));
-}
-
 TEST(MeanOf, Basic) {
   EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
   EXPECT_THROW(mean_of({}), std::runtime_error);

@@ -1,7 +1,7 @@
 // Tests for the sliding-window histogram (src/obs/window.h): quantile
 // accuracy against an exact sort, window expiry and slot rotation through
 // the deterministic record_at/stats_at seams, registry integration, and
-// thread-safety of concurrent records + reads (tsan-labeled). Includes the
+// thread-safety of concurrent records + reads. Includes the
 // acceptance lock for the live-telemetry PR: after a load ramp the sliding
 // p99 must differ from the all-time p99.
 #include "obs/window.h"
@@ -264,8 +264,8 @@ TEST(WindowedHistogramTest, RegistrySnapshotCarriesExemplars) {
   reg.reset();
 }
 
-// Concurrent writers plus a racing reader; run under tsan via the "tsan"
-// label. Every record lands in the live window, so the final merged count
+// Concurrent writers plus a racing reader; the sanitizer sweep runs it
+// under TSan. Every record lands in the live window, so the final merged count
 // is exact.
 TEST(WindowedHistogramTest, ConcurrentRecordsAndReadsAreSafeAndLossless) {
   WindowedHistogram w(60.0, 6);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -198,6 +199,7 @@ int cmd_simulate(const Flags& flags) {
   if (!out.empty()) {
     std::ofstream csv(out);
     RN_CHECK(csv.good(), "cannot open " + out);
+    csv.precision(std::numeric_limits<double>::max_digits10);
     csv << "src,dst,delivered,mean_delay_s,jitter_s,drops\n";
     for (int idx = 0; idx < sc.topology->num_pairs(); ++idx) {
       const auto [s, d] =
@@ -449,6 +451,7 @@ int cmd_predict(const Flags& flags) {
   if (!out.empty()) {
     std::ofstream csv(out);
     RN_CHECK(csv.good(), "cannot open " + out);
+    csv.precision(std::numeric_limits<double>::max_digits10);
     csv << "src,dst,predicted_delay_s,predicted_jitter_s\n";
     for (int idx = 0; idx < pairs; ++idx) {
       const auto [s, d] =
