@@ -89,19 +89,19 @@ ExperimentScale scale_from_env() {
   // Columns: paper setup (train NSFNET / syn50, eval NSFNET / syn50 /
   // Geant2, epochs, pkts/flow), sweep {train, eval, epochs} and its
   // pkts/flow, baseline {train, eval, epochs}, timing reps, dataset_io
-  // corpus, serving {warmup, main, fixed, overload}.
+  // corpus, serving {warmup, main, overload}.
   if (mode == "smoke") {
     // Seconds tier for CI smokes (obs_diff_smoke): just enough work to
     // populate every BENCH_*.json key, no statistical value.
     s = ExperimentScale{"smoke", 6, 2, 2, 1, 2, 2, 30.0, {2, 1, 1}, 30.0,
-                        {2, 1, 1}, 1, 8, {200, 600, 64, 128}};
+                        {2, 1, 1}, 1, 8, {200, 600, 128}};
   } else if (mode == "quick") {
     s = ExperimentScale{"quick", 24, 4, 6, 2, 5, 10, 80.0, {10, 3, 8}, 60.0,
-                        {12, 4, 15}, 3, 16, {1500, 10000, 200, 512}};
+                        {12, 4, 15}, 3, 16, {1500, 10000, 512}};
   } else if (mode == "large") {
     s = ExperimentScale{"large", 400, 60, 40, 12, 40, 40, 150.0,
                         {28, 6, 15}, 100.0, {32, 8, 30}, 5, 128,
-                        {1500, 10000, 200, 512}};
+                        {1500, 10000, 512}};
   } else {
     s.name = "standard";
   }

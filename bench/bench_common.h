@@ -32,7 +32,6 @@ struct StudySize {
 struct ServeLoad {
   int warmup = 0;
   int main = 0;
-  int fixed = 0;
   int overload = 0;
 };
 
@@ -52,7 +51,7 @@ struct ExperimentScale {
   StudySize baseline{32, 8, 30};
   int timing_reps = 5;   // stopwatch runs per cost cell; the median is shown
   int io_corpus = 48;    // dataset_io samples
-  ServeLoad serve{1500, 10000, 200, 512};
+  ServeLoad serve{1500, 10000, 512};
 };
 
 // Reads RN_BENCH_SCALE (smoke | quick | standard | large); standard by

@@ -1,22 +1,19 @@
 // Network-serving bench: closed-loop RNP/1 load over loopback TCP against
-// the real NetServer + ModelRegistry, in three phases that prove the
-// adaptive batching policy earns its keep:
+// the real NetServer + ModelRegistry, in two measured phases:
 //
-//   fixed     — a long fixed batch deadline (40ms): every request waits the
-//               coalescing window out, so the client-observed p99 breaches
-//               the 25ms SLO by construction.
-//   adaptive  — the same server shape with AdaptiveBatchPolicy attached:
-//               after a warmup that lets the AIMD loop converge, the main
-//               measured run (10k+ requests at the standard tier) must hold
-//               the client p99 at or under the SLO with zero errors.
-//   overload  — a two-slot queue with single-request batches under 16
-//               hammering clients: rejects must happen (backpressure is
-//               real), stay bounded (some requests are still served), and a
-//               fresh probe after the storm must succeed.
+//   conserving — the work-conserving batcher under 8 closed-loop clients:
+//                after a warmup, the main measured run (10k requests at the
+//                standard tier) must hold the client p99 at or under the
+//                25ms SLO with zero errors. Batches form only from what
+//                queued while the workers were busy.
+//   overload   — a two-slot queue with single-request batches under 16
+//                hammering clients: rejects must happen (backpressure is
+//                real), stay bounded (some requests are still served), and a
+//                fresh probe after the storm must succeed.
 //
-// BENCH_serving_net.json records all three phases; under RN_BENCH_ENFORCE=1
-// the fixed-breaches / adaptive-holds / overload-bounded checks become exit
-// codes instead of report lines.
+// BENCH_serving_net.json records both phases; under RN_BENCH_ENFORCE=1 the
+// conserving-holds / overload-bounded checks become exit codes instead of
+// report lines.
 //
 //   ./serving_net [--metrics-out PATH] [--threads N]
 #include <atomic>
@@ -37,7 +34,6 @@
 #include "obs/window.h"
 #include "par/thread_pool.h"
 #include "serve/net.h"
-#include "serve/policy.h"
 #include "serve/registry.h"
 #include "topology/generators.h"
 #include "util/stats.h"
@@ -45,12 +41,6 @@
 namespace {
 
 constexpr double kSloP99S = 0.025;
-// AIMD probes additively up to its target and oscillates around it, so the
-// policy aims below the gate: server-side p99 hovers near 15ms, leaving the
-// client-observed p99 (queue + compute + loopback round trip) real headroom
-// under the 25ms SLO instead of riding the boundary.
-constexpr double kPolicyTargetS = 0.015;
-constexpr double kFixedDeadlineS = 0.040;
 
 struct PhaseResult {
   std::string name;
@@ -175,7 +165,6 @@ int main(int argc, char** argv) {
   const rn::bench::ExperimentScale scale = rn::bench::scale_from_env();
   const int kWarmup = scale.serve.warmup;
   const int kMain = scale.serve.main;
-  const int kFixed = scale.serve.fixed;
   const int kOverload = scale.serve.overload;
   const int kClients = 8;
 
@@ -209,12 +198,12 @@ int main(int argc, char** argv) {
               "p50 (ms)", "p99 (ms)", "rejects", "failed");
   std::vector<PhaseResult> results;
 
-  // Phase 1: fixed long deadline, no policy. Batches of 8 clients never
-  // fill max_batch 16, so every batch waits the full 40ms out.
+  // Phase 1: the work-conserving batcher. The warmup run connects and
+  // fills the workers' arenas; the latency window is cleared before the
+  // measured run.
   {
     rn::serve::ServerConfig scfg;
     scfg.max_batch = 16;
-    scfg.batch_deadline_s = kFixedDeadlineS;
     scfg.queue_capacity = 4096;
     rn::serve::ModelRegistry registry(scfg);
     registry.install("default",
@@ -222,58 +211,21 @@ int main(int argc, char** argv) {
     rn::serve::NetServerConfig ncfg;
     rn::serve::NetServer server(registry, ncfg);
     server.start();
-    results.push_back(
-        run_load("fixed", server.address(), pool, kFixed, kClients));
-    print_phase(results.back());
-    server.stop();
-  }
-
-  // Phase 2: same shape with the AIMD policy attached. Warmup lets the
-  // controller converge (40ms halves under the SLO within ~4 ticks), then
-  // the latency window is cleared and the main run is measured clean.
-  double deadline_final_s = 0.0;
-  {
-    rn::serve::ServerConfig scfg;
-    scfg.max_batch = 16;
-    scfg.batch_deadline_s = kFixedDeadlineS;
-    scfg.queue_capacity = 4096;
-    rn::serve::ModelRegistry registry(scfg);
-    registry.install("default",
-                     std::make_unique<rn::core::RouteNet>(mcfg));
-    rn::serve::PolicyConfig pcfg;
-    pcfg.slo_p99_s = kPolicyTargetS;
-    pcfg.initial_deadline_s = kFixedDeadlineS;
-    pcfg.max_deadline_s = 0.100;
-    pcfg.interval_s = 0.02;  // fast ticks: converge within the warmup
-    rn::obs::WindowedHistogram& window = reg.windowed("serve.latency_s");
-    rn::serve::AdaptiveBatchPolicy policy(
-        pcfg,
-        [&window] {
-          const rn::obs::WindowedHistogram::Stats w = window.stats();
-          return rn::serve::AdaptiveBatchPolicy::WindowSample{w.count,
-                                                             w.p99};
-        },
-        [&registry](double d) { registry.set_batch_deadline(d); });
-    rn::serve::NetServerConfig ncfg;
-    rn::serve::NetServer server(registry, ncfg, &policy);
-    server.start();
     run_load("warmup", server.address(), pool, kWarmup, kClients);
-    window.reset();
+    reg.windowed("serve.latency_s").reset();
     results.push_back(
-        run_load("adaptive", server.address(), pool, kMain, kClients));
+        run_load("conserving", server.address(), pool, kMain, kClients));
     print_phase(results.back());
-    deadline_final_s = registry.batch_deadline_s();
     server.stop();
   }
 
-  // Phase 3: overload. Two queue slots, single-request batches, 16 clients:
+  // Phase 2: overload. Two queue slots, single-request batches, 16 clients:
   // backpressure must reject, the server must keep serving, and a fresh
   // probe after the storm must succeed.
   bool probe_ok = false;
   {
     rn::serve::ServerConfig scfg;
     scfg.max_batch = 1;
-    scfg.batch_deadline_s = 0.0;
     scfg.queue_capacity = 2;
     scfg.workers = 1;
     rn::serve::ModelRegistry registry(scfg);
@@ -294,27 +246,18 @@ int main(int argc, char** argv) {
     server.stop();
   }
 
-  const PhaseResult& fixed = results[0];
-  const PhaseResult& adaptive = results[1];
-  const PhaseResult& overload = results[2];
-  const bool fixed_breaches = fixed.p99_s > kSloP99S;
-  const bool adaptive_holds =
-      adaptive.p99_s <= kSloP99S && adaptive.failed == 0 &&
-      adaptive.ok == static_cast<std::uint64_t>(adaptive.requests);
+  const PhaseResult& conserving = results[0];
+  const PhaseResult& overload = results[1];
+  const bool conserving_holds =
+      conserving.p99_s <= kSloP99S && conserving.failed == 0 &&
+      conserving.ok == static_cast<std::uint64_t>(conserving.requests);
   const bool overload_bounded = overload.rejected > 0 && overload.ok > 0 &&
                                 overload.failed == 0 && probe_ok;
-  reg.gauge("bench.serving_net.fixed_p99_s").set(fixed.p99_s);
-  reg.gauge("bench.serving_net.adaptive_p99_s").set(adaptive.p99_s);
-  reg.gauge("bench.serving_net.deadline_final_s").set(deadline_final_s);
+  reg.gauge("bench.serving_net.conserving_p99_s").set(conserving.p99_s);
 
-  std::printf("\nfixed p99 %.1fms vs SLO %.0fms: %s\n", fixed.p99_s * 1e3,
-              kSloP99S * 1e3,
-              fixed_breaches ? "breaches (as constructed)"
-                             : "** did not breach — phase is not probing **");
-  std::printf("adaptive p99 %.1fms vs SLO %.0fms (final deadline %.2fms): "
-              "%s\n",
-              adaptive.p99_s * 1e3, kSloP99S * 1e3, deadline_final_s * 1e3,
-              adaptive_holds ? "holds" : "** SLO MISSED — regression **");
+  std::printf("\nwork-conserving p99 %.1fms vs SLO %.0fms: %s\n",
+              conserving.p99_s * 1e3, kSloP99S * 1e3,
+              conserving_holds ? "holds" : "** SLO MISSED — regression **");
   std::printf("overload: %llu rejected / %llu served, probe %s: %s\n",
               static_cast<unsigned long long>(overload.rejected),
               static_cast<unsigned long long>(overload.ok),
@@ -336,14 +279,12 @@ int main(int argc, char** argv) {
         out << results[i].to_json();
       }
       out << "],\"client_latency\":{\"p50_s\":"
-          << rn::obs::json_number(adaptive.p50_s)
-          << ",\"p99_s\":" << rn::obs::json_number(adaptive.p99_s)
+          << rn::obs::json_number(conserving.p50_s)
+          << ",\"p99_s\":" << rn::obs::json_number(conserving.p99_s)
           << ",\"queue_wait_share\":"
-          << rn::obs::json_number(adaptive.queue_wait_share) << '}'
-          << ",\"deadline_final_s\":"
-          << rn::obs::json_number(deadline_final_s)
-          << ",\"fixed_breaches_slo\":" << (fixed_breaches ? "true" : "false")
-          << ",\"adaptive_holds_slo\":" << (adaptive_holds ? "true" : "false")
+          << rn::obs::json_number(conserving.queue_wait_share) << '}'
+          << ",\"conserving_holds_slo\":"
+          << (conserving_holds ? "true" : "false")
           << ",\"overload_bounded\":" << (overload_bounded ? "true" : "false")
           << ",\"telemetry\":" << reg.snapshot().to_json() << "}\n";
     }
@@ -353,7 +294,7 @@ int main(int argc, char** argv) {
   rn::obs::EventSink::global().close();
 
   if (std::getenv("RN_BENCH_ENFORCE") != nullptr &&
-      !(fixed_breaches && adaptive_holds && overload_bounded)) {
+      !(conserving_holds && overload_bounded)) {
     std::printf("RN_BENCH_ENFORCE set: failing on serving-net gate\n");
     return 1;
   }

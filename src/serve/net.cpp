@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -31,6 +32,9 @@ namespace {
 // Pending connections the kernel queues before accept(); the handler cap
 // (NetServer::kMaxConnections) bounds what is served.
 constexpr int kListenBacklog = 64;
+
+// Largest payload read that read_frame() makes at once.
+constexpr std::size_t kPayloadReadStep = 64 * 1024;
 
 // The process-wide counters that net_obs_test and serve_net_smoke read;
 // every other per-server figure lives in NetStats.
@@ -126,9 +130,15 @@ bool read_frame(int fd, wire::Frame& out, std::uint64_t* bytes_read) {
       break;
   }
   const wire::FrameHeader fh = wire::parse_frame_header(header);
-  std::string payload(fh.payload_len, '\0');
-  if (fh.payload_len > 0) {
-    switch (read_exact(fd, payload.data(), payload.size(), bytes_read)) {
+  // The header may declare up to wire::kMaxPayload, but the buffer grows
+  // only by bytes that have arrived, one step at a time: a connection that
+  // sends a header and stalls holds no payload memory.
+  std::string payload;
+  char step_buf[kPayloadReadStep];
+  while (payload.size() < fh.payload_len) {
+    const std::size_t step =
+        std::min(kPayloadReadStep, fh.payload_len - payload.size());
+    switch (read_exact(fd, step_buf, step, bytes_read)) {
       case ReadResult::kTimeout:
         throw ReadTimeoutError("read timed out mid-payload");
       case ReadResult::kOk:
@@ -136,6 +146,7 @@ bool read_frame(int fd, wire::Frame& out, std::uint64_t* bytes_read) {
       default:
         throw wire::ProtocolError("connection closed mid-payload");
     }
+    payload.append(step_buf, step);
   }
   char trailer[wire::kTrailerLen];
   switch (read_exact(fd, trailer, sizeof(trailer), bytes_read)) {
@@ -272,9 +283,8 @@ std::string format_address(const Address& addr) {
   return "tcp:" + addr.host + ":" + std::to_string(addr.port);
 }
 
-NetServer::NetServer(ModelRegistry& registry, NetServerConfig cfg,
-                     AdaptiveBatchPolicy* policy)
-    : registry_(registry), cfg_(std::move(cfg)), policy_(policy) {}
+NetServer::NetServer(ModelRegistry& registry, NetServerConfig cfg)
+    : registry_(registry), cfg_(std::move(cfg)) {}
 
 NetServer::~NetServer() { stop(); }
 
@@ -321,7 +331,6 @@ void NetServer::start() {
     ev.f("address", address()).f("models", registry_.size());
     obs::EventSink::global().emit(ev);
   }
-  if (policy_ != nullptr) policy_->start();
   accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
@@ -577,7 +586,6 @@ void NetServer::stop() {
     stopping_ = true;
   }
   cv_.notify_all();
-  if (policy_ != nullptr) policy_->stop();
   // shutdown() wakes the blocked accept() without releasing the fd; it is
   // closed only after the accept thread has exited, so that thread never
   // sees the descriptor number reused by another open().

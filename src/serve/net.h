@@ -19,8 +19,7 @@
 //
 // stop() drains: the listener closes, every open connection's read side is
 // shut down (in-flight responses still flush), handler threads join, each
-// model's InferenceServer serves what it already queued. An optional
-// AdaptiveBatchPolicy is started/stopped with the server.
+// model's InferenceServer serves what it already queued.
 //
 // NetClient is the matching blocking client: one connection, synchronous
 // predict()/reload()/shutdown_server()/stats(); server-side error frames
@@ -60,7 +59,6 @@
 
 #include "core/routenet.h"
 #include "dataset/dataset.h"
-#include "serve/policy.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
 
@@ -110,10 +108,8 @@ class NetServer {
   // rejections, while each still costs a thread.
   static constexpr std::size_t kMaxConnections = 256;
 
-  // The registry (and policy, if any) must outlive the server. The policy,
-  // when present, is started by start() and stopped by stop().
-  NetServer(ModelRegistry& registry, NetServerConfig cfg,
-            AdaptiveBatchPolicy* policy = nullptr);
+  // The registry must outlive the server.
+  NetServer(ModelRegistry& registry, NetServerConfig cfg);
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
@@ -160,7 +156,6 @@ class NetServer {
 
   ModelRegistry& registry_;
   NetServerConfig cfg_;
-  AdaptiveBatchPolicy* policy_ = nullptr;
 
   Address addr_;
   int listen_fd_ = -1;

@@ -17,9 +17,7 @@ ModelRegistry::Entry::Entry(std::string name, std::string source,
       server_(std::make_unique<InferenceServer>(*model_, cfg)) {}
 
 ModelRegistry::ModelRegistry(ServerConfig server_cfg)
-    : server_cfg_(server_cfg), deadline_s_(server_cfg.batch_deadline_s) {
-  RN_CHECK(server_cfg_.batch_deadline_s >= 0.0,
-           "batch deadline must be >= 0");
+    : server_cfg_(server_cfg) {
   snapshot_.store(std::make_shared<const Snapshot>());
 }
 
@@ -45,10 +43,8 @@ std::uint64_t ModelRegistry::swap_in(const std::string& name,
   if (const auto it = old->find(name); it != old->end()) {
     version = it->second->version() + 1;
   }
-  ServerConfig cfg = server_cfg_;
-  cfg.batch_deadline_s = deadline_s_.load(std::memory_order_relaxed);
   auto entry = std::make_shared<Entry>(name, source, std::move(model),
-                                       version, cfg);
+                                       version, server_cfg_);
   auto next = std::make_shared<Snapshot>(*old);
   (*next)[name] = std::move(entry);
   snapshot_.store(std::shared_ptr<const Snapshot>(std::move(next)));
@@ -113,18 +109,5 @@ std::vector<ModelRegistry::ModelInfo> ModelRegistry::list() const {
 }
 
 std::size_t ModelRegistry::size() const { return snapshot_.load()->size(); }
-
-void ModelRegistry::set_batch_deadline(double seconds) {
-  RN_CHECK(seconds >= 0.0, "batch deadline must be >= 0");
-  deadline_s_.store(seconds, std::memory_order_relaxed);
-  const std::shared_ptr<const Snapshot> snap = snapshot_.load();
-  for (const auto& [name, entry] : *snap) {
-    entry->server().set_batch_deadline(seconds);
-  }
-}
-
-double ModelRegistry::batch_deadline_s() const {
-  return deadline_s_.load(std::memory_order_relaxed);
-}
 
 }  // namespace rn::serve

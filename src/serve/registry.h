@@ -18,7 +18,6 @@
 // load/install/reload.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -70,8 +69,7 @@ class ModelRegistry {
 
   using Handle = std::shared_ptr<Entry>;
 
-  // `server_cfg` is applied to every model's InferenceServer (the batch
-  // deadline can be retuned later via set_batch_deadline).
+  // `server_cfg` is applied to every model's InferenceServer.
   explicit ModelRegistry(ServerConfig server_cfg = {});
   ~ModelRegistry();
 
@@ -108,12 +106,6 @@ class ModelRegistry {
   std::vector<ModelInfo> list() const;
   std::size_t size() const;
 
-  // Retunes every current entry's batch deadline; entries created by later
-  // loads inherit the latest value. The adaptive policy's actuator in
-  // multi-model serving.
-  void set_batch_deadline(double seconds);
-  double batch_deadline_s() const;
-
  private:
   using Snapshot = std::map<std::string, Handle>;
 
@@ -147,7 +139,6 @@ class ModelRegistry {
   // take it.
   mutable std::mutex mu_;
   SnapshotSlot snapshot_;
-  std::atomic<double> deadline_s_;
 };
 
 }  // namespace rn::serve

@@ -15,7 +15,7 @@ namespace {
 
 // Metric references are resolved once per process; the serve hot path only
 // touches lock-free counters and the latency window. The window is what
-// the p99-adaptive batcher (and `obs.snapshot`) reads.
+// `obs.snapshot` and the RNP/1 stats scrape read.
 struct ServeMetrics {
   obs::WindowedHistogram& latency_window =
       obs::Registry::global().windowed("serve.latency_s");
@@ -37,9 +37,7 @@ ServeMetrics& metrics() {
 InferenceServer::InferenceServer(const core::RouteNet& model, ServerConfig cfg)
     : model_(model), cfg_(cfg) {
   RN_CHECK(cfg_.max_batch >= 1, "max_batch must be positive");
-  RN_CHECK(cfg_.batch_deadline_s >= 0.0, "batch deadline must be >= 0");
   RN_CHECK(cfg_.queue_capacity >= 1, "queue capacity must be positive");
-  set_batch_deadline(cfg_.batch_deadline_s);
   const int workers = std::max(
       1, cfg_.workers > 0 ? cfg_.workers : par::global_pool()->size());
   for (int i = 0; i < workers; ++i) {
@@ -80,23 +78,12 @@ void InferenceServer::worker_loop() {
     std::vector<Request> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      // A pause holds the queue untouched until resume; stop() overrides it
+      // so the drain still happens.
       cv_.wait(lock,
                [&] { return stopping_ || (!paused_ && !queue_.empty()); });
-      if (queue_.empty()) {
-        if (stopping_) return;  // stopping and fully drained
-        continue;               // resumed from a pause with nothing queued
-      }
-      // Hold a partial batch open until it fills or the oldest request's
-      // deadline passes. During drain (stopping_) ship immediately.
-      const auto deadline = queue_.front().enqueued + current_deadline();
-      cv_.wait_until(lock, deadline, [&] {
-        return stopping_ ||
-               (!paused_ &&
-                queue_.size() >= static_cast<std::size_t>(cfg_.max_batch));
-      });
-      // Another worker may have taken everything while we waited; a pause
-      // holds the queue untouched until resume (stop() overrides).
-      if (queue_.empty() || (paused_ && !stopping_)) continue;
+      if (queue_.empty()) return;  // stopping and fully drained
+      // Work-conserving: ship whatever is queued now, up to max_batch.
       const std::size_t take =
           std::min(queue_.size(), static_cast<std::size_t>(cfg_.max_batch));
       batch.reserve(take);
@@ -180,25 +167,6 @@ void InferenceServer::run_batch(std::vector<Request>& batch) {
       req.promise.set_exception(std::current_exception());
     }
   }
-}
-
-void InferenceServer::set_batch_deadline(double seconds) {
-  RN_CHECK(seconds >= 0.0, "batch deadline must be >= 0");
-  deadline_ns_.store(
-      static_cast<std::int64_t>(seconds * 1e9),
-      std::memory_order_relaxed);
-}
-
-double InferenceServer::batch_deadline_s() const {
-  return static_cast<double>(deadline_ns_.load(std::memory_order_relaxed)) /
-         1e9;
-}
-
-std::chrono::steady_clock::duration InferenceServer::current_deadline()
-    const {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::nanoseconds(
-          deadline_ns_.load(std::memory_order_relaxed)));
 }
 
 void InferenceServer::set_paused_for_test(bool paused) {

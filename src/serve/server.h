@@ -3,12 +3,14 @@
 //
 // Request flow: submit() enqueues a Sample into a bounded queue (rejecting
 // with RejectedError when full — backpressure is explicit and counted, never
-// silent latency) and returns a future. Worker loops pop requests and
-// coalesce them into one GraphBatch::from_samples forward pass under two
-// knobs: a batch closes as soon as `max_batch` requests are pending, or when
-// the oldest request has waited `batch_deadline_s`, whichever comes first.
-// Merged graphs are disjoint, so batched results are bitwise identical to
-// per-request predict() (serve_test locks this in).
+// silent latency) and returns a future. Dispatch is work-conserving: a
+// worker that finds the queue non-empty takes up to `max_batch` requests at
+// once and runs them as one GraphBatch::from_samples forward pass, without
+// waiting for more to arrive. Batches form only from what queued while
+// every worker was busy. At one thread a merged batch costs about the same
+// per sample as single requests, so a wait for company would buy latency
+// and no throughput. Merged graphs are disjoint, so batched results are
+// bitwise identical to per-request predict() (serve_test locks this in).
 //
 // Every worker loop runs on its own std::thread for the server's lifetime,
 // so a forward pass's parallel_for chunks fan out to the global `par` pool
@@ -18,8 +20,8 @@
 // already-queued request is still served, then workers are joined. The
 // destructor calls stop().
 //
-// Telemetry (docs/observability.md): the serve.latency_s window (the
-// adaptive policy and obs.snapshot read it); counters
+// Telemetry (docs/observability.md): the serve.latency_s window (obs.snapshot
+// and the RNP/1 stats scrape read it); counters
 // serve.requests_total / serve.rejected_total / serve.batches_total,
 // process-wide across every server (stats() keeps this server's own
 // served/batches); trace spans serve.batch (arg: size) with one
@@ -47,9 +49,10 @@ namespace rn::serve {
 struct ServerConfig {
   // Coalesce at most this many requests into one forward pass.
   int max_batch = 8;
-  // How long a worker holds a partial batch open waiting for it to fill.
-  // This is the initial value; set_batch_deadline() retunes it live (the
-  // p99-adaptive policy's actuator).
+  // Read by nothing: dispatch never waits for a batch to fill. Kept only
+  // because the end-to-end benchmark (rnbench/rnbench.cpp), which a
+  // performance change may not edit, still sets it; it goes with the next
+  // benchmark change, like RouteNetConfig::dropout.
   double batch_deadline_s = 0.005;
   // Pending requests beyond which submit() rejects.
   std::size_t queue_capacity = 256;
@@ -110,16 +113,10 @@ class InferenceServer {
   // Idempotent.
   void stop();
 
-  // Retunes the batch deadline live (thread-safe; workers pick the new
-  // value up at their next batch). This is the adaptive batching policy's
-  // actuator. Throws on negative values.
-  void set_batch_deadline(double seconds);
-  double batch_deadline_s() const;
-
-  // Test seam: while paused, workers take nothing off the queue, so a
-  // queue-overflow test can fill it to capacity deterministically instead
-  // of racing worker drain behind a long deadline. stop() overrides a
-  // pause (drain still happens). Resuming wakes every worker.
+  // Test seam: while paused, workers take nothing off the queue, so a test
+  // can fill it to capacity (or stage an exact batch) deterministically
+  // instead of racing the workers. stop() overrides a pause (drain still
+  // happens). Resuming wakes every worker.
   void set_paused_for_test(bool paused);
 
   ServerStats stats() const;
@@ -142,13 +139,8 @@ class InferenceServer {
   void worker_loop();
   void run_batch(std::vector<Request>& batch);
 
-  std::chrono::steady_clock::duration current_deadline() const;
-
   const core::RouteNet& model_;
   ServerConfig cfg_;
-  // Nanoseconds; atomic so the adaptive policy can retune it while workers
-  // and submitters run.
-  std::atomic<std::int64_t> deadline_ns_{0};
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -47,7 +47,6 @@ TEST(NetServerLifecycle, StartConnectStopCyclesAreRaceFree) {
   auto topology = std::make_shared<const topo::Topology>(topo::ring(5));
   const dataset::Sample request = make_request(topology);
   ServerConfig server_cfg;
-  server_cfg.batch_deadline_s = 0.0;
   server_cfg.workers = 1;
   ModelRegistry registry(server_cfg);
   registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));

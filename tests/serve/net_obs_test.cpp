@@ -21,6 +21,12 @@
 //     leaves the connection serving and moves NetStats and the
 //     serve.net.{rejected,errors}_total counters by exactly one.
 //   - Remote shutdown is acked on a 127/8 listen and on a unix socket.
+//   - A frame's payload buffer grows only as its bytes arrive: 64
+//     connections that each send a header declaring the 64 MiB maximum and
+//     then stall raise this process's VmRSS by under 16 MB (measured after
+//     each connection's handler thread exists), and a predict frame several
+//     read steps long, trickled in odd-sized pieces, is still served bit
+//     for bit.
 //   - The connection cap: with NetServer::kMaxConnections clients
 //     connected, one more idle connection gets one kRejected frame and EOF
 //     and counts as refused, not as a connection; once one of the others
@@ -34,6 +40,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
@@ -77,7 +85,6 @@ dataset::Sample make_request(std::uint64_t seed) {
 ServerConfig fast_config() {
   ServerConfig cfg;
   cfg.max_batch = 4;
-  cfg.batch_deadline_s = 0.0;
   cfg.queue_capacity = 64;
   cfg.workers = 1;
   return cfg;
@@ -156,6 +163,17 @@ wire::Frame read_frame(int fd) {
     throw wire::ProtocolError("connection closed mid-frame");
   }
   return wire::parse_frame(bytes + rest);
+}
+
+// Resident set of this process in kB (VmRSS in /proc/self/status).
+long vm_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  ADD_FAILURE() << "no VmRSS line in /proc/self/status";
+  return 0;
 }
 
 std::uint64_t counter_value(const wire::StatsSnapshot& snap,
@@ -460,6 +478,95 @@ TEST(NetObs, ConnectionsOverTheCapAreRefusedUntilOneCloses) {
   EXPECT_EQ(server.stats().connections, cap + 1);
   clients.back()->stats();  // the survivors still serve
   clients.clear();
+  server.stop();
+}
+
+TEST(NetObs, HeaderOnlyConnectionsHoldNoPayloadMemory) {
+  ModelRegistry registry(fast_config());
+  registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));
+  NetServer server(registry, loopback_config());
+  server.start();
+
+  // A predict header declaring the largest legal payload, and nothing more.
+  std::string header =
+      wire::encode_frame(wire::FrameType::kPredictRequest, {})
+          .substr(0, wire::kHeaderLen);
+  const std::uint32_t declared = wire::kMaxPayload;
+  std::memcpy(header.data() + wire::kHeaderLen - sizeof(declared), &declared,
+              sizeof(declared));
+
+  // One stats round trip per connection first, so every handler thread
+  // exists before the baseline is read: a thread's own footprint (about
+  // 0.75 MB under ThreadSanitizer) is not payload memory.
+  constexpr int kConnections = 64;
+  std::vector<int> fds;
+  for (int i = 0; i < kConnections; ++i) {
+    fds.push_back(raw_connect(server.port()));
+    write_all(fds.back(),
+              wire::encode_frame(wire::FrameType::kStatsRequest, {}));
+    ASSERT_EQ(read_frame(fds.back()).type, wire::FrameType::kStatsResponse);
+  }
+  constexpr long kBoundKb = 16 * 1024;
+  const long before_kb = vm_rss_kb();
+  long rise_kb = 0;
+  int sent = 0;
+  for (const int fd : fds) {
+    write_all(fd, header);
+    // Measure every eight headers, once their handlers have had time to
+    // read them, and stop at the first breach: a server that allocates the
+    // declared size up front then costs this test 512 MiB rather than
+    // 4 GiB.
+    if (++sent % 8 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      rise_kb = vm_rss_kb() - before_kb;
+      if (rise_kb >= kBoundKb) break;
+    }
+  }
+  EXPECT_LT(rise_kb, kBoundKb)
+      << "VmRSS rose " << rise_kb << " kB after " << sent
+      << " bare headers";
+  for (const int fd : fds) ::close(fd);
+  server.stop();
+}
+
+TEST(NetObs, LargeFrameSentInSlowPiecesIsServed) {
+  auto model = std::make_unique<core::RouteNet>(tiny_config());
+  Rng rng(41);
+  auto topology = std::make_shared<const topo::Topology>(
+      topo::synthetic_ba(100, 2, rng));
+  routing::RoutingScheme scheme =
+      routing::random_k_shortest_routing(*topology, 2, rng);
+  traffic::TrafficMatrix tm =
+      traffic::uniform_traffic(topology->num_nodes(), 50.0, 150.0, rng);
+  const dataset::Sample sample = dataset::make_inference_sample(
+      topology, std::move(scheme), std::move(tm));
+  const core::RouteNet::Prediction expected = model->predict(sample);
+  ModelRegistry registry(fast_config());
+  registry.install("m", std::move(model));
+  NetServer server(registry, loopback_config());
+  server.start();
+
+  const std::string frame = wire::encode_frame(
+      wire::FrameType::kPredictRequest,
+      wire::encode_predict_request("m", sample));
+  // Several 64 KiB read steps long, sent in pieces that straddle them.
+  ASSERT_GT(frame.size(), 3u * 64 * 1024);
+  constexpr std::size_t kPiece = 7919;
+  const int fd = raw_connect(server.port());
+  for (std::size_t off = 0; off < frame.size(); off += kPiece) {
+    write_all(fd, std::string_view(frame).substr(off, kPiece));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const wire::Frame reply = read_frame(fd);
+  ASSERT_EQ(reply.type, wire::FrameType::kPredictResponse);
+  const core::RouteNet::Prediction got =
+      wire::decode_predict_response_full(reply.payload).prediction;
+  ASSERT_EQ(got.delay_s.size(), expected.delay_s.size());
+  for (std::size_t i = 0; i < got.delay_s.size(); ++i) {
+    EXPECT_EQ(got.delay_s[i], expected.delay_s[i]) << "delay row " << i;
+    EXPECT_EQ(got.jitter_s[i], expected.jitter_s[i]) << "jitter row " << i;
+  }
+  ::close(fd);
   server.stop();
 }
 

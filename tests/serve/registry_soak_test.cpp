@@ -1,8 +1,7 @@
 // ModelRegistry contract + hot-reload race soak (labels: serve, net).
 //
-// Unit half: name routing, version bumps, misses throwing, removal,
-// file-backed load/reload picking up new weights, and the batch-deadline
-// actuator propagating to every entry's server.
+// Unit half: name routing, version bumps, misses throwing, removal, and
+// file-backed load/reload picking up new weights.
 //
 // Soak half: the atomic-snapshot swap under fire. Four client threads
 // hammer acquire() → submit() → get() at full tilt while a reloader swaps
@@ -73,12 +72,9 @@ bool bitwise_equal(const core::RouteNet::Prediction& a,
   return true;
 }
 
-// Immediate-dispatch config: requests never wait out a coalescing
-// deadline, so the soak's throughput is bounded by compute, not timers.
 ServerConfig fast_config() {
   ServerConfig cfg;
   cfg.max_batch = 4;
-  cfg.batch_deadline_s = 0.0;
   cfg.queue_capacity = 64;
   cfg.workers = 1;
   return cfg;
@@ -168,24 +164,6 @@ TEST(ModelRegistry, LoadsAndHotReloadsFromFile) {
   registry.install("mem", make_model(5));
   EXPECT_THROW(registry.reload("mem"), std::runtime_error);
   std::remove(path.c_str());
-}
-
-TEST(ModelRegistry, BatchDeadlinePropagatesToEveryEntry) {
-  ServerConfig cfg = fast_config();
-  cfg.batch_deadline_s = 0.010;
-  ModelRegistry registry(cfg);
-  registry.install("a", make_model(1));
-  EXPECT_DOUBLE_EQ(registry.acquire("a")->server().batch_deadline_s(),
-                   0.010);
-  registry.set_batch_deadline(0.002);
-  EXPECT_DOUBLE_EQ(registry.batch_deadline_s(), 0.002);
-  EXPECT_DOUBLE_EQ(registry.acquire("a")->server().batch_deadline_s(),
-                   0.002);
-  // Entries created after the retune inherit the latest value, not the
-  // constructor-time config.
-  registry.install("b", make_model(2));
-  EXPECT_DOUBLE_EQ(registry.acquire("b")->server().batch_deadline_s(),
-                   0.002);
 }
 
 TEST(ModelRegistrySoak, HotReloadUnderFireServesOnlyWholeSnapshots) {

@@ -1,11 +1,13 @@
 // InferenceServer contract: batched serving returns exactly what single-
 // request predict() returns (merged graphs are disjoint, so coalescing must
-// not change a single bit), backpressure rejects deterministically and is
-// counted, and stop() drains every queued request. The whole suite also runs
-// under -DRN_SANITIZE=thread: concurrent submitters + worker
-// loops + the shared model must be race-free.
+// not change a single bit), dispatch is work-conserving (a free worker ships
+// what is queued at once, up to max_batch), backpressure rejects
+// deterministically and is counted, and stop() drains every queued request.
+// The whole suite also runs under -DRN_SANITIZE=thread: concurrent
+// submitters + worker loops + the shared model must be race-free.
 #include "serve/server.h"
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
@@ -97,7 +99,6 @@ TEST(InferenceServer, ConcurrentClientsGetExactlySinglePredictResults) {
 
   ServerConfig cfg;
   cfg.max_batch = 8;
-  cfg.batch_deadline_s = 0.002;
   cfg.queue_capacity = samples.size();
   cfg.workers = 2;
   const std::uint64_t requests0 = counter("serve.requests_total");
@@ -132,11 +133,10 @@ TEST(InferenceServer, QueueOverflowRejectsDeterministically) {
   auto topology = std::make_shared<const topo::Topology>(topo::ring(5));
   core::RouteNet model(tiny_config());
   // Paused workers take nothing off the queue, so capacity 4 fills with
-  // exactly four submits and the fifth rejects — no long-deadline trick,
-  // no dependence on how fast the worker wakes.
+  // exactly four submits and the fifth rejects, with no dependence on how
+  // fast the worker wakes.
   ServerConfig cfg;
   cfg.max_batch = 8;
-  cfg.batch_deadline_s = 0.001;
   cfg.queue_capacity = 4;
   cfg.workers = 1;
   const std::uint64_t requests0 = counter("serve.requests_total");
@@ -163,13 +163,12 @@ TEST(InferenceServer, QueueOverflowRejectsDeterministically) {
   EXPECT_THROW(server.submit(make_request(topology, 300)), RejectedError);
 }
 
-TEST(InferenceServer, PauseHoldsTheQueueAcrossDeadlinesAndStopOverrides) {
+TEST(InferenceServer, PauseHoldsTheQueueAndStopOverrides) {
   par::set_global_threads(2);
   auto topology = std::make_shared<const topo::Topology>(topo::ring(4));
   core::RouteNet model(tiny_config());
   ServerConfig cfg;
   cfg.max_batch = 2;
-  cfg.batch_deadline_s = 0.0;  // immediate dispatch when not paused
   cfg.queue_capacity = 8;
   cfg.workers = 1;
   InferenceServer server(model, cfg);
@@ -188,24 +187,61 @@ TEST(InferenceServer, PauseHoldsTheQueueAcrossDeadlinesAndStopOverrides) {
   EXPECT_EQ(server.queue_depth(), 0u);
 }
 
-TEST(InferenceServer, BatchDeadlineIsRetunableLive) {
+TEST(InferenceServer, LoneRequestShipsWithoutWaitingForCompany) {
   par::set_global_threads(2);
   auto topology = std::make_shared<const topo::Topology>(topo::ring(4));
   core::RouteNet model(tiny_config());
   ServerConfig cfg;
-  cfg.max_batch = 4;
-  cfg.batch_deadline_s = 0.004;
-  cfg.queue_capacity = 8;
+  cfg.max_batch = 8;
+  // Read by nothing: an idle worker must not hold a partial batch open.
+  cfg.batch_deadline_s = 5.0;
   cfg.workers = 1;
   InferenceServer server(model, cfg);
-  EXPECT_DOUBLE_EQ(server.batch_deadline_s(), 0.004);
-  server.set_batch_deadline(0.0);
-  EXPECT_DOUBLE_EQ(server.batch_deadline_s(), 0.0);
-  EXPECT_THROW(server.set_batch_deadline(-0.001), std::runtime_error);
-  // Still serves after the retune (and with a zero deadline, immediately).
+  const auto start = std::chrono::steady_clock::now();
   EXPECT_FALSE(
       server.submit(make_request(topology, 700)).get().delay_s.empty());
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_LT(waited_s, 1.0);
   server.stop();
+  EXPECT_EQ(server.stats().batches, 1u);
+}
+
+// Pauses a one-worker server, queues `count` requests, resumes, and
+// returns how many batches served them; every prediction must equal
+// single-request predict() bit for bit.
+std::uint64_t batches_for_queued(int count) {
+  par::set_global_threads(2);
+  auto topology = std::make_shared<const topo::Topology>(topo::nsfnet());
+  core::RouteNet model(tiny_config());
+  ServerConfig cfg;
+  cfg.max_batch = 8;
+  cfg.workers = 1;
+  InferenceServer server(model, cfg);
+  server.set_paused_for_test(true);
+  std::vector<dataset::Sample> samples;
+  std::vector<std::future<core::RouteNet::Prediction>> futures;
+  for (int i = 0; i < count; ++i) {
+    samples.push_back(make_request(topology, 800 + i));
+    futures.push_back(server.submit(samples.back()));
+  }
+  server.set_paused_for_test(false);
+  for (int i = 0; i < count; ++i) {
+    expect_identical(futures[static_cast<std::size_t>(i)].get(),
+                     model.predict(samples[static_cast<std::size_t>(i)]));
+  }
+  server.stop();
+  EXPECT_EQ(server.stats().served, static_cast<std::uint64_t>(count));
+  return server.stats().batches;
+}
+
+TEST(InferenceServer, QueuedRequestsShipAsOneBatchOnResume) {
+  EXPECT_EQ(batches_for_queued(5), 1u);
+}
+
+TEST(InferenceServer, QueuedRequestsShipInMaxBatchChunks) {
+  EXPECT_EQ(batches_for_queued(20), 3u);  // ceil(20 / 8)
 }
 
 TEST(InferenceServer, StopDrainsEveryQueuedRequest) {
@@ -214,7 +250,6 @@ TEST(InferenceServer, StopDrainsEveryQueuedRequest) {
   core::RouteNet model(tiny_config());
   ServerConfig cfg;
   cfg.max_batch = 4;
-  cfg.batch_deadline_s = 5.0;  // stop() must not wait for deadlines
   cfg.queue_capacity = 64;
   cfg.workers = 2;
   InferenceServer server(model, cfg);
@@ -238,7 +273,6 @@ TEST(InferenceServer, WorksOnAnInlineOneThreadPool) {
   core::RouteNet model(tiny_config());
   ServerConfig cfg;
   cfg.max_batch = 2;
-  cfg.batch_deadline_s = 0.001;
   cfg.queue_capacity = 8;
   cfg.workers = 2;
   InferenceServer server(model, cfg);

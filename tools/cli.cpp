@@ -47,12 +47,12 @@ void print_usage(std::FILE* out) {
       "  serve          RNP/1 network server: --listen tcp:HOST:PORT (or\n"
       "                 unix:PATH) is required; --model FILE and/or\n"
       "                 --models name=path,... route by model name with\n"
-      "                 hot reload; --batch-max/--batch-deadline-ms/\n"
-      "                 --queue-cap tune coalescing and backpressure\n"
-      "                 (workers follow --threads); --address-file\n"
-      "                 publishes the bound address, --slo-ms enables\n"
-      "                 p99-adaptive batching, --read-timeout-s bounds\n"
-      "                 stalled connections\n"
+      "                 hot reload; --batch-max caps a batch and\n"
+      "                 --queue-cap sets backpressure (a free worker\n"
+      "                 ships what is queued at once; workers follow\n"
+      "                 --threads); --address-file publishes the bound\n"
+      "                 address, --read-timeout-s bounds stalled\n"
+      "                 connections\n"
       "  query          RNP/1 client: --connect ADDR + a scenario for one\n"
       "                 remote predict (--top N; prints the request id and\n"
       "                 the server's queue-wait attribution),\n"

@@ -21,9 +21,7 @@
 #include "obs/event.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
-#include "obs/window.h"
 #include "serve/net.h"
-#include "serve/policy.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "eval/export.h"
@@ -465,14 +463,12 @@ int cmd_predict(const Flags& flags) {
 }
 
 // `serve`: the RNP/1 network server. Loads one or more models
-// into a hot-reloadable registry, optionally attaches the p99-adaptive
-// batching policy (--slo-ms), and serves RNP/1 until a remote shutdown
+// into a hot-reloadable registry and serves RNP/1 until a remote shutdown
 // request (routenet query --shutdown) arrives.
 int cmd_serve(const Flags& flags) {
   const std::string listen = flags.require_string("listen");
   serve::ServerConfig scfg;
   scfg.max_batch = flags.get_int("batch-max", 8);
-  scfg.batch_deadline_s = flags.get_double("batch-deadline-ms", 5.0) / 1e3;
   scfg.queue_capacity =
       static_cast<std::size_t>(flags.get_int("queue-cap", 256));
 
@@ -497,42 +493,18 @@ int cmd_serve(const Flags& flags) {
   }
   RN_CHECK(registry.size() > 0, "serve needs --model or --models");
 
-  std::unique_ptr<serve::AdaptiveBatchPolicy> policy;
-  if (flags.has("slo-ms")) {
-    serve::PolicyConfig pcfg;
-    pcfg.slo_p99_s = flags.get_double("slo-ms", 20.0) / 1e3;
-    pcfg.min_deadline_s = flags.get_double("deadline-min-ms", 0.2) / 1e3;
-    pcfg.max_deadline_s = flags.get_double("deadline-max-ms", 100.0) / 1e3;
-    pcfg.interval_s = flags.get_double("policy-interval-ms", 100.0) / 1e3;
-    pcfg.initial_deadline_s = std::min(
-        pcfg.max_deadline_s,
-        std::max(pcfg.min_deadline_s, scfg.batch_deadline_s));
-    policy = std::make_unique<serve::AdaptiveBatchPolicy>(
-        pcfg,
-        [] {
-          const obs::WindowedHistogram::Stats w =
-              obs::Registry::global().windowed("serve.latency_s").stats();
-          return serve::AdaptiveBatchPolicy::WindowSample{w.count, w.p99};
-        },
-        [&registry](double deadline_s) {
-          registry.set_batch_deadline(deadline_s);
-        });
-  }
-
   serve::NetServerConfig ncfg;
   ncfg.listen = listen;
   ncfg.read_timeout_s = flags.get_double("read-timeout-s", 30.0);
   const std::string address_file = flags.get_string("address-file", "");
   flags.reject_unused();
 
-  serve::NetServer server(registry, ncfg, policy.get());
+  serve::NetServer server(registry, ncfg);
   server.start();
-  std::printf("listening on %s (%zu model%s, batch-max %d, deadline "
-              "%.1fms, queue-cap %zu%s)\n",
+  std::printf("listening on %s (%zu model%s, batch-max %d, queue-cap %zu)\n",
               server.address().c_str(), registry.size(),
               registry.size() == 1 ? "" : "s", scfg.max_batch,
-              registry.batch_deadline_s() * 1e3, scfg.queue_capacity,
-              policy ? ", adaptive" : "");
+              scfg.queue_capacity);
   std::fflush(stdout);
   if (!address_file.empty()) {
     // Written after a successful bind: pollers learn the ephemeral port by
@@ -564,8 +536,7 @@ int cmd_serve(const Flags& flags) {
         .f("rejected", ns.rejected)
         .f("timeouts", ns.timeouts)
         .f("bytes_rx", ns.bytes_rx)
-        .f("bytes_tx", ns.bytes_tx)
-        .f("deadline_final_s", registry.batch_deadline_s());
+        .f("bytes_tx", ns.bytes_tx);
     obs::EventSink::global().emit(ev);
   }
   return 0;

@@ -59,12 +59,11 @@ int cmd_predict(const Flags& flags);
 
 // The RNP/1 network server: --listen tcp:HOST:PORT|unix:PATH (required).
 // Models come from --model FILE (named "default") and/or --models
-// name=path[,...]; [--batch-max B] [--batch-deadline-ms D] [--queue-cap Q]
-// tune each model's batcher, whose workers follow the global --threads;
-// [--address-file PATH] publishes the bound address (ephemeral ports);
-// [--read-timeout-s T] bounds stalled connections; [--slo-ms S] enables the
-// p99-adaptive batching policy ([--policy-interval-ms I]
-// [--deadline-min-ms A] [--deadline-max-ms B]).
+// name=path[,...]; [--batch-max B] [--queue-cap Q] tune each model's
+// batcher, whose workers follow the global --threads and ship whatever is
+// queued (up to B) as soon as they are free; [--address-file PATH]
+// publishes the bound address (ephemeral ports); [--read-timeout-s T]
+// bounds stalled connections.
 // Runs until `routenet query --shutdown`.
 int cmd_serve(const Flags& flags);
 
