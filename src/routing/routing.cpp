@@ -1,7 +1,11 @@
 #include "routing/routing.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <queue>
 #include <set>
 
@@ -179,19 +183,105 @@ RoutingScheme shortest_path_routing(const topo::Topology& topo,
   return scheme;
 }
 
-RoutingScheme random_k_shortest_routing(const topo::Topology& topo, int k,
-                                        Rng& rng, LinkWeight weight) {
-  RoutingScheme scheme(topo.num_nodes());
+namespace {
+
+// Every pair's k_shortest_paths candidates, in topo::pair_index order.
+using CandidateTable = std::vector<std::vector<Path>>;
+
+// Exactly what k_shortest_paths reads: k, the weight, the node count, each
+// link's endpoints in link-id order (which also fixes every out_links
+// order) and, under kInverseCapacity only, each link's capacity. Capacities
+// are compared by bit pattern, so 0.0 and -0.0, which cost +inf and -inf,
+// never share a table.
+std::vector<std::uint64_t> candidate_key(const topo::Topology& topo, int k,
+                                         LinkWeight weight) {
+  const bool with_capacity = weight == LinkWeight::kInverseCapacity;
+  std::vector<std::uint64_t> key = {
+      static_cast<std::uint64_t>(k), static_cast<std::uint64_t>(weight),
+      static_cast<std::uint64_t>(topo.num_nodes())};
+  for (const topo::Link& l : topo.links()) {
+    key.push_back(static_cast<std::uint64_t>(l.src));
+    key.push_back(static_cast<std::uint64_t>(l.dst));
+    if (with_capacity) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &l.capacity_bps, sizeof(bits));
+      key.push_back(bits);
+    }
+  }
+  return key;
+}
+
+// Throws on the first pair in row-major order that has no path, before any
+// table exists, so a disconnected topology is never cached.
+CandidateTable build_candidates(const topo::Topology& topo, int k,
+                                LinkWeight weight) {
+  CandidateTable table;
+  table.reserve(static_cast<std::size_t>(topo.num_pairs()));
   for (topo::NodeId s = 0; s < topo.num_nodes(); ++s) {
     for (topo::NodeId d = 0; d < topo.num_nodes(); ++d) {
       if (s == d) continue;
-      std::vector<Path> options = k_shortest_paths(topo, s, d, k, weight);
-      RN_CHECK(!options.empty(), "topology is not connected: no path " +
-                                     std::to_string(s) + "→" +
-                                     std::to_string(d));
+      table.push_back(k_shortest_paths(topo, s, d, k, weight));
+      RN_CHECK(!table.back().empty(), "topology is not connected: no path " +
+                                          std::to_string(s) + "→" +
+                                          std::to_string(d));
+    }
+  }
+  return table;
+}
+
+// Process-wide memo of the most recently used candidate tables. Tables are
+// built outside the lock, so concurrent misses on one topology may each run
+// Yen's algorithm once; they produce equal tables and the first insert
+// wins. A caller keeps its shared_ptr, so eviction never frees a table in
+// use.
+std::shared_ptr<const CandidateTable> candidates_for(
+    const topo::Topology& topo, int k, LinkWeight weight) {
+  // A topology's table is built once per process as long as no more than
+  // this many (topology, k, weight) keys alternate.
+  constexpr std::size_t kMaxTables = 8;
+  struct Entry {
+    std::vector<std::uint64_t> key;
+    std::shared_ptr<const CandidateTable> table;
+  };
+  static std::mutex mu;
+  static std::vector<Entry> entries;  // most recently used first
+
+  std::vector<std::uint64_t> key = candidate_key(topo, k, weight);
+  const auto find = [&]() -> std::shared_ptr<const CandidateTable> {
+    const auto it = std::find_if(entries.begin(), entries.end(),
+                                 [&](const Entry& e) { return e.key == key; });
+    if (it == entries.end()) return nullptr;
+    std::rotate(entries.begin(), it, it + 1);
+    return entries.front().table;
+  };
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    if (auto hit = find()) return hit;
+  }
+  auto built = std::make_shared<const CandidateTable>(
+      build_candidates(topo, k, weight));
+  std::lock_guard<std::mutex> lock(mu);
+  if (auto raced = find()) return raced;
+  if (entries.size() == kMaxTables) entries.pop_back();
+  entries.insert(entries.begin(), Entry{std::move(key), built});
+  return built;
+}
+
+}  // namespace
+
+RoutingScheme random_k_shortest_routing(const topo::Topology& topo, int k,
+                                        Rng& rng, LinkWeight weight) {
+  RoutingScheme scheme(topo.num_nodes());
+  const std::shared_ptr<const CandidateTable> table =
+      candidates_for(topo, k, weight);
+  std::size_t idx = 0;
+  for (topo::NodeId s = 0; s < topo.num_nodes(); ++s) {
+    for (topo::NodeId d = 0; d < topo.num_nodes(); ++d) {
+      if (s == d) continue;
+      const std::vector<Path>& options = (*table)[idx++];
       const int pick =
           rng.uniform_int(0, static_cast<int>(options.size()) - 1);
-      scheme.set_path(s, d, std::move(options[static_cast<std::size_t>(pick)]));
+      scheme.set_path(s, d, options[static_cast<std::size_t>(pick)]);
     }
   }
   return scheme;

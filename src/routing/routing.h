@@ -57,6 +57,16 @@ RoutingScheme shortest_path_routing(const topo::Topology& topo,
 
 // Randomized scheme: for each pair, pick uniformly among its k shortest
 // paths. This is how the dataset generator produces routing variety.
+//
+// The candidates depend only on the topology, k and the weight, so every
+// pair's k_shortest_paths list is built once and kept in a process-wide,
+// thread-safe memo of the 8 most recently used tables. The key is exactly
+// what Yen's algorithm reads: the node count, each link's (src, dst) in
+// link-id order, each link's capacity under kInverseCapacity only, k and
+// the weight. The rng draws (one uniform_int per pair, row-major) are the
+// same with or without a cached table, so a scheme depends only on its
+// inputs and the rng state. A disconnected topology throws before any draw
+// and is not cached.
 RoutingScheme random_k_shortest_routing(const topo::Topology& topo, int k,
                                         Rng& rng,
                                         LinkWeight weight = LinkWeight::kHops);

@@ -4,15 +4,15 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
+#include <climits>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -60,11 +60,42 @@ NetMetrics& metrics() {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
+using Clock = std::chrono::steady_clock;
+
+// The client side reads with no deadline: recv blocks until data or EOF.
+constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
+
+// NetServerConfig::read_timeout_s from now; 0 (or absurdly large) is none.
+Clock::time_point deadline_after(double seconds) {
+  if (!(seconds > 0.0) || seconds > 1e9) return kNoDeadline;
+  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(seconds));
+}
+
+// Waits until fd has a byte, EOF or an error to report. Returns false
+// once the deadline passes first.
+bool wait_readable(int fd, Clock::time_point deadline) {
+  for (;;) {
+    int timeout_ms = -1;
+    if (deadline != kNoDeadline) {
+      const auto left = deadline - Clock::now();
+      if (left <= Clock::duration::zero()) return false;
+      timeout_ms = static_cast<int>(std::min<long long>(
+          std::chrono::ceil<std::chrono::milliseconds>(left).count(),
+          INT_MAX));
+    }
+    pollfd p{fd, POLLIN, 0};
+    const int r = ::poll(&p, 1, timeout_ms);
+    if (r > 0 || (r < 0 && errno != EINTR)) return true;  // recv reports
+  }
+}
+
 enum class ReadResult { kOk, kEof, kTruncated, kTimeout };
 
-// SO_RCVTIMEO expired on a server-side connection (idle or stalled
-// mid-frame). Distinguished from generic malformed traffic so the handler
-// can answer with ErrorCode::kTimeout instead of kMalformed.
+// A server-side connection sat idle past read_timeout_s, or a frame did
+// not arrive whole within read_timeout_s of its first byte. Distinguished
+// from generic malformed traffic so the handler can answer with
+// ErrorCode::kTimeout instead of kMalformed.
 class ReadTimeoutError : public wire::ProtocolError {
  public:
   explicit ReadTimeoutError(const std::string& what)
@@ -73,11 +104,16 @@ class ReadTimeoutError : public wire::ProtocolError {
 
 // Reads exactly n bytes. kEof = the peer closed cleanly before the first
 // byte; kTruncated = it closed mid-way (or the read errored); kTimeout =
-// SO_RCVTIMEO expired before the read completed.
+// the deadline passed before the read completed.
 ReadResult read_exact(int fd, char* buf, std::size_t n,
-                      std::uint64_t* bytes_read) {
+                      std::uint64_t* bytes_read,
+                      Clock::time_point deadline = kNoDeadline) {
   std::size_t got = 0;
   while (got < n) {
+    if (deadline != kNoDeadline && !wait_readable(fd, deadline)) {
+      if (bytes_read != nullptr) *bytes_read += got;
+      return ReadResult::kTimeout;
+    }
     const ssize_t r = ::recv(fd, buf + got, n - got, 0);
     if (r > 0) {
       got += static_cast<std::size_t>(r);
@@ -85,9 +121,6 @@ ReadResult read_exact(int fd, char* buf, std::size_t n,
     }
     if (r < 0 && errno == EINTR) continue;
     if (bytes_read != nullptr) *bytes_read += got;
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return ReadResult::kTimeout;
-    }
     return got == 0 ? ReadResult::kEof : ReadResult::kTruncated;
   }
   if (bytes_read != nullptr) *bytes_read += got;
@@ -116,16 +149,18 @@ bool write_all(int fd, const char* buf, std::size_t n,
 // Streams one frame off the socket with the same validation order as
 // wire::parse_frame: header first (bounds the payload read), then payload,
 // then CRC trailer. Returns false on clean EOF between frames; throws
-// ProtocolError on malformed or truncated traffic.
-bool read_frame(int fd, wire::Frame& out, std::uint64_t* bytes_read) {
+// ProtocolError on malformed or truncated traffic, and ReadTimeoutError
+// when the whole frame has not arrived by `deadline`.
+bool read_frame(int fd, wire::Frame& out, std::uint64_t* bytes_read,
+                Clock::time_point deadline = kNoDeadline) {
   char header[wire::kHeaderLen];
-  switch (read_exact(fd, header, sizeof(header), bytes_read)) {
+  switch (read_exact(fd, header, sizeof(header), bytes_read, deadline)) {
     case ReadResult::kEof:
       return false;
     case ReadResult::kTruncated:
       throw wire::ProtocolError("connection closed mid-header");
     case ReadResult::kTimeout:
-      throw ReadTimeoutError("read timed out waiting for a frame");
+      throw ReadTimeoutError("read timed out mid-header");
     case ReadResult::kOk:
       break;
   }
@@ -138,7 +173,7 @@ bool read_frame(int fd, wire::Frame& out, std::uint64_t* bytes_read) {
   while (payload.size() < fh.payload_len) {
     const std::size_t step =
         std::min(kPayloadReadStep, fh.payload_len - payload.size());
-    switch (read_exact(fd, step_buf, step, bytes_read)) {
+    switch (read_exact(fd, step_buf, step, bytes_read, deadline)) {
       case ReadResult::kTimeout:
         throw ReadTimeoutError("read timed out mid-payload");
       case ReadResult::kOk:
@@ -149,7 +184,7 @@ bool read_frame(int fd, wire::Frame& out, std::uint64_t* bytes_read) {
     payload.append(step_buf, step);
   }
   char trailer[wire::kTrailerLen];
-  switch (read_exact(fd, trailer, sizeof(trailer), bytes_read)) {
+  switch (read_exact(fd, trailer, sizeof(trailer), bytes_read, deadline)) {
     case ReadResult::kTimeout:
       throw ReadTimeoutError("read timed out mid-trailer");
     case ReadResult::kOk:
@@ -172,15 +207,6 @@ void set_nodelay(int fd, const Address& addr) {
   // Batched request/response round trips on loopback; Nagle only adds
   // latency here. Failure is harmless, so the return value is ignored.
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-void set_recv_timeout(int fd, double seconds) {
-  if (!(seconds > 0.0)) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (seconds - std::floor(seconds)) * 1e6);
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 sockaddr_in resolve_ipv4(const std::string& host, std::uint16_t port) {
@@ -344,7 +370,6 @@ void NetServer::accept_loop(int listen_fd) {
       return;  // listener shut down by stop()
     }
     set_nodelay(fd, addr_);
-    set_recv_timeout(fd, cfg_.read_timeout_s);
     std::unique_lock<std::mutex> lock(mu_);
     if (stopping_) {
       ::close(fd);
@@ -388,10 +413,16 @@ void NetServer::serve_connection(Connection* conn) {
     wire::Frame frame;
     try {
       rx = 0;
+      // The idle wait for the next frame is not read time: the span opens
+      // once the frame's first byte is readable, and from then the whole
+      // frame must arrive within read_timeout_s.
+      if (!wait_readable(fd, deadline_after(cfg_.read_timeout_s))) {
+        throw ReadTimeoutError("read timed out waiting for a frame");
+      }
       bool got;
       {
         obs::TraceSpan rd("serve.net.read");
-        got = read_frame(fd, frame, &rx);
+        got = read_frame(fd, frame, &rx, deadline_after(cfg_.read_timeout_s));
         rd.arg("bytes", static_cast<std::int64_t>(rx));
       }
       bytes_rx_.fetch_add(rx, std::memory_order_relaxed);

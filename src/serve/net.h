@@ -29,10 +29,11 @@
 // exposes that attribution, and a `serve.client.request` span (arg: rid)
 // ties the client side of the timeline to the server's spans.
 //
-// Per-connection read timeout: a stalled client holding a half-sent frame
-// (or an idle connection) must not pin a handler thread forever —
-// SO_RCVTIMEO on each accepted socket turns the stall into one clean
-// kTimeout error frame followed by close (read_timeout_s, 0 disables).
+// Per-connection read timeout: an idle connection, or a client that sends a
+// frame too slowly, must not pin a handler thread (and its buffer) forever.
+// A connection may sit idle between frames for read_timeout_s, and a frame
+// must arrive whole within read_timeout_s of its first byte; either miss
+// gets one clean kTimeout error frame followed by close (0 disables both).
 //
 // Connection cap: at most NetServer::kMaxConnections handler threads are
 // live at once. A connection accepted over the cap gets one kRejected error
@@ -81,9 +82,9 @@ struct NetServerConfig {
   // A kShutdownRequest frame stops the server only on a unix socket or a
   // 127/8 bind; any other listen answers it with kRejected.
   std::string listen = "tcp:127.0.0.1:0";
-  // Per-connection receive timeout (SO_RCVTIMEO). A connection whose read
-  // blocks this long — idle or stalled mid-frame — gets one kTimeout error
-  // frame and is closed. 0 disables.
+  // Longest idle gap between frames, and longest time from a frame's first
+  // byte to its last. A connection that misses either gets one kTimeout
+  // error frame and is closed. 0 disables.
   double read_timeout_s = 30.0;
 };
 

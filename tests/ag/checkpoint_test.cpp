@@ -160,11 +160,15 @@ TEST(Checkpoint, RotationNamesAndListsNewestFirst) {
     save_train_checkpoint(checkpoint_file_name(base, seq),
                           sample_checkpoint());
   }
+  // Same prefix, but not a rotation sequence number: not listed.
+  const std::string stray = base + ".000004.tmp";
+  std::ofstream(stray) << "x";
   const std::vector<CheckpointFile> files = list_checkpoints(base);
   ASSERT_EQ(files.size(), 3u);
   EXPECT_EQ(files[0].seq, 12u);
   EXPECT_EQ(files[1].seq, 3u);
   EXPECT_EQ(files[2].seq, 1u);
+  std::remove(stray.c_str());
   remove_base(base);
 }
 
@@ -201,6 +205,19 @@ TEST(Checkpoint, AutoLoadFallsBackWhenNewestIsCorrupt) {
   EXPECT_EQ(loaded_path, checkpoint_file_name(base, 1));
   EXPECT_EQ(fallbacks, 1);
   remove_base(base);
+}
+
+TEST(Checkpoint, AutoLoadExplicitFileLoadsThatFile) {
+  const std::string path = temp_path("explicit_good.ckpt2");
+  save_train_checkpoint(path, sample_checkpoint());
+  std::string loaded_path;
+  int fallbacks = -1;
+  const TrainCheckpoint got =
+      load_train_checkpoint_auto(path, &loaded_path, &fallbacks);
+  EXPECT_EQ(got.total_batches, sample_checkpoint().total_batches);
+  EXPECT_EQ(loaded_path, path);
+  EXPECT_EQ(fallbacks, 0);
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, AutoLoadExplicitFileDoesNotFallBack) {

@@ -308,6 +308,12 @@ TEST(ShardReaderSuite, RejectsShardIndexOutOfRange) {
                 "shard index 1 out of range for shard count 1");
 }
 
+TEST(ShardReaderSuite, RejectsEmptyFile) {
+  const std::string empty = write_edited("empty.rnds", "");
+  expect_reject([&] { ShardReader r(empty); },
+                "cannot stat shard (or empty file)");
+}
+
 TEST(ShardReaderSuite, RejectsRecordOverrunningPayload) {
   std::string bytes = two_record_shard("overrun.rnds");
   edit_last_record_length(bytes, +1);
@@ -482,6 +488,23 @@ TEST(ShardWriter, WriteIsAtomic) {
   }
   EXPECT_FALSE(std::filesystem::exists(tmp));
   EXPECT_EQ(read_file(path), before);
+}
+
+TEST(ShardWriter, FailedRenameRemovesTheTempFile) {
+  // A non-empty directory sits at the target path, so the final rename
+  // fails: finish() reports it and the temp file goes.
+  DatasetGenerator gen(fast_config(), 47);
+  const std::vector<Sample> samples = gen.generate_many(shared_ring(), 1);
+  const std::string path = ::testing::TempDir() + "rename_blocked.rnds";
+  std::filesystem::remove_all(path);
+  std::filesystem::create_directories(path + "/occupied");
+  {
+    ShardWriter writer(path, ShardHeader{});
+    writer.add(samples[0]);
+    expect_reject([&] { writer.finish(); }, "cannot rename");
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove_all(path);
 }
 
 TEST(LoadDataset, ReadsShardsAndRejectsRndata1) {

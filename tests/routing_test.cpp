@@ -1,7 +1,9 @@
 #include "routing/routing.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +138,205 @@ TEST(RoutingScheme, RandomNeverLongerThanKWorstCase) {
       if (s == d) continue;
       const std::vector<Path> ks = k_shortest_paths(t, s, d, 3);
       EXPECT_NE(std::find(ks.begin(), ks.end(), scheme.path(s, d)), ks.end());
+    }
+  }
+}
+
+// What random_k_shortest_routing must equal: per-pair k_shortest_paths,
+// computed afresh, picked with one uniform_int per pair in row-major order.
+std::vector<std::vector<Path>> reference_candidates(const topo::Topology& t,
+                                                    int k, LinkWeight w) {
+  std::vector<std::vector<Path>> table;
+  for (topo::NodeId s = 0; s < t.num_nodes(); ++s) {
+    for (topo::NodeId d = 0; d < t.num_nodes(); ++d) {
+      if (s != d) table.push_back(k_shortest_paths(t, s, d, k, w));
+    }
+  }
+  return table;
+}
+
+RoutingScheme reference_scheme(const topo::Topology& t,
+                               const std::vector<std::vector<Path>>& table,
+                               Rng& rng) {
+  RoutingScheme scheme(t.num_nodes());
+  for (int idx = 0; idx < scheme.num_pairs(); ++idx) {
+    const std::vector<Path>& options = table[static_cast<std::size_t>(idx)];
+    const int pick = rng.uniform_int(0, static_cast<int>(options.size()) - 1);
+    const auto [s, d] = topo::pair_from_index(idx, t.num_nodes());
+    scheme.set_path(s, d, options[static_cast<std::size_t>(pick)]);
+  }
+  return scheme;
+}
+
+// Compares one memoized call against the reference at the same seed, and
+// checks both left their rng at the same state.
+::testing::AssertionResult matches_reference(
+    const topo::Topology& t, int k, LinkWeight w,
+    const std::vector<std::vector<Path>>& table, std::uint64_t seed) {
+  Rng got_rng(seed), want_rng(seed);
+  const RoutingScheme got = random_k_shortest_routing(t, k, got_rng, w);
+  const RoutingScheme want = reference_scheme(t, table, want_rng);
+  for (int idx = 0; idx < want.num_pairs(); ++idx) {
+    if (got.path_by_index(idx) != want.path_by_index(idx)) {
+      return ::testing::AssertionFailure()
+             << t.name() << " k=" << k << " pair " << idx << " differs";
+    }
+  }
+  if (got_rng.uniform_int(0, 1 << 30) != want_rng.uniform_int(0, 1 << 30)) {
+    return ::testing::AssertionFailure() << t.name() << " rng state differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// A copy of t whose links are added in `order`, with link `changed` (an id
+// of t) given capacity `capacity_bps`.
+topo::Topology relinked(const topo::Topology& t,
+                        const std::vector<topo::LinkId>& order,
+                        topo::LinkId changed = -1,
+                        double capacity_bps = 0.0) {
+  topo::Topology out(t.name() + "'", t.num_nodes());
+  for (topo::LinkId id : order) {
+    const topo::Link& l = t.link(id);
+    out.add_link(l.src, l.dst, id == changed ? capacity_bps : l.capacity_bps,
+                 l.prop_delay_s);
+  }
+  return out;
+}
+
+std::vector<topo::LinkId> identity_order(const topo::Topology& t) {
+  std::vector<topo::LinkId> order(static_cast<std::size_t>(t.num_links()));
+  std::iota(order.begin(), order.end(), 0);
+  return order;
+}
+
+TEST(RandomKShortestMemo, EqualsPerPairYenOnEveryTopologyKAndWeight) {
+  std::vector<topo::Topology> topologies = {topo::nsfnet(), topo::geant2(),
+                                            topo::gbn()};
+  {
+    Rng rng(50);  // the ba50 topology of the CLI and the benches
+    topologies.push_back(topo::synthetic_ba(50, 2, rng));
+  }
+  for (const int n : {12, 20, 30}) {
+    Rng rng(static_cast<std::uint64_t>(1000 + n));
+    topologies.push_back(topo::synthetic_ba(n, n == 20 ? 3 : 2, rng));
+  }
+  for (const topo::Topology& t : topologies) {
+    for (const LinkWeight w :
+         {LinkWeight::kHops, LinkWeight::kInverseCapacity}) {
+      for (const int k : {1, 2, 3, 5}) {
+        const auto table = reference_candidates(t, k, w);
+        // The first call may build the table, the second must reuse it.
+        EXPECT_TRUE(matches_reference(t, k, w, table, 11));
+        EXPECT_TRUE(matches_reference(t, k, w, table, 12));
+      }
+    }
+  }
+}
+
+TEST(RandomKShortestMemo, OneCapacityApartIsADifferentTopology) {
+  const topo::Topology base = topo::nsfnet();
+  const LinkWeight w = LinkWeight::kInverseCapacity;
+  // Link 0 nearly unusable under 1/capacity: its pairs reroute.
+  const topo::Topology slow =
+      relinked(base, identity_order(base), /*changed=*/0, 1e-3);
+  const auto base_table = reference_candidates(base, 3, w);
+  const auto slow_table = reference_candidates(slow, 3, w);
+  ASSERT_NE(base_table, slow_table);
+  EXPECT_TRUE(matches_reference(base, 3, w, base_table, 1));
+  EXPECT_TRUE(matches_reference(slow, 3, w, slow_table, 1));
+  EXPECT_TRUE(matches_reference(base, 3, w, base_table, 2));
+  // Under kHops the capacity is not read, so both share one answer.
+  EXPECT_TRUE(matches_reference(slow, 3, LinkWeight::kHops,
+                                reference_candidates(base, 3,
+                                                     LinkWeight::kHops),
+                                3));
+}
+
+TEST(RandomKShortestMemo, LinkOrderIsPartOfTheTopology) {
+  const topo::Topology base = topo::geant2();
+  std::vector<topo::LinkId> order = identity_order(base);
+  std::reverse(order.begin(), order.end());
+  const topo::Topology reversed = relinked(base, order);
+  const auto base_table = reference_candidates(base, 2, LinkWeight::kHops);
+  const auto rev_table = reference_candidates(reversed, 2, LinkWeight::kHops);
+  ASSERT_NE(base_table, rev_table);
+  EXPECT_TRUE(matches_reference(base, 2, LinkWeight::kHops, base_table, 4));
+  EXPECT_TRUE(matches_reference(reversed, 2, LinkWeight::kHops, rev_table, 4));
+  EXPECT_TRUE(matches_reference(base, 2, LinkWeight::kHops, base_table, 5));
+}
+
+TEST(RandomKShortestMemo, MoreTopologiesThanTheMemoHoldsStayCorrect) {
+  // Twelve keys, more than the memo keeps, visited twice in the same order:
+  // the second round evicts every table before it is reused.
+  std::vector<topo::Topology> topologies;
+  for (int i = 0; i < 12; ++i) {
+    Rng rng(static_cast<std::uint64_t>(2000 + i));
+    topologies.push_back(topo::synthetic_ba(10, 2, rng));
+  }
+  std::vector<std::vector<std::vector<Path>>> tables;
+  for (const topo::Topology& t : topologies) {
+    tables.push_back(reference_candidates(t, 3, LinkWeight::kHops));
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < topologies.size(); ++i) {
+      EXPECT_TRUE(matches_reference(topologies[i], 3, LinkWeight::kHops,
+                                    tables[i], 7 + i))
+          << "round " << round;
+    }
+  }
+}
+
+TEST(RandomKShortestMemo, ConcurrentCallersMatchTheReference) {
+  // Ten keys across four threads: misses, hits and evictions interleave.
+  struct Case {
+    topo::Topology topology;
+    int k;
+    LinkWeight weight;
+    std::vector<std::vector<Path>> table;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 5; ++i) {
+    Rng rng(static_cast<std::uint64_t>(3000 + i));
+    topo::Topology t = topo::synthetic_ba(12, 2, rng);
+    for (const LinkWeight w :
+         {LinkWeight::kHops, LinkWeight::kInverseCapacity}) {
+      cases.push_back({t, 2, w, reference_candidates(t, 2, w)});
+    }
+  }
+  std::vector<int> failures(4, 0);
+  std::vector<std::thread> threads;
+  for (int tid = 0; tid < 4; ++tid) {
+    threads.emplace_back([&, tid] {
+      for (int rep = 0; rep < 3; ++rep) {
+        for (std::size_t j = 0; j < cases.size(); ++j) {
+          const Case& c = cases[(j + static_cast<std::size_t>(tid)) %
+                                cases.size()];
+          if (!matches_reference(c.topology, c.k, c.weight, c.table,
+                                 static_cast<std::uint64_t>(tid * 100 + rep))) {
+            ++failures[static_cast<std::size_t>(tid)];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures, std::vector<int>(4, 0));
+}
+
+TEST(RandomKShortestMemo, DisconnectedTopologyThrowsEveryTime) {
+  topo::Topology t("split", 4);
+  t.add_duplex_link(0, 1, 10.0);
+  t.add_duplex_link(2, 3, 10.0);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    Rng rng(1);
+    try {
+      random_k_shortest_routing(t, 2, rng);
+      FAIL() << "disconnected topology routed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "topology is not connected: no path 0→2"),
+                std::string::npos)
+          << e.what();
     }
   }
 }

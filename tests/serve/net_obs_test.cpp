@@ -9,8 +9,12 @@
 //     trailing trace context) still serves, and its response carries no
 //     attribution block — old clients keep working bit-for-bit.
 //   - A client that stalls mid-frame (or sits idle) trips the
-//     per-connection SO_RCVTIMEO: one clean kTimeout error frame, then
-//     close, and the server's timeout counter moves.
+//     per-connection read timeout: one clean kTimeout error frame, then
+//     close, and the server's timeout counter moves. So does one that
+//     keeps a frame alive by sending a byte a second: a frame must arrive
+//     whole within read_timeout_s of its first byte.
+//   - A traced `serve.net.read` span covers the frame's bytes, not the
+//     idle gap before it.
 //   - A stats scrape (kStatsRequest) reports the live registry: request
 //     counters that grow between two scrapes, the installed model with
 //     its version, and latency-window exemplars whose request ids all
@@ -38,6 +42,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -53,6 +59,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "routing/routing.h"
 #include "serve/protocol.h"
 #include "topology/generators.h"
@@ -289,6 +296,92 @@ TEST(NetObs, StallingClientGetsTimeoutErrorThenClose) {
   EXPECT_TRUE(out.server_traced);
 
   server.stop();
+}
+
+TEST(NetObs, OneBytePerSecondSenderIsCutOffAtTheFrameDeadline) {
+  ModelRegistry registry(fast_config());
+  registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));
+  NetServer server(registry, loopback_config(/*read_timeout_s=*/2.0));
+  server.start();
+
+  // A valid frame sent one byte a second: every gap is well inside
+  // read_timeout_s, but the frame as a whole is not. The sender gives up
+  // after ten bytes, so a server that times only the gaps answers about
+  // 12 s in rather than never.
+  const std::string frame =
+      wire::encode_frame(wire::FrameType::kPredictRequest,
+                         wire::encode_predict_request("m", make_request(3)));
+  ASSERT_GT(frame.size(), 10u);
+  const int fd = raw_connect(server.port());
+  std::atomic<bool> done{false};
+  std::thread trickle([&] {
+    for (std::size_t i = 0; i < 10 && !done.load(); ++i) {
+      if (::send(fd, frame.data() + i, 1, MSG_NOSIGNAL) != 1) break;
+      for (int t = 0; t < 20 && !done.load(); ++t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+    }
+  });
+  const auto started = std::chrono::steady_clock::now();
+  const wire::Frame reply = read_frame(fd);
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - started)
+                            .count();
+  done.store(true);
+  trickle.join();
+  ASSERT_EQ(reply.type, wire::FrameType::kError);
+  const wire::ErrorFrame err = wire::decode_error(reply.payload);
+  EXPECT_EQ(err.code, wire::ErrorCode::kTimeout);
+  EXPECT_NE(err.message.find("timed out"), std::string::npos)
+      << err.message;
+  // Cut off near the 2 s frame deadline, while the sender is still
+  // sending.
+  EXPECT_GE(waited, 1.5);
+  EXPECT_LT(waited, 6.0);
+  EXPECT_TRUE(read_upto(fd, 1).empty());
+  ::close(fd);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().timeouts == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.stats().timeouts, 1u);
+  EXPECT_EQ(server.stats().requests, 0u);
+  server.stop();
+}
+
+TEST(NetObs, ReadSpanExcludesTheIdleGapBeforeAFrame) {
+  obs::Tracer::global().reset_for_tests();
+  obs::Tracer::global().enable();
+  ModelRegistry registry(fast_config());
+  registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));
+  NetServer server(registry, loopback_config());
+  server.start();
+  constexpr double kGapS = 0.3;
+  {
+    NetClient client(server.address());
+    traced_predict(client, "m", make_request(8));
+    std::this_thread::sleep_for(std::chrono::duration<double>(kGapS));
+    traced_predict(client, "m", make_request(9));
+  }
+  server.stop();
+  std::vector<obs::TraceRecord> reads;
+  for (const obs::TraceRecord& r : obs::Tracer::global().collect()) {
+    // Frames only: the read that meets the client's close carries 0 bytes.
+    if (std::string(r.name) == "serve.net.read" && r.arg_val > 0) {
+      reads.push_back(r);
+    }
+  }
+  obs::Tracer::global().reset_for_tests();
+  ASSERT_EQ(reads.size(), 2u);
+  std::sort(reads.begin(), reads.end(),
+            [](const obs::TraceRecord& a, const obs::TraceRecord& b) {
+              return a.start_s < b.start_s;
+            });
+  EXPECT_GE(reads[1].start_s - (reads[0].start_s + reads[0].dur_s), kGapS)
+      << "the second frame was sent after the gap";
+  EXPECT_LT(reads[1].dur_s, kGapS / 4) << "the read span holds the gap";
 }
 
 TEST(NetObs, StatsScrapeReportsCountersModelsAndExemplars) {

@@ -644,11 +644,44 @@ TEST(ProtocolReject, DecodedResponseWithZeroRequestId) {
 }
 
 TEST(ProtocolReject, EncodedStatsCountOverTheCap) {
-  StatsSnapshot snap = make_snapshot();
-  snap.counters.assign(kMaxStatsEntries + 1,
-                       StatsSnapshot::CounterEntry{"c", 1});
-  expect_protocol_error([&] { encode_stats_response(snap); },
+  // One cap check per section, made before any entry is written; each
+  // section's vector type is its own instantiation of the check.
+  constexpr std::size_t kOver = kMaxStatsEntries + 1;
+  const auto over = [](auto edit) {
+    StatsSnapshot snap = make_snapshot();
+    edit(snap);
+    return [snap] { encode_stats_response(snap); };
+  };
+  expect_protocol_error(over([](StatsSnapshot& s) {
+                          s.counters.resize(kOver);
+                        }),
                         "counter count 4097 exceeds cap 4096");
+  expect_protocol_error(over([](StatsSnapshot& s) {
+                          s.gauges.resize(kOver);
+                        }),
+                        "gauge count 4097 exceeds cap 4096");
+  expect_protocol_error(over([](StatsSnapshot& s) {
+                          s.histograms.resize(kOver);
+                        }),
+                        "histogram count 4097 exceeds cap 4096");
+  expect_protocol_error(over([](StatsSnapshot& s) {
+                          s.windows.resize(kOver);
+                        }),
+                        "window count 4097 exceeds cap 4096");
+  expect_protocol_error(over([](StatsSnapshot& s) {
+                          s.models.resize(kOver);
+                        }),
+                        "model count 4097 exceeds cap 4096");
+}
+
+TEST(ErrorCodeName, NamesEveryCodeAndAnUnknownOne) {
+  EXPECT_STREQ(error_code_name(ErrorCode::kMalformed), "malformed");
+  EXPECT_STREQ(error_code_name(ErrorCode::kUnknownModel), "unknown-model");
+  EXPECT_STREQ(error_code_name(ErrorCode::kRejected), "rejected");
+  EXPECT_STREQ(error_code_name(ErrorCode::kStopping), "stopping");
+  EXPECT_STREQ(error_code_name(ErrorCode::kInternal), "internal");
+  EXPECT_STREQ(error_code_name(ErrorCode::kTimeout), "timeout");
+  EXPECT_STREQ(error_code_name(static_cast<ErrorCode>(99)), "unknown");
 }
 
 TEST(ProtocolReject, DecodedExemplarCountOverTheCap) {

@@ -51,8 +51,8 @@ void print_usage(std::FILE* out) {
       "                 --queue-cap sets backpressure (a free worker\n"
       "                 ships what is queued at once; workers follow\n"
       "                 --threads); --address-file publishes the bound\n"
-      "                 address, --read-timeout-s bounds stalled\n"
-      "                 connections\n"
+      "                 address, --read-timeout-s bounds idle gaps\n"
+      "                 and each frame's arrival\n"
       "  query          RNP/1 client: --connect ADDR + a scenario for one\n"
       "                 remote predict (--top N; prints the request id and\n"
       "                 the server's queue-wait attribution),\n"
