@@ -28,13 +28,6 @@ struct StudySize {
   int epochs = 0;
 };
 
-// Serving-bench request counts per phase.
-struct ServeLoad {
-  int warmup = 0;
-  int main = 0;
-  int overload = 0;
-};
-
 struct ExperimentScale {
   std::string name = "standard";
   int train_nsfnet = 150;
@@ -49,9 +42,7 @@ struct ExperimentScale {
   double sweep_pkts_per_flow = 100.0;
   // Baseline contrast, per traffic model (train NSFNET, eval NSFNET+Geant2).
   StudySize baseline{32, 8, 30};
-  int timing_reps = 5;   // stopwatch runs per cost cell; the median is shown
-  int io_corpus = 48;    // dataset_io samples
-  ServeLoad serve{1500, 10000, 512};
+  int timing_reps = 5;  // stopwatch runs per cost cell; the median is shown
 };
 
 // Reads RN_BENCH_SCALE (smoke | quick | standard | large); standard by

@@ -453,7 +453,7 @@ void NetServer::serve_connection(Connection* conn) {
   ::close(fd);
 }
 
-bool NetServer::handle_frame(int fd, const wire::Frame& frame) {
+bool NetServer::handle_frame(int fd, wire::Frame& frame) {
   switch (frame.type) {
     case wire::FrameType::kPredictRequest: {
       requests_.fetch_add(1, std::memory_order_relaxed);
@@ -462,6 +462,10 @@ bool NetServer::handle_frame(int fd, const wire::Frame& frame) {
       try {
         wire::PredictRequest req =
             wire::decode_predict_request(frame.payload);
+        // The decoded request is all the rest needs: free the raw payload
+        // now rather than hold it through the queue wait. A swap, because
+        // move-assigning an empty string keeps the buffer.
+        std::string().swap(frame.payload);
         bool stopping;
         {
           std::lock_guard<std::mutex> lock(mu_);
@@ -473,31 +477,21 @@ bool NetServer::handle_frame(int fd, const wire::Frame& frame) {
           return true;
         }
         const ModelRegistry::Handle entry = registry_.acquire(req.model);
-        // Root of the server-side request timeline. Traced requests carry
-        // the client's rid and hand this span's id to the batching worker,
+        // Root of the server-side request timeline. It carries the
+        // client's rid and hands this span's id to the batching worker,
         // which parents its queue.wait/batch.assemble/forward spans here.
         obs::TraceSpan root("serve.net.request");
-        std::shared_ptr<RequestTrace> trace;
-        if (req.has_trace) {
-          root.arg("rid",
-                   static_cast<std::int64_t>(req.trace.request_id));
-          trace = std::make_shared<RequestTrace>();
-          trace->request_id = req.trace.request_id;
-          trace->parent_span = root.id();
-        }
+        root.arg("rid", static_cast<std::int64_t>(req.trace.request_id));
+        auto trace = std::make_shared<RequestTrace>();
+        trace->request_id = req.trace.request_id;
+        trace->parent_span = root.id();
         core::RouteNet::Prediction pred =
             entry->server().submit(std::move(req.sample), trace).get();
-        std::string payload;
-        if (trace != nullptr) {
-          const double server_s =
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - started)
-                  .count();
-          payload = wire::encode_predict_response(
-              pred, trace->request_id, trace->queue_wait_s, server_s);
-        } else {
-          payload = wire::encode_predict_response(pred);
-        }
+        const double server_s = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - started)
+                                    .count();
+        const std::string payload = wire::encode_predict_response(
+            pred, trace->request_id, trace->queue_wait_s, server_s);
         {
           obs::TraceSpan wr("serve.net.write");
           send_frame(fd, wire::FrameType::kPredictResponse, payload);
@@ -742,7 +736,7 @@ wire::Frame NetClient::roundtrip(wire::FrameType type,
 std::uint64_t NetClient::next_request_id() {
   // Distinct across the processes of one test/bench run (pid in the high
   // half) and across this client's requests (counter in the low half);
-  // never 0, which the wire layer reserves for "untraced".
+  // never 0, which the wire layer rejects.
   return (static_cast<std::uint64_t>(::getpid()) << 32) | ++rid_counter_;
 }
 
@@ -773,13 +767,13 @@ NetClient::PredictOutcome NetClient::predict_traced(
   }
   wire::PredictResponse resp =
       wire::decode_predict_response_full(reply.payload);
-  if (resp.has_trace && resp.request_id != out.request_id) {
+  if (resp.request_id != out.request_id) {
     throw wire::ProtocolError(
         "response echoes request id " + std::to_string(resp.request_id) +
         ", expected " + std::to_string(out.request_id));
   }
   out.prediction = std::move(resp.prediction);
-  out.server_traced = resp.has_trace;
+  out.server_traced = true;
   out.queue_wait_s = resp.queue_wait_s;
   out.server_s = resp.server_s;
   return out;

@@ -145,8 +145,9 @@ class NetServer {
   void accept_loop(int listen_fd);
   void serve_connection(Connection* conn);
   // Dispatches one decoded frame; returns false when the connection must
-  // close (malformed traffic).
-  bool handle_frame(int fd, const wire::Frame& frame);
+  // close (malformed traffic). A predict request's payload is released as
+  // soon as it is decoded.
+  bool handle_frame(int fd, wire::Frame& frame);
   void send_frame(int fd, wire::FrameType type, std::string_view payload);
   void send_error(int fd, wire::ErrorCode code, std::string_view message);
   // Builds the kStatsResponse payload source: the live obs::Registry
@@ -204,12 +205,12 @@ class NetClient {
   // One traced round trip, as the client saw it plus what the server
   // attributed. rtt_s is wall time around the socket round trip;
   // queue_wait_s/server_s come from the response's trailing attribution
-  // block (server_traced=false against a server that predates it).
+  // block, which every response carries.
   struct PredictOutcome {
     core::RouteNet::Prediction prediction;
     std::uint64_t request_id = 0;
     double rtt_s = 0.0;
-    bool server_traced = false;
+    bool server_traced = false;  // always true; kept for rnbench's reader
     double queue_wait_s = 0.0;  // server: enqueue → batch take
     double server_s = 0.0;      // server: decode → response encode
   };

@@ -119,13 +119,16 @@ Frame parse_frame(std::string_view bytes) {
 //            links[n_links]{src:i32 dst:i32 capacity_bps:f64 prop_delay_s:f64}
 //            paths[n_pairs]{len:u16 link_ids[len]:i32}
 //            rates[n_pairs]:f64
-//            [request_id:u64 client_send_unix_s:f64]       (trace context)
-// with n_pairs = n_nodes*(n_nodes-1), in topo::pair_index order. The trace
-// context is all-or-nothing: exactly 16 trailing bytes, or none (old
-// clients) — any other trailing length is malformed.
+//            request_id:u64 client_send_unix_s:f64         (trace context)
+// with n_pairs = n_nodes*(n_nodes-1), in topo::pair_index order.
 
 std::string encode_predict_request(const std::string& model,
-                                   const dataset::Sample& sample) {
+                                   const dataset::Sample& sample,
+                                   const TraceContext& trace) {
+  if (trace.request_id == 0) {
+    throw ProtocolError("trace context request id must be non-zero");
+  }
+  finite_or_throw(trace.client_send_unix_s, "client send timestamp");
   const topo::Topology& t = *sample.topology;
   std::string out;
   put_str(out, model, kMaxNameLen, "model name");
@@ -152,17 +155,6 @@ std::string encode_predict_request(const std::string& model,
   for (int idx = 0; idx < t.num_pairs(); ++idx) {
     put_pod(out, sample.tm.rate_by_index(idx));
   }
-  return out;
-}
-
-std::string encode_predict_request(const std::string& model,
-                                   const dataset::Sample& sample,
-                                   const TraceContext& trace) {
-  if (trace.request_id == 0) {
-    throw ProtocolError("trace context request id must be non-zero");
-  }
-  finite_or_throw(trace.client_send_unix_s, "client send timestamp");
-  std::string out = encode_predict_request(model, sample);
   put_pod(out, trace.request_id);
   put_pod(out, trace.client_send_unix_s);
   return out;
@@ -269,60 +261,48 @@ PredictRequest decode_predict_request(std::string_view payload) {
     const auto [src, dst] = topo::pair_from_index(idx, n_nodes);
     tm.set_rate_bps(src, dst, rate);
   }
-  PredictRequest out{
+  TraceContext trace;
+  trace.request_id = c.pod<std::uint64_t>("trace request id");
+  if (trace.request_id == 0) {
+    throw ProtocolError("trace context request id must be non-zero");
+  }
+  trace.client_send_unix_s = finite_or_throw(
+      c.pod<double>("client send timestamp"), "client send timestamp");
+  // Trailing bytes are malformed, not ignorable: skipping them would mask
+  // corruption the CRC already survived (an honest re-encode must be able
+  // to reproduce the payload).
+  c.expect_done("predict request");
+  return PredictRequest{
       std::move(model),
       dataset::make_inference_sample(
           std::shared_ptr<const topo::Topology>(std::move(topology)),
           std::move(scheme), std::move(tm)),
-      /*has_trace=*/false,
-      TraceContext{}};
-  // Version tolerance: old clients end here; new clients append exactly a
-  // TraceContext. Any other trailing length is malformed, not ignorable —
-  // silently skipping unknown bytes would mask corruption the CRC already
-  // survived (an honest re-encode must be able to reproduce the payload).
-  if (c.remaining() > 0) {
-    const auto request_id = c.pod<std::uint64_t>("trace request id");
-    if (request_id == 0) {
-      throw ProtocolError("trace context request id must be non-zero");
-    }
-    out.trace.request_id = request_id;
-    out.trace.client_send_unix_s = finite_or_throw(
-        c.pod<double>("client send timestamp"), "client send timestamp");
-    out.has_trace = true;
-  }
-  c.expect_done("predict request");
-  return out;
+      trace};
 }
 
 // --- Predict response ------------------------------------------------------
 //
 // payload := n_pairs:u32 pairs[n_pairs]{delay_s:f64 jitter_s:f64}
-//            [request_id:u64 queue_wait_s:f64 server_s:f64]   (attribution)
-// The attribution block mirrors the request's trace context: exactly 24
-// trailing bytes, or none (responses to id-less requests).
+//            request_id:u64 queue_wait_s:f64 server_s:f64     (attribution)
+// The attribution block mirrors the request's trace context.
 
-std::string encode_predict_response(const core::RouteNet::Prediction& pred) {
+std::string encode_predict_response(const core::RouteNet::Prediction& pred,
+                                    std::uint64_t request_id,
+                                    double queue_wait_s, double server_s) {
   if (pred.delay_s.size() != pred.jitter_s.size()) {
     throw ProtocolError("prediction delay/jitter sizes disagree");
   }
+  if (request_id == 0) {
+    throw ProtocolError("response request id must be non-zero");
+  }
+  finite_or_throw(queue_wait_s, "queue wait seconds");
+  finite_or_throw(server_s, "server seconds");
   std::string out;
   put_pod(out, static_cast<std::uint32_t>(pred.delay_s.size()));
   for (std::size_t i = 0; i < pred.delay_s.size(); ++i) {
     put_pod(out, pred.delay_s[i]);
     put_pod(out, pred.jitter_s[i]);
   }
-  return out;
-}
-
-std::string encode_predict_response(const core::RouteNet::Prediction& pred,
-                                    std::uint64_t request_id,
-                                    double queue_wait_s, double server_s) {
-  if (request_id == 0) {
-    throw ProtocolError("response request id must be non-zero");
-  }
-  finite_or_throw(queue_wait_s, "queue wait seconds");
-  finite_or_throw(server_s, "server seconds");
-  std::string out = encode_predict_response(pred);
   put_pod(out, request_id);
   put_pod(out, queue_wait_s);
   put_pod(out, server_s);
@@ -347,18 +327,14 @@ PredictResponse decode_predict_response_full(std::string_view payload) {
     pred.delay_s[i] = c.pod<double>("delay");
     pred.jitter_s[i] = c.pod<double>("jitter");
   }
-  if (c.remaining() > 0) {
-    const auto request_id = c.pod<std::uint64_t>("response request id");
-    if (request_id == 0) {
-      throw ProtocolError("response request id must be non-zero");
-    }
-    resp.request_id = request_id;
-    resp.queue_wait_s = finite_or_throw(c.pod<double>("queue wait seconds"),
-                                        "queue wait seconds");
-    resp.server_s =
-        finite_or_throw(c.pod<double>("server seconds"), "server seconds");
-    resp.has_trace = true;
+  resp.request_id = c.pod<std::uint64_t>("response request id");
+  if (resp.request_id == 0) {
+    throw ProtocolError("response request id must be non-zero");
   }
+  resp.queue_wait_s = finite_or_throw(c.pod<double>("queue wait seconds"),
+                                      "queue wait seconds");
+  resp.server_s =
+      finite_or_throw(c.pod<double>("server seconds"), "server seconds");
   c.expect_done("predict response");
   return resp;
 }

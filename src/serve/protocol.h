@@ -21,15 +21,12 @@
 //
 // Message payloads:
 //   kPredictRequest   model name + a full inference scenario (topology,
-//                     per-pair routing paths, per-pair traffic rates);
-//                     optionally followed by a trace context (client
-//                     request id + client send timestamp) — absent on
-//                     frames from older clients, which still decode
-//   kPredictResponse  per-pair predicted delay/jitter seconds; optionally
-//                     followed by the echoed request id + server-side
-//                     timing attribution (queue-wait / total server
-//                     seconds), present iff the request carried a trace
-//                     context
+//                     per-pair routing paths, per-pair traffic rates),
+//                     then a trace context (client request id + client
+//                     send timestamp)
+//   kPredictResponse  per-pair predicted delay/jitter seconds, then the
+//                     echoed request id + server-side timing attribution
+//                     (queue-wait / total server seconds)
 //   kError            ErrorCode + human-readable message
 //   kReloadRequest    model name — hot-reload it from its source path
 //   kReloadResponse   model name + new registry version
@@ -107,28 +104,26 @@ struct FrameHeader {
   std::uint32_t payload_len = 0;
 };
 
-// Optional trailing block on a predict request: a client-generated request
-// id plus the client's wall-clock send time. Carried through the server's
+// Trailing block on every predict request: a client-generated request id
+// plus the client's wall-clock send time. Carried through the server's
 // span tree and echoed on the response, so one id links the client span,
 // the server's queue.wait/batch.assemble/forward spans, and the latency
 // exemplar.
 struct TraceContext {
-  std::uint64_t request_id = 0;  // client-generated, never 0 when present
+  std::uint64_t request_id = 0;  // client-generated, never 0
   double client_send_unix_s = 0.0;
 };
 
 struct PredictRequest {
   std::string model;
   dataset::Sample sample;
-  bool has_trace = false;  // frame carried a TraceContext (new clients)
   TraceContext trace;
 };
 
-// Full decode of a predict response, including the optional server timing
-// attribution echoed back to tracing clients.
+// Full decode of a predict response, including the server timing
+// attribution echoed back to the client.
 struct PredictResponse {
   core::RouteNet::Prediction prediction;
-  bool has_trace = false;
   std::uint64_t request_id = 0;
   double queue_wait_s = 0.0;  // enqueue → batch take, server clock
   double server_s = 0.0;      // decode → response encode, server clock
@@ -217,26 +212,20 @@ Frame parse_frame(std::string_view bytes);
 // decode_* functions accept exactly one payload (no envelope) and throw
 // ProtocolError on any structural violation.
 
-// Legacy (id-less) form — what pre-trace clients emit.
-std::string encode_predict_request(const std::string& model,
-                                   const dataset::Sample& sample);
-// Extended form: appends the trace context. trace.request_id must be
-// non-zero and trace.client_send_unix_s finite.
+// The scenario, then the trace context: trace.request_id must be non-zero
+// and trace.client_send_unix_s finite.
 std::string encode_predict_request(const std::string& model,
                                    const dataset::Sample& sample,
                                    const TraceContext& trace);
-// Accepts both forms; has_trace reports which arrived. Rejects any path
-// that is empty, discontinuous, loops, or misses its destination, naming
-// the pair.
+// Requires the trace context. Rejects any path that is empty,
+// discontinuous, loops, or misses its destination, naming the pair.
 PredictRequest decode_predict_request(std::string_view payload);
 
-// Legacy (no attribution) form.
-std::string encode_predict_response(const core::RouteNet::Prediction& pred);
-// Extended form: echoes the request id and attributes server time.
+// The prediction, then the echoed request id and the server's time.
 std::string encode_predict_response(const core::RouteNet::Prediction& pred,
                                     std::uint64_t request_id,
                                     double queue_wait_s, double server_s);
-// Accepts both forms; has_trace reports which arrived.
+// Requires the attribution block.
 PredictResponse decode_predict_response_full(std::string_view payload);
 
 std::string encode_error(ErrorCode code, std::string_view message);

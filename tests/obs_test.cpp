@@ -1,18 +1,22 @@
 // Tests for the src/obs telemetry layer: histogram bucket geometry,
 // concurrent counter/histogram updates, JSONL round-trips through the
-// parser, the summarize rollup, and the zero-allocation guarantee of the
-// disabled-sink hot path.
+// parser, every parser reject matched by its message, every truncation of
+// a trace document and a metrics line rejected, the summarize rollup, and
+// the zero-allocation guarantee of the disabled-sink hot path.
 #include "obs/event.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/summarize.h"
 #include "obs/timer.h"
+#include "obs/trace.h"
 
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <new>
 #include <thread>
 #include <vector>
@@ -32,8 +36,12 @@ void* operator new(std::size_t size) {
   return p;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// noinline: once inlined, GCC pairs the free() with a new-expression and
+// reports a -Wmismatched-new-delete that does not exist.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
@@ -184,6 +192,115 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(parse_json("not json", &v, &err));
   EXPECT_TRUE(parse_json("{\"a\":[1,2,{\"b\":true}],\"c\":null}", &v, &err))
       << err;
+}
+
+// One case per reject in the parser, each matched by its full message so
+// a different reject cannot stand in for the one under test.
+void expect_json_reject(const std::string& text, const std::string& error) {
+  JsonValue v;
+  std::string err;
+  EXPECT_FALSE(parse_json(text, &v, &err)) << text;
+  EXPECT_EQ(err, error) << text;
+}
+
+TEST(JsonReject, TrailingCharacters) {
+  expect_json_reject("{\"a\":1} x", "trailing characters at offset 8");
+}
+
+TEST(JsonReject, NestingTooDeep) {
+  expect_json_reject(std::string(40, '['), "nesting too deep at offset 33");
+}
+
+TEST(JsonReject, UnexpectedEndOfInput) {
+  expect_json_reject("[1,", "unexpected end of input at offset 3");
+}
+
+TEST(JsonReject, InvalidLiteral) {
+  expect_json_reject("[tru]", "invalid literal at offset 1");
+}
+
+TEST(JsonReject, ExpectedAValue) {
+  expect_json_reject("{\"a\":x}", "expected a value at offset 5");
+}
+
+TEST(JsonReject, MalformedNumber) {
+  expect_json_reject("[1.2.3]", "malformed number at offset 6");
+}
+
+TEST(JsonReject, ExpectedQuote) {
+  expect_json_reject("{1:2}", "expected '\"' at offset 1");
+}
+
+TEST(JsonReject, DanglingEscape) {
+  expect_json_reject("\"ab\\", "dangling escape at offset 4");
+}
+
+TEST(JsonReject, ShortUnicodeEscape) {
+  expect_json_reject("\"\\u12\"", "short \\u escape at offset 3");
+}
+
+TEST(JsonReject, BadUnicodeEscape) {
+  expect_json_reject("\"\\u12G4\"", "bad \\u escape at offset 6");
+}
+
+TEST(JsonReject, UnknownEscape) {
+  expect_json_reject("\"\\q\"", "unknown escape at offset 3");
+}
+
+TEST(JsonReject, UnterminatedString) {
+  expect_json_reject("\"abc", "unterminated string at offset 4");
+}
+
+TEST(JsonReject, ExpectedColon) {
+  expect_json_reject("{\"a\" 1}", "expected ':' at offset 5");
+}
+
+TEST(JsonReject, ExpectedCommaOrBrace) {
+  expect_json_reject("{\"a\":1 \"b\":2}", "expected ',' or '}' at offset 7");
+}
+
+TEST(JsonReject, ExpectedCommaOrBracket) {
+  expect_json_reject("[1 2]", "expected ',' or ']' at offset 3");
+}
+
+// Every proper prefix of `doc` (trailing whitespace aside) must fail to
+// parse, and the whole document must parse.
+void expect_every_truncation_rejected(std::string doc) {
+  while (!doc.empty() && std::isspace(static_cast<unsigned char>(doc.back()))) {
+    doc.pop_back();
+  }
+  JsonValue v;
+  std::string err;
+  ASSERT_TRUE(parse_json(doc, &v, &err)) << err << "\n" << doc;
+  for (std::size_t len = 0; len < doc.size(); ++len) {
+    EXPECT_FALSE(parse_json(std::string_view(doc).substr(0, len), &v, &err))
+        << "truncation at " << len << " of " << doc.size() << " parsed";
+  }
+}
+
+TEST(Json, EveryTruncationOfATraceDocumentIsRejected) {
+  std::vector<TraceRecord> spans(3);
+  spans[0] = {"routenet.forward", 1, 0, 0.5, 0.25, 1, "batch", 4};
+  spans[1] = {"routenet.mp", 2, 1, 0.5, 0.125, 1, nullptr, 0};
+  spans[2] = {"serve.net.read", 3, 0, 1.0, 1e-6, 2, "bytes", 1234};
+  const std::string path = temp_path("truncate.trace.json");
+  Tracer::write_chrome_trace(path, spans, /*merge_existing=*/false,
+                             /*dropped=*/3, /*sampled_out=*/1);
+  std::ifstream in(path);
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  ASSERT_NE(doc.find("traceEvents"), std::string::npos) << doc;
+  expect_every_truncation_rejected(doc);
+}
+
+TEST(Json, EveryTruncationOfAMetricsLineIsRejected) {
+  Event ev("trainer.epoch");
+  ev.f("epoch", 3)
+      .f("loss", 0.03125)
+      .f("note", "tab\tquote\" back\\ bell\x07 done")
+      .f("tiny", -1.25e-9);
+  expect_every_truncation_rejected(ev.jsonl(1234.5));
 }
 
 TEST(EventSink, WritesParseableJsonlFile) {

@@ -5,9 +5,9 @@
 //   - predict_traced() round trip: the client-generated request id comes
 //     back on the response with non-negative server attribution
 //     (queue-wait ≤ total server time ≤ client rtt).
-//   - A legacy id-less predict frame (hand-framed over a raw socket, no
-//     trailing trace context) still serves, and its response carries no
-//     attribution block — old clients keep working bit-for-bit.
+//   - An id-less predict frame (hand-framed over a raw socket, no
+//     trailing trace context) is answered with kMalformed, and the server
+//     goes on serving other connections.
 //   - A client that stalls mid-frame (or sits idle) trips the
 //     per-connection read timeout: one clean kTimeout error frame, then
 //     close, and the server's timeout counter moves. So does one that
@@ -31,6 +31,10 @@
 //     each connection's handler thread exists), and a predict frame several
 //     read steps long, trickled in odd-sized pieces, is still served bit
 //     for bit.
+//   - A queued predict holds its decoded request, not its raw payload:
+//     with the batcher paused, K queued large predicts raise the heap's
+//     bytes in use (glibc mallinfo2, every arena) by well under
+//     K × (decoded size + payload).
 //   - The connection cap: with NetServer::kMaxConnections clients
 //     connected, one more idle connection gets one kRejected frame and EOF
 //     and counts as refused, not as a connection; once one of the others
@@ -38,6 +42,7 @@
 #include "serve/net.h"
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -113,6 +118,15 @@ std::set<std::uint64_t>& issued_rids() {
   return rids;
 }
 
+// A predict request payload as NetClient sends it, trace context included.
+std::string predict_payload(const std::string& model,
+                            const dataset::Sample& sample) {
+  wire::TraceContext ctx;
+  ctx.request_id = 42;
+  ctx.client_send_unix_s = 1.0;
+  return wire::encode_predict_request(model, sample, ctx);
+}
+
 NetClient::PredictOutcome traced_predict(NetClient& client,
                                          const std::string& model,
                                          const dataset::Sample& sample) {
@@ -121,7 +135,7 @@ NetClient::PredictOutcome traced_predict(NetClient& client,
   return out;
 }
 
-// --- Raw-socket helpers (legacy client / stalling client) ------------------
+// --- Raw-socket helpers (id-less client / stalling client) -----------------
 
 int raw_connect(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -183,6 +197,12 @@ long vm_rss_kb() {
   return 0;
 }
 
+// Heap bytes in use across every glibc arena, mmapped chunks included.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = ::mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
 std::uint64_t counter_value(const wire::StatsSnapshot& snap,
                             const std::string& name) {
   for (const auto& c : snap.counters) {
@@ -232,30 +252,30 @@ TEST(NetObs, TracedPredictEchoesRequestIdWithAttribution) {
   server.stop();
 }
 
-TEST(NetObs, LegacyIdLessPredictStillServes) {
+TEST(NetObs, IdLessPredictGetsMalformed) {
   ModelRegistry registry(fast_config());
   registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));
   NetServer server(registry, loopback_config());
   server.start();
 
-  const dataset::Sample sample = make_request(4);
-  // Hand-frame the pre-trace wire form: no trailing TraceContext block.
-  const std::string payload = wire::encode_predict_request("m", sample);
+  // Hand-frame a predict without its trailing 16-byte TraceContext.
+  const std::string payload = predict_payload("m", make_request(4));
   const int fd = raw_connect(server.port());
-  write_all(fd, wire::encode_frame(wire::FrameType::kPredictRequest, payload));
+  write_all(fd, wire::encode_frame(wire::FrameType::kPredictRequest,
+                                   payload.substr(0, payload.size() - 16)));
 
   const wire::Frame reply = read_frame(fd);
-  ASSERT_EQ(reply.type, wire::FrameType::kPredictResponse);
-  const wire::PredictResponse resp =
-      wire::decode_predict_response_full(reply.payload);
-  // An untraced request gets an untraced response — the server must not
-  // invent an id or bolt attribution onto the legacy form.
-  EXPECT_FALSE(resp.has_trace);
-  EXPECT_EQ(resp.request_id, 0u);
-  EXPECT_EQ(resp.prediction.delay_s.size(),
-            static_cast<std::size_t>(sample.num_pairs()));
-
+  ASSERT_EQ(reply.type, wire::FrameType::kError);
+  const wire::ErrorFrame err = wire::decode_error(reply.payload);
+  EXPECT_EQ(err.code, wire::ErrorCode::kMalformed);
+  EXPECT_NE(err.message.find("trace request id"), std::string::npos)
+      << err.message;
+  // A malformed frame closes its connection; the server serves on.
+  EXPECT_TRUE(read_upto(fd, 1).empty());
   ::close(fd);
+  NetClient client(server.address());
+  EXPECT_TRUE(traced_predict(client, "m", make_request(4)).server_traced);
+
   server.stop();
 }
 
@@ -310,7 +330,7 @@ TEST(NetObs, OneBytePerSecondSenderIsCutOffAtTheFrameDeadline) {
   // 12 s in rather than never.
   const std::string frame =
       wire::encode_frame(wire::FrameType::kPredictRequest,
-                         wire::encode_predict_request("m", make_request(3)));
+                         predict_payload("m", make_request(3)));
   ASSERT_GT(frame.size(), 10u);
   const int fd = raw_connect(server.port());
   std::atomic<bool> done{false};
@@ -640,8 +660,7 @@ TEST(NetObs, LargeFrameSentInSlowPiecesIsServed) {
   server.start();
 
   const std::string frame = wire::encode_frame(
-      wire::FrameType::kPredictRequest,
-      wire::encode_predict_request("m", sample));
+      wire::FrameType::kPredictRequest, predict_payload("m", sample));
   // Several 64 KiB read steps long, sent in pieces that straddle them.
   ASSERT_GT(frame.size(), 3u * 64 * 1024);
   constexpr std::size_t kPiece = 7919;
@@ -661,6 +680,78 @@ TEST(NetObs, LargeFrameSentInSlowPiecesIsServed) {
   }
   ::close(fd);
   server.stop();
+}
+
+TEST(NetObs, QueuedPredictsHoldTheirDecodedFormOnly) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer's allocator is invisible to mallinfo2";
+#endif
+  Rng rng(43);
+  auto topology = std::make_shared<const topo::Topology>(
+      topo::synthetic_ba(100, 2, rng));
+  routing::RoutingScheme scheme =
+      routing::random_k_shortest_routing(*topology, 2, rng);
+  traffic::TrafficMatrix tm =
+      traffic::uniform_traffic(topology->num_nodes(), 50.0, 150.0, rng);
+  const std::string payload = predict_payload(
+      "m", dataset::make_inference_sample(topology, std::move(scheme),
+                                          std::move(tm)));
+  const std::string frame =
+      wire::encode_frame(wire::FrameType::kPredictRequest, payload);
+  std::size_t decoded_bytes = 0;
+  {
+    const std::size_t before = heap_in_use();
+    const wire::PredictRequest req = wire::decode_predict_request(payload);
+    decoded_bytes = heap_in_use() - before;
+  }
+  ASSERT_GT(decoded_bytes, 0u);
+
+  ModelRegistry registry(fast_config());
+  registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));
+  NetServer server(registry, loopback_config());
+  server.start();
+  const ModelRegistry::Handle entry = registry.acquire("m");
+
+  // A stats round trip first, so each handler thread and its arena exist
+  // before the baseline is read.
+  constexpr std::size_t kQueued = 8;
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    fds.push_back(raw_connect(server.port()));
+    write_all(fds.back(),
+              wire::encode_frame(wire::FrameType::kStatsRequest, {}));
+    ASSERT_EQ(read_frame(fds.back()).type, wire::FrameType::kStatsResponse);
+  }
+  entry->server().set_paused_for_test(true);
+  const std::size_t before = heap_in_use();
+  for (const int fd : fds) write_all(fd, frame);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (entry->server().queue_depth() < kQueued &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::size_t queued = entry->server().queue_depth();
+  const std::size_t after = heap_in_use();
+  entry->server().set_paused_for_test(false);
+  for (const int fd : fds) {
+    EXPECT_EQ(read_frame(fd).type, wire::FrameType::kPredictResponse);
+    ::close(fd);
+  }
+  server.stop();
+
+  ASSERT_EQ(queued, kQueued);
+  // Each queued request holds its decoded form (about decoded_bytes). A
+  // server that also kept the raw payload would hold at least
+  // kQueued × (decoded_bytes + payload.size()).
+  const double rise =
+      static_cast<double>(after) - static_cast<double>(before);
+  const double bound = static_cast<double>(kQueued) *
+                       (static_cast<double>(decoded_bytes) +
+                        0.5 * static_cast<double>(payload.size()));
+  EXPECT_LT(rise, bound) << "heap rose " << rise << " bytes for " << kQueued
+                         << " queued requests; decoded " << decoded_bytes
+                         << " B, payload " << payload.size() << " B each";
 }
 
 }  // namespace

@@ -2,16 +2,17 @@
 //
 // The serving frontend reads frames off sockets from arbitrary peers, so
 // the parser gets the RNCKPT2 hostile-input treatment: round-trips must be
-// bitwise exact, EVERY truncation of a valid frame must throw a clean
-// ProtocolError (never an abort or over-read), EVERY single-byte
-// corruption must throw (the CRC trailer covers type ‖ payload; the
-// envelope fields are each independently validated), and forged payloads
-// with absurd counts — name lengths, node/link counts, path lengths, pair
-// counts — must be rejected before anything is allocated. Routes that
-// are empty, discontinuous, looping or miss their destination are rejected
-// too, with the offending pair named, and every reject branch that no
-// sweep reaches has a case matching its message. Runs under
-// -DRN_SANITIZE=address so an over-read would crash loudly.
+// bitwise exact, EVERY truncation of a valid frame or of a predict
+// request/response payload must throw a clean ProtocolError (never an
+// abort or over-read; an id-less predict is one such truncation), EVERY
+// single-byte corruption must throw (the CRC trailer covers type ‖
+// payload; the envelope fields are each independently validated), and
+// forged payloads with absurd counts — name lengths, node/link counts,
+// path lengths, pair counts — must be rejected before anything is
+// allocated. Routes that are empty, discontinuous, looping or miss their
+// destination are rejected too, with the offending pair named, and every
+// reject branch that no sweep reaches has a case matching its message.
+// Runs under -DRN_SANITIZE=address so an over-read would crash loudly.
 #include "serve/protocol.h"
 
 #include <cstdint>
@@ -53,11 +54,49 @@ void put_str(std::string& buf, std::string_view s) {
   buf.append(s);
 }
 
+TraceContext test_trace() {
+  TraceContext ctx;
+  ctx.request_id = 7;
+  ctx.client_send_unix_s = 1.0;
+  return ctx;
+}
+
+std::string predict_payload(const std::string& model,
+                            const dataset::Sample& sample) {
+  return encode_predict_request(model, sample, test_trace());
+}
+
+std::string response_payload(const core::RouteNet::Prediction& pred) {
+  return encode_predict_response(pred, 7, 0.001, 0.002);
+}
+
+// f must throw a ProtocolError whose message contains `needle`, so a
+// different reject cannot stand in for the one under test.
+template <typename F>
+void expect_protocol_error(const F& f, const std::string& needle) {
+  try {
+    f();
+    ADD_FAILURE() << "accepted; expected \"" << needle << "\"";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+// The bytes an id-less client would send: a predict request without its
+// 16-byte trace context, or a response without its 24-byte attribution.
+std::string without_trace(const std::string& request_payload) {
+  return request_payload.substr(0, request_payload.size() - 16);
+}
+std::string without_attribution(const std::string& response_payload) {
+  return response_payload.substr(0, response_payload.size() - 24);
+}
+
 // --- Round trips -----------------------------------------------------------
 
 TEST(ProtocolRoundTrip, PredictRequestIsBitwiseStable) {
   const dataset::Sample sample = make_sample(5, 7);
-  const std::string payload = encode_predict_request("prod", sample);
+  const std::string payload = predict_payload("prod", sample);
   const PredictRequest decoded = decode_predict_request(payload);
   EXPECT_EQ(decoded.model, "prod");
   EXPECT_EQ(decoded.sample.topology->num_nodes(),
@@ -68,7 +107,8 @@ TEST(ProtocolRoundTrip, PredictRequestIsBitwiseStable) {
   // Re-encoding the decoded request must reproduce the exact bytes: the
   // encoding is canonical, so any drift (field order, rounding, lost
   // paths) shows up as inequality here.
-  EXPECT_EQ(encode_predict_request("prod", decoded.sample), payload);
+  EXPECT_EQ(encode_predict_request("prod", decoded.sample, decoded.trace),
+            payload);
 }
 
 TEST(ProtocolRoundTrip, PredictResponsePreservesEveryBit) {
@@ -76,15 +116,16 @@ TEST(ProtocolRoundTrip, PredictResponsePreservesEveryBit) {
   pred.delay_s = {0.0, 1e-9, 0.25, std::numeric_limits<double>::min(),
                   12345.678};
   pred.jitter_s = {0.5, 0.0, 3e-7, 1.0, 2.0};
-  const std::string payload = encode_predict_response(pred);
-  const core::RouteNet::Prediction decoded =
-      decode_predict_response_full(payload).prediction;
-  ASSERT_EQ(decoded.delay_s.size(), pred.delay_s.size());
+  const std::string payload = response_payload(pred);
+  const PredictResponse decoded = decode_predict_response_full(payload);
+  ASSERT_EQ(decoded.prediction.delay_s.size(), pred.delay_s.size());
   for (std::size_t i = 0; i < pred.delay_s.size(); ++i) {
-    EXPECT_EQ(decoded.delay_s[i], pred.delay_s[i]);
-    EXPECT_EQ(decoded.jitter_s[i], pred.jitter_s[i]);
+    EXPECT_EQ(decoded.prediction.delay_s[i], pred.delay_s[i]);
+    EXPECT_EQ(decoded.prediction.jitter_s[i], pred.jitter_s[i]);
   }
-  EXPECT_EQ(encode_predict_response(decoded), payload);
+  EXPECT_EQ(encode_predict_response(decoded.prediction, decoded.request_id,
+                                    decoded.queue_wait_s, decoded.server_s),
+            payload);
 }
 
 TEST(ProtocolRoundTrip, TracedPredictRequestRoundTrips) {
@@ -94,23 +135,17 @@ TEST(ProtocolRoundTrip, TracedPredictRequestRoundTrips) {
   ctx.client_send_unix_s = 1.7543e9;
   const std::string payload = encode_predict_request("prod", sample, ctx);
   const PredictRequest decoded = decode_predict_request(payload);
-  EXPECT_TRUE(decoded.has_trace);
   EXPECT_EQ(decoded.trace.request_id, ctx.request_id);
   EXPECT_EQ(decoded.trace.client_send_unix_s, ctx.client_send_unix_s);
   EXPECT_EQ(encode_predict_request("prod", decoded.sample, decoded.trace),
             payload);
-  // The extended form is the legacy form plus exactly the 16-byte trailer:
-  // an id-less server reading only the prefix sees an unchanged request.
-  EXPECT_EQ(payload.substr(0, payload.size() - 16),
-            encode_predict_request("prod", sample));
 }
 
-TEST(ProtocolRoundTrip, LegacyIdLessPredictRequestStillDecodes) {
-  const dataset::Sample sample = make_sample(4, 9);
-  const PredictRequest decoded =
-      decode_predict_request(encode_predict_request("old", sample));
-  EXPECT_FALSE(decoded.has_trace);
-  EXPECT_EQ(decoded.trace.request_id, 0u);
+TEST(ProtocolReject, IdLessPredictRequestThrows) {
+  const std::string id_less =
+      without_trace(predict_payload("old", make_sample(4, 9)));
+  expect_protocol_error([&] { decode_predict_request(id_less); },
+                        "truncated reading trace request id");
 }
 
 TEST(ProtocolRoundTrip, TracedPredictResponseRoundTrips) {
@@ -120,7 +155,6 @@ TEST(ProtocolRoundTrip, TracedPredictResponseRoundTrips) {
   const std::string payload =
       encode_predict_response(pred, 0xDEADBEEFULL, 0.0031, 0.0074);
   const PredictResponse decoded = decode_predict_response_full(payload);
-  EXPECT_TRUE(decoded.has_trace);
   EXPECT_EQ(decoded.request_id, 0xDEADBEEFULL);
   EXPECT_EQ(decoded.queue_wait_s, 0.0031);
   EXPECT_EQ(decoded.server_s, 0.0074);
@@ -128,11 +162,10 @@ TEST(ProtocolRoundTrip, TracedPredictResponseRoundTrips) {
   EXPECT_EQ(encode_predict_response(decoded.prediction, decoded.request_id,
                                     decoded.queue_wait_s, decoded.server_s),
             payload);
-  // The decoder accepts the legacy form too.
-  const PredictResponse legacy =
-      decode_predict_response_full(encode_predict_response(pred));
-  EXPECT_FALSE(legacy.has_trace);
-  EXPECT_EQ(legacy.prediction.delay_s, pred.delay_s);
+  // A response without the attribution block is malformed.
+  expect_protocol_error(
+      [&] { decode_predict_response_full(without_attribution(payload)); },
+      "truncated reading response request id");
 }
 
 TEST(ProtocolFuzz, TraceContextValidationRejectsHostileTails) {
@@ -153,11 +186,11 @@ TEST(ProtocolFuzz, TraceContextValidationRejectsHostileTails) {
   std::memcpy(p.data() + p.size() - 16, &zero, sizeof(zero));
   EXPECT_THROW(decode_predict_request(p), ProtocolError);
 
-  // The trailing block is all-or-nothing: any length other than 0 or 16
-  // extra bytes is malformed, not silently skipped.
-  const std::string legacy = encode_predict_request("m", sample);
-  for (const int extra : {1, 8, 15, 17}) {
-    std::string r = legacy;
+  // The trailing block is exactly 16 bytes: any other length is
+  // malformed, not silently skipped.
+  const std::string id_less = without_trace(p);
+  for (const int extra : {0, 1, 8, 15, 17}) {
+    std::string r = id_less;
     r.append(static_cast<std::size_t>(extra), '\x07');
     EXPECT_THROW(decode_predict_request(r), ProtocolError)
         << extra << " trailing bytes accepted";
@@ -166,8 +199,8 @@ TEST(ProtocolFuzz, TraceContextValidationRejectsHostileTails) {
   core::RouteNet::Prediction pred;
   pred.delay_s = {0.001};
   pred.jitter_s = {0.0001};
-  const std::string resp = encode_predict_response(pred);
-  for (const int extra : {1, 8, 16, 23, 25}) {
+  const std::string resp = without_attribution(response_payload(pred));
+  for (const int extra : {0, 1, 8, 16, 23, 25}) {
     std::string r = resp;
     r.append(static_cast<std::size_t>(extra), '\x07');
     EXPECT_THROW(decode_predict_response_full(r), ProtocolError)
@@ -210,7 +243,7 @@ TEST(ProtocolRoundTrip, FrameEnvelopeCarriesPayloadVerbatim) {
 
 std::string valid_frame() {
   return encode_frame(FrameType::kPredictRequest,
-                      encode_predict_request("m", make_sample(4, 3)));
+                      predict_payload("m", make_sample(4, 3)));
 }
 
 TEST(ProtocolFuzz, EveryTruncationThrows) {
@@ -220,6 +253,29 @@ TEST(ProtocolFuzz, EveryTruncationThrows) {
                  ProtocolError)
         << "truncation at " << len << " of " << bytes.size()
         << " bytes parsed";
+  }
+}
+
+TEST(ProtocolFuzz, EveryPredictPayloadTruncationThrows) {
+  // Payload level, below the frame CRC: every prefix of a predict request
+  // or response is malformed, the one that stops where the trace context
+  // (or the attribution block) would begin included.
+  const std::string request = predict_payload("m", make_sample(4, 3));
+  for (std::size_t len = 0; len < request.size(); ++len) {
+    EXPECT_THROW(decode_predict_request(request.substr(0, len)),
+                 ProtocolError)
+        << "request truncated at " << len << " of " << request.size()
+        << " bytes decoded";
+  }
+  core::RouteNet::Prediction pred;
+  pred.delay_s = {0.001, 0.002};
+  pred.jitter_s = {0.0001, 0.0002};
+  const std::string response = response_payload(pred);
+  for (std::size_t len = 0; len < response.size(); ++len) {
+    EXPECT_THROW(decode_predict_response_full(response.substr(0, len)),
+                 ProtocolError)
+        << "response truncated at " << len << " of " << response.size()
+        << " bytes decoded";
   }
 }
 
@@ -395,7 +451,7 @@ std::string ring4_request_with_path_0_2(
   }
   EXPECT_EQ(path.size(), hops.size()) << "ring-4 lacks a requested link";
   sample.routing.set_path(0, 2, std::move(path));
-  return encode_predict_request("m", sample);
+  return predict_payload("m", sample);
 }
 
 void expect_rejects_pair_0_2(const std::string& payload, const char* why) {
@@ -424,9 +480,10 @@ TEST(ProtocolFuzz, InvalidRoutesThrowNamingThePair) {
 
 TEST(ProtocolFuzz, HostileTrafficRatesThrow) {
   const dataset::Sample sample = make_sample(4, 11);
-  std::string p = encode_predict_request("m", sample);
-  // The rates are the trailing n_pairs doubles; corrupt the last one.
-  const std::size_t rate_off = p.size() - sizeof(double);
+  std::string p = predict_payload("m", sample);
+  // The rates are the n_pairs doubles before the 16-byte trace context;
+  // corrupt the last one.
+  const std::size_t rate_off = p.size() - 16 - sizeof(double);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::memcpy(p.data() + rate_off, &nan, sizeof(nan));
   EXPECT_THROW(decode_predict_request(p), ProtocolError);
@@ -436,7 +493,7 @@ TEST(ProtocolFuzz, HostileTrafficRatesThrow) {
 }
 
 TEST(ProtocolFuzz, TrailingPayloadBytesThrow) {
-  std::string p = encode_predict_request("m", make_sample(4, 13));
+  std::string p = predict_payload("m", make_sample(4, 13));
   p.push_back('\0');
   EXPECT_THROW(decode_predict_request(p), ProtocolError);
   std::string r = encode_reload_request("m");
@@ -594,19 +651,6 @@ TEST(ProtocolFuzz, HostileStatsCountsThrow) {
 
 // --- Reject branches, each matched by its message -------------------------
 
-// f must throw a ProtocolError whose message contains `needle`, so a
-// different reject cannot stand in for the one under test.
-template <typename F>
-void expect_protocol_error(const F& f, const std::string& needle) {
-  try {
-    f();
-    ADD_FAILURE() << "accepted; expected \"" << needle << "\"";
-  } catch (const ProtocolError& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(ProtocolReject, EncodedNameOverTheCap) {
   expect_protocol_error(
       [] { encode_reload_request(std::string(kMaxNameLen + 1, 'm')); },
@@ -627,7 +671,7 @@ TEST(ProtocolReject, EncodedPredictionSizesDisagree) {
   core::RouteNet::Prediction pred;
   pred.delay_s = {0.1, 0.2};
   pred.jitter_s = {0.01};
-  expect_protocol_error([&] { encode_predict_response(pred); },
+  expect_protocol_error([&] { response_payload(pred); },
                         "prediction delay/jitter sizes disagree");
 }
 
@@ -635,7 +679,7 @@ TEST(ProtocolReject, DecodedResponseWithZeroRequestId) {
   core::RouteNet::Prediction pred;
   pred.delay_s = {0.1};
   pred.jitter_s = {0.01};
-  std::string p = encode_predict_response(pred, 7, 0.001, 0.002);
+  std::string p = response_payload(pred);
   // The attribution block is the trailing rid:u64 wait:f64 server:f64.
   const std::uint64_t zero = 0;
   std::memcpy(p.data() + p.size() - 3 * sizeof(double), &zero, sizeof(zero));

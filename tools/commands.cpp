@@ -579,14 +579,12 @@ int cmd_query(const Flags& flags) {
         model, dataset::make_inference_sample(sc.topology, sc.scheme,
                                               std::move(sc.tm)));
     const core::RouteNet::Prediction& pred = outcome.prediction;
-    std::printf("request id %llu  rtt %.3f ms",
-                static_cast<unsigned long long>(outcome.request_id),
-                outcome.rtt_s * 1e3);
-    if (outcome.server_traced) {
-      std::printf("  (server %.3f ms, of which queue wait %.3f ms)",
-                  outcome.server_s * 1e3, outcome.queue_wait_s * 1e3);
-    }
-    std::printf("\n");
+    std::printf(
+        "request id %llu  rtt %.3f ms  (server %.3f ms, of which queue wait "
+        "%.3f ms)\n",
+        static_cast<unsigned long long>(outcome.request_id),
+        outcome.rtt_s * 1e3, outcome.server_s * 1e3,
+        outcome.queue_wait_s * 1e3);
     const int pairs = static_cast<int>(pred.delay_s.size());
     std::vector<int> order(static_cast<std::size_t>(pairs));
     for (int i = 0; i < pairs; ++i) order[static_cast<std::size_t>(i)] = i;
