@@ -8,8 +8,9 @@
 //      (scalar / avx2) timed on the matmul shapes at paper sizes (state
 //      dims 16–64, Geant2-scale row counts) — including backward's two:
 //      the weight gradient (rows×dim)ᵀ·(rows×dim) and dx = (rows×dim)·
-//      (dim×dim)ᵀ — the gather / scatter / segment_sum / scale_rows
-//      family, the sigmoid / tanh gate kernels, and the fused GRU step
+//      (dim×dim)ᵀ — the index ops (gather_rows; indexed_row_add, the
+//      segment_sum accumulate; scale_rows), the sigmoid / tanh gate
+//      kernels, and the fused GRU step
 //      against its composed reference — written to BENCH_kernels.json in
 //      the bench cache. Under RN_BENCH_ENFORCE the report is also a gate:
 //      avx2 over scalar must reach ≥1.5x on the nn matmul at every dim,

@@ -14,16 +14,15 @@ Dense::Dense(int in_dim, int out_dim, Activation act, Rng& rng,
   RN_CHECK(in_dim > 0 && out_dim > 0, "Dense dims must be positive");
 }
 
+// add_bias and the activation consume their operand, so both write into
+// the matmul's buffer.
 ValueId Dense::apply(Tape& tape, ValueId x) const {
-  const ValueId xw = tape.matmul(x, tape.param(w_));
-  const ValueId y = tape.add_bias(xw, tape.param(b_));
-  tape.release(xw);
+  const ValueId y =
+      tape.add_bias(tape.matmul(x, tape.param(w_)), tape.param(b_));
   if (act_ == Activation::kNone) return y;
-  const ValueId out = act_ == Activation::kRelu      ? tape.relu(y)
-                      : act_ == Activation::kSigmoid ? tape.sigmoid(y)
-                                                     : tape.tanh(y);
-  tape.release(y);
-  return out;
+  return act_ == Activation::kRelu      ? tape.relu(y)
+         : act_ == Activation::kSigmoid ? tape.sigmoid(y)
+                                        : tape.tanh(y);
 }
 
 std::vector<Parameter*> Dense::params() { return {&w_, &b_}; }

@@ -15,7 +15,6 @@ ValueId Tape::record(Node n) {
   n.needs_grad = n.op == Op::kParam || n.op == Op::kGruStep ||
                  n.op == Op::kGruProject || n.op == Op::kGruStepGathered ||
                  needs(n.a) || needs(n.b);
-  for (ValueId src : n.srcs) n.needs_grad = n.needs_grad || needs(src);
   if (recording()) {
     const Saved& s = kSaved[static_cast<std::size_t>(n.op)];
     if (s.a) node(n.a).saved = true;
@@ -44,6 +43,12 @@ const Tensor& Tape::input(ValueId id) const {
   const Node& n = node(id);
   RN_CHECK(!n.released, "read of a released tape value");
   return n.value;
+}
+
+Tensor Tape::reuse(ValueId id, ValueId other) {
+  const Tensor& v = input(id);
+  Node& n = node(id);
+  return n.saved || id == other ? v : std::move(n.value);
 }
 
 const Tensor& Tape::saved_value(ValueId id) const {
@@ -112,8 +117,9 @@ ValueId Tape::add_bias(ValueId m, ValueId bias) {
   const Tensor& bv = input(bias);
   RN_CHECK(bv.rows() == 1 && bv.cols() == mv.cols(),
            "add_bias expects a 1×C bias matching the matrix columns");
-  Tensor v = mv;
-  kern::active().add_bias_rows(v.data(), bv.data(), mv.rows(), mv.cols());
+  Tensor v = reuse(m, bias);
+  kern::active().add_bias_rows(v.data(), bv.data(), v.rows(), v.cols());
+  release(m);
   return record({.op = Op::kAddBias, .a = m, .b = bias, .value = std::move(v)});
 }
 
@@ -174,13 +180,15 @@ ValueId Tape::one_minus(ValueId a) {
 // --- Nonlinearities --------------------------------------------------------------
 
 ValueId Tape::sigmoid(ValueId a) {
-  Tensor v = input(a);
+  Tensor v = reuse(a);
+  release(a);
   kern::active().sigmoid_inplace(v.data(), static_cast<std::size_t>(v.size()));
   return record({.op = Op::kSigmoid, .a = a, .value = std::move(v)});
 }
 
 ValueId Tape::tanh(ValueId a) {
-  Tensor v = input(a);
+  Tensor v = reuse(a);
+  release(a);
   kern::active().tanh_inplace(v.data(), static_cast<std::size_t>(v.size()));
   return record({.op = Op::kTanh, .a = a, .value = std::move(v)});
 }
@@ -189,36 +197,12 @@ ValueId Tape::tanh(ValueId a) {
 // `< 0`, so they pass through the forward unchanged; the backward leaves a
 // masked entry's gradient exactly as it was rather than adding +0 to it.
 ValueId Tape::relu(ValueId a) {
-  Tensor v = input(a);
+  Tensor v = reuse(a);
+  release(a);
   float* p = v.data();
   const auto n = static_cast<std::size_t>(v.size());
   for (std::size_t i = 0; i < n; ++i) p[i] = p[i] < 0.0f ? 0.0f : p[i];
   return record({.op = Op::kRelu, .a = a, .value = std::move(v)});
-}
-
-// --- Shape ops --------------------------------------------------------------------
-
-ValueId Tape::concat_rows(const std::vector<ValueId>& xs) {
-  RN_CHECK(!xs.empty(), "concat_rows of no blocks");
-  const int cols = input(xs.front()).cols();
-  int rows = 0;
-  for (ValueId x : xs) {
-    const Tensor& xv = input(x);
-    RN_CHECK(xv.cols() == cols, "concat_rows column mismatch");
-    rows += xv.rows();
-  }
-  Tensor v = Tensor::uninitialized(rows, cols);  // every row is copied in
-  int r0 = 0;
-  for (ValueId x : xs) {
-    const Tensor& xv = input(x);
-    for (int r = 0; r < xv.rows(); ++r) {
-      float* out = v.row(r0 + r);
-      const float* in = xv.row(r);
-      for (int c = 0; c < cols; ++c) out[c] = in[c];
-    }
-    r0 += xv.rows();
-  }
-  return record({.op = Op::kConcatRows, .srcs = xs, .value = std::move(v)});
 }
 
 // --- Graph-indexing ops --------------------------------------------------------------
@@ -252,11 +236,7 @@ ValueId Tape::scatter_rows(ValueId base, const std::vector<int>& idx,
              "scatter_rows indices must be unique");
     seen[static_cast<std::size_t>(i)] = true;
   }
-  // The base is consumed: its buffer becomes the output unless a recorded
-  // backward reads it (or it is also the rows operand), and then it is
-  // copied.
-  Node& bn = node(base);
-  Tensor v = bn.saved || base == rows ? bv : std::move(bn.value);
+  Tensor v = reuse(base, rows);
   kern::active().scatter_rows(v.data(), idx.data(),
                               static_cast<int>(idx.size()), v.cols(),
                               rv.data());
@@ -268,20 +248,24 @@ ValueId Tape::scatter_rows(ValueId base, const std::vector<int>& idx,
                  .idx = recording() ? idx : std::vector<int>()});
 }
 
-ValueId Tape::segment_sum(ValueId a, const std::vector<int>& seg,
-                          int num_segments) {
-  const Tensor& av = input(a);
-  RN_CHECK(static_cast<int>(seg.size()) == av.rows(),
+ValueId Tape::segment_sum(ValueId base, const std::vector<int>& seg,
+                          ValueId rows) {
+  const Tensor& bv = input(base);
+  const Tensor& rv = input(rows);
+  RN_CHECK(static_cast<int>(seg.size()) == rv.rows(),
            "segment_sum: one segment id per row");
+  RN_CHECK(rv.cols() == bv.cols(), "segment_sum column mismatch");
   for (int s : seg) {
-    RN_CHECK(s >= 0 && s < num_segments, "segment id out of range");
+    RN_CHECK(s >= 0 && s < bv.rows(), "segment id out of range");
   }
-  Tensor v(num_segments, av.cols());
+  Tensor v = reuse(base, rows);
   kern::active().indexed_row_add(v.data(), seg.data(),
-                                 static_cast<int>(seg.size()), av.cols(),
-                                 av.data());
+                                 static_cast<int>(seg.size()), v.cols(),
+                                 rv.data());
+  release(base);
   return record({.op = Op::kSegmentSum,
-                 .a = a,
+                 .a = base,
+                 .b = rows,
                  .value = std::move(v),
                  .idx = recording() ? seg : std::vector<int>()});
 }
@@ -662,22 +646,6 @@ void Tape::backward_node(ValueId id) {
       }
       break;
     }
-    case Op::kConcatRows: {
-      int r0 = 0;
-      for (ValueId src : n.srcs) {
-        const int rows = node(src).rows;
-        if (node(src).needs_grad) {
-          Tensor& gs = grad_buffer(src);
-          for (int r = 0; r < rows; ++r) {
-            const float* grow = g.row(r0 + r);
-            float* out = gs.row(r);
-            for (int c = 0; c < g.cols(); ++c) out[c] += grow[c];
-          }
-        }
-        r0 += rows;
-      }
-      break;
-    }
     case Op::kGatherRows: {
       if (Tensor* ga = propagate(n.a)) {
         kern::active().indexed_row_add(ga->data(), n.idx.data(),
@@ -708,8 +676,9 @@ void Tape::backward_node(ValueId id) {
       break;
     }
     case Op::kSegmentSum: {
-      if (Tensor* ga = propagate(n.a)) {
-        kern::active().gathered_row_add(ga->data(), n.idx.data(),
+      if (Tensor* ga = propagate(n.a)) ga->add_scaled(g, 1.0f);
+      if (Tensor* gb = propagate(n.b)) {
+        kern::active().gathered_row_add(gb->data(), n.idx.data(),
                                         static_cast<int>(n.idx.size()),
                                         g.cols(), g.data());
       }

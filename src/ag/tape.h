@@ -9,7 +9,7 @@
 // layers need: dense algebra, pointwise nonlinearities, and the three
 // graph-indexing ops (gather_rows / scatter_rows / segment_sum) that express
 // "read the links on a path", "write updated path states back", and
-// "aggregate per-hop messages into links".
+// "add each hop's messages into its links".
 //
 // A tape is built in one of two modes, fixed at construction. A recording
 // tape (the default) keeps what backward() reads: gate activations, index
@@ -25,8 +25,14 @@
 // table below; a recording tape marks them saved as the op is recorded, a
 // forward-only tape marks nothing. In both modes any later read of a
 // released value fails, so training enforces the same release discipline
-// inference relies on. scatter_rows releases its base itself, and takes the
-// base's buffer for its output whenever that release would free it.
+// inference relies on.
+//
+// The ops that write their output over their first operand (add_bias,
+// sigmoid, tanh, relu, scatter_rows, segment_sum) consume it: they release
+// it themselves, as if by release(), and take its buffer for their output
+// whenever that release would free it, so a chain of them reuses one
+// buffer. An operand a recorded backward reads, or that is also the op's
+// second operand, is copied instead.
 //
 // backward() consumes the tape: it frees each node's value, gradient and
 // saved state as soon as the node has run, and afterwards only the root's
@@ -133,7 +139,8 @@ class Tape {
   ValueId add(ValueId a, ValueId b);        // same shape
   ValueId sub(ValueId a, ValueId b);        // same shape
   ValueId mul(ValueId a, ValueId b);        // elementwise, same shape
-  ValueId add_bias(ValueId m, ValueId bias);  // bias is 1×C, broadcast to rows
+  // bias is 1×C, broadcast to rows. Consumes m.
+  ValueId add_bias(ValueId m, ValueId bias);
   ValueId scale(ValueId a, float s);
   ValueId one_minus(ValueId a);             // 1 - a, elementwise
 
@@ -147,12 +154,10 @@ class Tape {
   ValueId dropout(ValueId a, float rate, Rng& rng);
 
   // --- Nonlinearities ------------------------------------------------------
+  // Each consumes a.
   ValueId sigmoid(ValueId a);
   ValueId tanh(ValueId a);
   ValueId relu(ValueId a);
-
-  // --- Shape ops -----------------------------------------------------------
-  ValueId concat_rows(const std::vector<ValueId>& xs);  // stack row blocks
 
   // --- Graph-indexing ops ---------------------------------------------------
   // Index vectors are borrowed for the call; only a recording tape copies
@@ -163,18 +168,17 @@ class Tape {
 
   // out = base with out[idx[i]] = rows[i]. Indices must be unique: each row
   // of the result has exactly one source, which keeps the backward pass a
-  // disjoint split of the incoming gradient. Consumes base: it is released
-  // as if by release(base), so reading it afterwards fails. When no
-  // recorded backward reads base (it is not saved, and it is not also the
-  // rows operand) the output takes base's buffer and only the idx rows are
-  // written; otherwise base is copied and kept for backward.
+  // disjoint split of the incoming gradient. Consumes base, so when it lends
+  // its buffer only the idx rows are written.
   ValueId scatter_rows(ValueId base, const std::vector<int>& idx,
                        ValueId rows);
 
-  // out has num_segments rows; out[seg[i]] += a[i]. RouteNet's link-message
-  // aggregator.
-  ValueId segment_sum(ValueId a, const std::vector<int>& seg,
-                      int num_segments);
+  // out = base with out[seg[i]] += rows[i], ascending i; segment ids may
+  // repeat. Consumes base. RouteNet's link-message aggregator: each round
+  // starts from a zero aggregate and adds every hop's messages into it as
+  // the hop runs, so per link the additions run in hop order.
+  ValueId segment_sum(ValueId base, const std::vector<int>& seg,
+                      ValueId rows);
 
   // --- Fused ops -------------------------------------------------------------
 
@@ -235,9 +239,9 @@ class Tape {
  private:
   enum class Op : std::uint8_t {
     kConstant, kParam, kMatmul, kAdd, kSub, kMul, kAddBias, kScale,
-    kScaleRows, kOneMinus, kSigmoid, kTanh, kRelu, kConcatRows, kGatherRows,
-    kScatterRows, kSegmentSum, kReduceMean, kMse, kDropout, kGruStep,
-    kGruProject, kGruStepGathered,
+    kScaleRows, kOneMinus, kSigmoid, kTanh, kRelu, kGatherRows, kScatterRows,
+    kSegmentSum, kReduceMean, kMse, kDropout, kGruStep, kGruProject,
+    kGruStepGathered,
     kLast = kGruStepGathered,
   };
 
@@ -263,7 +267,6 @@ class Tape {
       {false, false, true},   // kSigmoid
       {false, false, true},   // kTanh
       {false, false, true},   // kRelu
-      {false, false, false},  // kConcatRows
       {false, false, false},  // kGatherRows
       {false, false, false},  // kScatterRows
       {false, false, false},  // kSegmentSum
@@ -301,7 +304,6 @@ class Tape {
     Op op = Op::kConstant;
     ValueId a = kInvalidValue;
     ValueId b = kInvalidValue;
-    std::vector<ValueId> srcs{};  // kConcatRows only
     Tensor value{};
     Tensor grad{};  // allocated lazily in backward()
     int rows = 0, cols = 0;  // value's shape; outlives a freed value
@@ -326,6 +328,10 @@ class Tape {
                         const std::vector<int>& h_idx);
   Node& node(ValueId id);
   const Node& node(ValueId id) const;
+  // The buffer an op that consumes operand id writes its output into: id's
+  // own when release(id) would free it and id is not also `other`, else a
+  // copy. The op calls release(id) once it has read `other`.
+  Tensor reuse(ValueId id, ValueId other = kInvalidValue);
   // An op operand's value; fails if it was released.
   const Tensor& input(ValueId id) const;
   // A value read inside backward_node; fails if release() freed it, i.e.

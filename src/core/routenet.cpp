@@ -52,25 +52,20 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
   ag::ValueId h_paths = tape.constant(
       pad_initial_state(batch.path_features, config_.path_state_dim));
 
-  // The hop → link assignment is a property of the batch, not of the
-  // iteration: hoist the flattened link list and the mean-aggregation
-  // inverse counts out of the message-passing loop instead of recomputing
-  // them config_.iterations times.
-  std::vector<int> message_links;
-  for (int s = 0; s < batch.max_path_length(); ++s) {
-    const std::vector<int>& links = batch.pos_links[static_cast<std::size_t>(s)];
-    if (batch.pos_paths[static_cast<std::size_t>(s)].empty()) continue;
-    message_links.insert(message_links.end(), links.begin(), links.end());
-  }
+  // The mean aggregation's inverse message counts are a property of the
+  // batch, not of the iteration, so they are computed once.
   std::vector<float> inv_count;
   if (config_.aggregation == Aggregation::kMean) {
     inv_count.assign(static_cast<std::size_t>(batch.num_links), 0.0f);
-    for (int l : message_links) inv_count[static_cast<std::size_t>(l)] += 1.0f;
+    for (const std::vector<int>& links : batch.pos_links) {
+      for (int l : links) inv_count[static_cast<std::size_t>(l)] += 1.0f;
+    }
     for (float& f : inv_count) {
       if (f > 0.0f) f = 1.0f / f;
     }
   }
 
+  RN_CHECK(batch.max_path_length() > 0, "batch has no path traversals");
   for (int t = 0; t < config_.iterations; ++t) {
     obs::TraceSpan mp_span("routenet.mp");
     mp_span.arg("iter", t);
@@ -78,9 +73,14 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
     // least s+1 hops long advance together at position s. Every hop reads
     // the same link states, so their input projections are computed once
     // per round, over the links rather than the hops (and so is their
-    // backward), and released once the last hop has read them.
-    std::vector<ag::ValueId> messages;
+    // backward), and released once the last hop has read them. Each hop's
+    // post-step path states are the messages it sends to its links: they
+    // are added into the link aggregate as the hop runs, so one hop's
+    // messages are alive at a time, and per link the additions run in hop
+    // order.
     const ag::GruProjection link_proj = path_cell_.project(tape, h_links);
+    ag::ValueId aggregated = tape.constant(
+        ag::Tensor(batch.num_links, config_.path_state_dim));
     for (int s = 0; s < batch.max_path_length(); ++s) {
       const std::vector<int>& paths =
           batch.pos_paths[static_cast<std::size_t>(s)];
@@ -89,20 +89,16 @@ RouteNet::Output RouteNet::forward(ag::Tape& tape, const GraphBatch& batch,
       if (paths.empty()) continue;
       const ag::ValueId h_next =
           tape.gru_step_gathered(link_proj, links, h_paths, paths);
-      // The scatter consumes the old path state and, since no recorded
-      // backward reads it, writes the hop's rows into its buffer.
+      // The scatter and the add consume the old path state and the old
+      // aggregate and, since no recorded backward reads either, write into
+      // their buffers. The scatter is recorded first, so the backward adds
+      // each hop's message gradient before its scatter gradient.
       h_paths = tape.scatter_rows(h_paths, paths, h_next);
-      // The post-hop path state is the message this hop sends to its link.
-      messages.push_back(h_next);
+      aggregated = tape.segment_sum(aggregated, links, h_next);
+      tape.release(h_next);
     }
     tape.release(link_proj.id());
-    // Link update: combine the messages that crossed each link, GRU step.
-    RN_CHECK(!messages.empty(), "batch has no path traversals");
-    const ag::ValueId stacked = tape.concat_rows(messages);
-    for (ag::ValueId m : messages) tape.release(m);
-    ag::ValueId aggregated =
-        tape.segment_sum(stacked, message_links, batch.num_links);
-    tape.release(stacked);
+    // Link update: a GRU step on the combined messages.
     if (config_.aggregation == Aggregation::kMean) {
       const ag::ValueId mean = tape.scale_rows(aggregated, inv_count);
       tape.release(aggregated);

@@ -715,11 +715,13 @@ NetClient::~NetClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-wire::Frame NetClient::roundtrip(wire::FrameType type,
-                                 std::string_view payload) {
-  const std::string bytes = wire::encode_frame(type, payload);
-  if (!write_all(fd_, bytes.data(), bytes.size(), nullptr)) {
-    throw std::runtime_error("RNP/1 client: server closed the connection");
+wire::Frame NetClient::roundtrip(wire::FrameType type, std::string payload) {
+  {
+    std::string bytes = wire::encode_frame(type, payload);
+    std::string().swap(payload);
+    if (!write_all(fd_, bytes.data(), bytes.size(), nullptr)) {
+      throw std::runtime_error("RNP/1 client: server closed the connection");
+    }
   }
   wire::Frame reply;
   if (!read_frame(fd_, reply, nullptr)) {

@@ -237,7 +237,10 @@ class NetClient {
   void shutdown_server();
 
  private:
-  wire::Frame roundtrip(wire::FrameType type, std::string_view payload);
+  // Sends one frame and reads the reply. The payload and its framed copy
+  // are freed once the frame is written, so a request waiting for its
+  // reply holds neither.
+  wire::Frame roundtrip(wire::FrameType type, std::string payload);
   std::uint64_t next_request_id();
 
   int fd_ = -1;

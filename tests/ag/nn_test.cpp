@@ -492,10 +492,6 @@ TEST(GruProjection, GradCheckSumsOverHopsAndIterations) {
   const Tensor h_paths0 = random_tensor(3, 3, 55);
   const std::vector<std::vector<int>> hop_paths = {{0, 1, 2}, {0, 1}, {0, 1}};
   const std::vector<std::vector<int>> hop_links = {{0, 3, 1}, {1, 1}, {2, 0}};
-  std::vector<int> message_links;
-  for (const std::vector<int>& links : hop_links) {
-    message_links.insert(message_links.end(), links.begin(), links.end());
-  }
   const Tensor target(3, 3, 0.1f);
   std::vector<Parameter*> params = path_cell.params();
   for (Parameter* p : link_cell.params()) params.push_back(p);
@@ -505,16 +501,15 @@ TEST(GruProjection, GradCheckSumsOverHopsAndIterations) {
     ValueId h_paths = tape.constant(h_paths0);
     for (int t = 0; t < 2; ++t) {
       const GruProjection proj = path_cell.project(tape, h_links);
-      std::vector<ValueId> messages;
+      ValueId aggregated = tape.constant(Tensor(4, 3));
       for (std::size_t s = 0; s < hop_paths.size(); ++s) {
         const ValueId h_next = tape.gru_step_gathered(proj, hop_links[s],
                                                       h_paths, hop_paths[s]);
         h_paths = tape.scatter_rows(h_paths, hop_paths[s], h_next);
-        messages.push_back(h_next);
+        aggregated = tape.segment_sum(aggregated, hop_links[s], h_next);
+        tape.release(h_next);
       }
       tape.release(proj.id());
-      const ValueId aggregated =
-          tape.segment_sum(tape.concat_rows(messages), message_links, 4);
       h_links = link_cell.step(tape, aggregated, h_links);
     }
     return tape.mse(h_paths, target);

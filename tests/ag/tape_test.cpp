@@ -44,17 +44,28 @@ TEST(TapeForward, AddBiasBroadcasts) {
   EXPECT_FLOAT_EQ(y.at(1, 1), 24.0f);
 }
 
+// The activations consume their operand: each writes into its buffer, and
+// the operand cannot be read afterwards.
 TEST(TapeForward, Nonlinearities) {
   Tape tape;
-  const ValueId x = tape.constant(Tensor::from_rows({{0.0f, -1.0f, 2.0f}}));
-  const Tensor& sig = tape.value(tape.sigmoid(x));
+  const auto x = [&] {
+    return tape.constant(Tensor::from_rows({{0.0f, -1.0f, 2.0f}}));
+  };
+  const auto consumed = [&](ValueId a, ValueId (Tape::*op)(ValueId)) {
+    const float* buffer = tape.value(a).data();
+    const ValueId y = (tape.*op)(a);
+    EXPECT_EQ(tape.value(y).data(), buffer) << "operand was copied";
+    EXPECT_THROW(tape.value(a), std::runtime_error);
+    return y;
+  };
+  const Tensor& sig = tape.value(consumed(x(), &Tape::sigmoid));
   EXPECT_NEAR(sig.at(0, 0), 0.5f, 1e-6);
-  const Tensor& th = tape.value(tape.tanh(x));
+  const Tensor& th = tape.value(consumed(x(), &Tape::tanh));
   EXPECT_NEAR(th.at(0, 2), std::tanh(2.0f), 1e-6);
-  const Tensor& re = tape.value(tape.relu(x));
+  const Tensor& re = tape.value(consumed(x(), &Tape::relu));
   EXPECT_FLOAT_EQ(re.at(0, 1), 0.0f);
   EXPECT_FLOAT_EQ(re.at(0, 2), 2.0f);
-  const Tensor& om = tape.value(tape.one_minus(x));
+  const Tensor& om = tape.value(tape.one_minus(x()));
   EXPECT_FLOAT_EQ(om.at(0, 1), 2.0f);
 }
 
@@ -66,10 +77,11 @@ TEST(TapeForward, GatherScatterSegment) {
   EXPECT_FLOAT_EQ(tape.value(g).at(0, 0), 3.0f);
   EXPECT_FLOAT_EQ(tape.value(g).at(2, 0), 3.0f);
 
-  // Before the scatter, which consumes a.
-  const ValueId seg = tape.segment_sum(a, {1, 0, 1}, 2);
-  EXPECT_FLOAT_EQ(tape.value(seg).at(0, 0), 2.0f);
-  EXPECT_FLOAT_EQ(tape.value(seg).at(1, 0), 4.0f);
+  // Before the scatter, which consumes a. The sum adds into its base.
+  const ValueId seg = tape.segment_sum(
+      tape.constant(Tensor::from_rows({{0.5f}, {-1.0f}})), {1, 0, 1}, a);
+  EXPECT_FLOAT_EQ(tape.value(seg).at(0, 0), 2.5f);
+  EXPECT_FLOAT_EQ(tape.value(seg).at(1, 0), 3.0f);
 
   const ValueId rows = tape.constant(Tensor::from_rows({{10.0f}, {20.0f}}));
   const ValueId sc = tape.scatter_rows(a, {0, 2}, rows);
@@ -96,6 +108,55 @@ TEST(TapeForward, ScatterConsumesItsBase) {
     EXPECT_THROW(tape.gather_rows(a, {0}), std::runtime_error);
     EXPECT_THROW(tape.release(a), std::runtime_error);
     EXPECT_THROW(tape.scatter_rows(a, {0}, rows), std::runtime_error);
+  }
+}
+
+// segment_sum consumes its base under scatter_rows' rule: an unsaved base
+// lends its buffer, while a base that a recorded backward reads (here mul's
+// operand) or that is also the rows operand is copied. Either way any later
+// read or release of it fails.
+TEST(TapeForward, SegmentSumConsumesItsBase) {
+  const Tensor base = Tensor::from_rows({{1.0f, -1.0f}, {2.0f, -2.0f},
+                                         {3.0f, -3.0f}});
+  const Tensor rows = Tensor::from_rows({{10.0f, 20.0f}, {30.0f, 40.0f},
+                                         {50.0f, 60.0f}});
+  for (const TapeMode mode : {TapeMode::kRecord, TapeMode::kForwardOnly}) {
+    Tape tape(mode);
+    const ValueId a = tape.constant(base);
+    const float* base_buffer = tape.value(a).data();
+    const ValueId r = tape.constant(rows);
+    const ValueId y = tape.segment_sum(a, {2, 0, 2}, r);
+    EXPECT_EQ(tape.value(y).data(), base_buffer) << "base was copied";
+    EXPECT_FLOAT_EQ(tape.value(y).at(0, 1), 39.0f);
+    EXPECT_FLOAT_EQ(tape.value(y).at(1, 0), 2.0f);
+    EXPECT_FLOAT_EQ(tape.value(y).at(2, 0), 63.0f);
+    EXPECT_THROW(tape.value(a), std::runtime_error);
+    EXPECT_THROW(tape.release(a), std::runtime_error);
+    EXPECT_THROW(tape.segment_sum(a, {0}, r), std::runtime_error);
+    EXPECT_FLOAT_EQ(tape.value(r).at(1, 1), 40.0f);  // rows stay readable
+  }
+  {
+    Tape tape;
+    const ValueId a = tape.constant(base);
+    const ValueId sq = tape.mul(a, a);
+    const float* base_buffer = tape.value(a).data();
+    const ValueId y = tape.segment_sum(a, {1}, tape.constant(Tensor(1, 2)));
+    EXPECT_NE(tape.value(y).data(), base_buffer) << "saved base was taken";
+    EXPECT_FLOAT_EQ(tape.value(sq).at(2, 1), 9.0f);
+    EXPECT_THROW(tape.value(a), std::runtime_error);
+    EXPECT_THROW(tape.release(a), std::runtime_error);
+  }
+  for (const TapeMode mode : {TapeMode::kRecord, TapeMode::kForwardOnly}) {
+    Tape tape(mode);
+    const ValueId a = tape.constant(base);
+    const float* base_buffer = tape.value(a).data();
+    const ValueId y = tape.segment_sum(a, {1, 1, 0}, a);
+    EXPECT_NE(tape.value(y).data(), base_buffer) << "aliased base was taken";
+    EXPECT_FLOAT_EQ(tape.value(y).at(0, 0), 4.0f);
+    EXPECT_FLOAT_EQ(tape.value(y).at(1, 1), -5.0f);
+    EXPECT_FLOAT_EQ(tape.value(y).at(2, 0), 3.0f);
+    EXPECT_THROW(tape.value(a), std::runtime_error);
+    EXPECT_THROW(tape.release(a), std::runtime_error);
   }
 }
 
@@ -231,29 +292,39 @@ TEST(GradCheck, Nonlinearities) {
   Parameter a("a", Tensor::from_rows({{0.4f, -0.7f, 1.3f, -2.0f}}));
   const Tensor target(1, 4, 0.3f);
   expect_gradients_match({&a}, [&](Tape& tape) {
-    const ValueId va = tape.param(a);
-    const ValueId y =
-        tape.add(tape.sigmoid(va), tape.add(tape.tanh(va), tape.relu(va)));
+    // Each activation consumes its operand, so each reads its own node.
+    const ValueId y = tape.add(
+        tape.sigmoid(tape.param(a)),
+        tape.add(tape.tanh(tape.param(a)), tape.relu(tape.param(a))));
     return tape.mse(y, target);
   });
 }
 
+// Row blocks stacked in order, as segment_sum adds over a zero base with
+// disjoint ids, then scaled.
 TEST(GradCheck, ConcatSliceScale) {
   Parameter a("a", Tensor::from_rows({{0.5f}, {-0.2f}}));
   Parameter b("b", Tensor::from_rows({{1.1f}, {0.7f}}));
+  const auto stack = [&](Tape& tape, const std::vector<Parameter*>& blocks) {
+    const int rows = 2 * static_cast<int>(blocks.size());
+    ValueId out = tape.constant(Tensor(rows, 1));
+    for (std::size_t k = 0; k < blocks.size(); ++k) {
+      const int r0 = 2 * static_cast<int>(k);
+      out = tape.segment_sum(out, {r0, r0 + 1}, tape.param(*blocks[k]));
+    }
+    return out;
+  };
   {
-    // concat_rows stacks its blocks in order.
     Tape tape;
-    const ValueId cr = tape.concat_rows({tape.param(a), tape.param(b)});
+    const ValueId cr = stack(tape, {&a, &b});
     EXPECT_EQ(tape.value(cr).rows(), 4);
     EXPECT_FLOAT_EQ(tape.value(cr).at(1, 0), -0.2f);
     EXPECT_FLOAT_EQ(tape.value(cr).at(3, 0), 0.7f);
   }
   // a appears twice, so its gradient accumulates over both blocks.
   expect_gradients_match({&a, &b}, [&](Tape& tape) {
-    const ValueId cr =
-        tape.concat_rows({tape.param(a), tape.param(b), tape.param(a)});
-    return tape.mse(tape.scale(cr, 1.5f), Tensor(6, 1, 0.0f));
+    return tape.mse(tape.scale(stack(tape, {&a, &b, &a}), 1.5f),
+                    Tensor(6, 1, 0.0f));
   });
 }
 
@@ -309,8 +380,27 @@ TEST(GradCheck, SegmentSum) {
                                       {0.8f, -0.3f}, {1.0f, 0.2f}}));
   const Tensor target(3, 2, 0.25f);
   expect_gradients_match({&a}, [&](Tape& tape) {
-    const ValueId y = tape.segment_sum(tape.param(a), {2, 0, 2, 1}, 3);
+    const ValueId y =
+        tape.segment_sum(tape.constant(Tensor(3, 2)), {2, 0, 2, 1},
+                         tape.param(a));
     return tape.mse(y, target);
+  });
+}
+
+// The accumulate form RouteNet's link update uses: a trainable base, and a
+// segment id repeated within one call (2) and across two calls (0 and 2).
+TEST(GradCheck, SegmentSumAccumulatesAcrossCalls) {
+  Parameter base("base", Tensor::from_rows({{0.3f, -0.6f}, {0.9f, 0.2f},
+                                            {-0.4f, 0.7f}}));
+  Parameter r1("r1", Tensor::from_rows({{0.5f, 0.1f}, {-0.2f, 0.4f},
+                                        {0.8f, -0.3f}}));
+  Parameter r2("r2", Tensor::from_rows({{1.0f, 0.2f}, {-0.7f, 0.6f}}));
+  const Tensor target(3, 2, 0.25f);
+  expect_gradients_match({&base, &r1, &r2}, [&](Tape& tape) {
+    const ValueId s1 =
+        tape.segment_sum(tape.param(base), {2, 0, 2}, tape.param(r1));
+    const ValueId s2 = tape.segment_sum(s1, {0, 2}, tape.param(r2));
+    return tape.mse(tape.mul(s2, s2), target);
   });
 }
 
@@ -409,8 +499,9 @@ TEST(TapeForward, IndexOutOfRangeThrows) {
   const ValueId a = tape.constant(Tensor(3, 2));
   EXPECT_THROW(tape.gather_rows(a, {0, 3}), std::runtime_error);
   EXPECT_THROW(tape.gather_rows(a, {-1}), std::runtime_error);
-  EXPECT_THROW(tape.segment_sum(a, {0, 1, 5}, 3), std::runtime_error);
-  EXPECT_THROW(tape.segment_sum(a, {0, 1}, 3), std::runtime_error);  // size
+  const ValueId sums = tape.constant(Tensor(3, 2));
+  EXPECT_THROW(tape.segment_sum(sums, {0, 1, 5}, a), std::runtime_error);
+  EXPECT_THROW(tape.segment_sum(sums, {0, 1}, a), std::runtime_error);  // size
   const ValueId rows = tape.constant(Tensor(1, 2));
   EXPECT_THROW(tape.scatter_rows(a, {4}, rows), std::runtime_error);
 }
@@ -509,8 +600,7 @@ TEST(TapeBackward, ReleasedIntermediatesBackpropagateBitwise) {
       {"sigmoid+mse",
        [&](Tape& t, bool rel) {
          const ValueId a = t.scale(t.param(ph), 2.0f);
-         const ValueId s = t.sigmoid(a);
-         drop(t, rel, {a});
+         const ValueId s = t.sigmoid(a);  // consumes a
          const ValueId y = t.scale(s, 1.0f);
          drop(t, rel, {s});
          const ValueId loss = t.mse(y, target);
@@ -520,8 +610,7 @@ TEST(TapeBackward, ReleasedIntermediatesBackpropagateBitwise) {
       {"tanh+mse",
        [&](Tape& t, bool rel) {
          const ValueId a = t.scale(t.param(ph), 2.0f);
-         const ValueId th = t.tanh(a);
-         drop(t, rel, {a});
+         const ValueId th = t.tanh(a);  // consumes a
          const ValueId y = t.scale(th, 1.0f);
          drop(t, rel, {th});
          const ValueId loss = t.mse(y, target);
@@ -531,8 +620,7 @@ TEST(TapeBackward, ReleasedIntermediatesBackpropagateBitwise) {
       {"relu+mse",
        [&](Tape& t, bool rel) {
          const ValueId a = t.scale(t.param(ph), 2.0f);
-         const ValueId r = t.relu(a);
-         drop(t, rel, {a});
+         const ValueId r = t.relu(a);  // consumes a
          const ValueId y = t.scale(r, 1.0f);
          drop(t, rel, {r});
          const ValueId loss = t.mse(y, target);

@@ -2,13 +2,16 @@
 
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "ag/arena.h"
 #include "ag/kernels.h"
 #include "ag/nn.h"
+#include "execution_scope.h"
 #include "gradcheck.h"
 #include "topology/generators.h"
 
@@ -388,6 +391,83 @@ TEST(RouteNet, PredictMergedSteadyStateZeroTensorAllocs) {
   for (const RouteNet::Prediction& p : last) {
     for (double d : p.delay_s) EXPECT_GT(d, 0.0);
   }
+}
+
+// Bytes of one tensor of n floats as the arena holds it: its power-of-two
+// size class, at least 64 floats.
+std::uint64_t class_bytes(long long n) {
+  std::uint64_t floats = 64;
+  while (floats < static_cast<std::uint64_t>(n)) floats <<= 1;
+  return floats * sizeof(float);
+}
+
+// The forward-only working set of one predict_merged, pinned by a figure
+// derived from the batch's shapes. On a fresh thread the arena starts
+// empty, and every tensor has returned to it when the call ends, so the
+// bytes it then holds are the sum, over size classes, of the most tensors
+// of that class alive at once. The four terms that scale with paths or
+// hops are each alive once:
+//   - the path state, P×d;
+//   - one hop's output, at most P×d (the first hop has every path): it is
+//     added into the link aggregate and freed before the next hop runs;
+//   - the round's link projection, 3L×d;
+//   - the readout hidden layer, P×h: its bias add and ReLU write into the
+//     matmul's buffer.
+// The slack covers everything else, each term rounded up to its class:
+//   - the later hops' outputs: each reuses the first hop's freed buffer or
+//     holds one buffer in a smaller class, and the smaller classes sum to
+//     less than the first hop's, so together less than one more P×d class;
+//   - four L×d states: the initial link state, the link state, the
+//     aggregate and the link GRU's output;
+//   - three P×1 columns (the path features and the two outputs) and the
+//     link features;
+//   - 64 KiB for the parameter copies and the GRU tile scratch, each under
+//     32 KiB.
+// Streaming the messages is what this pins: held until the link update and
+// then stacked, the messages would add about twice the hop count × d
+// floats, several times the slack.
+TEST(RouteNet, ForwardOnlyWorkingSetIsBounded) {
+  if (!ag::arena_enabled()) GTEST_SKIP() << "arena disabled via RN_ARENA=0";
+  const rn::testing::ExecutionScope scope(ag::kern::active_backend(), 1);
+  auto geant2 = std::make_shared<const topo::Topology>(topo::geant2());
+  std::vector<dataset::Sample> samples;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    samples.push_back(make_sample(geant2, 81 + i));
+  }
+  std::vector<const dataset::Sample*> ptrs;
+  for (const dataset::Sample& s : samples) ptrs.push_back(&s);
+  RouteNetConfig cfg;
+  cfg.link_state_dim = 32;
+  cfg.path_state_dim = 32;
+  cfg.iterations = 8;
+  cfg.readout_hidden = 64;
+  const RouteNet model(cfg);
+
+  std::uint64_t held = 0;
+  std::exception_ptr error;
+  std::thread worker([&] {
+    const std::uint64_t before = ag::arena_stats().bytes_held;
+    try {
+      (void)model.predict_merged(ptrs);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    held = ag::arena_stats().bytes_held - before;
+  });
+  worker.join();
+  if (error) std::rethrow_exception(error);
+
+  const GraphBatch batch =
+      GraphBatch::from_samples(ptrs, model.normalizer(), false);
+  const long long P = batch.num_paths, L = batch.num_links;
+  const long long d = cfg.path_state_dim, h = cfg.readout_hidden;
+  const std::uint64_t terms = class_bytes(P * d) + class_bytes(P * d) +
+                              class_bytes(3 * L * d) + class_bytes(P * h);
+  const std::uint64_t slack = class_bytes(P * d) + 4 * class_bytes(L * d) +
+                              3 * class_bytes(P) + class_bytes(L) +
+                              64 * 1024;
+  EXPECT_LE(held, terms + slack) << "working set " << held << " B, terms "
+                                 << terms << " B, slack " << slack << " B";
 }
 
 }  // namespace

@@ -34,7 +34,10 @@
 //   - A queued predict holds its decoded request, not its raw payload:
 //     with the batcher paused, K queued large predicts raise the heap's
 //     bytes in use (glibc mallinfo2, every arena) by well under
-//     K × (decoded size + payload).
+//     K × (decoded size + payload). Neither does a client: K NetClient
+//     predicts waiting on that paused batcher raise it by under
+//     K × (decoded size + payload / 2), since each client frees its
+//     payload and the framed copy once the frame is written.
 //   - The connection cap: with NetServer::kMaxConnections clients
 //     connected, one more idle connection gets one kRejected frame and EOF
 //     and counts as refused, not as a connection; once one of the others
@@ -116,6 +119,20 @@ NetServerConfig loopback_config(double read_timeout_s = 30.0) {
 std::set<std::uint64_t>& issued_rids() {
   static std::set<std::uint64_t> rids;
   return rids;
+}
+
+// A scenario on a 100-node Barabási–Albert graph with k = 2 routing: a
+// predict payload of about 240 kB.
+dataset::Sample ba100_request(std::uint64_t seed) {
+  Rng rng(seed);
+  auto topology = std::make_shared<const topo::Topology>(
+      topo::synthetic_ba(100, 2, rng));
+  routing::RoutingScheme scheme =
+      routing::random_k_shortest_routing(*topology, 2, rng);
+  traffic::TrafficMatrix tm =
+      traffic::uniform_traffic(topology->num_nodes(), 50.0, 150.0, rng);
+  return dataset::make_inference_sample(topology, std::move(scheme),
+                                        std::move(tm));
 }
 
 // A predict request payload as NetClient sends it, trace context included.
@@ -644,15 +661,7 @@ TEST(NetObs, HeaderOnlyConnectionsHoldNoPayloadMemory) {
 
 TEST(NetObs, LargeFrameSentInSlowPiecesIsServed) {
   auto model = std::make_unique<core::RouteNet>(tiny_config());
-  Rng rng(41);
-  auto topology = std::make_shared<const topo::Topology>(
-      topo::synthetic_ba(100, 2, rng));
-  routing::RoutingScheme scheme =
-      routing::random_k_shortest_routing(*topology, 2, rng);
-  traffic::TrafficMatrix tm =
-      traffic::uniform_traffic(topology->num_nodes(), 50.0, 150.0, rng);
-  const dataset::Sample sample = dataset::make_inference_sample(
-      topology, std::move(scheme), std::move(tm));
+  const dataset::Sample sample = ba100_request(41);
   const core::RouteNet::Prediction expected = model->predict(sample);
   ModelRegistry registry(fast_config());
   registry.install("m", std::move(model));
@@ -686,16 +695,7 @@ TEST(NetObs, QueuedPredictsHoldTheirDecodedFormOnly) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "the sanitizer's allocator is invisible to mallinfo2";
 #endif
-  Rng rng(43);
-  auto topology = std::make_shared<const topo::Topology>(
-      topo::synthetic_ba(100, 2, rng));
-  routing::RoutingScheme scheme =
-      routing::random_k_shortest_routing(*topology, 2, rng);
-  traffic::TrafficMatrix tm =
-      traffic::uniform_traffic(topology->num_nodes(), 50.0, 150.0, rng);
-  const std::string payload = predict_payload(
-      "m", dataset::make_inference_sample(topology, std::move(scheme),
-                                          std::move(tm)));
+  const std::string payload = predict_payload("m", ba100_request(43));
   const std::string frame =
       wire::encode_frame(wire::FrameType::kPredictRequest, payload);
   std::size_t decoded_bytes = 0;
@@ -751,6 +751,82 @@ TEST(NetObs, QueuedPredictsHoldTheirDecodedFormOnly) {
                         0.5 * static_cast<double>(payload.size()));
   EXPECT_LT(rise, bound) << "heap rose " << rise << " bytes for " << kQueued
                          << " queued requests; decoded " << decoded_bytes
+                         << " B, payload " << payload.size() << " B each";
+}
+
+// The client side of the test above: K NetClient predicts, each on its
+// own thread, wait on a paused batcher. The server holds each request's
+// decoded form; a client that kept its payload or the framed copy until
+// the reply came would add at least one payload per request to the heap.
+TEST(NetObs, ClientHoldsNoPayloadWhileWaiting) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer's allocator is invisible to mallinfo2";
+#endif
+  const dataset::Sample sample = ba100_request(47);
+  const std::string payload = predict_payload("m", sample);
+  std::size_t decoded_bytes = 0;
+  {
+    const std::size_t before = heap_in_use();
+    const wire::PredictRequest req = wire::decode_predict_request(payload);
+    decoded_bytes = heap_in_use() - before;
+  }
+  ASSERT_GT(decoded_bytes, 0u);
+
+  ModelRegistry registry(fast_config());
+  registry.install("m", std::make_unique<core::RouteNet>(tiny_config()));
+  NetServer server(registry, loopback_config());
+  server.start();
+  const ModelRegistry::Handle entry = registry.acquire("m");
+
+  // Each client makes a stats round trip first, so its connection's
+  // handler thread exists, and its thread is waiting to start before the
+  // baseline is read.
+  constexpr std::size_t kClients = 8;
+  std::vector<std::unique_ptr<NetClient>> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<NetClient>(server.address()));
+    clients.back()->stats();
+  }
+  entry->server().set_paused_for_test(true);
+  std::promise<void> go;
+  const std::shared_future<void> started = go.get_future().share();
+  std::vector<std::size_t> answered(kClients, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      started.wait();
+      answered[i] = clients[i]->predict("m", sample).delay_s.size();
+    });
+  }
+  const std::size_t before = heap_in_use();
+  go.set_value();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (entry->server().queue_depth() < kClients &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Every frame has arrived whole, so every write has returned; give the
+  // clients a moment to leave their send path.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::size_t queued = entry->server().queue_depth();
+  const std::size_t after = heap_in_use();
+  entry->server().set_paused_for_test(false);
+  for (std::thread& t : threads) t.join();
+  clients.clear();
+  server.stop();
+
+  ASSERT_EQ(queued, kClients);
+  for (const std::size_t rows : answered) {
+    EXPECT_EQ(rows, static_cast<std::size_t>(sample.num_pairs()));
+  }
+  const double rise =
+      static_cast<double>(after) - static_cast<double>(before);
+  const double bound = static_cast<double>(kClients) *
+                       (static_cast<double>(decoded_bytes) +
+                        0.5 * static_cast<double>(payload.size()));
+  EXPECT_LT(rise, bound) << "heap rose " << rise << " bytes for " << kClients
+                         << " waiting clients; decoded " << decoded_bytes
                          << " B, payload " << payload.size() << " B each";
 }
 
