@@ -9,9 +9,10 @@
 //      dims 16–64, Geant2-scale row counts) — including backward's two:
 //      the weight gradient (rows×dim)ᵀ·(rows×dim) and dx = (rows×dim)·
 //      (dim×dim)ᵀ — the index ops (gather_rows; indexed_row_add, the
-//      segment_sum accumulate; scale_rows), the sigmoid / tanh gate
-//      kernels, and the fused GRU step
-//      against its composed reference — written to BENCH_kernels.json in
+//      segment_sum accumulate; scale_rows; gather_rows_tile32, the GRU
+//      tile's 32-row gather from an L2-resident source), the sigmoid /
+//      tanh gate kernels, and the fused GRU step against its composed
+//      reference — written to BENCH_kernels.json in
 //      the bench cache. Under RN_BENCH_ENFORCE the report is also a gate:
 //      avx2 over scalar must reach ≥1.5x on the nn matmul at every dim,
 //      ≥1.5x on the weight-gradient tn at dims 32 and 64, and ≥2.5x on
@@ -459,8 +460,22 @@ int run_backend_report() {
     double gb_per_s[kNumBackends] = {-1, -1};
   };
   IndexRow index_rows[] = {{"gather_rows"}, {"indexed_row_add"},
-                           {"scale_rows"}};
+                           {"scale_rows"}, {"gather_rows_tile32"}};
   Tensor dst(idx_rows, idx_cols);
+  // The rows above read a 16 MB source at random, so they time DRAM. The
+  // GRU tile gathers 32 rows at a time from an L×32 projection that fits
+  // in L2; gather_rows_tile32 does that (L = 2 048, 256 KB), each call at
+  // the next 32 entries of the random index stream, so it shows the
+  // per-row cost. Reported, not gated.
+  constexpr int kTileRows = 32;
+  constexpr int kTileCols = 32;
+  constexpr int kTileSrcRows = 2048;
+  const Tensor tile_src = random_tensor(kTileSrcRows, kTileCols, 34);
+  std::vector<int> tile_idx(idx.size());
+  for (int& i : tile_idx) i = idx_rng.uniform_int(0, kTileSrcRows - 1);
+  Tensor tile_dst(kTileRows, kTileCols);
+  std::size_t tile_pos = 0;
+  const double tile_bytes = 2.0 * kTileRows * kTileCols * sizeof(float);
   for (int bi = 0; bi < kNumBackends; ++bi) {
     if (!kern::backend_available(kBackends[bi])) continue;
     const kern::Ops& ops = kern::ops(kBackends[bi]);
@@ -482,9 +497,16 @@ int run_backend_report() {
                          idx_rows, idx_cols);
           return dst.data();
         });
+    index_rows[3].gb_per_s[bi] =
+        tile_bytes / 1e9 / median_time_s([&] {
+          ops.gather_rows(tile_src.data(), tile_idx.data() + tile_pos,
+                          kTileRows, kTileCols, tile_dst.data());
+          tile_pos = (tile_pos + kTileRows) % tile_idx.size();
+          return tile_dst.data();
+        });
   }
   for (const IndexRow& row : index_rows) {
-    std::printf("  %-16s scalar %6.2f / avx2 %6.2f GB/s\n", row.name,
+    std::printf("  %-18s scalar %6.2f / avx2 %6.2f GB/s\n", row.name,
                 row.gb_per_s[0], row.gb_per_s[1]);
   }
 
@@ -529,7 +551,7 @@ int run_backend_report() {
     }
   }
   for (const IndexRow& row : gate_rows) {
-    std::printf("  %-16s scalar %6.2f / avx2 %6.2f GB/s\n", row.name,
+    std::printf("  %-18s scalar %6.2f / avx2 %6.2f GB/s\n", row.name,
                 row.gb_per_s[0], row.gb_per_s[1]);
   }
 

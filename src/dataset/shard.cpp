@@ -413,30 +413,33 @@ std::vector<std::unique_ptr<ShardReader>> open_coherent_set(
 
 }  // namespace
 
+// verify_shards and merge_shards release each reader once its records are
+// read, so at most one shard's pages stay mapped; opening a reader touches
+// only its header and index.
 std::vector<ShardSummary> verify_shards(
     const std::vector<std::string>& paths) {
-  const auto readers = open_coherent_set(paths);
+  auto readers = open_coherent_set(paths);
   std::vector<ShardSummary> out;
   out.reserve(readers.size());
-  for (const auto& r : readers) {
+  for (auto& r : readers) {
     r->verify_all();
     out.push_back(ShardSummary{r->path(), r->header(), r->file_bytes()});
+    r.reset();
   }
   return out;
 }
 
 std::uint64_t merge_shards(const std::string& out_path,
                            const std::vector<std::string>& inputs) {
-  const auto readers = open_coherent_set(inputs);
-  const ShardHeader& ref = readers.front()->header();
+  auto readers = open_coherent_set(inputs);
   ShardHeader header;
-  header.seed = ref.seed;
-  header.config_fingerprint = ref.config_fingerprint;
+  header.seed = readers.front()->header().seed;
+  header.config_fingerprint = readers.front()->header().config_fingerprint;
   header.shard_index = 0;
   header.shard_count = 1;
   header.first_index = 0;
   ShardWriter writer(out_path, header);
-  for (const auto& r : readers) {
+  for (auto& r : readers) {
     for (std::uint64_t i = 0; i < r->size(); ++i) {
       const std::string_view rec = r->record(i);
       const std::uint32_t crc = r->record_crc(i);
@@ -446,6 +449,7 @@ std::uint64_t merge_shards(const std::string& out_path,
       }
       writer.add_raw(rec, crc);
     }
+    r.reset();
   }
   return writer.finish();
 }

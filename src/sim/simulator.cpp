@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/event.h"
@@ -26,23 +27,97 @@ enum class EventKind : std::uint8_t {
   kPacketArrive,  // a packet reaches the head of its next link's queue
 };
 
-// A plain 24-byte heap entry. A packet in propagation waits in the run's
-// slot pool; its event carries the slot, not the packet.
+// A 16-byte heap entry: the time and one tag word packing the scheduling
+// sequence, the kind and the target (a flow index, link id or packet slot;
+// a packet in propagation waits in the run's slot pool).
 struct Event {
   double time = 0.0;
-  std::uint64_t seq = 0;  // tie-breaker for determinism
-  std::int32_t target = 0;  // flow index, link id or packet slot
-  EventKind kind = EventKind::kFlowArrival;
+  std::uint64_t tag = 0;  // seq << 24 | kind << 22 | target
 };
-static_assert(sizeof(Event) == 24, "events should stay three words");
+static_assert(sizeof(Event) == 16, "four events fill one cache line");
 
-// The one event order: by time, exact ties by scheduling sequence. It is
-// total (seqs are unique), so any correct heap pops the same sequence.
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+constexpr int kTargetBits = 22;
+constexpr int kSeqShift = 24;
+constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSeqShift);
+static_assert(static_cast<int>(EventKind::kPacketArrive) <
+                  1 << (kSeqShift - kTargetBits),
+              "every kind fits its two bits");
+
+// The one event order: by time, exact ties by scheduling sequence, as one
+// 128-bit key. Times are never negative, so their bit patterns order like
+// the values; seqs are unique, so the order is total and any correct heap
+// pops the same sequence.
+__extension__ using EventKey = unsigned __int128;
+
+inline EventKey key(const Event& e) {
+  return EventKey{std::bit_cast<std::uint64_t>(e.time)} << 64 | e.tag;
+}
+
+// Sorts after every event: the all-ones time pattern is a NaN no run makes.
+constexpr Event kSentinel{std::bit_cast<double>(~std::uint64_t{0}),
+                          ~std::uint64_t{0}};
+
+// 4-ary min-heap on key(). Slot i + 3 holds entry i, so the children of
+// entry h, 4h + 1 .. 4h + 4, fill line h + 1 of a 64-byte-aligned array.
+// Every slot past the last entry holds a sentinel that sorts after all
+// events, so a sift compares four children without counting them.
+class EventHeap {
+ public:
+  bool empty() const { return size_ == 0; }
+  const Event& top() const { return lines_.front().e[3]; }
+  void reserve(std::size_t n) { lines_.reserve((n + 3) / 4 + 1); }
+
+  void push(const Event& ev) {
+    if (size_ + 3 >= 4 * lines_.size()) lines_.emplace_back();  // sentinels
+    std::size_t hole = size_++;
+    const EventKey k = key(ev);
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 4;
+      if (!(k < key(slot(parent)))) break;
+      slot(hole) = slot(parent);
+      hole = parent;
+    }
+    slot(hole) = ev;
   }
+
+  void pop() {
+    const Event last = slot(--size_);
+    slot(size_) = kSentinel;
+    if (size_ > 0) replace_top(last);
+  }
+
+  // Puts `ev` at the root and sifts it down; the smallest child is chosen
+  // without branches. One out-of-line copy serves schedule() and pop():
+  // GCC 12 otherwise inlines the loop into both, which made `dataset gen`
+  // on NSFNET about 2% slower with the binary heap and is no faster here.
+  [[gnu::noinline]] void replace_top(const Event& ev) {
+    const EventKey k = key(ev);
+    Event* hole = &slot(0);
+    for (std::size_t first = 1; first < size_;) {
+      Event* c = &slot(first);
+      std::size_t lo = key(c[1]) < key(c[0]);
+      std::size_t hi = 2 + (key(c[3]) < key(c[2]));
+      // Hide lo and hi from the optimiser: GCC 12 otherwise re-branches on
+      // each flag to load c[hi] and c[lo] at constant offsets.
+      asm("" : "+r"(lo), "+r"(hi));
+      const std::size_t best = key(c[hi]) < key(c[lo]) ? hi : lo;
+      if (!(key(c[best]) < k)) break;
+      *hole = c[best];
+      hole = c + best;
+      first = 4 * (first + best) + 1;
+    }
+    *hole = ev;
+  }
+
+ private:
+  struct alignas(64) Line {
+    Event e[4] = {kSentinel, kSentinel, kSentinel, kSentinel};
+  };
+
+  Event& slot(std::size_t i) { return lines_[(i + 3) / 4].e[(i + 3) % 4]; }
+
+  std::vector<Line> lines_;
+  std::size_t size_ = 0;
 };
 
 // FIFO of packets in a power-of-two ring that only ever grows, so a link
@@ -157,19 +232,23 @@ class Run {
     }
   }
 
-  // Binary min-heap on EventLater. The event being handled stays at the
-  // root until its handler's first schedule() overwrites it and sifts the
-  // new event down, so a handler that schedules its successor pays one
-  // sift instead of a pop plus a push. The heap holds the same events as
-  // pop-then-push would, and the order is total, so it pops the same
-  // sequence.
+  // The event being handled stays at the root until its handler's first
+  // schedule() overwrites it and sifts the new event down, so a handler
+  // that schedules its successor pays one sift instead of a pop plus a
+  // push. The heap holds the same events as pop-then-push would, and the
+  // order is total, so it pops the same sequence.
   void schedule(double t, EventKind kind, std::int32_t target) {
-    const Event ev{t, seq_++, target, kind};
+    RN_CHECK(seq_ < kMaxSeq &&
+                 static_cast<std::uint32_t>(target) < (1u << kTargetBits),
+             "event sequence or target out of range");
+    const Event ev{t, seq_++ << kSeqShift |
+                          static_cast<std::uint64_t>(kind) << kTargetBits |
+                          static_cast<std::uint64_t>(target)};
     if (root_spent_) {
       root_spent_ = false;
-      sift_down(ev);
+      heap_.replace_top(ev);
     } else {
-      sift_up(ev);
+      heap_.push(ev);
     }
   }
 
@@ -183,44 +262,6 @@ class Run {
       in_transit_[static_cast<std::size_t>(slot)] = pkt;
     }
     schedule(t, EventKind::kPacketArrive, slot);
-  }
-
-  // Places `ev` into the hole at the root. One out-of-line copy serves
-  // schedule() and pop_root(): GCC 12 otherwise inlines the loop into both
-  // once deliver() is small, and `dataset gen` on NSFNET ran about 2% slower
-  // in CPU time.
-  [[gnu::noinline]] void sift_down(const Event& ev) {
-    const std::size_t n = heap_.size();
-    std::size_t hole = 0;
-    for (;;) {
-      std::size_t child = 2 * hole + 1;
-      if (child >= n) break;
-      if (child + 1 < n && EventLater{}(heap_[child], heap_[child + 1])) {
-        ++child;
-      }
-      if (!EventLater{}(ev, heap_[child])) break;
-      heap_[hole] = heap_[child];
-      hole = child;
-    }
-    heap_[hole] = ev;
-  }
-
-  void sift_up(const Event& ev) {
-    std::size_t hole = heap_.size();
-    heap_.emplace_back();
-    while (hole > 0) {
-      const std::size_t parent = (hole - 1) / 2;
-      if (!EventLater{}(heap_[parent], ev)) break;
-      heap_[hole] = heap_[parent];
-      hole = parent;
-    }
-    heap_[hole] = ev;
-  }
-
-  void pop_root() {
-    const Event last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(last);
   }
 
   void note_queue_change(LinkState& ls, double now) {
@@ -327,7 +368,7 @@ class Run {
   const traffic::TrafficMatrix& tm_;
   Rng rng_;
 
-  std::vector<Event> heap_;
+  EventHeap heap_;
   bool root_spent_ = false;  // the root was handled; schedule() overwrites it
   std::uint64_t seq_ = 0;
   // Packets in propagation, addressed by their kPacketArrive event.
@@ -399,24 +440,26 @@ SimResult Run::execute() {
   obs::Stopwatch wall;
   double now = 0.0;
   while (!heap_.empty()) {
-    const Event ev = heap_.front();
+    const Event ev = heap_.top();
     root_spent_ = true;
     now = ev.time;
     ++processed_;
-    switch (ev.kind) {
+    const auto target =
+        static_cast<std::int32_t>(ev.tag & ((1u << kTargetBits) - 1));
+    switch (static_cast<EventKind>((ev.tag >> kTargetBits) & 3)) {
       case EventKind::kFlowArrival:
-        handle_flow_arrival(ev.target, now);
+        handle_flow_arrival(target, now);
         break;
       case EventKind::kServiceDone:
-        handle_service_done(ev.target, now);
+        handle_service_done(target, now);
         break;
       case EventKind::kPacketArrive:
-        handle_packet_landed(ev.target, now);
+        handle_packet_landed(target, now);
         break;
     }
     if (root_spent_) {
       root_spent_ = false;
-      pop_root();
+      heap_.pop();
     }
   }
   // Arrivals stop at horizon_s and the loop then drains every queue, so

@@ -7,10 +7,12 @@
 // Per-source/destination mean delay and jitter (delay standard deviation)
 // are exactly the targets RouteNet learns to predict.
 //
-// Engine: one binary heap of 24-byte events ordered by (time, scheduling
-// sequence), a total order, so a run is a pure function of its inputs and
-// seed. A handler's first new event replaces the root it was popped from.
-// With zero propagation delay a hop costs one event, the service
+// Engine: one 4-ary heap of 16-byte events ({time, seq|kind|target}),
+// ordered by (time, scheduling sequence) as one 128-bit key. The order is
+// total, so a run is a pure function of its inputs and seed. A node's four
+// children fill one cache line and a sift picks the smallest without
+// branches. A handler's first new event replaces the root it was popped
+// from. With zero propagation delay a hop costs one event, the service
 // completion; a packet in propagation waits in a slot pool. Each link's
 // queue is one power-of-two ring, and each run flattens the routing and
 // link attributes it reads into arrays. docs/performance.md ("Packet

@@ -6,6 +6,7 @@
 //   - small NSFNET and ba50 shards hash to committed CRC-32s,
 //   - verify/merge refuse incoherent sets (seed / config-fingerprint /
 //     shard-count mismatch, missing or duplicated shards, index gaps),
+//     and map one shard at a time,
 //     and every structural reject of the reader fires on a file that
 //     differs from a written one only in the field under test,
 //   - StreamingDataset decodes exactly the generate_many samples,
@@ -16,12 +17,18 @@
 //     load_dataset reads RNDS1 and refuses anything else.
 #include "dataset/shard.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -367,6 +374,79 @@ TEST(ShardGeneration, MergeRejectsRecordCrcMismatch) {
   std::filesystem::remove(out);
   expect_reject([&] { merge_shards(out, {bad}); }, "record 0 CRC mismatch");
   EXPECT_FALSE(std::filesystem::exists(out));
+}
+
+// Resident set of this process in bytes (/proc/self/statm, field 2).
+long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long size_pages = 0;
+  long resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  EXPECT_TRUE(statm.good()) << "cannot read /proc/self/statm";
+  return resident_pages * ::sysconf(_SC_PAGESIZE);
+}
+
+// The largest rise of the resident set above its starting value while `f`
+// runs, sampled every 100 us from a second thread.
+template <typename F>
+long peak_resident_rise(const F& f) {
+  const long base = resident_bytes();
+  std::atomic<bool> done{false};
+  long peak = base;
+  std::thread watcher([&] {
+    while (!done.load()) {
+      peak = std::max(peak, resident_bytes());
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  f();
+  done = true;
+  watcher.join();
+  return std::max(peak, resident_bytes()) - base;
+}
+
+// verify_shards and merge_shards map one shard at a time: reading a set of
+// six 4 MB shards raises the resident set by about one shard file, not by
+// the set. Each shard repeats one NSFNET record, so the set is cheap to
+// write.
+TEST(ShardGeneration, VerifyAndMergeMapOneShardAtATime) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer's shadow memory moves the resident set";
+#endif
+  const GeneratorConfig cfg = fast_config();
+  const auto nsfnet = std::make_shared<const topo::Topology>(topo::nsfnet());
+  const Sample sample = DatasetGenerator(cfg, 5).generate_at(nsfnet, 0);
+  std::string record;
+  encode_sample(record, sample);
+  const std::uint32_t crc = util::crc32(record.data(), record.size());
+  const std::uint64_t per_shard = (std::uint64_t{4} << 20) / record.size() + 1;
+  constexpr std::uint32_t kShards = 6;
+  std::vector<std::string> paths;
+  std::uint64_t shard_bytes = 0;
+  for (std::uint32_t i = 0; i < kShards; ++i) {
+    ShardHeader header;
+    header.seed = 5;
+    header.shard_index = i;
+    header.shard_count = kShards;
+    header.first_index = i * per_shard;
+    paths.push_back(::testing::TempDir() + "rss_" + std::to_string(i) +
+                    ".rnds");
+    ShardWriter writer(paths.back(), header);
+    for (std::uint64_t k = 0; k < per_shard; ++k) writer.add_raw(record, crc);
+    shard_bytes = writer.finish();
+  }
+  const long bound = 2 * static_cast<long>(shard_bytes);
+  const long verify_rise =
+      peak_resident_rise([&] { EXPECT_EQ(verify_shards(paths).size(), 6u); });
+  EXPECT_LE(verify_rise, bound) << "verify_shards, shard of " << shard_bytes
+                                << " bytes";
+  const std::string merged = ::testing::TempDir() + "rss_merged.rnds";
+  const long merge_rise =
+      peak_resident_rise([&] { merge_shards(merged, paths); });
+  EXPECT_LE(merge_rise, bound) << "merge_shards, shard of " << shard_bytes
+                               << " bytes";
+  for (const std::string& p : paths) std::filesystem::remove(p);
+  std::filesystem::remove(merged);
 }
 
 core::RouteNetConfig small_model() {

@@ -492,6 +492,29 @@ TEST(SimGolden, PropagationDelay) {
   EXPECT_EQ(result_crc(NsfnetScenario(0.8, opts).run(cfg)), 0x1e3412eau);
 }
 
+TEST(SimGolden, HeapScaleBa50) {
+  // The 50-node BA topology with every pair active keeps one pending
+  // arrival per flow, so the event heap holds about 2 500 events, six
+  // 4-ary levels below the root; the propagation delay routes every hop
+  // through the slot pool, and the short buffers drop. Recorded on the
+  // binary heap.
+  Rng topo_rng(50);
+  topo::GeneratorOptions opts;
+  opts.prop_delay_s = 0.002;
+  const topo::Topology t = topo::synthetic_ba(50, 2, topo_rng, opts);
+  const routing::RoutingScheme scheme = routing::shortest_path_routing(t);
+  Rng rng(4);
+  traffic::TrafficMatrix tm =
+      traffic::uniform_traffic(t.num_nodes(), 50.0, 150.0, rng);
+  traffic::scale_to_max_utilization(tm, t, scheme, 0.9);
+  ASSERT_GT(t.num_pairs(), 2'000);
+  SimConfig cfg = golden_config();
+  cfg.link_buffer_pkts = 4;
+  const SimResult res = PacketSimulator(cfg).run(t, scheme, tm);
+  ASSERT_GT(res.packets_dropped, 0u);
+  EXPECT_EQ(result_crc(res), 0x704e7202u);
+}
+
 TEST(SimGolden, FixedSizeTandemTies) {
   // Equal capacities and fixed sizes make every transmission last exactly
   // 0.1 s, so a completion on one link ties exactly with the completion of
